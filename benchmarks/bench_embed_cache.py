@@ -7,10 +7,15 @@ Two wins are gated and logged into ``BENCH_dispatch.json``:
   (``encoded_rows`` / ``encode_calls`` frozen, counter-asserted) and run
   at least :data:`WARM_SPEEDUP_FLOOR` x faster than the cache-off path,
   while reproducing its output **bit for bit**.
+* ``bench_embed_cache_encode_budget`` -- a cold ``generate`` followed by
+  a first ``score_topk`` encodes no more rows than the active temporal
+  nodes plus the rows ``score_topk`` requested (counter-asserted on a
+  graph whose temporal nodes are mostly inactive).
 * ``bench_embed_cache_invalidation`` -- after appending ~5% new observed
-  edges with ``epochs=0``, only the dirty ego-neighbourhood tiles
-  re-encode (a strict subset of the universe, counter-asserted) and the
-  post-append output equals a cold-cache twin exactly.
+  edges with ``epochs=0``, only the encode groups of the dirty
+  ego-neighbourhood re-encode (a strict subset of the universe,
+  counter-asserted) and the post-append output equals a cold-cache twin
+  exactly.
 
 The floor is deliberately conservative: the encoder (ego sampling plus
 packed TGAT attention) dominates inference, so warm decode-only calls are
@@ -23,7 +28,7 @@ import numpy as np
 
 from _artifacts import write_bench_artifact
 from repro.core import EMBED_TILE, TGAEGenerator, dirty_temporal_nodes, fast_config
-from repro.datasets import communication_network
+from repro.datasets import communication_network, erdos_renyi_temporal
 
 #: Warm (cache-hit) inference must beat cache-off inference by at least
 #: this factor at the bench config before the gate trips.
@@ -136,8 +141,58 @@ def bench_embed_cache_warm():
     )
 
 
+def bench_embed_cache_encode_budget():
+    """Cold generate + first score_topk encode only active + requested rows."""
+    observed = erdos_renyi_temporal(128, 256, 24, seed=5)
+    generator = TGAEGenerator(
+        fast_config(embed_cache=True, epochs=2, num_initial_nodes=24, seed=3)
+    ).fit(observed)
+    T = observed.num_timestamps
+    active = np.unique(observed.src * np.int64(T) + observed.t)
+
+    generator.generate(seed=0)
+    after_generate = generator.cache_stats()["encoded_rows"]
+    stamps = [0, T // 2]
+    generator.score_topk(8, timestamps=stamps)
+    encoded = generator.cache_stats()["encoded_rows"]
+    nodes = np.arange(observed.num_nodes, dtype=np.int64)
+    requested = np.concatenate([nodes * T + t for t in stamps])
+    budget = int(np.union1d(active, requested).size)
+    universe = observed.num_nodes * T
+    print(
+        f"\n=== embed cache encode budget @ n={observed.num_nodes}, "
+        f"m={observed.num_edges}, T={T} ===\n"
+        f"active {active.size}/{universe}  requested {requested.size}  "
+        f"encoded: generate {after_generate}, +score_topk {encoded} "
+        f"(budget {budget})"
+    )
+    assert after_generate <= active.size, (
+        f"cold generate encoded {after_generate} rows for {active.size} "
+        "active temporal nodes"
+    )
+    assert encoded <= budget, (
+        f"cold generate + score_topk encoded {encoded} rows, more than the "
+        f"{budget} active or requested rows"
+    )
+    write_bench_artifact(
+        "BENCH_dispatch.json",
+        "embed_cache_encode_budget",
+        {
+            "num_nodes": observed.num_nodes,
+            "num_edges": observed.num_edges,
+            "num_timestamps": T,
+            "universe_rows": int(universe),
+            "active_rows": int(active.size),
+            "requested_rows": int(requested.size),
+            "generate_encoded_rows": int(after_generate),
+            "encoded_rows": int(encoded),
+            "budget_rows": budget,
+        },
+    )
+
+
 def bench_embed_cache_invalidation():
-    """5% append: only dirty tiles re-encode, output equals a cold twin."""
+    """5% append: only dirty groups re-encode, output equals a cold twin."""
     observed = communication_network(120, 900, 5, seed=2)
 
     def fit_cached():
@@ -172,7 +227,10 @@ def bench_embed_cache_invalidation():
     after = warm.cache_stats()
     reencoded = after["encoded_rows"] - before["encoded_rows"]
     universe = observed.num_nodes * observed.num_timestamps
-    dirty_tile_rows = int(np.unique(dirty // EMBED_TILE).size * EMBED_TILE)
+    T = observed.num_timestamps
+    tiles = np.unique(np.stack([dirty % T, dirty // T // EMBED_TILE], axis=1), axis=0)
+    tile_sizes = np.bincount(np.arange(observed.num_nodes) // EMBED_TILE)
+    dirty_tile_rows = int(tile_sizes[tiles[:, 1]].sum())
     print(
         f"\n=== embed cache invalidation @ n={observed.num_nodes}, "
         f"{k} appended edges ===\n"

@@ -12,14 +12,17 @@ same fitted model skips the encoder entirely and becomes decode-only.
 
 Three design rules make every cache hit *bitwise* equal to a cold encode:
 
-* **Canonical encode tiles.**  The key universe ``key = u * T + t`` over
-  ``[0, n*T)`` is partitioned into fixed consecutive-key tiles of
-  :data:`EMBED_TILE` rows.  Any encoder invocation on the inference path
-  always covers one whole tile (clipped at ``n*T``), regardless of which
-  rows were requested — so the batch composition seen by the packed
-  encoder (and by BLAS, whose kernels are *not* row-count invariant) is a
-  pure function of the graph size and the tile index, never of the
-  request.  Cache-off engines run the exact same tiles ephemerally.
+* **Canonical encode groups.**  The key universe ``key = u * T + t`` is
+  partitioned into timestamp-major tiles ``(t, u // EMBED_TILE)``: the
+  :data:`EMBED_TILE` node ids of one block at one timestamp.  A key is
+  encoded together with exactly the members of its tile that share its
+  *activity* (active = the temporal node has an out-edge at ``t``), in
+  ascending key order (:func:`encode_groups`).  So a cold ``generate``
+  encodes only active keys, and ``score_topk`` at timestamp ``t`` encodes
+  the inactive rows it asked for.  The batch composition seen by the
+  packed encoder (and by BLAS, whose kernels are *not* row-count
+  invariant) is a pure function of the graph and the group, never of the
+  request.  Cache-off engines run the exact same groups ephemerally.
 * **Version tokens.**  The cache stores a weights fingerprint
   (:func:`weights_token`, the same digest as the shm layer's
   ``_state_token``) and a graph/config fingerprint (:func:`graph_token`).
@@ -29,10 +32,12 @@ Three design rules make every cache hit *bitwise* equal to a cold encode:
 * **Incremental invalidation.**  After an observed-edge append
   (:meth:`repro.core.generator.TGAEGenerator.update` with ``epochs=0``),
   :func:`dirty_temporal_nodes` walks the incidence CSR backwards from the
-  new edges' windowed query points for ``radius - 1`` predecessor steps
-  and only those rows are dropped (plus the rows sharing their tiles at
-  re-encode time); the clean remainder keeps serving hits under the new
-  graph token.
+  new edges' windowed query points for ``radius - 1`` predecessor steps.
+  It adds the whole tile of every *newly active* key, because that key
+  moves from its tile's inactive group to its active group and so changes
+  the composition of both.  Only those rows are dropped (plus the rows
+  sharing their groups at re-encode time); the clean remainder keeps
+  serving hits under the new graph token.
 
 The cache doubles as a shared-memory segment: :meth:`EmbeddingCache.share_arrays`
 exposes the row/valid/token arrays for a ``SharedArrayStore`` and
@@ -45,17 +50,19 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from ..graph.temporal_graph import TemporalGraph
 
-#: Rows per canonical encode tile.  This is a determinism contract, not a
-#: tuning knob: changing it changes the batch composition of every
-#: inference encode and therefore (through BLAS kernel selection) the
-#: low-order bits of cached embeddings, which would break the pinned
-#: fingerprint corpus.  It is deliberately not configurable.
+#: Node ids per timestamp-major encode tile ``(t, u // EMBED_TILE)``; each
+#: tile splits into an active and an inactive encode group.  This is a
+#: determinism contract, not a tuning knob: changing it changes the batch
+#: composition of every inference encode and therefore (through BLAS
+#: kernel selection) the low-order bits of cached embeddings, which would
+#: break the pinned fingerprint corpus.  It is deliberately not
+#: configurable.
 EMBED_TILE: int = 32
 
 #: Two concatenated sha256 hexdigests: ``weights_token + graph_token``.
@@ -273,6 +280,37 @@ class EmbeddingCache:
         return {"rows": self.rows, "valid": self.valid, "token": self._token}
 
 
+def _tile_keys(t: int, block: int, num_nodes: int, num_timestamps: int) -> np.ndarray:
+    """Every universe key of tile ``(t, block)``, ascending."""
+    first = block * EMBED_TILE
+    nodes = np.arange(first, min(first + EMBED_TILE, num_nodes), dtype=np.int64)
+    return nodes * np.int64(num_timestamps) + t
+
+
+def encode_groups(
+    keys: np.ndarray, active: np.ndarray, num_timestamps: int
+) -> List[np.ndarray]:
+    """The canonical encode groups covering ``keys``, each ascending.
+
+    ``active`` is the universe's activity mask: ``active[u * T + t]`` is
+    true when ``(u, t)`` has an out-edge at ``t``.  A key's group is the
+    members of its tile ``(t, u // EMBED_TILE)`` that share its activity,
+    so every group is a pure function of the graph, never of which keys a
+    request asked for.
+    """
+    T = int(num_timestamps)
+    num_nodes = active.size // T
+    keys = np.asarray(keys, dtype=np.int64)
+    specs = np.unique(
+        np.stack([keys % T, keys // T // EMBED_TILE, active[keys]], axis=1), axis=0
+    )
+    groups = []
+    for t, block, is_active in specs.tolist():
+        members = _tile_keys(t, block, num_nodes, T)
+        groups.append(members[active[members] == bool(is_active)])
+    return groups
+
+
 def dirty_temporal_nodes(
     graph: TemporalGraph,
     new_src: np.ndarray,
@@ -295,16 +333,19 @@ def dirty_temporal_nodes(
     node ``(x, s)`` as a child — ``p`` a partner of ``x`` at event time
     exactly ``s`` with ``|s - s_p| <= time_window``.  The union over all
     ``radius`` levels is a sound superset of the changed rows (append-only
-    edits never un-reach a query point).  Returns sorted ``u * T + t``
-    keys.
+    edits never un-reach a query point).
+
+    A cached row also depends on the composition of its encode group, so
+    the whole tile of every *newly active* key (an appended source with no
+    earlier out-edge at that timestamp) is dirty too.  ``graph`` must hold
+    the appended edges last, as :meth:`TemporalGraph.appended` builds it.
+    Returns sorted ``u * T + t`` keys.
     """
     T = int(graph.num_timestamps)
-    nodes = np.concatenate(
-        [np.asarray(new_src, dtype=np.int64), np.asarray(new_dst, dtype=np.int64)]
-    )
-    times = np.concatenate(
-        [np.asarray(new_t, dtype=np.int64), np.asarray(new_t, dtype=np.int64)]
-    )
+    new_src = np.asarray(new_src, dtype=np.int64)
+    new_t = np.asarray(new_t, dtype=np.int64)
+    nodes = np.concatenate([new_src, np.asarray(new_dst, dtype=np.int64)])
+    times = np.concatenate([new_t, new_t])
     frontier = set()
     for x, te in zip(nodes.tolist(), times.tolist()):
         for s in range(max(te - time_window, 0), min(te + time_window, T - 1) + 1):
@@ -328,5 +369,15 @@ def dirty_temporal_nodes(
     keys = np.fromiter(
         (x * T + s for x, s in dirty), dtype=np.int64, count=len(dirty)
     )
-    keys.sort()
-    return keys
+    # A newly active key leaves its tile's inactive encode group for the
+    # active one, changing the composition of both: the whole tile is dirty.
+    prior = graph.num_edges - new_src.size
+    new_keys = np.unique(new_src * T + new_t)
+    newly_active = new_keys[
+        ~np.isin(new_keys, graph.src[:prior] * np.int64(T) + graph.t[:prior])
+    ]
+    tiles = [
+        _tile_keys(key % T, key // T // EMBED_TILE, graph.num_nodes, T)
+        for key in newly_active.tolist()
+    ]
+    return np.unique(np.concatenate([keys, *tiles]))

@@ -27,9 +27,9 @@ memory model of O(E + n*C) instead of O(T * n^2):
   sequential loop over the same chunks;
 * encoder embeddings flow through the versioned inference cache
   (:mod:`repro.core.embed_cache`): public entry points prefill every
-  missing canonical tile once, chunks then decode straight from cached
-  rows, and repeat calls against unchanged weights/graph skip the encoder
-  entirely -- with outputs bitwise identical to the uncached path.
+  missing canonical encode group once, chunks then decode straight from
+  cached rows, and repeat calls against unchanged weights/graph skip the
+  encoder entirely -- with outputs bitwise identical to the uncached path.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from ..errors import ConfigError, GenerationError
 from ..graph.temporal_graph import TemporalGraph
 from ..rng import seed_sequence, spawn_streams
 from .config import TGAEConfig
-from .embed_cache import EMBED_TILE, EmbeddingCache, graph_token, weights_token
+from .embed_cache import EmbeddingCache, encode_groups, graph_token, weights_token
 from .model import TGAEModel
 from .parallel import WorkerPool, run_sharded
 from .sampler import EgoGraphSampler
@@ -298,8 +298,8 @@ class GenerationEngine:
         per-``(u, t)`` encoder embeddings across calls (writable in the
         parent, a read-only shared-memory attachment in pooled workers).
         ``None`` disables persistence: the engine still encodes through
-        the same canonical tiles, just chunk-scoped — outputs are bitwise
-        identical either way.
+        the same canonical encode groups, just chunk-scoped — outputs are
+        bitwise identical either way.
     """
 
     def __init__(
@@ -314,6 +314,7 @@ class GenerationEngine:
         self.config = config
         self.cache = cache
         self._active: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._active_mask: Optional[np.ndarray] = None
         self._weights_token: Optional[str] = None
         self._graph_token: Optional[str] = None
 
@@ -329,7 +330,7 @@ class GenerationEngine:
         return self._active
 
     # ------------------------------------------------------------------
-    # Inference embeddings (canonical tiles + versioned cache)
+    # Inference embeddings (canonical encode groups + versioned cache)
     # ------------------------------------------------------------------
     def _cache_tokens(self) -> Tuple[str, str]:
         """Current ``(weights, graph)`` fingerprints, memoised per call.
@@ -347,37 +348,53 @@ class GenerationEngine:
             )
         return self._weights_token, self._graph_token
 
-    def _encode_tile_rows(self, tile_keys: np.ndarray) -> np.ndarray:
-        """Encode one canonical tile of universe keys (``u * T + t``).
+    def _activity_mask(self) -> np.ndarray:
+        """Universe activity mask: ``mask[u * T + t]`` iff ``(u, t)`` has an out-edge."""
+        if self._active_mask is None:
+            T = np.int64(self.graph.num_timestamps)
+            mask = np.zeros(self.graph.num_nodes * int(T), dtype=bool)
+            mask[self.graph.src * T + self.graph.t] = True
+            self._active_mask = mask
+        return self._active_mask
 
-        The batch always consists of a full tile's consecutive keys in
-        ascending order (clipped only at the universe end), so its
-        composition — and therefore every BLAS kernel decision inside the
-        packed encoder — is a pure function of the graph size and the tile
-        index, never of which rows a request actually needed.  Combined
-        with the per-centre named truncation streams this makes tile
-        encodes bitwise reproducible, which is what lets cache hits, cold
-        encodes and cache-off runs agree exactly.
+    def _encode_groups(
+        self, keys: np.ndarray, store: bool
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Encode the canonical groups covering ``keys`` as ``(group, rows)`` pairs.
+
+        Each batch is one :func:`~repro.core.embed_cache.encode_groups`
+        group in ascending key order, so its composition -- and therefore
+        every BLAS kernel decision inside the packed encoder -- is a pure
+        function of the graph, never of which rows a request needed.
+        Combined with the per-centre named truncation streams this makes
+        group encodes bitwise reproducible, which is what lets cache hits,
+        cold encodes and cache-off runs agree exactly.  ``store`` persists
+        every group row in the cache.
         """
         T = self.graph.num_timestamps
-        centers = np.stack([tile_keys // T, tile_keys % T], axis=1)
         sampler = EgoGraphSampler(self.graph, self.config)
-        batch = sampler.inference_batch(centers)
-        return self.model.encode_inference(
-            batch.computation_batch(self.config.packed_batches)
-        )
+        encoded = []
+        for group in encode_groups(keys, self._activity_mask(), T):
+            centers = np.stack([group // T, group % T], axis=1)
+            batch = sampler.inference_batch(centers)
+            rows = self.model.encode_inference(
+                batch.computation_batch(self.config.packed_batches)
+            )
+            if store:
+                self.cache.store(group, rows)
+            encoded.append((group, rows))
+        return encoded
 
     def chunk_embeddings(self, centers: np.ndarray) -> np.ndarray:
         """Embeddings for explicit ``(u, t)`` centres, cache-aware.
 
         Hits are copied straight out of the cache; misses (or a disabled /
-        stale cache) encode the canonical tiles covering the missing keys
-        and, when the cache is writable, persist every tile row for later
+        stale cache) encode the canonical groups covering the missing keys
+        and, when the cache is writable, persist every group row for later
         calls.  Consumes no RNG.
         """
         centers = np.asarray(centers, dtype=np.int64)
-        T = self.graph.num_timestamps
-        keys = centers[:, 0] * np.int64(T) + centers[:, 1]
+        keys = centers[:, 0] * np.int64(self.graph.num_timestamps) + centers[:, 1]
         out = np.empty((keys.size, self.config.hidden_dim), dtype=self.config.np_dtype)
         cache = self.cache
         usable = cache is not None and cache.ensure(*self._cache_tokens())
@@ -386,24 +403,18 @@ class GenerationEngine:
         else:
             need = np.ones(keys.size, dtype=bool)
         if need.any():
-            num_rows = self.graph.num_nodes * T
-            for tile in np.unique(keys[need] // EMBED_TILE).tolist():
-                start = tile * EMBED_TILE
-                tile_keys = np.arange(
-                    start, min(start + EMBED_TILE, num_rows), dtype=np.int64
-                )
-                rows = self._encode_tile_rows(tile_keys)
-                if usable:
-                    cache.store(tile_keys, rows)
-                sel = need & (keys // EMBED_TILE == tile)
-                out[sel] = rows[keys[sel] - start]
+            encoded = self._encode_groups(keys[need], store=usable)
+            group_keys = np.concatenate([group for group, _ in encoded])
+            order = np.argsort(group_keys)
+            pos = order[np.searchsorted(group_keys, keys[need], sorter=order)]
+            out[need] = np.concatenate([rows for _, rows in encoded])[pos]
         return out
 
     def warm_rows(self, keys: np.ndarray) -> None:
         """Prefill the writable cache for ``keys`` before chunk fan-out.
 
         Called at the top of every public inference entry point so pooled
-        dispatch is decode-only: the parent encodes each missing tile
+        dispatch is decode-only: the parent encodes each missing group
         exactly once, the shm layer mirrors the segment, and workers (or
         threads) only ever *read*.  No-op without a writable cache.
         """
@@ -412,17 +423,10 @@ class GenerationEngine:
             return
         self._weights_token = None
         cache.ensure(*self._cache_tokens())
-        keys = np.unique(np.asarray(keys, dtype=np.int64))
+        keys = np.asarray(keys, dtype=np.int64)
         missing = keys[~cache.valid[keys]]
-        if missing.size == 0:
-            return
-        num_rows = self.graph.num_nodes * self.graph.num_timestamps
-        for tile in np.unique(missing // EMBED_TILE).tolist():
-            start = tile * EMBED_TILE
-            tile_keys = np.arange(
-                start, min(start + EMBED_TILE, num_rows), dtype=np.int64
-            )
-            cache.store(tile_keys, self._encode_tile_rows(tile_keys))
+        if missing.size:
+            self._encode_groups(missing, store=True)
 
     # ------------------------------------------------------------------
     # Candidate assembly (vectorised)
@@ -706,7 +710,7 @@ class GenerationEngine:
             # Canonical chunk stream: candidate assembly first, then the
             # RNG-free embedding lookup/encode, then the Gumbel draw -- the
             # order is identical whether every embedding row is a cache hit
-            # or a cold tile encode, so outputs cannot depend on cache state.
+            # or a cold group encode, so outputs cannot depend on cache state.
             if streaming:
                 cand, allowed = self.candidates_with_mask(
                     part, rng, min_distinct=part_distinct

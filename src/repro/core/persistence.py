@@ -20,6 +20,8 @@ import dataclasses
 import json
 import os
 import warnings
+import zipfile
+import zlib
 from typing import Optional, Union
 
 import numpy as np
@@ -148,8 +150,22 @@ def load_generator(path: PathLike, dtype: Optional[str] = None) -> TGAEGenerator
     with ``train_state=None`` -- a subsequent ``update``/resume then
     warm-starts the weights but runs a cold optimizer on a fresh RNG
     lineage.  Config keys unknown to this version are dropped with a
-    ``RuntimeWarning``.
+    ``RuntimeWarning``.  A truncated or corrupt archive, or one missing a
+    member, raises :class:`ConfigError`.
     """
+    try:
+        return _read_generator(path, dtype)
+    except ConfigError:
+        raise
+    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError) as exc:
+        raise ConfigError(
+            f"{path!s} is not a readable TGAE generator archive "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def _read_generator(path: PathLike, dtype: Optional[str]) -> TGAEGenerator:
+    """The body of :func:`load_generator`, before archive errors are typed."""
     with np.load(path, allow_pickle=False) as archive:
         if _META_KEY not in archive:
             raise ConfigError(f"{path!s} is not a saved TGAE generator")

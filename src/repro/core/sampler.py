@@ -184,7 +184,7 @@ class EgoGraphSampler:
         is a pure function of ``(weights, graph, config)``, independent of
         which call, chunk or batch requested it.  That purity is what the
         inference embedding cache (:mod:`repro.core.embed_cache`) and its
-        canonical encode tiles rest on.
+        canonical encode groups rest on.
         """
         centers = np.asarray(centers, dtype=np.int64)
         config = self.config

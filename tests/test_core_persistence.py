@@ -150,3 +150,22 @@ class TestErrors:
         np.savez(path, something=np.zeros(3))
         with pytest.raises(ConfigError):
             load_generator(path)
+
+    @pytest.mark.parametrize("keep", ["half", 100])
+    def test_load_truncated_archive_raises(self, fitted, tmp_path, keep):
+        path = tmp_path / "model.npz"
+        save_generator(fitted, path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2 if keep == "half" else keep])
+        with pytest.raises(ConfigError, match="not a readable"):
+            load_generator(path)
+
+    def test_load_missing_member_raises(self, fitted, tmp_path):
+        path = tmp_path / "model.npz"
+        save_generator(fitted, path)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        del arrays["graph:src"]
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ConfigError, match="graph:src"):
+            load_generator(path)

@@ -10,10 +10,12 @@ skipped:
 * the encode/decode model split composes to the plain forward, bit for bit;
 * a warm repeat call does **zero** encoder work (``encoded_rows`` /
   ``encode_calls`` frozen) and still reproduces the cold output;
+* a cold ``generate`` encodes exactly the active temporal nodes;
 * after an observed-edge append with ``epochs=0`` only the dirty
-  ego-neighbourhood rows are dropped -- surviving rows keep serving hits
-  under the rebound graph token -- and the post-append outputs equal a
-  cold-cache (and cache-off) twin;
+  ego-neighbourhood rows and the encode tiles of newly active keys are
+  dropped -- surviving rows keep serving hits under the rebound graph
+  token -- and the post-append outputs equal a cold-cache (and cache-off)
+  twin;
 * ``dirty_temporal_nodes`` is a sound superset of the rows whose
   embeddings actually moved;
 * retraining flushes loudly through the weights token;
@@ -62,6 +64,22 @@ def assert_topk_equal(a, b):
     assert np.array_equal(a.timestamp, b.timestamp)
     assert np.array_equal(a.target, b.target)
     assert a.score.tobytes() == b.score.tobytes()
+
+
+def active_keys(graph: TemporalGraph) -> np.ndarray:
+    """Sorted universe keys ``u * T + t`` of the temporal nodes with an out-edge."""
+    return np.unique(graph.src * np.int64(graph.num_timestamps) + graph.t)
+
+
+def tile_keys(graph: TemporalGraph, keys: np.ndarray) -> np.ndarray:
+    """Every key of the timestamp-major tiles ``(t, u // EMBED_TILE)`` of ``keys``."""
+    T = graph.num_timestamps
+
+    def tile_of(k):
+        return (k % T) * graph.num_nodes + k // T // EMBED_TILE
+
+    universe = np.arange(graph.num_nodes * T, dtype=np.int64)
+    return universe[np.isin(tile_of(universe), tile_of(np.asarray(keys)))]
 
 
 def all_centers(graph: TemporalGraph) -> np.ndarray:
@@ -155,12 +173,10 @@ class TestWarmPath:
         generator = fit_twin(observed, embed_cache=True)
         cold = generator.generate(seed=0)
         after_cold = generator.cache_stats()
-        assert after_cold["encoded_rows"] > 0
         assert after_cold["encode_calls"] > 0
-        assert after_cold["encoded_rows"] % EMBED_TILE in (
-            0,
-            observed.num_nodes * observed.num_timestamps % EMBED_TILE,
-        )
+        # Encode groups never mix activities: a cold generate encodes
+        # exactly the active keys, none of the inactive rows in their tiles.
+        assert after_cold["encoded_rows"] == active_keys(observed).size
 
         warm = generator.generate(seed=0)
         after_warm = generator.cache_stats()
@@ -226,15 +242,19 @@ class TestIncrementalInvalidation:
         )
         num_rows = observed.num_nodes * observed.num_timestamps
         assert 0 < dirty.size < num_rows, "append must dirty a strict subset"
+        T = observed.num_timestamps
+        new_keys = np.unique(src * T + t)
+        newly_active = np.setdiff1d(new_keys, active_keys(observed))
+        stale = np.union1d(dirty, tile_keys(observed, newly_active))
 
         after = generator.cache_stats()
         assert after["invalidated_rows"] - before["invalidated_rows"] == int(
-            valid_before[dirty].sum()
+            valid_before[stale].sum()
         )
         assert after["flushes"] == before["flushes"], "no full flush on append"
-        # Exactly the dirty rows dropped; every clean row survived.
-        assert not cache.valid[dirty].any()
-        clean = np.setdiff1d(np.arange(num_rows), dirty)
+        # Exactly the stale rows dropped; every clean row survived.
+        assert not cache.valid[stale].any()
+        clean = np.setdiff1d(np.arange(num_rows), stale)
         assert np.array_equal(cache.valid[clean], valid_before[clean])
 
     def test_post_append_output_matches_cold_and_off(self, observed):
@@ -274,13 +294,45 @@ class TestIncrementalInvalidation:
         after = generator.cache_stats()
         # Re-encoded rows are bounded by the tiles covering the dirty set --
         # never the whole universe again.
-        dirty_tiles = np.unique(dirty // EMBED_TILE)
-        assert (
-            after["encoded_rows"] - before["encoded_rows"]
-            <= dirty_tiles.size * EMBED_TILE
-        )
-        assert after["encoded_rows"] - before["encoded_rows"] < before["encoded_rows"]
+        reencoded = after["encoded_rows"] - before["encoded_rows"]
+        assert reencoded <= tile_keys(observed, dirty).size
+        assert reencoded < observed.num_nodes * observed.num_timestamps
         assert after["hit_rows"] > before["hit_rows"]
+
+    def test_newly_active_key_invalidates_its_whole_tile(self):
+        # radius=1: the ego walk dirties only the new edge's endpoints, so
+        # the other active rows of the tile go stale only through the tile
+        # rule (the key moves between the tile's two encode groups).
+        observed = communication_network(60, 180, 5, seed=17)
+        warm = fit_twin(observed, embed_cache=True, radius=1)
+        cold = fit_twin(observed, embed_cache=True, radius=1)
+        warm.generate(seed=0)
+        warm.score_topk(3)
+        cache = warm.engine().cache
+        assert cache.valid.all()
+
+        T = observed.num_timestamps
+        active = np.zeros(observed.num_nodes * T, dtype=bool)
+        active[active_keys(observed)] = True
+        # The first inactive (u, t) whose tile holds at least two active rows.
+        key = next(
+            key for key in np.flatnonzero(~active).tolist()
+            if active[tile_keys(observed, [key])].sum() >= 2
+        )
+        u, t = divmod(key, T)
+        tile = tile_keys(observed, [key])
+        v = int(tile[active[tile]][0] // T)  # one endpoint is itself active
+        others = tile[active[tile] & (tile // T != v)]
+        assert others.size > 0
+
+        new = (np.array([u]), np.array([v]), np.array([t]))
+        warm.update(new, epochs=0)
+        cold.update(new, epochs=0)
+        assert not cache.valid[others].any(), "active rows of the tile stayed cached"
+        assert_topk_equal(warm.score_topk(3), cold.score_topk(3))
+        assert graph_fingerprint(warm.generate(seed=0)) == graph_fingerprint(
+            cold.generate(seed=0)
+        )
 
     def test_dirty_set_covers_all_changed_rows(self, observed):
         """Soundness: rows whose embeddings moved are inside the dirty set."""
