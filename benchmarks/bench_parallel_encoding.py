@@ -7,6 +7,12 @@ on the Figure-6 medium streaming size, and -- because the engine spawns one
 seed-sequence child per chunk before dispatch -- asserts that the parallel
 run reproduces the sequential run **bit for bit**.
 
+Encoder embeddings are made once, in the calling process
+(``GenerationEngine.warm_rows``), and ride the chunk tasks; workers only
+decode and assemble.  With the embedding cache on (the ``fast_config``
+default) the workers=1 run fills the cache, so the measured speedup is the
+fan-out of warm decode and edge assembly, not encoder sharding.
+
 Two entry points:
 
 * ``bench_parallel_encoding_speedup`` -- workers=1 vs workers=4 generation

@@ -285,18 +285,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
         generator.config = dataclasses.replace(generator.config, shm_dispatch=False)
     if not getattr(args, "embed_cache", True):
         generator.config = dataclasses.replace(generator.config, embed_cache=False)
-    workers = args.workers if args.workers is not None else generator.config.workers
-    if workers > 1:
-        # An explicit pool engages the persistent dispatch path (shared
-        # segments by default) instead of a throwaway per-call executor.
-        with generator.worker_pool(workers=workers):
-            generated = generator.generate(
-                seed=args.seed, workers=workers, chunk_size=args.chunk_size
-            )
-    else:
-        generated = generator.generate(
-            seed=args.seed, workers=args.workers, chunk_size=args.chunk_size
-        )
+    # workers > 1 runs on a pool opened for this call from the config above.
+    generated = generator.generate(
+        seed=args.seed, workers=args.workers, chunk_size=args.chunk_size
+    )
     save_edge_list(generated, args.output)
     print(f"wrote {generated} to {args.output}")
     return 0

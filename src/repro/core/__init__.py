@@ -22,9 +22,7 @@ from .engine import (
 from .parallel import (
     WorkerPayload,
     WorkerPool,
-    close_shared_pools,
     run_sharded,
-    shared_pool,
 )
 from .generator import TGAEGenerator
 from .persistence import load_generator, save_generator, save_training_checkpoint
@@ -77,8 +75,6 @@ __all__ = [
     "TopKChunkTask",
     "WorkerPayload",
     "WorkerPool",
-    "shared_pool",
-    "close_shared_pools",
     "run_sharded",
     "TopKScores",
     "EMBED_TILE",

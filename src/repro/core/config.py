@@ -107,8 +107,7 @@ class TGAEConfig:
         worker crash before degrading one rung down the dispatch ladder
         (shm -> pickle -> thread -> sequential).  Retried shards are
         bit-identical -- shards are pure functions of (task, seed child,
-        weights).  ``0`` disables in-rung retries (and restores the
-        zero-bookkeeping legacy dispatch when no timeout is set either).
+        weights).  ``0`` disables in-rung retries.
     shard_timeout:
         Per-shard wall-clock budget in seconds for pooled dispatch;
         a shard still running past it is counted a straggler and

@@ -24,8 +24,9 @@ Three design rules make every cache hit *bitwise* equal to a cold encode:
   invariant) is a pure function of the graph and the group, never of the
   request.  Cache-off engines run the exact same groups ephemerally.
 * **Version tokens.**  The cache stores a weights fingerprint
-  (:func:`weights_token`, the same digest as the shm layer's
-  ``_state_token``) and a graph/config fingerprint (:func:`graph_token`).
+  (:func:`weights_token`, the same digest the worker pool uses to decide
+  when to refresh its parameter segment) and a graph/config fingerprint
+  (:func:`graph_token`).
   :meth:`EmbeddingCache.ensure` loudly flushes on any mismatch and counts
   the reason (``weight_flushes`` / ``graph_flushes``) — a hit can never be
   served across a version boundary.
@@ -39,11 +40,9 @@ Three design rules make every cache hit *bitwise* equal to a cold encode:
   sharing their groups at re-encode time); the clean remainder keeps
   serving hits under the new graph token.
 
-The cache doubles as a shared-memory segment: :meth:`EmbeddingCache.share_arrays`
-exposes the row/valid/token arrays for a ``SharedArrayStore`` and
-:meth:`EmbeddingCache.attached` wraps a worker's read-only views, with the
-token *inside the segment* so a worker can cheaply detect a stale segment
-and fall back to ephemeral tile encoding.
+The cache lives in the calling process only.  Pooled inference never reads
+it from a worker: :meth:`repro.core.engine.GenerationEngine.warm_rows`
+serves and fills it in the caller, and each chunk task carries its rows.
 """
 
 from __future__ import annotations
@@ -76,16 +75,14 @@ _STAT_KEYS = (
     "weight_flushes",
     "graph_flushes",
     "invalidated_rows",
-    "stale_misses",
 )
 
 
 def weights_token(model: Any) -> str:
     """Fingerprint of the model's weight values (sorted-name sha256).
 
-    Byte-for-byte the same digest the shm dispatch layer uses as its
-    ``_state_token`` — the cache and the worker-pool republish logic agree
-    on what "the weights changed" means.
+    The cache and the worker pool's parameter-segment refresh both use it,
+    so they agree on what "the weights changed" means.
     """
     digest = hashlib.sha256()
     for name, param in sorted(model.named_parameters()):
@@ -116,7 +113,7 @@ def graph_token(
 
 
 def _token_array(weights: str, graph: str) -> np.ndarray:
-    """Pack the two hexdigests into the 128-byte segment token array."""
+    """Pack the two hexdigests into the 128-byte token array."""
     packed = (weights + graph).encode("ascii")
     if len(packed) != _TOKEN_BYTES:
         raise ValueError(f"expected two sha256 hexdigests, got {len(packed)} bytes")
@@ -136,40 +133,17 @@ class EmbeddingCache:
     dtype:
         The session dtype policy (``config.np_dtype``).
 
-    A writable cache owns its arrays and is mutated by exactly one parent
-    engine (`store`/`invalidate_rows`/`flush` serialise on an internal
-    lock; concurrent thread-rung *reads* are safe because the owning
-    engine prefills before fan-out).  :meth:`attached` builds the
-    read-only worker-side flavour over shared-memory views: it never
-    mutates the segment, and it validates the segment's embedded token
-    pair before serving a single row, so a stale segment degrades to
-    ephemeral re-encoding instead of wrong bits.
+    The cache owns its arrays and is read and mutated only by the engine
+    that holds it, in the calling process (`store`/`invalidate_rows`/
+    `flush` serialise on an internal lock).
     """
 
     def __init__(self, num_rows: int, hidden_dim: int, dtype: Any) -> None:
         self.rows = np.zeros((int(num_rows), int(hidden_dim)), dtype=np.dtype(dtype))
         self.valid = np.zeros(int(num_rows), dtype=bool)
         self._token = np.zeros(_TOKEN_BYTES, dtype=np.uint8)
-        self.writable = True
-        #: Monotone mutation counter: the shm layer republishes / in-place
-        #: updates the shared segment only when this moved since the last
-        #: sync, so an all-hit dispatch costs zero segment copies.
-        self.mutations = 0
         self.stats: Dict[str, int] = {key: 0 for key in _STAT_KEYS}
         self._lock = threading.Lock()
-
-    @classmethod
-    def attached(cls, views: Dict[str, np.ndarray]) -> "EmbeddingCache":
-        """Wrap a worker's read-only shared-memory views of a parent cache."""
-        cache = cls.__new__(cls)
-        cache.rows = views["rows"]
-        cache.valid = views["valid"]
-        cache._token = views["token"]
-        cache.writable = False
-        cache.mutations = 0
-        cache.stats = {key: 0 for key in _STAT_KEYS}
-        cache._lock = threading.Lock()
-        return cache
 
     # ------------------------------------------------------------------
     # Versioning
@@ -183,20 +157,15 @@ class EmbeddingCache:
         return bool(np.array_equal(self._token, _token_array(weights, graph)))
 
     def ensure(self, weights: str, graph: str) -> bool:
-        """Bind the cache to a token pair; ``True`` when rows may be served.
+        """Bind the cache to a token pair, after which its rows may be served.
 
-        A writable cache that holds a *different* pair is loudly flushed
-        (every row invalidated, ``flushes`` plus the per-reason counter
-        bumped) and rebound — it always returns ``True``.  A read-only
-        attached cache cannot rebind: a mismatch (stale shared segment)
-        returns ``False`` and the caller re-encodes ephemerally.
+        A cache that holds a *different* pair is loudly flushed (every row
+        invalidated, ``flushes`` plus the per-reason counter bumped) and
+        rebound.  Always returns ``True``.
         """
         with self._lock:
             if self._matches(weights, graph):
                 return True
-            if not self.writable:
-                self.stats["stale_misses"] += 1
-                return False
             if self.tokens_set:
                 self.stats["flushes"] += 1
                 current = self._token.tobytes().decode("ascii")
@@ -206,7 +175,6 @@ class EmbeddingCache:
                     self.stats["graph_flushes"] += 1
                 self.valid[:] = False
             self._token[:] = _token_array(weights, graph)
-            self.mutations += 1
             return True
 
     # ------------------------------------------------------------------
@@ -221,15 +189,12 @@ class EmbeddingCache:
         return hit
 
     def store(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Insert freshly encoded rows (no-op on a read-only attachment)."""
-        if not self.writable:
-            return
+        """Insert freshly encoded rows."""
         with self._lock:
             self.rows[keys] = values
             self.valid[keys] = True
             self.stats["encoded_rows"] += int(keys.size)
             self.stats["encode_calls"] += 1
-            self.mutations += 1
 
     def invalidate_rows(
         self, keys: np.ndarray, graph: Optional[str] = None
@@ -242,8 +207,6 @@ class EmbeddingCache:
         so the surviving rows keep serving hits without a flush.  Returns
         the number of previously valid rows dropped.
         """
-        if not self.writable:
-            raise ValueError("cannot invalidate rows of a read-only attached cache")
         keys = np.asarray(keys, dtype=np.int64)
         with self._lock:
             dropped = int(self.valid[keys].sum())
@@ -253,29 +216,22 @@ class EmbeddingCache:
                 self._token[64:] = np.frombuffer(
                     graph.encode("ascii"), dtype=np.uint8
                 )
-            self.mutations += 1
         return dropped
 
     def flush(self) -> None:
         """Drop every row and unbind the token pair (explicit full reset)."""
-        if not self.writable:
-            raise ValueError("cannot flush a read-only attached cache")
         with self._lock:
             self.valid[:] = False
             self._token[:] = 0
             self.stats["flushes"] += 1
-            self.mutations += 1
 
     # ------------------------------------------------------------------
-    # Shared-memory publication
+    # Storage
     # ------------------------------------------------------------------
     def share_arrays(self) -> Dict[str, np.ndarray]:
-        """The arrays a ``SharedArrayStore`` segment publishes to workers.
+        """The arrays the cache's state lives in: rows, valid mask, token.
 
-        The token rides *inside* the segment so attached workers validate
-        staleness against the segment contents themselves — a worker whose
-        locally computed tokens disagree simply gets ``ensure() -> False``
-        and re-encodes, never a silently wrong row.
+        Their total ``nbytes`` is the cache's memory footprint.
         """
         return {"rows": self.rows, "valid": self.valid, "token": self._token}
 

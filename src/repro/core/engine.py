@@ -25,11 +25,13 @@ memory model of O(E + n*C) instead of O(T * n^2):
   the chunk index -- never on execution order -- output is bit-identical
   for every worker count and backend, and ``workers=1`` is a plain
   sequential loop over the same chunks;
-* encoder embeddings flow through the versioned inference cache
-  (:mod:`repro.core.embed_cache`): public entry points prefill every
-  missing canonical encode group once, chunks then decode straight from
-  cached rows, and repeat calls against unchanged weights/graph skip the
-  encoder entirely -- with outputs bitwise identical to the uncached path.
+* encoder embeddings are made in one place,
+  :meth:`GenerationEngine.warm_rows`, in the calling process: public entry
+  points encode every missing canonical encode group once, hand each chunk
+  its rows inside the task, and chunks (in any worker) only decode.  With
+  the versioned inference cache (:mod:`repro.core.embed_cache`) attached,
+  repeat calls against unchanged weights/graph skip the encoder entirely --
+  with outputs bitwise identical to the uncached path.
 """
 
 from __future__ import annotations
@@ -258,9 +260,10 @@ class GenerateChunkTask:
     """One shard of the generation fan-out.
 
     Carries only what a worker cannot derive itself: the chunk's centre
-    rows with their edge budgets (index arrays, never graph objects) and
-    the spawned seed-sequence child that makes the chunk's draws
-    independent of execution order.
+    rows with their edge budgets (index arrays, never graph objects), the
+    spawned seed-sequence child that makes the chunk's draws independent
+    of execution order, and the centres' encoder ``embeddings`` (rows from
+    :meth:`GenerationEngine.warm_rows`; only an empty shard may omit them).
     """
 
     index: int
@@ -268,17 +271,23 @@ class GenerateChunkTask:
     degrees: np.ndarray
     distinct: np.ndarray
     seed_seq: np.random.SeedSequence
+    embeddings: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
 class TopKChunkTask:
-    """One shard of the :meth:`GenerationEngine.score_topk` fan-out."""
+    """One shard of the :meth:`GenerationEngine.score_topk` fan-out.
+
+    ``embeddings`` holds the encoder rows of ``(node_ids, timestamp)``, as
+    in :class:`GenerateChunkTask`.
+    """
 
     index: int
     node_ids: np.ndarray
     timestamp: int
     k: int
     seed_seq: np.random.SeedSequence
+    embeddings: Optional[np.ndarray] = None
 
 
 class GenerationEngine:
@@ -295,11 +304,10 @@ class GenerationEngine:
         the streaming sampled-softmax path, ``0`` the exact dense decoder.
     cache:
         Optional :class:`~repro.core.embed_cache.EmbeddingCache` holding
-        per-``(u, t)`` encoder embeddings across calls (writable in the
-        parent, a read-only shared-memory attachment in pooled workers).
-        ``None`` disables persistence: the engine still encodes through
-        the same canonical encode groups, just chunk-scoped — outputs are
-        bitwise identical either way.
+        per-``(u, t)`` encoder embeddings across calls.  ``None`` disables
+        persistence: the engine still encodes through the same canonical
+        encode groups, once per call -- outputs are bitwise identical
+        either way.
     """
 
     def __init__(
@@ -315,7 +323,6 @@ class GenerationEngine:
         self.cache = cache
         self._active: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._active_mask: Optional[np.ndarray] = None
-        self._weights_token: Optional[str] = None
         self._graph_token: Optional[str] = None
 
     def active_nodes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -332,22 +339,6 @@ class GenerationEngine:
     # ------------------------------------------------------------------
     # Inference embeddings (canonical encode groups + versioned cache)
     # ------------------------------------------------------------------
-    def _cache_tokens(self) -> Tuple[str, str]:
-        """Current ``(weights, graph)`` fingerprints, memoised per call.
-
-        Public entry points reset :attr:`_weights_token` before dispatch so
-        in-place weight mutations are picked up once per call; per-chunk
-        consults then reuse the memo (workers reset it on parameter-version
-        reloads).  The graph token is constant for the engine's lifetime.
-        """
-        if self._weights_token is None:
-            self._weights_token = weights_token(self.model)
-        if self._graph_token is None:
-            self._graph_token = graph_token(
-                self.graph, self.config, self.model.encoder._external_features
-            )
-        return self._weights_token, self._graph_token
-
     def _activity_mask(self) -> np.ndarray:
         """Universe activity mask: ``mask[u * T + t]`` iff ``(u, t)`` has an out-edge."""
         if self._active_mask is None:
@@ -357,76 +348,54 @@ class GenerationEngine:
             self._active_mask = mask
         return self._active_mask
 
-    def _encode_groups(
-        self, keys: np.ndarray, store: bool
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Encode the canonical groups covering ``keys`` as ``(group, rows)`` pairs.
+    def warm_rows(self, keys: np.ndarray) -> np.ndarray:
+        """Encoder embeddings of universe keys ``u * T + t``, one row per key.
 
-        Each batch is one :func:`~repro.core.embed_cache.encode_groups`
-        group in ascending key order, so its composition -- and therefore
-        every BLAS kernel decision inside the packed encoder -- is a pure
-        function of the graph, never of which rows a request needed.
-        Combined with the per-centre named truncation streams this makes
-        group encodes bitwise reproducible, which is what lets cache hits,
-        cold encodes and cache-off runs agree exactly.  ``store`` persists
-        every group row in the cache.
+        The one place inference embeddings are made, always in the calling
+        process; public entry points call it once and hand every chunk its
+        slice, so pooled workers only decode.  Cache hits are copied out;
+        the misses are encoded in their canonical groups
+        (:func:`~repro.core.embed_cache.encode_groups`) and, when a cache
+        is attached, every group row is stored for later calls.  Each group
+        is encoded in ascending key order, so its composition -- and
+        therefore every BLAS kernel decision inside the packed encoder --
+        is a pure function of the graph, never of which rows a request
+        needed.  Combined with the per-centre named truncation streams this
+        makes group encodes bitwise reproducible, which is what lets cache
+        hits, cold encodes and cache-off runs agree exactly.  Consumes no
+        RNG.
         """
-        T = self.graph.num_timestamps
-        sampler = EgoGraphSampler(self.graph, self.config)
-        encoded = []
-        for group in encode_groups(keys, self._activity_mask(), T):
-            centers = np.stack([group // T, group % T], axis=1)
-            batch = sampler.inference_batch(centers)
-            rows = self.model.encode_inference(
-                batch.computation_batch(self.config.packed_batches)
-            )
-            if store:
-                self.cache.store(group, rows)
-            encoded.append((group, rows))
-        return encoded
-
-    def chunk_embeddings(self, centers: np.ndarray) -> np.ndarray:
-        """Embeddings for explicit ``(u, t)`` centres, cache-aware.
-
-        Hits are copied straight out of the cache; misses (or a disabled /
-        stale cache) encode the canonical groups covering the missing keys
-        and, when the cache is writable, persist every group row for later
-        calls.  Consumes no RNG.
-        """
-        centers = np.asarray(centers, dtype=np.int64)
-        keys = centers[:, 0] * np.int64(self.graph.num_timestamps) + centers[:, 1]
+        keys = np.asarray(keys, dtype=np.int64)
         out = np.empty((keys.size, self.config.hidden_dim), dtype=self.config.np_dtype)
         cache = self.cache
-        usable = cache is not None and cache.ensure(*self._cache_tokens())
-        if usable:
+        if cache is not None:
+            if self._graph_token is None:
+                self._graph_token = graph_token(
+                    self.graph, self.config, self.model.encoder._external_features
+                )
+            cache.ensure(weights_token(self.model), self._graph_token)
             need = ~cache.fill(keys, out)
         else:
             need = np.ones(keys.size, dtype=bool)
-        if need.any():
-            encoded = self._encode_groups(keys[need], store=usable)
-            group_keys = np.concatenate([group for group, _ in encoded])
-            order = np.argsort(group_keys)
-            pos = order[np.searchsorted(group_keys, keys[need], sorter=order)]
-            out[need] = np.concatenate([rows for _, rows in encoded])[pos]
+        if not need.any():
+            return out
+        T = self.graph.num_timestamps
+        sampler = EgoGraphSampler(self.graph, self.config)
+        groups, rows = [], []
+        for group in encode_groups(keys[need], self._activity_mask(), T):
+            batch = sampler.inference_batch(np.stack([group // T, group % T], axis=1))
+            encoded = self.model.encode_inference(
+                batch.computation_batch(self.config.packed_batches)
+            )
+            if cache is not None:
+                cache.store(group, encoded)
+            groups.append(group)
+            rows.append(encoded)
+        group_keys = np.concatenate(groups)
+        order = np.argsort(group_keys)
+        pos = order[np.searchsorted(group_keys, keys[need], sorter=order)]
+        out[need] = np.concatenate(rows)[pos]
         return out
-
-    def warm_rows(self, keys: np.ndarray) -> None:
-        """Prefill the writable cache for ``keys`` before chunk fan-out.
-
-        Called at the top of every public inference entry point so pooled
-        dispatch is decode-only: the parent encodes each missing group
-        exactly once, the shm layer mirrors the segment, and workers (or
-        threads) only ever *read*.  No-op without a writable cache.
-        """
-        cache = self.cache
-        if cache is None or not cache.writable:
-            return
-        self._weights_token = None
-        cache.ensure(*self._cache_tokens())
-        keys = np.asarray(keys, dtype=np.int64)
-        missing = keys[~cache.valid[keys]]
-        if missing.size:
-            self._encode_groups(missing, store=True)
 
     # ------------------------------------------------------------------
     # Candidate assembly (vectorised)
@@ -644,8 +613,8 @@ class GenerationEngine:
         chunk partitioning -- never on ``workers`` or ``backend``.
         ``workers``/``chunk_size``/``backend`` default to the config knobs;
         ``pool`` dispatches through a persistent
-        :class:`~repro.core.parallel.WorkerPool` instead of a throwaway
-        executor (amortising startup over repeated calls).
+        :class:`~repro.core.parallel.WorkerPool` instead of one opened for
+        this call (amortising startup over repeated calls).
         """
         graph = self.graph
         centers_all, degrees, distinct_counts = self.active_nodes()
@@ -656,6 +625,10 @@ class GenerationEngine:
         root = np.random.SeedSequence(int(rng.integers(np.iinfo(np.int64).max)))
         starts = list(range(0, total, chunk))
         children = spawn_streams(root, len(starts))
+        self.model.eval()
+        embeddings = self.warm_rows(
+            centers_all[:, 0] * np.int64(graph.num_timestamps) + centers_all[:, 1]
+        )
         tasks = [
             GenerateChunkTask(
                 index=i,
@@ -663,13 +636,10 @@ class GenerationEngine:
                 degrees=degrees[start : start + chunk],
                 distinct=distinct_counts[start : start + chunk],
                 seed_seq=children[i],
+                embeddings=embeddings[start : start + chunk],
             )
             for i, start in enumerate(starts)
         ]
-        self.model.eval()
-        self.warm_rows(
-            centers_all[:, 0] * np.int64(graph.num_timestamps) + centers_all[:, 1]
-        )
         results = run_sharded(
             self, "generate", tasks, workers=workers, backend=backend, pool=pool
         )
@@ -695,8 +665,9 @@ class GenerationEngine:
         Runs in the parent (``workers=1``), in a worker thread, or in a
         worker process against a rebuilt engine -- identically in all
         three, because its only randomness comes from the task's spawned
-        seed-sequence child.  Returns ``(src, dst, t)`` arrays (possibly
-        empty: an empty centre shard is an explicit no-op).
+        seed-sequence child and its embeddings ride in the task.  Returns
+        ``(src, dst, t)`` arrays (possibly empty: an empty centre shard is
+        an explicit no-op).
         """
         empty = np.array([], dtype=np.int64)
         if task.centers.shape[0] == 0:
@@ -707,19 +678,16 @@ class GenerationEngine:
         part_deg = task.degrees
         part_distinct = task.distinct
         with no_grad():
-            # Canonical chunk stream: candidate assembly first, then the
-            # RNG-free embedding lookup/encode, then the Gumbel draw -- the
-            # order is identical whether every embedding row is a cache hit
-            # or a cold group encode, so outputs cannot depend on cache state.
+            # Canonical chunk stream: candidate assembly, then the decode
+            # of the task's embeddings, then the Gumbel draw.
             if streaming:
                 cand, allowed = self.candidates_with_mask(
                     part, rng, min_distinct=part_distinct
                 )
             else:
                 cand = allowed = None
-            embeddings = self.chunk_embeddings(part)
             decoded = self.model.decode_from_embeddings(
-                embeddings, part, candidates=cand
+                task.embeddings, part, candidates=cand
             )
             probs = softmax(decoded.logits, axis=-1).numpy()
             if streaming:
@@ -770,15 +738,14 @@ class GenerationEngine:
 
         Always decodes against the whole node universe regardless of
         ``candidate_limit``; used by the small-graph score-matrix helper.
-        Embeddings come from the versioned cache when one is attached
-        (populating it on miss).  ``sampler`` is accepted for backwards
-        compatibility but unused: inference ego-graphs draw from named
-        per-centre streams, not a caller-provided generator.
+        Embeddings come from :meth:`warm_rows`.  ``sampler`` is accepted
+        for backwards compatibility but unused: inference ego-graphs draw
+        from named per-centre streams, not a caller-provided generator.
         """
         centers = np.asarray(centers, dtype=np.int64)
-        self._weights_token = None
+        keys = centers[:, 0] * np.int64(self.graph.num_timestamps) + centers[:, 1]
         with no_grad():
-            embeddings = self.chunk_embeddings(centers)
+            embeddings = self.warm_rows(keys)
             decoded = self.model.decode_from_embeddings(embeddings, centers)
             return softmax(decoded.logits, axis=-1).numpy()
 
@@ -818,23 +785,18 @@ class GenerationEngine:
             for start in range(0, graph.num_nodes, step)
         ]
         children = spawn_streams(root, len(specs))
+        self.model.eval()
+        keys = [node_ids * np.int64(graph.num_timestamps) + t for t, node_ids in specs]
+        embeddings = self.warm_rows(np.concatenate(keys)) if keys else None
+        bounds = np.cumsum([0] + [part.size for part in keys])
         tasks = [
             TopKChunkTask(
                 index=i, node_ids=node_ids, timestamp=int(timestamp), k=k,
                 seed_seq=children[i],
+                embeddings=embeddings[bounds[i] : bounds[i + 1]],
             )
             for i, (timestamp, node_ids) in enumerate(specs)
         ]
-        self.model.eval()
-        if specs:
-            self.warm_rows(
-                np.concatenate(
-                    [
-                        node_ids * np.int64(graph.num_timestamps) + np.int64(timestamp)
-                        for timestamp, node_ids in specs
-                    ]
-                )
-            )
         results = run_sharded(
             self, "topk", tasks, workers=workers, backend=backend, pool=pool
         )
@@ -872,9 +834,8 @@ class GenerationEngine:
         part = np.stack([node_ids, np.full(node_ids.size, task.timestamp)], axis=1)
         with no_grad():
             cand = self.candidate_batch(part, rng) if streaming else None
-            embeddings = self.chunk_embeddings(part)
             decoded = self.model.decode_from_embeddings(
-                embeddings, part, candidates=cand
+                task.embeddings, part, candidates=cand
             )
             probs = softmax(decoded.logits, axis=-1).numpy()
             if streaming:

@@ -2,54 +2,60 @@
 
 The streaming :class:`~repro.core.engine.GenerationEngine` and the
 data-parallel trainer (:mod:`repro.core.trainer`) both split their work into
-independent units -- one encoder forward (+ backward, for training) per chunk
-of centre temporal nodes -- where every unit owns a spawned
-:class:`~numpy.random.SeedSequence` child (see :mod:`repro.rng`), touches
-only its own centre rows, and returns plain arrays.  This module fans those
-units out across a pool:
+independent units -- a decode-and-assemble pass per chunk of centre temporal
+nodes, or one forward + backward per training shard -- where every unit owns
+a spawned :class:`~numpy.random.SeedSequence` child (see :mod:`repro.rng`),
+touches only its own centre rows, and returns plain arrays.  Inference chunks
+carry their encoder embeddings in the task (the caller makes them once, in
+:meth:`~repro.core.engine.GenerationEngine.warm_rows`), so workers only
+decode.  This module fans the units out:
 
+* ``workers=1`` runs the chunks as a plain in-process loop over the live
+  engine -- the reference sequential path.
+* Everything else goes through one dispatch entry, :meth:`WorkerPool.run`:
+  on the caller's persistent pool, or on an ephemeral pool built from the
+  engine's config for the one call.
 * ``backend="process"`` (default) runs chunks in worker *processes* -- the
-  right choice for the CPU-bound NumPy forward passes, which the GIL would
-  serialise under threads.  Each worker rebuilds the model/graph once from a
-  :class:`WorkerPayload` of plain arrays shipped through the pool
-  initializer; per-task messages carry only index arrays and a seed-sequence
-  child (training shards add the current weights, which change every step).
+  right choice for the CPU-bound NumPy passes, which the GIL would
+  serialise under threads.  Each worker rebuilds the model/graph once from
+  a payload shipped through the pool initializer; per-task messages carry
+  index arrays, a seed-sequence child and (inference) the chunk's
+  embedding rows.
 * ``backend="thread"`` shares the live engine across a thread pool -- the
   fallback for environments where process pools are unavailable (no POSIX
   semaphores, restricted sandboxes); the process backend degrades to it
   automatically.  *Training* shards run backward passes, which accumulate
   into parameter gradients, so the thread backend gives each worker thread
   its own model replica instead of the shared live model.
-* ``workers=1`` bypasses pools entirely and runs the chunks as a plain
-  in-process loop -- the exact sequential path.
 
 Because chunk streams are spawned from one root before any dispatch and
-results are merged in chunk order, the three execution modes are
+results are merged in chunk order, every execution mode is
 **bit-identical**: worker count and backend change wall-clock time, never
 output.
 
 :class:`WorkerPool` makes the executor *persistent*: one pool outlives many
-``generate()`` / ``score_topk()`` calls and every epoch of a training run,
-so many-sample workloads (significance tests, top-k sweeps, multi-epoch
-training) pay process startup and graph shipping once instead of per call.
+``fit()`` / ``generate()`` / ``score_topk()`` calls and every epoch of a
+training run, so many-sample workloads (significance tests, top-k sweeps,
+multi-epoch training) pay process startup and graph shipping once instead
+of per call.
 
 Shared-memory dispatch
 ----------------------
 
-On the process backend a persistent pool additionally publishes everything
-large -- the model parameters and the graph's edge/CSR arrays -- into
+On the process backend a pool additionally publishes everything large --
+the model parameters and the graph's edge/CSR arrays -- into
 :mod:`multiprocessing.shared_memory` segments (:class:`SharedArrayStore`:
 one writer, N readers).  Workers attach the segments once, by name, through
 a ~5 KB :class:`ShmWorkerPayload` of handles; after that, per-epoch and
-per-generate dispatch is **O(1) in model size**: task messages carry only
-index arrays and seed-sequence children, and a refreshed model (a new epoch,
-a refit) is shipped by overwriting the parameter segment *in place* and
-bumping a version counter -- no re-pickle, no executor rebuild.  Segments
-are fingerprint-keyed: the graph/config/shape *structure* token decides when
-workers must be rebuilt, while weight-only changes ride the in-place update
-path.  The pool owns the segments and unlinks them on :meth:`WorkerPool.close`
-(and on degrade, worker crash, or interpreter exit); teardown is
-idempotent and safe to run from ``atexit``.  ``shm_dispatch=False`` (or
+per-generate dispatch is **O(1) in model size**: a refreshed model (a new
+epoch, a refit) is shipped by overwriting the parameter segment *in place*
+and bumping a version counter -- no re-pickle, no executor rebuild.  The
+graph/config/shape *structure* token decides when workers must be rebuilt,
+while weight-only changes ride the in-place update path, so one pool serves
+``fit`` -> ``generate`` -> ``score_topk`` on one executor.  The pool owns
+the segments and unlinks them on :meth:`WorkerPool.close` (and on degrade,
+worker crash, or interpreter exit); teardown is idempotent and safe to run
+from ``atexit``.  ``shm_dispatch=False`` (or
 ``TGAEConfig(shm_dispatch=False)``) restores the plain pickled-payload
 dispatch.
 
@@ -57,8 +63,8 @@ Fault tolerance
 ---------------
 
 Every shard is a pure function of (task, seed-sequence child, weights), so
-recovery never risks the bit-identity contract.  Within a rung a persistent
-pool retries transient shard failures (bounded, exponential backoff),
+recovery never risks the bit-identity contract.  Within a rung a pool
+retries transient shard failures (bounded, exponential backoff),
 re-dispatches stragglers that exceed ``shard_timeout``, and rebuilds a
 process executor whose worker crashed (the parent-owned segments survive).
 When a rung is exhausted the pool steps down the degradation ladder
@@ -71,7 +77,6 @@ through :mod:`repro.faults`.
 from __future__ import annotations
 
 import atexit
-import hashlib
 import itertools
 import multiprocessing
 import os
@@ -85,7 +90,6 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -94,6 +98,7 @@ from .. import faults
 from ..errors import ConfigError, DegradeWarning, PoolError
 from ..graph.temporal_graph import TemporalGraph
 from .config import TGAEConfig
+from .embed_cache import graph_token, weights_token
 
 __all__ = [
     "BACKENDS",
@@ -108,8 +113,6 @@ __all__ = [
     "payload_from_engine",
     "run_sharded",
     "shared_memory_supported",
-    "shared_pool",
-    "close_shared_pools",
 ]
 
 #: Supported executor backends, in order of preference.
@@ -374,16 +377,9 @@ class ShmWorkerPayload:
 
     Shipped once per worker through the pool initializer.  The worker
     attaches the ``graph`` and ``params`` segments by name and rebuilds its
-    engine from zero-copy views; afterwards each task message carries only
-    a parameter *version* -- when it advances, the worker reloads weights
-    from the (in-place updated) parameter segment.
-
-    ``embed`` (optional) is the parent's inference embedding cache
-    published as a third segment: workers attach it *read-only* and decode
-    straight from parent-computed rows instead of re-encoding per chunk.
-    The segment embeds its own weights/graph token, so a worker whose
-    locally-derived fingerprints disagree treats it as a miss and encodes
-    ephemerally -- stale segments degrade, never corrupt.
+    engine from zero-copy views; afterwards the weights travel as a
+    parameter *version* in each task message -- when it advances, the
+    worker reloads weights from the (in-place updated) parameter segment.
     """
 
     config: TGAEConfig
@@ -393,7 +389,6 @@ class ShmWorkerPayload:
     graph: ShmHandle
     params: ShmHandle
     version: int
-    embed: Optional[ShmHandle] = None
 
 
 def _shm_graph_arrays(engine: Any) -> Dict[str, np.ndarray]:
@@ -433,31 +428,11 @@ def _engine_token(engine: Any, include_state: bool) -> str:
     pooled dispatch republishes the shared-memory graph segment -- exactly
     once, after which the new token is cached like any other.
     """
-    digest = hashlib.sha256()
-    graph = engine.graph
-    digest.update(repr(engine.config).encode())
-    digest.update(f"{graph.num_nodes}:{graph.num_timestamps}".encode())
-    for arr in (graph.src, graph.dst, graph.t):
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    external = engine.model.encoder._external_features
-    if external is not None:
-        digest.update(np.ascontiguousarray(external).tobytes())
-    for name, param in sorted(engine.model.named_parameters()):
-        digest.update(name.encode())
-        if include_state:
-            digest.update(np.ascontiguousarray(param.data).tobytes())
-        else:
-            digest.update(str(param.data.shape).encode())
-    return ("state:" if include_state else "structure:") + digest.hexdigest()
-
-
-def _state_token(engine: Any) -> str:
-    """Fingerprint of the weight values alone (structure hashed separately)."""
-    digest = hashlib.sha256()
-    for name, param in sorted(engine.model.named_parameters()):
-        digest.update(name.encode())
-        digest.update(np.ascontiguousarray(param.data).tobytes())
-    return digest.hexdigest()
+    token = graph_token(engine.graph, engine.config, engine.model.encoder._external_features)
+    if include_state:
+        return "state:" + token + weights_token(engine.model)
+    shapes = [(name, p.data.shape) for name, p in sorted(engine.model.named_parameters())]
+    return "structure:" + token + repr(shapes)
 
 
 def _build_engine(payload: WorkerPayload, graph: Optional[TemporalGraph] = None) -> Any:
@@ -535,21 +510,14 @@ def _init_worker_shm(payload: ShmWorkerPayload) -> None:
     in-flight forwards.
     """
     global _WORKER_ENGINE, _WORKER_PARAM_VIEWS, _WORKER_PARAM_VERSION
-    from .embed_cache import EmbeddingCache
     from .engine import GenerationEngine
     from .model import TGAEModel
 
     graph_shm, graph_views = attach_shared_arrays(payload.graph)
     param_shm, param_views = attach_shared_arrays(payload.params)
-    attachments = [graph_shm, param_shm]
-    cache = None
-    if payload.embed is not None:
-        embed_shm, embed_views = attach_shared_arrays(payload.embed)
-        attachments.append(embed_shm)
-        cache = EmbeddingCache.attached(embed_views)
     if not _WORKER_SHM:
         atexit.register(_release_worker_attachments)
-    _WORKER_SHM[:] = attachments
+    _WORKER_SHM[:] = [graph_shm, param_shm]
     graph = TemporalGraph(
         payload.num_nodes,
         graph_views["src"],
@@ -571,7 +539,7 @@ def _init_worker_shm(payload: ShmWorkerPayload) -> None:
     if "external_features" in graph_views:
         model.encoder.set_external_features(graph_views["external_features"])
     model.eval()
-    _WORKER_ENGINE = GenerationEngine(model, graph, payload.config, cache=cache)
+    _WORKER_ENGINE = GenerationEngine(model, graph, payload.config)
     _WORKER_PARAM_VIEWS = param_views
     _WORKER_PARAM_VERSION = payload.version
 
@@ -618,10 +586,6 @@ def _run_remote_shm(kind: str, version: int, task: Any, attempt: int = 0) -> Any
         if _WORKER_PARAM_VIEWS is None:
             raise RuntimeError("worker has no attached parameter segment")
         engine.model.load_state_dict(dict(_WORKER_PARAM_VIEWS))
-        # New weights invalidate the memoised fingerprint the attached
-        # embedding cache is validated against (recomputed lazily, once
-        # per version, on the next cache consult).
-        engine._weights_token = None
         _WORKER_PARAM_VERSION = version
     return _run_on(engine, kind, task)
 
@@ -656,53 +620,11 @@ def _build_train_replicas(engine: Any, count: int) -> List[Any]:
     return [_build_engine(payload, graph=engine.graph) for _ in range(count)]
 
 
-def _make_train_replicas(engine: Any, count: int) -> "queue.SimpleQueue":
-    """Replica queue for the one-shot thread path (see :func:`_run_threads`)."""
-    replicas: "queue.SimpleQueue" = queue.SimpleQueue()
-    for replica in _build_train_replicas(engine, count):
-        replicas.put(replica)
-    return replicas
-
-
-def _map_with_replicas(
-    replicas: "queue.SimpleQueue", kind: str, tasks: Sequence[Any], workers: int
-) -> List[Any]:
-    def run(task: Any) -> Any:
-        replica = replicas.get()
-        try:
-            return _run_on(replica, kind, task)
-        finally:
-            replicas.put(replica)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, tasks))
-
-
-def _run_threads(engine: Any, kind: str, tasks: Sequence[Any], workers: int) -> List[Any]:
-    _prewarm_graph(engine.graph)
-    count = min(workers, len(tasks))
-    if kind == "train":
-        return _map_with_replicas(_make_train_replicas(engine, count), kind, tasks, count)
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(lambda task: _run_on(engine, kind, task), tasks))
-
-
 def _process_context() -> multiprocessing.context.BaseContext:
     # fork skips model re-pickling and re-import; fall back to the platform
     # default (spawn on macOS/Windows) where fork is unavailable.
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-
-def _run_processes(engine: Any, kind: str, tasks: Sequence[Any], workers: int) -> List[Any]:
-    payload = payload_from_engine(engine)
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(tasks)),
-        mp_context=_process_context(),
-        initializer=_init_worker,
-        initargs=(payload,),
-    ) as pool:
-        return list(pool.map(partial(_run_remote, kind), tasks))
 
 
 def _pickled_bytes(obj: Any) -> int:
@@ -720,12 +642,13 @@ class WorkerPool:
     parameters and the graph's CSR arrays into shared-memory segments
     (:class:`SharedArrayStore`, enabled by ``shm_dispatch=True`` where the
     platform supports it): workers attach once, per-task messages carry
-    only index arrays + a parameter version, and weight changes (every
-    training epoch, every refit) are an in-place segment rewrite -- O(1)
-    dispatch in model size.  Without shm the pool re-ships a pickled
-    payload whenever the fingerprint of what workers need actually changes;
-    either way, for training shards -- whose fingerprint ignores weight
-    values -- one pool survives a whole optimisation run.
+    index arrays, a parameter version and (inference) the chunk's
+    embedding rows, and weight changes (every training epoch, every refit)
+    are an in-place segment rewrite -- O(1) dispatch in model size.
+    Without shm the pool re-ships a pickled payload whenever the
+    fingerprint of what workers need actually changes; either way, for
+    training shards -- whose fingerprint ignores weight values -- one pool
+    survives a whole optimisation run.
 
     Usage is either explicit::
 
@@ -734,7 +657,8 @@ class WorkerPool:
             graph_b = engine.generate(rng_b, pool=pool)
 
     or through the owning objects: :meth:`repro.core.TGAEGenerator.worker_pool`
-    and ``train_tgae(..., workers=N)`` manage a pool for you.  When a rung
+    and ``train_tgae(..., workers=N)`` manage a pool for you, and
+    :func:`run_sharded` opens one for a single call when none is given.  When a rung
     of the dispatch ladder cannot run (no POSIX semaphores, crashed and
     unrebuildable workers, restricted sandbox) the pool steps down
     ``shm -> pickle -> thread -> sequential`` -- loudly, one
@@ -807,8 +731,6 @@ class WorkerPool:
             "redispatches": 0,
             "worker_crashes": 0,
             "stragglers_verified": 0,
-            "embed_publishes": 0,
-            "embed_updates": 0,
             "degrades": [],
         }
         #: Final ladder rung: no executor at all, shards run in-process.
@@ -825,9 +747,6 @@ class WorkerPool:
         self._stores: Dict[str, SharedArrayStore] = {}
         self._param_version = 0
         self._param_token: Optional[str] = None
-        #: Mutation counter of the engine cache behind the live embed
-        #: segment at last sync; ``None`` when no embed segment is live.
-        self._embed_mutation: Optional[int] = None
         #: (weakref-to-engine, token) cache: the structure token is constant
         #: for an engine's lifetime, so a whole training run hashes the
         #: graph arrays once instead of once per epoch.
@@ -872,8 +791,6 @@ class WorkerPool:
         ``worker_crashes`` count recovered incidents, and
         ``stragglers_verified`` counts abandoned originals that finished
         anyway and were bit-compared against their re-dispatched twin.
-        ``embed_publishes`` / ``embed_updates`` count inference
-        embedding-cache segment creations and in-place mirror syncs.
         """
         report: Dict[str, Any] = {
             "pool_id": self.pool_id,
@@ -954,50 +871,17 @@ class WorkerPool:
                 self._degrade(cause)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _consume(iterator: Any, collector: Optional[Any]) -> Optional[List[Any]]:
-        """Drain a result iterator into a list or stream it into a collector."""
-        if collector is None:
-            return list(iterator)
-        for result in iterator:
-            collector.add(result)
-        return None
-
     def _token_for(self, engine: Any, kind: str) -> str:
-        """The staleness token for ``engine``, with the structure flavour cached.
-
-        Engines carrying a writable embedding cache get a distinct token
-        suffix: their shm executors own a third (embed) segment, so a
-        cache-less engine must not inherit an executor whose workers would
-        look for one (and vice versa).  Switching between cached and
-        uncached engines on one pool therefore rebuilds the executor once
-        per switch -- the same cost as any other structure change.
-        """
+        """The staleness token for ``engine``, with the structure flavour cached."""
         include_state = kind != "train"
         if not include_state and self._structure_cache is not None:
             ref, token = self._structure_cache
             if ref() is engine:
                 return token
         token = _engine_token(engine, include_state=include_state)
-        cache = getattr(engine, "cache", None)
-        if cache is not None and getattr(cache, "writable", False):
-            token += "+embed"
         if not include_state:
             self._structure_cache = (weakref.ref(engine), token)
         return token
-
-    def _fast_dispatch(self) -> bool:
-        """Whether the legacy map-based dispatch (no retry bookkeeping) applies.
-
-        Only when every robustness knob is off and no fault is armed: this
-        is the zero-overhead baseline ``benchmarks/bench_fault_overhead.py``
-        compares the instrumented path against.
-        """
-        return (
-            self.max_shard_retries == 0
-            and self.shard_timeout is None
-            and not faults.active()
-        )
 
     def _run_on_processes(
         self, engine: Any, kind: str, tasks: List[Any], collector: Optional[Any] = None
@@ -1015,17 +899,12 @@ class WorkerPool:
                     return self._executor.submit(
                         _run_remote_shm, kind, version, task, attempt
                     )
-
-                mapper: Any = partial(_run_remote_shm, kind, version)
             else:
                 self._ensure_pickle_executor_locked(engine, kind)
 
                 def submit(task: Any, attempt: int) -> Any:
                     return self._executor.submit(_run_remote, kind, task, attempt)
 
-                mapper = partial(_run_remote, kind)
-            if self._fast_dispatch():
-                return self._consume(self._executor.map(mapper, tasks), collector)
             return self._consume_futures(
                 tasks, submit, self._rebuild_process_executor_locked, collector
             )
@@ -1047,16 +926,15 @@ class WorkerPool:
             payload = self._publish_engine_locked(engine)
             self._start_process_executor_locked(_init_worker_shm, payload)
             self._token = structure
-            self._param_token = None if kind == "train" else _state_token(engine)
+            self._param_token = None if kind == "train" else weights_token(engine.model)
         elif kind == "train":
             self._update_params_locked(engine)
             self._param_token = None
         else:
-            state = _state_token(engine)
+            state = weights_token(engine.model)
             if state != self._param_token:
                 self._update_params_locked(engine)
                 self._param_token = state
-            self._sync_embed_locked(engine)
 
     def _ensure_pickle_executor_locked(self, engine: Any, kind: str) -> None:
         """Make the pickled-payload executor current; caller holds the lock."""
@@ -1114,9 +992,9 @@ class WorkerPool:
 
         The retry/timeout engine shared by the process and thread rungs.
         Consuming in task order keeps the merge bit-identical and lets a
-        collector overlap with outstanding shards, exactly like the map
-        path it replaces; per-shard ``attempt`` numbers flow into the
-        workers so :mod:`repro.faults` rules can target (or spare) retries.
+        collector overlap with outstanding shards; per-shard ``attempt``
+        numbers flow into the workers so :mod:`repro.faults` rules can
+        target (or spare) retries.
         """
         attempts = [0] * len(tasks)
         futures = self._submit_all(tasks, attempts, submit, rebuild)
@@ -1230,16 +1108,11 @@ class WorkerPool:
             self._health["stragglers_verified"] += 1
 
     def _publish_engine_locked(self, engine: Any) -> ShmWorkerPayload:
-        """Create fresh graph/parameter(/embed) segments and the handle payload."""
+        """Create fresh graph/parameter segments and the handle payload."""
         stores: Dict[str, SharedArrayStore] = {}
         try:
             stores["graph"] = SharedArrayStore(_shm_graph_arrays(engine))
             stores["params"] = SharedArrayStore(_shm_param_arrays(engine))
-            cache = getattr(engine, "cache", None)
-            if cache is not None and getattr(cache, "writable", False):
-                stores["embed"] = SharedArrayStore(cache.share_arrays())
-                self._embed_mutation = cache.mutations
-                self._health["embed_publishes"] += 1
         except Exception:
             for store in stores.values():
                 store.close()
@@ -1255,31 +1128,11 @@ class WorkerPool:
             graph=stores["graph"].handle,
             params=stores["params"].handle,
             version=self._param_version,
-            embed=stores["embed"].handle if "embed" in stores else None,
         )
         if self.track_dispatch:
             self.dispatch_stats["payload_bytes"] += _pickled_bytes(payload)
             self.dispatch_stats["payload_publishes"] += 1
         return payload
-
-    def _sync_embed_locked(self, engine: Any) -> None:
-        """Mirror the parent's embedding cache into its shared segment.
-
-        An in-place segment rewrite, gated on the cache's monotone
-        ``mutations`` counter: an all-hit dispatch (the warm steady state)
-        costs zero copies, and only prefills/invalidations/flushes since
-        the last sync trigger one.  Workers validate the segment's embedded
-        token per chunk, so the update is always observed consistently.
-        """
-        store = self._stores.get("embed")
-        cache = getattr(engine, "cache", None)
-        if store is None or cache is None or not getattr(cache, "writable", False):
-            return
-        if cache.mutations == self._embed_mutation:
-            return
-        store.update(cache.share_arrays())
-        self._embed_mutation = cache.mutations
-        self._health["embed_updates"] += 1
 
     def _update_params_locked(self, engine: Any) -> None:
         """Rewrite the parameter segment in place and advance the version."""
@@ -1328,9 +1181,6 @@ class WorkerPool:
                     return _run_on(replica, kind, task)
                 finally:
                     replicas.put(replica)
-
-        if self._fast_dispatch():
-            return self._consume(executor.map(execute, tasks), collector)
 
         def submit(task: Any, attempt: int) -> Any:
             return executor.submit(_checked, execute, task, attempt)
@@ -1430,7 +1280,6 @@ class WorkerPool:
             store.close()
         self._stores = {}
         self._param_token = None
-        self._embed_mutation = None
         self._param_version += 1
 
     def _shutdown_process_executor_locked(self) -> None:
@@ -1501,41 +1350,6 @@ class WorkerPool:
         )
 
 
-#: Lazily-created module singletons, one per (workers, backend) combination.
-_SHARED_POOLS: Dict[Tuple[int, str], WorkerPool] = {}
-_SHARED_LOCK = threading.Lock()
-
-
-def shared_pool(workers: int, backend: str = "process") -> WorkerPool:
-    """The lazy module-level singleton pool for a (workers, backend) config.
-
-    Callers that cannot own a pool's lifetime (one-line scripts, notebook
-    cells) can still amortise startup across calls; the singletons are shut
-    down at interpreter exit.
-    """
-    key = (workers, backend)
-    with _SHARED_LOCK:
-        pool = _SHARED_POOLS.get(key)
-        if pool is None or pool.closed:
-            pool = WorkerPool(workers, backend)
-            _SHARED_POOLS[key] = pool
-        return pool
-
-
-def close_shared_pools() -> None:
-    """Shut down every module-level singleton pool (idempotent)."""
-    with _SHARED_LOCK:
-        for pool in _SHARED_POOLS.values():
-            try:
-                pool.close()
-            except Exception:
-                pass
-        _SHARED_POOLS.clear()
-
-
-atexit.register(close_shared_pools)
-
-
 def run_sharded(
     engine: Any,
     kind: str,
@@ -1546,15 +1360,14 @@ def run_sharded(
 ) -> List[Any]:
     """Run chunk ``tasks`` on ``workers`` workers; results in task order.
 
-    ``workers=1`` (or a single task) short-circuits to a plain loop over
-    the live engine -- no pool, no payload copy, today's sequential path.
-    When ``pool`` is given (and open), dispatch goes through that
-    persistent :class:`WorkerPool` -- its worker count, backend and
-    shared-memory dispatch mode govern -- instead of building a throwaway
-    executor.  The process backend degrades to threads when the platform
-    cannot build a process pool (missing semaphores, unpicklable payload);
-    the result is bit-identical either way because every task carries its
-    own spawned seed-sequence child.
+    When ``pool`` is given (and open), dispatch goes through that persistent
+    :class:`WorkerPool` -- its worker count, backend and shared-memory
+    dispatch mode govern.  Otherwise ``workers=1`` (or a single task) is a
+    plain loop over the live engine -- the reference sequential path -- and
+    anything wider runs on an ephemeral :class:`WorkerPool` built from the
+    engine's config, torn down before returning.  Either way the result is
+    bit-identical because every task carries its own spawned seed-sequence
+    child.
     """
     if backend not in BACKENDS:
         raise ConfigError(
@@ -1567,20 +1380,12 @@ def run_sharded(
         return pool.run(engine, kind, tasks)
     if workers == 1 or len(tasks) <= 1:
         return [_run_on(engine, kind, task) for task in tasks]
-    if backend == "thread":
-        return _run_threads(engine, kind, tasks, workers)
-    try:
-        return _run_processes(engine, kind, tasks, workers)
-    except _POOL_FAILURES as exc:
-        # Pool-infrastructure failures (no POSIX semaphores, forbidden
-        # fork, crashed/OOM-killed worker, unpicklable payload).  Domain
-        # errors (GenerationError/ConfigError) propagate untouched.  The
-        # retry is loud so a dying process backend cannot hide behind a
-        # silently slower thread run.
-        warnings.warn(
-            f"process-pool backend failed ({type(exc).__name__}: {exc}); "
-            "retrying on the thread backend",
-            DegradeWarning,
-            stacklevel=2,
-        )
-        return _run_threads(engine, kind, tasks, workers)
+    config = engine.config
+    with WorkerPool(
+        min(workers, len(tasks)),
+        backend,
+        shm_dispatch=config.shm_dispatch,
+        max_shard_retries=config.max_shard_retries,
+        shard_timeout=config.shard_timeout,
+    ) as ephemeral:
+        return ephemeral.run(engine, kind, tasks)

@@ -194,8 +194,8 @@ def run_train_shard(engine, task: TrainShardTask) -> TrainShardResult:
 class _EpochShardCollector:
     """Streams shard results into the merged gradient as they arrive.
 
-    Fed by :meth:`WorkerPool.run` in *shard order* (the pool consumes its
-    executor map lazily, which yields results in task-submission order), so
+    Fed by :meth:`WorkerPool.run` in *shard order* (the pool awaits its
+    per-shard futures in task-submission order), so
     while worker K computes shard K the parent is already summing shard
     K-1's gradients -- the merge overlaps shard compute instead of waiting
     for the full result list.  The accumulation is bit-identical to

@@ -70,11 +70,20 @@ def load_edge_list(
     )
 
 
+#: Exclusive bound on the magnitude of an edge field (the int64 range).
+_FIELD_LIMIT = 2**63
+
+
 def _read_triples(path: PathLike) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     srcs, dsts, ts = [], [], []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
+    # Binary lines decoded one at a time, so a non-UTF-8 byte is reported
+    # at its own line rather than wherever the decoder's read-ahead hit it.
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise GraphFormatError(f"{path!s}:{line_no}: line is not UTF-8 text") from exc
             if not line or line.startswith("#") or line.startswith("%"):
                 continue
             parts = line.replace(",", " ").split()
@@ -83,11 +92,16 @@ def _read_triples(path: PathLike) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
                     f"{path!s}:{line_no}: expected 'src dst t', got {line!r}"
                 )
             try:
-                srcs.append(int(float(parts[0])))
-                dsts.append(int(float(parts[1])))
-                ts.append(int(float(parts[2])))
-            except ValueError as exc:
-                raise GraphFormatError(f"{path!s}:{line_no}: non-numeric field in {line!r}") from exc
+                src, dst, t = (int(float(part)) for part in parts[:3])
+                if max(abs(src), abs(dst), abs(t)) >= _FIELD_LIMIT:
+                    raise OverflowError("field outside the int64 range")
+            except (ValueError, OverflowError) as exc:
+                raise GraphFormatError(
+                    f"{path!s}:{line_no}: non-numeric or out-of-range field in {line!r}"
+                ) from exc
+            srcs.append(src)
+            dsts.append(dst)
+            ts.append(t)
     return (
         np.asarray(srcs, dtype=np.int64),
         np.asarray(dsts, dtype=np.int64),

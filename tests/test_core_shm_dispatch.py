@@ -252,6 +252,24 @@ class TestShmDispatchBitIdentity:
             assert pool.shm_segments() == segments
             assert refreshed == baseline
 
+    def test_fit_generate_score_topk_share_one_executor(self, observed):
+        """Switching from training to inference never rebuilds the workers."""
+        config = fast_config(
+            epochs=2, num_initial_nodes=12, candidate_limit=8, seed=5,
+            embed_cache=True,
+        )
+        generator = TGAEGenerator(config)
+        with generator.worker_pool(workers=2) as pool:
+            pool.track_dispatch = True
+            generator.fit(observed)
+            assert pool.dispatch_stats["payload_publishes"] == 1
+            executor = pool._executor
+            generator.generate(seed=1)
+            generator.score_topk(3)
+            assert pool.dispatch_stats["payload_publishes"] == 1
+            assert pool._executor is executor
+            assert pool.runs >= 3
+
     def test_dispatch_bytes_are_model_size_independent(self, observed):
         """Task messages carry indices + a version, never the weights."""
         import pickle

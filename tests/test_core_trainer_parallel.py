@@ -24,7 +24,6 @@ from repro.core import (
     fast_config,
     train_tgae,
 )
-from repro.core.parallel import close_shared_pools, shared_pool
 from repro.datasets import communication_network
 from repro.errors import ConfigError
 from repro.nn import TemporalGraphAttention
@@ -407,21 +406,6 @@ class TestPersistentPool:
             WorkerPool(0)
         with pytest.raises(ConfigError):
             WorkerPool(2, backend="gpu")
-
-    def test_shared_pool_singleton(self):
-        try:
-            pool_a = shared_pool(2, "thread")
-            assert shared_pool(2, "thread") is pool_a
-            assert shared_pool(3, "thread") is not pool_a
-        finally:
-            close_shared_pools()
-        assert pool_a.closed
-        fresh = shared_pool(2, "thread")
-        try:
-            assert fresh is not pool_a
-            assert not fresh.closed
-        finally:
-            close_shared_pools()
 
     def test_training_through_explicit_pool_matches_sequential(self, observed):
         sequential = train_run(observed, workers=1, seed=13)

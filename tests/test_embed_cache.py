@@ -3,7 +3,7 @@
 The cache's one contract is *bitwise transparency*: every public inference
 output (``generate``, ``score_topk``, ``dense_score_rows``) is identical
 with the cache on, off, cold, warm, incrementally invalidated, or served
-out of a shared-memory segment.  These tests pin each face of that
+handed to pooled workers.  These tests pin each face of that
 contract plus the perf counters that prove the encoder was actually
 skipped:
 
@@ -19,8 +19,8 @@ skipped:
 * ``dirty_temporal_nodes`` is a sound superset of the rows whose
   embeddings actually moved;
 * retraining flushes loudly through the weights token;
-* the shm segment publishes/updates through the worker pool and pooled
-  output equals the sequential cache-off path;
+* pooled output -- process and thread workers, which only decode the
+  rows the caller hands them -- equals the sequential cache-off path;
 * a Hypothesis state machine interleaves fit/update/generate/score_topk
   against a cache-off twin and demands parity after every step.
 """
@@ -337,9 +337,8 @@ class TestIncrementalInvalidation:
     def test_dirty_set_covers_all_changed_rows(self, observed):
         """Soundness: rows whose embeddings moved are inside the dirty set."""
         generator = fit_twin(observed, embed_cache=False)
-        engine_before = generator.engine()
-        centers = all_centers(observed)
-        emb_before = engine_before.chunk_embeddings(centers)
+        keys = np.arange(observed.num_nodes * observed.num_timestamps, dtype=np.int64)
+        emb_before = generator.engine().warm_rows(keys)
 
         src, dst, t = self.localized_append(observed)
         generator.update((src, dst, t), epochs=0)
@@ -348,7 +347,7 @@ class TestIncrementalInvalidation:
             radius=generator.config.radius,
             time_window=generator.config.time_window,
         )
-        emb_after = generator.engine().chunk_embeddings(centers)
+        emb_after = generator.engine().warm_rows(keys)
         changed = np.flatnonzero(np.any(emb_before != emb_after, axis=1))
         assert np.isin(changed, dirty).all(), (
             "dirty_temporal_nodes missed rows whose embeddings changed: "
@@ -402,28 +401,16 @@ class TestCacheUnit:
         assert cache.stats["flushes"] == 0
         assert int(cache.valid.sum()) == 6
 
-    def test_attached_cache_is_read_only_and_stale_safe(self):
-        cache = EmbeddingCache(8, 4, dtype=np.float64)
-        cache.ensure(self.WT_A, self.GT_A)
-        cache.store(np.arange(8), np.arange(32, dtype=np.float64).reshape(8, 4))
-        attached = EmbeddingCache.attached(cache.share_arrays())
-        assert not attached.writable
-        assert attached.ensure(self.WT_A, self.GT_A)
-        out = np.empty((2, 4))
-        assert attached.fill(np.array([0, 5]), out).all()
-        assert np.array_equal(out, cache.rows[[0, 5]])
-        # A stale segment (token mismatch) refuses to serve, loudly.
-        assert not attached.ensure(self.WT_B, self.GT_A)
-        assert attached.stats["stale_misses"] == 1
-        with pytest.raises(ValueError):
-            attached.invalidate_rows(np.array([0]))
-        with pytest.raises(ValueError):
-            attached.flush()
-
     def test_tokens_match_shm_state_token(self, fitted_on, observed):
-        from repro.core.parallel import _state_token
+        from repro.core import parallel
 
-        assert weights_token(fitted_on.model) == _state_token(fitted_on.engine())
+        # The pool refreshes its parameter segment on the cache's own token.
+        assert parallel.weights_token is weights_token
+        model = copy.deepcopy(fitted_on.model)
+        before = weights_token(model)
+        param = next(p for _, p in model.named_parameters())
+        param.data = param.data + 1.0
+        assert weights_token(model) != before
         token = graph_token(observed, fitted_on.config, None)
         assert token != graph_token(
             observed, dataclasses.replace(fitted_on.config, radius=1), None
@@ -460,43 +447,42 @@ class TestConfigAndCli:
         assert args.embed_cache is False
 
 
-@pytest.mark.skipif(
-    not shared_memory_supported(), reason="platform has no POSIX shared memory"
-)
 class TestSharedMemoryCache:
-    """The cache rides the shm dispatch path as one more read-only segment."""
+    """Pooled inference: workers decode the rows the caller hands them."""
 
-    def test_pool_publishes_and_updates_embed_segment(self, observed, fitted_off):
+    @pytest.mark.skipif(
+        not shared_memory_supported(), reason="platform has no POSIX shared memory"
+    )
+    def test_pooled_score_topk_parity(self, observed, fitted_on, fitted_off):
         generator = fit_twin(observed, embed_cache=True, workers=2)
         with generator.worker_pool(workers=2) as pool:
-            pooled = generator.generate(seed=0, workers=2)
-            assert "embed" in pool._stores
-            assert pool.health["embed_publishes"] >= 1
-            # Mutate the cache in place (same graph/weights): the next
-            # dispatch must sync the segment rather than republish it.
-            generator.engine().cache.invalidate_rows(np.arange(4))
-            publishes = pool.health["embed_publishes"]
-            again = generator.generate(seed=0, workers=2)
-            assert pool.health["embed_updates"] >= 1
-            assert pool.health["embed_publishes"] == publishes
-        assert graph_fingerprint(pooled) == graph_fingerprint(
-            fitted_off.generate(seed=0)
-        )
-        assert graph_fingerprint(again) == graph_fingerprint(pooled)
-        assert pool.shm_segments() == (), "embed segment must be reaped on close"
-
-    def test_no_segment_without_cache(self, observed):
-        generator = fit_twin(observed, embed_cache=False, workers=2)
-        with generator.worker_pool(workers=2) as pool:
-            generator.generate(seed=0, workers=2)
-            assert "embed" not in pool._stores
-            assert pool.health["embed_publishes"] == 0
-
-    def test_pooled_score_topk_parity(self, observed, fitted_off):
-        generator = fit_twin(observed, embed_cache=True, workers=2)
-        with generator.worker_pool(workers=2):
+            assert pool.rung == "shm"
+            pooled_graph = generator.generate(seed=0, workers=2)
             pooled = generator.score_topk(4, workers=2)
+            assert pool.health["degrades"] == []
+        sequential = fitted_on.generate(seed=0, workers=1)
+        assert graph_fingerprint(pooled_graph) == graph_fingerprint(sequential)
+        assert graph_fingerprint(sequential) == graph_fingerprint(
+            fitted_off.generate(seed=0, workers=1)
+        )
+        assert_topk_equal(pooled, fitted_on.score_topk(4, workers=1))
         assert_topk_equal(pooled, fitted_off.score_topk(4))
+
+    @pytest.mark.parametrize(
+        "backend, embed_cache", [("process", False), ("thread", True), ("thread", False)]
+    )
+    def test_pooled_equals_sequential_per_backend(
+        self, observed, fitted_off, backend, embed_cache
+    ):
+        generator = fit_twin(observed, embed_cache=embed_cache)
+        with generator.worker_pool(workers=2, backend=backend) as pool:
+            pooled_graph = generator.generate(seed=1)
+            pooled = generator.score_topk(3)
+            assert pool.runs >= 2 and pool.health["degrades"] == []
+        assert graph_fingerprint(pooled_graph) == graph_fingerprint(
+            fitted_off.generate(seed=1, workers=1)
+        )
+        assert_topk_equal(pooled, fitted_off.score_topk(3, workers=1))
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +561,6 @@ class CacheParityMachine(RuleBasedStateMachine):
         assert graph_fingerprint(self.on.observed) == graph_fingerprint(
             self.off.observed
         )
-        stats = self.on.cache_stats()
-        if stats is not None:
-            assert stats["stale_misses"] == 0
 
 
 CacheParityMachine.TestCase.settings = hyp_settings(

@@ -63,11 +63,18 @@ class TestErrors:
         with pytest.raises(GraphFormatError):
             load_edge_list(path)
 
-    def test_non_numeric_raises(self, tmp_path):
+    @pytest.mark.parametrize("reindex", [True, False])
+    @pytest.mark.parametrize(
+        "content",
+        [b"a b c\n", b"0 1 inf\n", b"0 1e30 0\n", b"0 1 0\n\xff\xfe 1 0\n"],
+        ids=["letters", "inf", "1e30", "non-utf8"],
+    )
+    def test_non_numeric_raises(self, tmp_path, content, reindex):
         path = tmp_path / "bad.txt"
-        path.write_text("a b c\n")
-        with pytest.raises(GraphFormatError):
-            load_edge_list(path)
+        path.write_bytes(content)
+        line = content.count(b"\n")
+        with pytest.raises(GraphFormatError, match=f"bad.txt:{line}:"):
+            load_edge_list(path, reindex=reindex)
 
     def test_error_mentions_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
