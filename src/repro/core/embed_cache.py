@@ -3,10 +3,10 @@
 Encoder embeddings at inference time are pure functions of
 ``(model weights, observed graph, config)``: the decoder consumes the
 posterior mean (``sample=False``, no RNG) and — since the inference
-ego-graphs draw their truncation sampling from *named per-centre streams*
-(``(seed, "tgae", "infer-ego", u, t)``, see
-:meth:`repro.core.sampler.EgoGraphSampler.inference_batch`) — the encoder
-input is too.  This module caches those embeddings across ``generate`` /
+ego-graphs take *counter-keyed* truncation draws whose key hashes
+``(u, t)`` into one word of the ``(seed, "tgae", "infer-ego")`` stream
+(see :meth:`repro.core.sampler.EgoGraphSampler.inference_batch`) — the
+encoder input is too.  This module caches those embeddings across ``generate`` /
 ``score_topk`` / ``dense_score_rows`` calls so repeat inference against the
 same fitted model skips the encoder entirely and becomes decode-only.
 
@@ -100,7 +100,7 @@ def graph_token(
 
     Covers the edge arrays, the ``(n, T)`` universe, the full config repr
     (radius/threshold/window/seed shape the inference ego-graphs and their
-    named truncation streams) and any external node features.
+    truncation keys) and any external node features.
     """
     digest = hashlib.sha256()
     digest.update(repr(config).encode())

@@ -357,10 +357,12 @@ class GenerationEngine:
         the misses are encoded in their canonical groups
         (:func:`~repro.core.embed_cache.encode_groups`) and, when a cache
         is attached, every group row is stored for later calls.  Each group
-        is encoded in ascending key order, so its composition -- and
-        therefore every BLAS kernel decision inside the packed encoder --
-        is a pure function of the graph, never of which rows a request
-        needed.  Combined with the per-centre named truncation streams this
+        is sampled as one ego tile and encoded in ascending key order, so
+        its composition -- and therefore every BLAS kernel decision inside
+        the packed encoder -- is a pure function of the graph, never of
+        which rows a request needed.  Combined with the counter-keyed
+        truncation draws (keyed by ``(u, t)``, see
+        :meth:`~repro.core.sampler.EgoGraphSampler.inference_batch`) this
         makes group encodes bitwise reproducible, which is what lets cache
         hits, cold encodes and cache-off runs agree exactly.  Consumes no
         RNG.
@@ -739,8 +741,9 @@ class GenerationEngine:
         Always decodes against the whole node universe regardless of
         ``candidate_limit``; used by the small-graph score-matrix helper.
         Embeddings come from :meth:`warm_rows`.  ``sampler`` is accepted
-        for backwards compatibility but unused: inference ego-graphs draw
-        from named per-centre streams, not a caller-provided generator.
+        for backwards compatibility but unused: inference ego-graphs take
+        counter-keyed draws keyed by ``(u, t)``, not a caller-provided
+        generator.
         """
         centers = np.asarray(centers, dtype=np.int64)
         keys = centers[:, 0] * np.int64(self.graph.num_timestamps) + centers[:, 1]
@@ -775,6 +778,12 @@ class GenerationEngine:
         stamps = (
             list(timestamps) if timestamps is not None else list(range(graph.num_timestamps))
         )
+        outside = [t for t in stamps if not 0 <= t < graph.num_timestamps]
+        if outside:
+            raise GenerationError(
+                f"score_topk timestamps must lie in [0, {graph.num_timestamps}), "
+                f"got {outside[0]}"
+            )
         step = self._resolve_chunk(chunk, graph.num_nodes)
         workers = self._resolve_workers(workers)
         backend = backend if backend is not None else self.config.parallel_backend

@@ -19,23 +19,36 @@ from ..graph.bipartite import (
     pack_ego_batch,
 )
 from ..graph.ego_graph import (
-    EgoGraph,
-    ego_graph_batch,
+    EgoTile,
+    counter_hash,
+    ego_keys,
     sample_ego_graph,
+    sample_ego_tile,
     sample_initial_nodes,
 )
 from ..graph.temporal_graph import TemporalGraph
-from ..rng import stream
+from ..rng import seed_sequence, stream
 from .config import TGAEConfig
 from .loss import adjacency_target_rows
+
+#: ``pack_ego_batch``, ``sample_ego_graph`` and ``stream`` are no longer
+#: called here (the tile sampler replaced them); they stay importable from
+#: this module as re-exports.
+__all__ = [
+    "EgoGraphSampler",
+    "TrainingBatch",
+    "pack_ego_batch",
+    "sample_ego_graph",
+    "stream",
+]
 
 
 @dataclass
 class TrainingBatch:
-    """One mini-batch: sampled ego-graphs + reconstruction targets.
+    """One mini-batch: a sampled ego tile + reconstruction targets.
 
-    The sampled ego-graphs are stored raw; the two computation-graph views
-    are built lazily and cached on first access:
+    The sampled ego-graphs are stored as one :class:`EgoTile`; the two
+    computation-graph views are built lazily and cached on first access:
 
     * :attr:`bipartite` -- the merged/deduplicated k-bipartite layout of
       Fig. 4 (cross-ego node sharing).
@@ -49,7 +62,7 @@ class TrainingBatch:
 
     centers: np.ndarray
     target_rows: List[np.ndarray]
-    egos: List[EgoGraph] = field(default_factory=list)
+    tile: EgoTile
     candidates: Optional[np.ndarray] = None
     _bipartite: Optional[BipartiteBatch] = field(default=None, repr=False)
     _packed: Optional[PackedEgoBatch] = field(default=None, repr=False)
@@ -58,14 +71,14 @@ class TrainingBatch:
     def bipartite(self) -> BipartiteBatch:
         """Merged k-bipartite view (built on first access)."""
         if self._bipartite is None:
-            self._bipartite = build_bipartite_batch(self.egos)
+            self._bipartite = build_bipartite_batch(self.tile.egos())
         return self._bipartite
 
     @property
     def packed(self) -> PackedEgoBatch:
         """Padded ego-parallel view (built on first access)."""
         if self._packed is None:
-            self._packed = pack_ego_batch(self.egos)
+            self._packed = self.tile.packed()
         return self._packed
 
     def computation_batch(
@@ -88,8 +101,8 @@ class EgoGraphSampler:
     rng:
         Random generator driving initial-node and *training* neighbour
         sampling.  May be ``None`` for inference-only samplers:
-        :meth:`inference_batch` draws from named per-centre streams and
-        never consumes it.
+        :meth:`inference_batch` keys its truncation draws off the named
+        ``(seed, "tgae", "infer-ego")`` stream and never consumes it.
     """
 
     def __init__(
@@ -101,6 +114,7 @@ class EgoGraphSampler:
         self.graph = graph
         self.config = config
         self.rng = rng
+        self._infer_word: Optional[np.ndarray] = None
 
     def sample_centers(self, count: int) -> np.ndarray:
         """Draw centre temporal nodes per Eq. 2 (or uniformly for TGAE-n)."""
@@ -122,15 +136,13 @@ class EgoGraphSampler:
         precomputed adjacency rows for the centres (the sharded trainer
         computes them once for the whole epoch batch); ``None`` derives them
         here.
+
+        All centres form one tile.  Ego ``i``'s truncation key hashes its
+        index in ``centers`` into one word drawn from :attr:`rng`, so a
+        shard's ego-graphs depend only on its seed-sequence child -- the
+        property ``workers=N`` and resume bit-identity rest on.
         """
-        egos = ego_graph_batch(
-            self.graph,
-            centers,
-            radius=self.config.radius,
-            threshold=self.config.neighbor_threshold,
-            time_window=self.config.time_window,
-            rng=self.rng,
-        )
+        tile = self._tile(centers, ego_keys(self.rng, centers.shape[0]))
         targets = (
             list(target_rows)
             if target_rows is not None
@@ -142,8 +154,7 @@ class EgoGraphSampler:
         if self.config.candidate_limit > 0:
             candidates = self.build_candidates(centers, targets)
         return TrainingBatch(
-            centers=centers, target_rows=targets, egos=egos,
-            candidates=candidates,
+            centers=centers, target_rows=targets, tile=tile, candidates=candidates
         )
 
     def build_candidates(
@@ -177,29 +188,38 @@ class EgoGraphSampler:
         :meth:`batch_for_centers` performs (the generation engine builds its
         own inference candidate sets from the partner CSR).
 
-        Unlike training sampling, each centre's truncation draws come from
-        its own *named* stream ``(seed, "tgae", "infer-ego", u, t)`` rather
-        than from :attr:`rng` (which is not consumed): the inference
-        ego-graph of a temporal node — and hence its encoder embedding —
-        is a pure function of ``(weights, graph, config)``, independent of
-        which call, chunk or batch requested it.  That purity is what the
-        inference embedding cache (:mod:`repro.core.embed_cache`) and its
-        canonical encode groups rest on.
+        Unlike training sampling, truncation keys do not come from
+        :attr:`rng` (which is not consumed): each centre's key hashes its
+        ``(u, t)`` into one 64-bit word of the named ``(seed, "tgae",
+        "infer-ego")`` stream, derived once per sampler (the engine builds
+        one per :meth:`~repro.core.engine.GenerationEngine.warm_rows`
+        call).  The inference ego-graph of a temporal node
+        — and hence its encoder embedding — is then a pure function of
+        ``(weights, graph, config)``, independent of which call, chunk or
+        tile requested it.  That purity is what the inference embedding
+        cache (:mod:`repro.core.embed_cache`) and its canonical encode
+        groups rest on.  All centres form one tile; each must lie in
+        ``[0, n) x [0, T)`` (:class:`~repro.errors.GraphFormatError`
+        otherwise).
         """
-        centers = np.asarray(centers, dtype=np.int64)
+        centers = np.asarray(centers, dtype=np.int64).reshape(-1, 2)
+        if self._infer_word is None:
+            self._infer_word = seed_sequence(
+                self.config.seed, "tgae", "infer-ego"
+            ).generate_state(1, np.uint64)
+        keys = counter_hash(self._infer_word, centers[:, 0], centers[:, 1])
+        return TrainingBatch(centers=centers, target_rows=[], tile=self._tile(centers, keys))
+
+    def _tile(self, centers: np.ndarray, keys: np.ndarray) -> EgoTile:
         config = self.config
-        egos = [
-            sample_ego_graph(
-                self.graph,
-                (int(node), int(timestamp)),
-                radius=config.radius,
-                threshold=config.neighbor_threshold,
-                time_window=config.time_window,
-                rng=stream(config.seed, "tgae", "infer-ego", int(node), int(timestamp)),
-            )
-            for node, timestamp in centers
-        ]
-        return TrainingBatch(centers=centers, target_rows=[], egos=egos)
+        return sample_ego_tile(
+            self.graph,
+            centers,
+            keys,
+            radius=config.radius,
+            threshold=config.neighbor_threshold,
+            time_window=config.time_window,
+        )
 
     def next_batch(self) -> TrainingBatch:
         """Sample a fresh training batch of ``n_s`` centres."""

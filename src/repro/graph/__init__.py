@@ -10,11 +10,12 @@ from .bipartite import (
 )
 from .ego_graph import (
     EgoGraph,
+    EgoTile,
     ego_graph_batch,
     initial_node_probabilities,
     sample_ego_graph,
+    sample_ego_tile,
     sample_initial_nodes,
-    sample_neighbors,
 )
 from .discretize import (
     discretize_timestamps,
@@ -65,8 +66,9 @@ __all__ = [
     "temporal_neighborhood",
     "temporal_degree",
     "EgoGraph",
+    "EgoTile",
     "sample_ego_graph",
-    "sample_neighbors",
+    "sample_ego_tile",
     "sample_initial_nodes",
     "initial_node_probabilities",
     "ego_graph_batch",

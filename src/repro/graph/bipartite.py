@@ -26,7 +26,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..errors import GraphFormatError
-from .ego_graph import EgoGraph
+from .ego_graph import EgoGraph, EgoTile
 
 TemporalNode = Tuple[int, int]
 
@@ -105,43 +105,6 @@ class PackedEgoBatch:
         return self.level_nodes[0][np.arange(self.batch_size), self.center_index]
 
 
-def _pack_single_ego(
-    ego: EgoGraph, key_mod: int
-) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
-    """Nested per-level node tables and edge lists for one ego-graph.
-
-    Replicates the single-ego semantics of :func:`build_bipartite_batch`
-    (within-ego deduplication, level nesting, self-loop edges) with
-    vectorised ``np.unique`` interning instead of per-node dict lookups.
-    """
-    tables: List[np.ndarray] = [ego.layers[0].reshape(1, 2).astype(np.int64)]
-    layer_maps: List[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-    edge_src: List[np.ndarray] = []
-    edge_dst: List[np.ndarray] = []
-    for level in range(1, ego.radius + 1):
-        layer = ego.layers[level].reshape(-1, 2)
-        prev = tables[level - 1]
-        n_layer = layer.shape[0]
-        combined = np.concatenate([layer, prev], axis=0)
-        keys = combined[:, 0] * key_mod + combined[:, 1]
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-        table = np.stack([unique_keys // key_mod, unique_keys % key_mod], axis=1)
-        layer_map = inverse[:n_layer]
-        nest_map = inverse[n_layer:]
-        edges = ego.edges[level - 1].reshape(-1, 2)
-        sampled_src = layer_map[edges[:, 0]]
-        sampled_dst = layer_maps[level - 1][edges[:, 1]]
-        # Nesting self-loops: every level-(l-1) node receives its own
-        # previous representation through a zero-offset self edge.
-        edge_src.append(np.concatenate([sampled_src, nest_map]))
-        edge_dst.append(
-            np.concatenate([sampled_dst, np.arange(prev.shape[0], dtype=np.int64)])
-        )
-        tables.append(table)
-        layer_maps.append(layer_map)
-    return tables, edge_src, edge_dst
-
-
 def pack_ego_batch(ego_graphs: Sequence[EgoGraph]) -> PackedEgoBatch:
     """Pack ego-graphs into one padded, ego-parallel k-bipartite batch.
 
@@ -149,64 +112,11 @@ def pack_ego_batch(ego_graphs: Sequence[EgoGraph]) -> PackedEgoBatch:
     and edge lists are right-padded to the batch maximum per level so the
     encoder can run one vectorised forward over the whole batch.  Encoding
     the result matches encoding each ego-graph individually, which makes
-    this the exact batched counterpart of the per-node hot path.
+    this the exact batched counterpart of the per-node hot path.  The
+    packer is :meth:`EgoTile.packed`, the one the tile sampler's batches
+    use.
     """
-    if not ego_graphs:
-        raise GraphFormatError("cannot pack a batch of zero ego-graphs")
-    radius = ego_graphs[0].radius
-    if any(eg.radius != radius for eg in ego_graphs):
-        raise GraphFormatError("all ego-graphs in a batch must share the same radius")
-    max_time = 0
-    for ego in ego_graphs:
-        for layer in ego.layers:
-            if layer.size:
-                max_time = max(max_time, int(layer[:, 1].max()))
-    key_mod = max_time + 1
-
-    packed = [_pack_single_ego(ego, key_mod) for ego in ego_graphs]
-    batch = len(packed)
-
-    level_nodes: List[np.ndarray] = []
-    node_mask: List[np.ndarray] = []
-    for level in range(radius + 1):
-        width = max(tables[level].shape[0] for tables, _, _ in packed)
-        nodes = np.zeros((batch, width, 2), dtype=np.int64)
-        mask = np.zeros((batch, width), dtype=bool)
-        for b, (tables, _, _) in enumerate(packed):
-            rows = tables[level].shape[0]
-            nodes[b, :rows] = tables[level]
-            mask[b, :rows] = True
-        level_nodes.append(nodes)
-        node_mask.append(mask)
-
-    levels: List[PackedLevel] = []
-    for level in range(1, radius + 1):
-        width = max(src[level - 1].shape[0] for _, src, _ in packed)
-        src_index = np.zeros((batch, width), dtype=np.int64)
-        dst_index = np.zeros((batch, width), dtype=np.int64)
-        edge_mask = np.zeros((batch, width), dtype=bool)
-        for b, (_, src, dst) in enumerate(packed):
-            count = src[level - 1].shape[0]
-            src_index[b, :count] = src[level - 1]
-            dst_index[b, :count] = dst[level - 1]
-            edge_mask[b, :count] = True
-        t_src = np.take_along_axis(level_nodes[level][:, :, 1], src_index, axis=1)
-        t_dst = np.take_along_axis(level_nodes[level - 1][:, :, 1], dst_index, axis=1)
-        delta_t = np.where(edge_mask, (t_dst - t_src).astype(np.float64), 0.0)
-        levels.append(
-            PackedLevel(
-                src_index=src_index,
-                dst_index=dst_index,
-                delta_t=delta_t,
-                edge_mask=edge_mask,
-            )
-        )
-    return PackedEgoBatch(
-        level_nodes=level_nodes,
-        node_mask=node_mask,
-        levels=levels,
-        center_index=np.zeros(batch, dtype=np.int64),
-    )
+    return EgoTile.from_egos(ego_graphs).packed()
 
 
 @dataclass

@@ -15,20 +15,35 @@ Two behaviours from the paper are implemented faithfully:
 * **Degree-weighted initial sampling** (Eq. 2) -- centre nodes are drawn with
   probability proportional to their temporal degree, focusing training on
   representative local structures.
+
+Sampling is array-level: :func:`sample_ego_tile` expands every centre of a
+tile hop by hop over the graph's incidence CSR, with one vectorised
+``searchsorted`` for all window slices of a hop.  Truncation draws are
+*counter-keyed*: pick ``j`` of a truncated parent is a hash of
+``(ego key, hop, parent slot, j)`` (:func:`counter_hash`), so an ego-graph
+depends only on its 64-bit key, never on which tile, call or worker sampled
+it.  Callers choose the keys: the generation engine hashes ``(u, t)`` into
+one per-call word of the ``(seed, "tgae", "infer-ego")`` stream, the trainer
+hashes the ego's shard index into one word drawn from the shard's RNG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ConfigError
-from .neighborhood import first_order_neighbors
+from ..errors import ConfigError, GraphFormatError
 from .temporal_graph import TemporalGraph
 
+if TYPE_CHECKING:
+    from .bipartite import PackedEgoBatch
+
 TemporalNode = Tuple[int, int]
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_SHIFT32 = np.uint64(32)
 
 
 @dataclass
@@ -64,26 +79,350 @@ class EgoGraph:
         return np.concatenate([layer for layer in self.layers], axis=0)
 
 
-def sample_neighbors(
-    neighbor_ids: np.ndarray,
-    neighbor_times: np.ndarray,
-    threshold: int,
-    rng: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``NodeSampling`` of Alg. 1: truncate a neighbour set to ``threshold``.
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser: a bijective avalanche mix of ``uint64`` words."""
+    x = x ^ (x >> np.uint64(30))
+    x = x * np.uint64(0xBF58476D1CE4E5B9)
+    x = x ^ (x >> np.uint64(27))
+    x = x * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
-    When the set is small enough it is returned untouched; otherwise
-    ``threshold`` entries are drawn *with replacement*, exactly as the paper
-    specifies ("we sample several times with replacement and get a limited
-    number of nodes").
+
+def counter_hash(key, *words) -> np.ndarray:
+    """64-bit hash of ``key`` chained with counter ``words`` (broadcasting).
+
+    Each word is folded in as ``mix((h ^ word) + golden)``; every step is a
+    bijection of ``h`` for a fixed word, so distinct counters under one key
+    collide only by chance.  Returns a ``uint64`` array of at least one
+    dimension (wrapping arithmetic, no scalar overflow warnings).
     """
+    h = np.atleast_1d(np.asarray(key, dtype=np.uint64))
+    for word in words:
+        h = _mix64((h ^ np.asarray(word).astype(np.uint64)) + _GOLDEN)
+    return h
+
+
+def ego_keys(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` ego keys: each ego's index hashed into one word drawn from ``rng``."""
+    word = rng.integers(np.iinfo(np.uint64).max, dtype=np.uint64, endpoint=True)
+    return counter_hash(word, np.arange(count))
+
+
+def _pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``(k, 2)`` int64 array of two columns (a cheaper ``np.stack``)."""
+    out = np.empty((first.size, 2), dtype=np.int64)
+    out[:, 0] = first
+    out[:, 1] = second
+    return out
+
+
+def _group_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal sorted keys."""
+    starts = np.empty(sorted_keys.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    return starts
+
+
+def _first_seen(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """First-seen deduplication of ``keys``.
+
+    Returns ``(rows, index)``: ``rows`` are the positions of each distinct
+    key's first occurrence, ascending, and ``index[i]`` is the row of
+    ``keys[i]``'s first occurrence within ``rows``.
+    """
+    order = keys.argsort(kind="stable")
+    starts = _group_starts(keys[order])
+    first = order[starts]  # stable sort: the earliest position of each key
+    is_first = np.zeros(keys.size, dtype=bool)
+    is_first[first] = True
+    index = np.empty(keys.size, dtype=np.int64)
+    index[order] = (is_first.cumsum() - 1)[first][starts.cumsum() - 1]
+    return is_first.nonzero()[0], index
+
+
+@dataclass
+class EgoTile:
+    """A tile of layered ego-graphs held as flat, ego-major level arrays.
+
+    Attributes
+    ----------
+    nodes:
+        ``nodes[l]`` is the ``(N_l, 2)`` concatenation of every ego's layer
+        ``l`` in ego order; ``nodes[0]`` holds the ``B`` centres.
+    owners:
+        ``owners[l]`` is ``(N_l,)``: the ego of each row of ``nodes[l]``
+        (non-decreasing).
+    offsets:
+        ``offsets[l]`` is ``(B + 1,)``: ego ``b``'s layer ``l`` is
+        ``nodes[l][offsets[l][b]:offsets[l][b + 1]]``.
+    edges:
+        ``edges[l-1]`` is ``(E_l, 2)`` of ``(child row in nodes[l], parent
+        row in nodes[l-1])``, grouped by ego in ego order.
+
+    Three views: :meth:`packed` (the padded ego-parallel batch),
+    :meth:`egos` (per-ego :class:`EgoGraph` objects, for the merged Fig. 4
+    layout) and :meth:`from_egos` (the inverse of :meth:`egos`).
+    """
+
+    nodes: List[np.ndarray]
+    owners: List[np.ndarray]
+    offsets: List[np.ndarray]
+    edges: List[np.ndarray]
+
+    @property
+    def centers(self) -> np.ndarray:
+        """``(B, 2)`` centre ``(node_id, timestamp)`` of each ego-graph."""
+        return self.nodes[0]
+
+    @property
+    def radius(self) -> int:
+        return len(self.edges)
+
+    @property
+    def batch_size(self) -> int:
+        return int(self.nodes[0].shape[0])
+
+    @classmethod
+    def from_egos(cls, egos: Sequence[EgoGraph]) -> "EgoTile":
+        """Concatenate per-ego layers and edges into one tile."""
+        if not egos:
+            raise GraphFormatError("cannot pack a batch of zero ego-graphs")
+        radius = egos[0].radius
+        if any(ego.radius != radius for ego in egos):
+            raise GraphFormatError("all ego-graphs in a batch must share the same radius")
+        nodes: List[np.ndarray] = []
+        owners: List[np.ndarray] = []
+        offsets: List[np.ndarray] = []
+        for level in range(radius + 1):
+            layers = [np.asarray(ego.layers[level], dtype=np.int64).reshape(-1, 2) for ego in egos]
+            sizes = [layer.shape[0] for layer in layers]
+            nodes.append(np.concatenate(layers))
+            owners.append(np.arange(len(egos), dtype=np.int64).repeat(sizes))
+            offsets.append(np.cumsum([0] + sizes))
+        edges = [
+            np.concatenate(
+                [
+                    np.asarray(ego.edges[level - 1], dtype=np.int64).reshape(-1, 2)
+                    + [offsets[level][b], offsets[level - 1][b]]
+                    for b, ego in enumerate(egos)
+                ]
+            )
+            for level in range(1, radius + 1)
+        ]
+        return cls(nodes, owners, offsets, edges)
+
+    def egos(self) -> List[EgoGraph]:
+        """One :class:`EgoGraph` per centre (layer and edge views of the tile)."""
+        ego_range = np.arange(self.batch_size + 1)
+        bounds = [
+            self.owners[level][self.edges[level - 1][:, 0]].searchsorted(ego_range)
+            for level in range(1, self.radius + 1)
+        ]
+        out = []
+        for b in range(self.batch_size):
+            layers = [
+                nodes[off[b] : off[b + 1]] for nodes, off in zip(self.nodes, self.offsets)
+            ]
+            edges = [
+                self.edges[level - 1][bound[b] : bound[b + 1]]
+                - [self.offsets[level][b], self.offsets[level - 1][b]]
+                for level, bound in enumerate(bounds, start=1)
+            ]
+            center = (int(self.centers[b, 0]), int(self.centers[b, 1]))
+            out.append(EgoGraph(center=center, layers=layers, edges=edges))
+        return out
+
+    def packed(self) -> PackedEgoBatch:
+        """The padded ego-parallel batch of the tile.
+
+        Per ego and level ``l``, the node table is the sorted union of the
+        ego's layer ``l`` and its level ``l-1`` table (nesting); the edges
+        are the ego's sampled edges in tile order followed by one zero-offset
+        self edge per level ``l-1`` row.  Tables and edge lists are
+        right-padded to the tile maximum, with zero padding.
+        """
+        from . import bipartite
+
+        batch = self.batch_size
+        if batch == 0:
+            raise GraphFormatError("cannot pack a batch of zero ego-graphs")
+        node_mod, time_mod = (
+            np.max([nodes.max(axis=0) for nodes in self.nodes if nodes.size], axis=0) + 1
+        ).tolist()
+        stride = node_mod * time_mod
+        ego_range = np.arange(batch + 1)
+        # Level 0: one table row per ego, its centre.  Tables are kept as
+        # sorted ``(ego, node, time)`` keys.
+        table_keys = (
+            np.arange(batch, dtype=np.int64) * stride
+            + self.centers[:, 0] * time_mod + self.centers[:, 1]
+        )
+        table_owner, table_off, table_t = self.owners[0], self.offsets[0], self.centers[:, 1]
+        row_map = np.arange(batch, dtype=np.int64)  # nodes[l-1] row -> table row
+        level_nodes = [self.centers.reshape(batch, 1, 2).copy()]
+        node_mask = [np.ones((batch, 1), dtype=bool)]
+        levels = []
+        for level in range(1, self.radius + 1):
+            layer = self.nodes[level]
+            keys = np.concatenate(
+                [self.owners[level] * stride + layer[:, 0] * time_mod + layer[:, 1], table_keys]
+            )
+            order = keys.argsort()
+            starts = _group_starts(keys[order])
+            inverse = np.empty(keys.size, dtype=np.int64)
+            inverse[order] = starts.cumsum() - 1
+            layer_map, nest_map = inverse[: layer.shape[0]], inverse[layer.shape[0] :]
+            prev_owner, prev_off, prev_t = table_owner, table_off, table_t
+            table_keys = keys[order[starts]]
+            table_owner = table_keys // stride
+            within = table_keys - table_owner * stride
+            table_u = within // time_mod
+            table_t = within - table_u * time_mod
+            table_off = table_owner.searchsorted(ego_range)
+            counts = table_off[1:] - table_off[:-1]
+            mask = np.arange(counts.max()) < counts[:, None]
+            nodes = np.zeros(mask.shape + (2,), dtype=np.int64)
+            nodes[mask] = _pairs(table_u, table_t)  # row-major == ego-major
+            level_nodes.append(nodes)
+            node_mask.append(mask)
+            # Per ego: the sampled edges in tile order, then the nesting
+            # self-loops in level l-1 table order.
+            edges = self.edges[level - 1]
+            sampled_src = layer_map[edges[:, 0]]
+            sampled_owner = table_owner[sampled_src]
+            sampled_off = sampled_owner.searchsorted(ego_range)
+            sampled_count = sampled_off[1:] - sampled_off[:-1]
+            owner = np.concatenate([sampled_owner, prev_owner])
+            prev_rows = np.arange(prev_owner.size)
+            col = np.concatenate([
+                np.arange(edges.shape[0]) - sampled_off[sampled_owner],
+                sampled_count[prev_owner] + prev_rows - prev_off[prev_owner],
+            ])
+            src = np.concatenate([sampled_src, nest_map])
+            dst = np.concatenate([row_map[edges[:, 1]], prev_rows])
+            edge_counts = sampled_count + (prev_off[1:] - prev_off[:-1])
+            edge_mask = np.arange(edge_counts.max()) < edge_counts[:, None]
+            src_index = np.zeros(edge_mask.shape, dtype=np.int64)
+            dst_index = np.zeros(edge_mask.shape, dtype=np.int64)
+            delta_t = np.zeros(edge_mask.shape, dtype=np.float64)
+            src_index[owner, col] = src - table_off[owner]
+            dst_index[owner, col] = dst - prev_off[owner]
+            delta_t[owner, col] = prev_t[dst] - table_t[src]
+            levels.append(
+                bipartite.PackedLevel(
+                    src_index=src_index,
+                    dst_index=dst_index,
+                    delta_t=delta_t,
+                    edge_mask=edge_mask,
+                )
+            )
+            row_map = layer_map
+        return bipartite.PackedEgoBatch(
+            level_nodes=level_nodes,
+            node_mask=node_mask,
+            levels=levels,
+            center_index=np.zeros(batch, dtype=np.int64),
+        )
+
+
+def sample_ego_tile(
+    graph: TemporalGraph,
+    centers: np.ndarray,
+    keys: np.ndarray,
+    radius: int,
+    threshold: int,
+    time_window: int,
+) -> EgoTile:
+    """``k-EgoGraph`` of Alg. 1 for a whole tile of centres at once.
+
+    Parameters
+    ----------
+    graph:
+        The observed temporal graph.
+    centers:
+        ``(B, 2)`` centre temporal nodes ``(node_id, timestamp)``; each
+        must lie in ``[0, n) x [0, T)``.
+    keys:
+        ``(B,)`` 64-bit ego keys; ego ``b``'s truncation draws are a pure
+        function of ``keys[b]`` (see :func:`counter_hash`).
+    radius:
+        Ego-graph radius ``k`` (number of stacked TGAT hops).
+    threshold:
+        Per-node neighbour truncation ``th``.
+    time_window:
+        Temporal window ``t_N`` of Definition 3.
+
+    Every hop finds each parent's window slice ``|t' - t| <= time_window``
+    of its incidence events with one ``searchsorted`` on the ``(node,
+    time)`` keys.  A parent with more than ``threshold`` events draws
+    ``threshold`` of them with replacement, pick ``j`` being
+    ``counter_hash(key, hop, parent slot, j)`` mapped onto the slice by
+    multiply-shift.  Each ego's layer keeps its children in first-seen
+    order ("ignore repeated nodes each time a new node is inserted into
+    S_k", Sec. IV-C) and one edge per distinct ``(child, parent)`` pair,
+    sorted.
+    """
+    if radius < 1:
+        raise ConfigError(f"ego-graph radius must be >= 1, got {radius}")
     if threshold <= 0:
         raise ConfigError(f"neighbor threshold must be positive, got {threshold}")
-    count = neighbor_ids.shape[0]
-    if count <= threshold:
-        return neighbor_ids, neighbor_times
-    pick = rng.integers(0, count, size=threshold)
-    return neighbor_ids[pick], neighbor_times[pick]
+    if time_window < 0:
+        raise ConfigError(f"time window must be >= 0, got {time_window}")
+    centers = np.asarray(centers, dtype=np.int64).reshape(-1, 2)
+    keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
+    if keys.size != centers.shape[0]:
+        raise GraphFormatError(f"got {keys.size} ego keys for {centers.shape[0]} centres")
+    n, T = graph.num_nodes, graph.num_timestamps
+    bad = (centers[:, 0] < 0) | (centers[:, 0] >= n) | (centers[:, 1] < 0) | (centers[:, 1] >= T)
+    if bad.any():
+        node, timestamp = centers[bad.argmax()].tolist()
+        raise GraphFormatError(
+            f"ego-graph centre ({node}, {timestamp}) lies outside [0, {n}) x [0, {T})"
+        )
+    inc = graph.incidence
+    event_keys, others, times = inc["keys"], inc["other"], inc["times"]
+    batch = centers.shape[0]
+    ego_range = np.arange(batch + 1)
+    stride = n * T
+    nodes, owners, offsets = [centers], [ego_range[:-1]], [ego_range]
+    edges: List[np.ndarray] = []
+    slot = np.zeros(batch, dtype=np.int64)
+    for hop in range(1, radius + 1):
+        parents, owner = nodes[-1], owners[-1]
+        base = parents[:, 0] * T
+        lo = event_keys.searchsorted(base + np.maximum(parents[:, 1] - time_window, 0))
+        hi = event_keys.searchsorted(
+            base + np.minimum(parents[:, 1] + time_window, T - 1), side="right"
+        )
+        count = hi - lo
+        take = np.minimum(count, threshold)
+        parent = np.arange(parents.shape[0]).repeat(take)
+        draw = np.arange(parent.size) - (take.cumsum() - take).repeat(take)
+        pos = lo[parent] + draw
+        truncated = count[parent] > threshold
+        if truncated.any():
+            tp = parent[truncated]
+            h = counter_hash(keys[owner[tp]], hop, slot[tp], draw[truncated])
+            pos[truncated] = lo[tp] + (
+                ((h >> _SHIFT32) * count[tp].astype(np.uint64)) >> _SHIFT32
+            ).astype(np.int64)
+        child_owner = owner[parent]
+        child_u, child_t = others[pos], times[pos]
+        rows, child_row = _first_seen(child_owner * stride + child_u * T + child_t)
+        owner = child_owner[rows]
+        level_off = owner.searchsorted(ego_range)
+        slot = np.arange(rows.size) - level_off[owner]
+        nodes.append(_pairs(child_u[rows], child_t[rows]))
+        owners.append(owner)
+        offsets.append(level_off)
+        width = parents.shape[0]
+        pairs = child_row * width + parent
+        pairs.sort()
+        pairs = pairs[_group_starts(pairs)]
+        child = pairs // width
+        edges.append(_pairs(child, pairs - child * width))
+    return EgoTile(nodes, owners, offsets, edges)
 
 
 def sample_ego_graph(
@@ -94,56 +433,12 @@ def sample_ego_graph(
     time_window: int,
     rng: np.random.Generator,
 ) -> EgoGraph:
-    """``k-EgoGraph`` of Alg. 1, returned in layered form.
+    """``k-EgoGraph`` of Alg. 1 for one centre, returned in layered form.
 
-    Parameters
-    ----------
-    graph:
-        The observed temporal graph.
-    center:
-        Centre temporal node ``(node_id, timestamp)``.
-    radius:
-        Ego-graph radius ``k`` (number of stacked TGAT hops).
-    threshold:
-        Per-node neighbour truncation ``th``.
-    time_window:
-        Temporal window ``t_N`` of Definition 3.
-    rng:
-        Random generator (sampling with replacement above the threshold).
+    A one-centre :func:`ego_graph_batch`: the ego key is hashed from one
+    word drawn from ``rng``.
     """
-    if radius < 1:
-        raise ConfigError(f"ego-graph radius must be >= 1, got {radius}")
-    layers: List[np.ndarray] = [np.array([center], dtype=np.int64)]
-    edges: List[np.ndarray] = []
-    for _ in range(radius):
-        parent_layer = layers[-1]
-        child_nodes: List[Tuple[int, int]] = []
-        child_edges: List[Tuple[int, int]] = []
-        seen: dict = {}
-        for parent_idx in range(parent_layer.shape[0]):
-            node, timestamp = int(parent_layer[parent_idx, 0]), int(parent_layer[parent_idx, 1])
-            neigh, times = first_order_neighbors(graph, node, timestamp, time_window)
-            neigh, times = sample_neighbors(neigh, times, threshold, rng)
-            for v, t_v in zip(neigh.tolist(), times.tolist()):
-                key = (v, t_v)
-                # Deduplicate within the layer ("ignore repeated nodes each
-                # time a new node is inserted into S_k", Sec. IV-C) but keep
-                # one edge per distinct (child, parent) pair.
-                child_idx = seen.get(key)
-                if child_idx is None:
-                    child_idx = len(child_nodes)
-                    seen[key] = child_idx
-                    child_nodes.append(key)
-                child_edges.append((child_idx, parent_idx))
-        if child_nodes:
-            layer_arr = np.array(child_nodes, dtype=np.int64)
-            edge_arr = np.unique(np.array(child_edges, dtype=np.int64), axis=0)
-        else:
-            layer_arr = np.zeros((0, 2), dtype=np.int64)
-            edge_arr = np.zeros((0, 2), dtype=np.int64)
-        layers.append(layer_arr)
-        edges.append(edge_arr)
-    return EgoGraph(center=center, layers=layers, edges=edges)
+    return ego_graph_batch(graph, np.array([center]), radius, threshold, time_window, rng)[0]
 
 
 def initial_node_probabilities(graph: TemporalGraph, uniform: bool = False) -> np.ndarray:
@@ -188,15 +483,11 @@ def ego_graph_batch(
     time_window: int,
     rng: np.random.Generator,
 ) -> List[EgoGraph]:
-    """Sample one ego-graph per centre row of ``centers`` (the data loader of Alg. 1)."""
-    return [
-        sample_ego_graph(
-            graph,
-            (int(centers[i, 0]), int(centers[i, 1])),
-            radius=radius,
-            threshold=threshold,
-            time_window=time_window,
-            rng=rng,
-        )
-        for i in range(centers.shape[0])
-    ]
+    """Sample one ego-graph per centre row of ``centers`` (the data loader of Alg. 1).
+
+    One tile: ego ``i``'s key hashes its row index into one word drawn
+    from ``rng``.
+    """
+    centers = np.asarray(centers, dtype=np.int64).reshape(-1, 2)
+    keys = ego_keys(rng, centers.shape[0])
+    return sample_ego_tile(graph, centers, keys, radius, threshold, time_window).egos()

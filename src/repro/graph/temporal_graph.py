@@ -214,6 +214,9 @@ class TemporalGraph:
         For every node ``u`` we store all incident temporal events
         ``(other_endpoint, timestamp)`` -- both out- and in-edges, because the
         temporal neighbourhood of Definition 3 is direction-agnostic.
+        ``keys`` holds each entry's ``owner * T + time``, sorted, so the
+        window slices of many ``(node, time)`` queries are one
+        ``searchsorted`` (the ego-graph tile sampler).
         """
         n_entries = 2 * self.num_edges
         owner = np.concatenate([self.src, self.dst])
@@ -228,11 +231,13 @@ class TemporalGraph:
             self.num_nodes, dtype=np.int64
         )
         offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        times = times[order]
         return {
             "offsets": offsets,
             "other": other[order],
-            "times": times[order],
+            "times": times,
             "direction": direction[order],
+            "keys": owner * np.int64(self.num_timestamps) + times,
         }
 
     @property
@@ -519,7 +524,7 @@ class TemporalGraph:
                 np.ones(k, dtype=np.int8),
             ),
         )
-        _, (owner, other, times, direction) = merge_groups(
+        keys, (owner, other, times, direction) = merge_groups(
             keys_out,
             keys_in,
             (owner_out, other_out, times_out, dir_out),
@@ -527,7 +532,13 @@ class TemporalGraph:
         )
         counts = np.bincount(owner, minlength=n) if owner.size else np.zeros(n, dtype=np.int64)
         offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        return {"offsets": offsets, "other": other, "times": times, "direction": direction}
+        return {
+            "offsets": offsets,
+            "other": other,
+            "times": times,
+            "direction": direction,
+            "keys": keys,
+        }
 
     # ------------------------------------------------------------------
     # Transformations

@@ -47,13 +47,20 @@ from repro.graph import TemporalGraph, validate_generated
 # streams (``(seed, "tgae", "infer-ego", u, t)``) for the versioned
 # embedding cache -- embeddings became pure functions of (weights, graph,
 # config), so the chunk stream now drives only candidate negatives and
-# Gumbel noise.  Any unintended change to training draws, shard
+# Gumbel noise; recaptured again when ego sampling became array-level with
+# counter-keyed truncation draws (``sample_ego_tile``: pick j of a
+# truncated parent hashes (ego key, hop, parent slot, j); training keys
+# hash the ego's shard index into one word of the shard stream, inference
+# keys hash (u, t) into one word of ``(seed, "tgae", "infer-ego")``) --
+# the per-row oracle in ``tests/ego_oracle.py`` certifies the sampler and
+# packer bit for bit wherever no window is truncated
+# (``tests/test_ego_tile.py``).  Any unintended change to training draws, shard
 # partitioning, chunking, or stream derivation shows up here as a
 # mismatch, and the constants are additionally pinned cache-on == cache-off
 # by ``tests/test_embed_cache.py``.
 GOLDEN_DENSE = {
-    0: "743c31a032571595b37dd424fce3edf34f5e1ae174fe87dfb20061d5574f97b5",
-    7: "d8a000fdcd5763c1d45d7a66396106b47e49f5ec9b2e08a04ee2a8d3f6125284",
+    0: "d596d8829f5fc4f9f4d2ffed4274b975f28e85c51129dd210efc244b83811ee1",
+    7: "f94cfdff4fa5f1b8c7097f5829cfecb10b8d90218701788535bd309943f242d7",
 }
 
 
@@ -400,6 +407,15 @@ class TestScoreTopK:
         generator = TGAEGenerator(config).fit(small)
         with pytest.raises(GenerationError):
             generator.score_topk(0)
+
+    @pytest.mark.parametrize("embed_cache", [True, False])
+    @pytest.mark.parametrize("stamp", [3, -1])
+    def test_out_of_range_timestamp_raises(self, small, embed_cache, stamp):
+        """Timestamps outside [0, T) are a typed error naming the range."""
+        config = fast_config(epochs=1, num_initial_nodes=8, embed_cache=embed_cache)
+        generator = TGAEGenerator(config).fit(small)
+        with pytest.raises(GenerationError, match=r"\[0, 3\)"):
+            generator.score_topk(2, timestamps=[stamp])
 
 
 class TestStreamingEndToEnd:

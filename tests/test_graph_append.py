@@ -43,7 +43,7 @@ def assert_caches_bitwise_equal(
     """
     if force or graph._incidence is not None:
         a, b = graph.incidence, fresh.incidence
-        for key in ("offsets", "other", "times", "direction"):
+        for key in ("offsets", "other", "times", "direction", "keys"):
             assert a[key].dtype == b[key].dtype, key
             np.testing.assert_array_equal(a[key], b[key], err_msg=key)
     if force or graph._partner_groups is not None:

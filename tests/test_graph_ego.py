@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, GraphFormatError
 from repro.graph import (
     TemporalGraph,
     ego_graph_batch,
     initial_node_probabilities,
     sample_ego_graph,
+    sample_ego_tile,
     sample_initial_nodes,
-    sample_neighbors,
 )
 
 
@@ -21,37 +21,38 @@ def star_graph(leaves=10):
     return TemporalGraph(leaves + 1, src, dst, np.zeros(leaves, dtype=int), num_timestamps=2)
 
 
+def hub_tile(leaves, threshold, keys=(0,)):
+    """Radius-1 tiles centred on the hub of ``star_graph(leaves)``."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    centers = np.zeros((keys.size, 2), dtype=np.int64)
+    return sample_ego_tile(star_graph(leaves), centers, keys, radius=1,
+                           threshold=threshold, time_window=1)
+
+
 class TestNodeSampling:
+    """``NodeSampling`` of Alg. 1, as the tile sampler applies it per parent."""
+
     def test_below_threshold_untouched(self):
-        ids = np.array([1, 2, 3])
-        times = np.array([0, 0, 0])
-        out_ids, out_times = sample_neighbors(ids, times, threshold=5, rng=np.random.default_rng(0))
-        assert out_ids is ids
+        g = star_graph(3)
+        ego = hub_tile(3, threshold=5).egos()[0]
+        others, times = g.incident_events(0)
+        np.testing.assert_array_equal(ego.layers[1], np.stack([others, times], axis=1))
 
     def test_truncates_to_threshold(self):
-        ids = np.arange(100)
-        times = np.zeros(100, dtype=int)
-        out_ids, _ = sample_neighbors(ids, times, threshold=7, rng=np.random.default_rng(0))
-        assert out_ids.size == 7
+        ego = hub_tile(100, threshold=7).egos()[0]
+        assert 1 <= ego.layers[1].shape[0] <= 7
+        assert ego.edges[0].shape[0] == ego.layers[1].shape[0]
 
     def test_sampling_is_with_replacement(self):
         """Above-threshold sampling may repeat entries (as Alg. 1 specifies)."""
-        ids = np.arange(3)
-        times = np.zeros(3, dtype=int)
-        seen_repeat = False
-        for seed in range(50):
-            out_ids, _ = sample_neighbors(
-                np.arange(10), np.zeros(10, dtype=int), threshold=8,
-                rng=np.random.default_rng(seed),
-            )
-            if np.unique(out_ids).size < out_ids.size:
-                seen_repeat = True
-                break
-        assert seen_repeat
+        tile = hub_tile(10, threshold=8, keys=np.arange(50))
+        sizes = np.diff(tile.offsets[1])
+        assert sizes.max() <= 8
+        assert sizes.min() < 8
 
     def test_invalid_threshold(self):
         with pytest.raises(ConfigError):
-            sample_neighbors(np.arange(3), np.zeros(3, dtype=int), 0, np.random.default_rng(0))
+            hub_tile(3, threshold=0)
 
 
 class TestEgoGraph:
@@ -100,6 +101,19 @@ class TestEgoGraph:
         with pytest.raises(ConfigError):
             sample_ego_graph(star_graph(), (0, 0), radius=0, threshold=5, time_window=1,
                              rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("center", [(-1, 0), (0, 99), (11, 0), (0, -1), (0, 2)])
+    def test_out_of_range_center_rejected(self, center):
+        """A centre outside [0, n) x [0, T) is bad input, not an empty ego."""
+        with pytest.raises(GraphFormatError, match="outside"):
+            sample_ego_graph(star_graph(), center, radius=2, threshold=5,
+                             time_window=1, rng=np.random.default_rng(0))
+
+    def test_out_of_range_time_never_reads_real_events(self):
+        """A wide window must not let t = T reach the events at t < T."""
+        with pytest.raises(GraphFormatError):
+            sample_ego_graph(star_graph(), (0, 2), radius=1, threshold=5,
+                             time_window=5, rng=np.random.default_rng(0))
 
     def test_isolated_center_has_empty_layers(self):
         g = TemporalGraph(3, [0], [1], [0])
