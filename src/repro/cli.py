@@ -129,15 +129,6 @@ def _add_config(parser: argparse.ArgumentParser) -> None:
         "trajectory by a single bit",
     )
     parser.add_argument(
-        "--no-shm-dispatch",
-        dest="shm_dispatch",
-        action="store_false",
-        help="disable shared-memory worker dispatch and ship pickled "
-        "payloads instead (shm is on by default with --workers > 1: "
-        "parameters and graph CSR live in shared segments, task messages "
-        "are O(1) in model size, results are bit-identical either way)",
-    )
-    parser.add_argument(
         "--no-embed-cache",
         dest="embed_cache",
         action="store_false",
@@ -160,7 +151,7 @@ def _add_config(parser: argparse.ArgumentParser) -> None:
         default=2,
         help="in-rung re-dispatches of a shard that failed transiently "
         "(OSError/pickling/worker crash) before the pool degrades one rung "
-        "down the shm->pickle->thread->sequential ladder; retried shards "
+        "down the shm->thread->sequential ladder; retried shards "
         "are bit-identical (0 disables retries)",
     )
     parser.add_argument(
@@ -185,7 +176,6 @@ def _config_from(args: argparse.Namespace) -> TGAEConfig:
         workers=args.workers,
         chunk_size=args.chunk_size,
         train_shard_size=getattr(args, "train_shard_size", None),
-        shm_dispatch=getattr(args, "shm_dispatch", True),
         embed_cache=getattr(args, "embed_cache", True),
         checkpoint_attention=getattr(args, "checkpoint_attention", False),
         dtype=getattr(args, "dtype", "float32"),
@@ -281,8 +271,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     import dataclasses
 
     generator = load_generator(args.model)
-    if not getattr(args, "shm_dispatch", True):
-        generator.config = dataclasses.replace(generator.config, shm_dispatch=False)
     if not getattr(args, "embed_cache", True):
         generator.config = dataclasses.replace(generator.config, embed_cache=False)
     # workers > 1 runs on a pool opened for this call from the config above.
@@ -481,13 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the saved config's centre rows per generation chunk "
         "(changes the chunk partitioning and therefore the draws)",
-    )
-    p.add_argument(
-        "--no-shm-dispatch",
-        dest="shm_dispatch",
-        action="store_false",
-        help="disable shared-memory worker dispatch for this generation "
-        "(see `fit --no-shm-dispatch`)",
     )
     p.add_argument(
         "--no-embed-cache",

@@ -19,11 +19,7 @@ from .engine import (
     sample_rows_without_replacement,
     sample_without_replacement,
 )
-from .parallel import (
-    WorkerPayload,
-    WorkerPool,
-    run_sharded,
-)
+from .parallel import WorkerPool, run_sharded
 from .generator import TGAEGenerator
 from .persistence import load_generator, save_generator, save_training_checkpoint
 from .loss import (
@@ -73,7 +69,6 @@ __all__ = [
     "GenerationEngine",
     "GenerateChunkTask",
     "TopKChunkTask",
-    "WorkerPayload",
     "WorkerPool",
     "run_sharded",
     "TopKScores",

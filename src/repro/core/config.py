@@ -93,19 +93,11 @@ class TGAEConfig:
         ``None`` (default) uses ``ceil(num_initial_nodes / 4)``.  The
         partitioning never depends on ``workers``, so training is
         bit-identical for every worker count and backend.
-    shm_dispatch:
-        Shared-memory dispatch for persistent worker pools (default
-        ``True``): model parameters and the graph's CSR arrays are
-        published once into ``multiprocessing.shared_memory`` segments and
-        per-epoch / per-generate task messages shrink to index arrays plus
-        a parameter version -- O(1) in model size.  Bit-identical to the
-        pickled-payload path; ``False`` restores it (as does a platform
-        without shared-memory support, automatically).
     max_shard_retries:
         How many times a persistent worker pool re-dispatches one shard
         that failed with a transient error (``OSError``, pickling) or a
         worker crash before degrading one rung down the dispatch ladder
-        (shm -> pickle -> thread -> sequential).  Retried shards are
+        (shm -> thread -> sequential).  Retried shards are
         bit-identical -- shards are pure functions of (task, seed child,
         weights).  ``0`` disables in-rung retries.
     shard_timeout:
@@ -168,7 +160,6 @@ class TGAEConfig:
     chunk_size: Optional[int] = None
     parallel_backend: str = "process"
     train_shard_size: Optional[int] = None
-    shm_dispatch: bool = True
     max_shard_retries: int = 2
     shard_timeout: Optional[float] = None
     embed_cache: bool = True

@@ -188,7 +188,7 @@ class TGAEGenerator(TemporalGraphGenerator):
 
         The next pooled dispatch after an append republishes the
         shared-memory graph segment automatically: the structure fingerprint
-        (``_engine_token``) covers the edge arrays, so the stale segment is
+        (``_structure_token``) covers the edge arrays, so the stale segment is
         rebuilt exactly once and then cached again.  The inference
         embedding cache is *not* flushed by an append: only the rows within
         the encoder's ego-radius of a new edge
@@ -277,7 +277,6 @@ class TGAEGenerator(TemporalGraphGenerator):
             self._pool = pool = WorkerPool(
                 workers,
                 backend,
-                shm_dispatch=self.config.shm_dispatch,
                 max_shard_retries=self.config.max_shard_retries,
                 shard_timeout=self.config.shard_timeout,
             )

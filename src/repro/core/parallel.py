@@ -17,16 +17,17 @@ decode.  This module fans the units out:
   engine's config for the one call.
 * ``backend="process"`` (default) runs chunks in worker *processes* -- the
   right choice for the CPU-bound NumPy passes, which the GIL would
-  serialise under threads.  Each worker rebuilds the model/graph once from
-  a payload shipped through the pool initializer; per-task messages carry
-  index arrays, a seed-sequence child and (inference) the chunk's
-  embedding rows.
+  serialise under threads.  Each worker attaches the shared graph and
+  parameter segments once, through a handle payload shipped by the pool
+  initializer; per-task messages carry index arrays, a seed-sequence
+  child, a parameter version and (inference) the chunk's embedding rows.
 * ``backend="thread"`` shares the live engine across a thread pool -- the
   fallback for environments where process pools are unavailable (no POSIX
-  semaphores, restricted sandboxes); the process backend degrades to it
-  automatically.  *Training* shards run backward passes, which accumulate
-  into parameter gradients, so the thread backend gives each worker thread
-  its own model replica instead of the shared live model.
+  shared memory or semaphores, restricted sandboxes); the process backend
+  degrades to it automatically.  *Training* shards run backward passes,
+  which accumulate into parameter gradients, so the thread backend gives
+  each worker thread its own model replica, refreshed from the live model
+  before every run.
 
 Because chunk streams are spawned from one root before any dispatch and
 results are merged in chunk order, every execution mode is
@@ -42,8 +43,8 @@ of per call.
 Shared-memory dispatch
 ----------------------
 
-On the process backend a pool additionally publishes everything large --
-the model parameters and the graph's edge/CSR arrays -- into
+On the process backend a pool publishes everything large -- the model
+parameters and the graph's edge/CSR arrays -- into
 :mod:`multiprocessing.shared_memory` segments (:class:`SharedArrayStore`:
 one writer, N readers).  Workers attach the segments once, by name, through
 a ~5 KB :class:`ShmWorkerPayload` of handles; after that, per-epoch and
@@ -55,9 +56,9 @@ while weight-only changes ride the in-place update path, so one pool serves
 ``fit`` -> ``generate`` -> ``score_topk`` on one executor.  The pool owns
 the segments and unlinks them on :meth:`WorkerPool.close` (and on degrade,
 worker crash, or interpreter exit); teardown is idempotent and safe to run
-from ``atexit``.  ``shm_dispatch=False`` (or
-``TGAEConfig(shm_dispatch=False)``) restores the plain pickled-payload
-dispatch.
+from ``atexit``.  A platform without POSIX shared memory has no working
+process pools either (their semaphores live in the same ``/dev/shm``), so
+a process pool there starts on the thread rung.
 
 Fault tolerance
 ---------------
@@ -68,7 +69,7 @@ retries transient shard failures (bounded, exponential backoff),
 re-dispatches stragglers that exceed ``shard_timeout``, and rebuilds a
 process executor whose worker crashed (the parent-owned segments survive).
 When a rung is exhausted the pool steps down the degradation ladder
-``shm -> pickle -> thread -> sequential`` -- permanently and loudly, one
+``shm -> thread -> sequential`` -- permanently and loudly, one
 :class:`~repro.errors.DegradeWarning` per step -- with counters exposed on
 :attr:`WorkerPool.health`.  All of it is provoked deterministically in tests
 through :mod:`repro.faults`.
@@ -107,10 +108,8 @@ __all__ = [
     "ShmArraySpec",
     "ShmHandle",
     "ShmWorkerPayload",
-    "WorkerPayload",
     "WorkerPool",
     "attach_shared_arrays",
-    "payload_from_engine",
     "run_sharded",
     "shared_memory_supported",
 ]
@@ -131,7 +130,7 @@ _SHM_ALIGN = 64
 
 #: The degradation ladder, fastest rung first.  A persistent pool starts on
 #: the highest rung its configuration allows and only ever moves down.
-LADDER = ("shm", "pickle", "thread", "sequential")
+LADDER = ("shm", "thread", "sequential")
 
 
 class _RungExhausted(Exception):
@@ -150,43 +149,6 @@ class _RungExhausted(Exception):
 
 #: What the ladder in :meth:`WorkerPool.run` catches before stepping down.
 _RUNG_FAILURES = (_RungExhausted,) + _POOL_FAILURES
-
-
-@dataclass(frozen=True)
-class WorkerPayload:
-    """Everything a worker process needs, reduced to plain picklable data.
-
-    Shipped once per worker through the pool initializer (cheap under
-    ``fork``, a single pickle under ``spawn``); the worker rebuilds the
-    model from its ``state_dict`` and the graph from its edge arrays, the
-    same way :func:`repro.core.persistence.load_generator` does.  This is
-    the non-shared-memory dispatch format; see :class:`ShmWorkerPayload`
-    for the O(1)-in-model-size variant.
-    """
-
-    state: Dict[str, np.ndarray]
-    config: TGAEConfig
-    num_nodes: int
-    num_timestamps: int
-    src: np.ndarray
-    dst: np.ndarray
-    t: np.ndarray
-    external_features: Optional[np.ndarray]
-
-
-def payload_from_engine(engine: Any) -> WorkerPayload:
-    """Flatten a live :class:`~repro.core.engine.GenerationEngine` into arrays."""
-    graph = engine.graph
-    return WorkerPayload(
-        state=engine.model.state_dict(),
-        config=engine.config,
-        num_nodes=graph.num_nodes,
-        num_timestamps=graph.num_timestamps,
-        src=graph.src,
-        dst=graph.dst,
-        t=graph.t,
-        external_features=engine.model.encoder._external_features,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -353,9 +315,9 @@ _SHM_SUPPORTED: Optional[bool] = None
 def shared_memory_supported() -> bool:
     """Whether this platform can create POSIX shared-memory segments.
 
-    Probed once per process with a 1-byte segment; a platform that cannot
-    (no ``/dev/shm``, sandboxed runtime) silently falls back to the plain
-    pickled-payload dispatch.
+    Probed once per process with a 1-byte segment; on a platform that
+    cannot (no ``/dev/shm``, sandboxed runtime) a process pool silently
+    starts on the thread rung.
     """
     global _SHM_SUPPORTED
     if _SHM_SUPPORTED is None:
@@ -385,7 +347,6 @@ class ShmWorkerPayload:
     config: TGAEConfig
     num_nodes: int
     num_timestamps: int
-    feature_dim: int
     graph: ShmHandle
     params: ShmHandle
     version: int
@@ -413,75 +374,59 @@ def _shm_param_arrays(engine: Any) -> Dict[str, np.ndarray]:
     return {name: param.data for name, param in sorted(engine.model.named_parameters())}
 
 
-def _engine_token(engine: Any, include_state: bool) -> str:
-    """Fingerprint of an engine, deciding when shipped workers are stale.
+def _structure_token(engine: Any) -> str:
+    """Fingerprint of an engine's graph, config and parameter shapes.
 
-    Generation tasks read the worker's resident weights, so their token
-    covers the state arrays; training shards carry the current weights in
-    every task message, so their token covers only the graph/config/shape
-    structure -- which is what lets one process pool survive a whole
-    training run even though the weights change every epoch.  Reads the
-    live arrays in place (no ``state_dict`` copy).
+    Decides when shipped workers (and thread replicas) are stale.  Weight
+    values are left out on purpose: they travel through the in-place
+    parameter-segment update (or the replica refresh), which is what lets
+    one pool survive a whole training run and serve ``fit`` -> ``generate``
+    -> ``score_topk`` on one executor.  Reads the live arrays in place (no
+    ``state_dict`` copy).
 
-    Both flavours hash the graph's edge arrays, so appending observed
-    edges (:meth:`TGAEGenerator.update`) changes the token and the next
-    pooled dispatch republishes the shared-memory graph segment -- exactly
-    once, after which the new token is cached like any other.
+    The token hashes the graph's edge arrays, so appending observed edges
+    (:meth:`TGAEGenerator.update`) changes it and the next pooled dispatch
+    republishes the shared-memory graph segment -- exactly once, after
+    which the new token is cached like any other.
     """
     token = graph_token(engine.graph, engine.config, engine.model.encoder._external_features)
-    if include_state:
-        return "state:" + token + weights_token(engine.model)
     shapes = [(name, p.data.shape) for name, p in sorted(engine.model.named_parameters())]
     return "structure:" + token + repr(shapes)
 
 
-def _build_engine(payload: WorkerPayload, graph: Optional[TemporalGraph] = None) -> Any:
-    """Rebuild a generation engine (model + graph) from plain arrays.
+def _engine_from_state(
+    config: TGAEConfig,
+    graph: TemporalGraph,
+    state: Mapping[str, np.ndarray],
+    external_features: Optional[np.ndarray],
+) -> Any:
+    """Build an eval-mode generation engine from a state dict and a graph.
 
-    ``graph`` short-circuits the graph rebuild for same-process replicas
-    (thread-backend training), which can safely share the live read-only
-    graph and its caches.
+    The one engine builder behind both worker processes (state read from
+    the parameter segment) and thread-backend training replicas (state
+    copied from the live model).  ``load_state_dict`` copies, so the
+    engine never aliases ``state``.
     """
     from .engine import GenerationEngine
     from .model import TGAEModel
 
-    if graph is None:
-        graph = TemporalGraph(
-            payload.num_nodes,
-            payload.src,
-            payload.dst,
-            payload.t,
-            num_timestamps=payload.num_timestamps,
-            validate=False,
-        )
-    feature_dim = (
-        payload.external_features.shape[-1]
-        if payload.external_features is not None
-        else 0
-    )
+    feature_dim = external_features.shape[-1] if external_features is not None else 0
     model = TGAEModel(
-        payload.num_nodes, payload.num_timestamps, payload.config,
-        feature_dim=feature_dim,
+        graph.num_nodes, graph.num_timestamps, config, feature_dim=feature_dim
     )
-    model.load_state_dict(payload.state)
-    if payload.external_features is not None:
-        model.encoder.set_external_features(payload.external_features)
+    model.load_state_dict(state)
+    if external_features is not None:
+        model.encoder.set_external_features(external_features)
     model.eval()
-    return GenerationEngine(model, graph, payload.config)
+    return GenerationEngine(model, graph, config)
 
 
-#: Per-process engine rebuilt by :func:`_init_worker`; ``None`` in the parent.
+#: Per-process engine rebuilt by :func:`_init_worker_shm`; ``None`` in the parent.
 _WORKER_ENGINE: Optional[Any] = None
 #: Attached shared segments (kept alive for the views' lifetime) + param views.
 _WORKER_SHM: List[Any] = []
 _WORKER_PARAM_VIEWS: Optional[Dict[str, np.ndarray]] = None
 _WORKER_PARAM_VERSION: Optional[int] = None
-
-
-def _init_worker(payload: WorkerPayload) -> None:
-    """Pool initializer: rebuild the engine once per worker process."""
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = _build_engine(payload)
 
 
 def _release_worker_attachments() -> None:
@@ -501,7 +446,7 @@ def _release_worker_attachments() -> None:
 
 
 def _init_worker_shm(payload: ShmWorkerPayload) -> None:
-    """Pool initializer for shm dispatch: attach segments, rebuild the engine.
+    """Pool initializer: attach the shared segments, rebuild the engine.
 
     The graph's edge and partner-CSR arrays stay zero-copy views into the
     shared segment for the worker's whole life; the model weights are
@@ -510,9 +455,6 @@ def _init_worker_shm(payload: ShmWorkerPayload) -> None:
     in-flight forwards.
     """
     global _WORKER_ENGINE, _WORKER_PARAM_VIEWS, _WORKER_PARAM_VERSION
-    from .engine import GenerationEngine
-    from .model import TGAEModel
-
     graph_shm, graph_views = attach_shared_arrays(payload.graph)
     param_shm, param_views = attach_shared_arrays(payload.params)
     if not _WORKER_SHM:
@@ -531,15 +473,9 @@ def _init_worker_shm(payload: ShmWorkerPayload) -> None:
     graph._partner_groups = (
         graph_views["partner_offsets"], graph_views["partners"]
     )
-    model = TGAEModel(
-        payload.num_nodes, payload.num_timestamps, payload.config,
-        feature_dim=payload.feature_dim,
+    _WORKER_ENGINE = _engine_from_state(
+        payload.config, graph, param_views, graph_views.get("external_features")
     )
-    model.load_state_dict(dict(param_views))
-    if "external_features" in graph_views:
-        model.encoder.set_external_features(graph_views["external_features"])
-    model.eval()
-    _WORKER_ENGINE = GenerationEngine(model, graph, payload.config)
     _WORKER_PARAM_VIEWS = param_views
     _WORKER_PARAM_VERSION = payload.version
 
@@ -564,14 +500,8 @@ def _shard_index(task: Any) -> Optional[int]:
     return getattr(task, "index", None)
 
 
-def _run_remote(kind: str, task: Any, attempt: int = 0) -> Any:
-    """Module-level trampoline executed inside pool worker processes."""
-    faults.check("shard", index=_shard_index(task), attempt=attempt)
-    return _run_on(_WORKER_ENGINE, kind, task)
-
-
 def _run_remote_shm(kind: str, version: int, task: Any, attempt: int = 0) -> Any:
-    """Shm-dispatch trampoline: refresh weights from the segment when stale.
+    """Worker-process trampoline: refresh weights from the segment when stale.
 
     ``version`` advances whenever the parent rewrote the parameter segment;
     a worker reloads at most once per version, so an epoch of S shards
@@ -616,8 +546,12 @@ def _build_train_replicas(engine: Any, count: int) -> List[Any]:
     shards must not share one model.  Replicas share the live (read-only)
     graph; each run checks replicas out of a queue and returns them.
     """
-    payload = payload_from_engine(engine)
-    return [_build_engine(payload, graph=engine.graph) for _ in range(count)]
+    state = engine.model.state_dict()
+    external = engine.model.encoder._external_features
+    return [
+        _engine_from_state(engine.config, engine.graph, state, external)
+        for _ in range(count)
+    ]
 
 
 def _process_context() -> multiprocessing.context.BaseContext:
@@ -625,11 +559,6 @@ def _process_context() -> multiprocessing.context.BaseContext:
     # default (spawn on macOS/Windows) where fork is unavailable.
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-
-def _pickled_bytes(obj: Any) -> int:
-    """Size of ``obj`` on the dispatch wire (for the benchmark gates)."""
-    return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 class WorkerPool:
@@ -640,14 +569,11 @@ class WorkerPool:
     ``score_topk`` sweeps, and every epoch of a training run reuse the same
     worker processes.  On the process backend the pool publishes the model
     parameters and the graph's CSR arrays into shared-memory segments
-    (:class:`SharedArrayStore`, enabled by ``shm_dispatch=True`` where the
-    platform supports it): workers attach once, per-task messages carry
-    index arrays, a parameter version and (inference) the chunk's
+    (:class:`SharedArrayStore`): workers attach once, per-task messages
+    carry index arrays, a parameter version and (inference) the chunk's
     embedding rows, and weight changes (every training epoch, every refit)
-    are an in-place segment rewrite -- O(1) dispatch in model size.
-    Without shm the pool re-ships a pickled payload whenever the
-    fingerprint of what workers need actually changes; either way, for
-    training shards -- whose fingerprint ignores weight values -- one pool
+    are an in-place segment rewrite -- O(1) dispatch in model size.  Only a
+    change of graph, config or parameter shapes republishes, so one pool
     survives a whole optimisation run.
 
     Usage is either explicit::
@@ -661,16 +587,17 @@ class WorkerPool:
     :func:`run_sharded` opens one for a single call when none is given.  When a rung
     of the dispatch ladder cannot run (no POSIX semaphores, crashed and
     unrebuildable workers, restricted sandbox) the pool steps down
-    ``shm -> pickle -> thread -> sequential`` -- loudly, one
+    ``shm -> thread -> sequential`` -- loudly, one
     :class:`~repro.errors.DegradeWarning` per step (``backend`` then
     reports the effective backend, ``requested_backend`` the original,
     :attr:`rung` the active rung); results are bit-identical on every rung,
-    and any shared segments are unlinked at the moment of degradation.
-    Transient per-shard failures are retried in place (``max_shard_retries``,
-    exponential backoff) and stragglers re-dispatched (``shard_timeout``)
-    before any degrade; :attr:`health` reports the counters.  Concurrent
-    ``run()`` calls from different threads serialise on the pool's internal
-    lock.
+    and any shared segments are unlinked at the moment of degradation.  A
+    ``"process"`` pool on a platform without shared memory starts on the
+    thread rung, silently.  Transient per-shard failures are retried in
+    place (``max_shard_retries``, exponential backoff) and stragglers
+    re-dispatched (``shard_timeout``) before any degrade; :attr:`health`
+    reports the counters.  Concurrent ``run()`` calls from different
+    threads serialise on the pool's internal lock.
     """
 
     _ids = itertools.count()
@@ -679,8 +606,6 @@ class WorkerPool:
         self,
         workers: int,
         backend: str = "process",
-        shm_dispatch: bool = True,
-        track_dispatch: bool = False,
         max_shard_retries: int = 2,
         shard_timeout: Optional[float] = None,
         retry_backoff: float = 0.05,
@@ -708,24 +633,19 @@ class WorkerPool:
         self.max_shard_retries = int(max_shard_retries)
         self.shard_timeout = shard_timeout
         self.retry_backoff = float(retry_backoff)
-        self.backend = backend
         self.requested_backend = backend
-        self.shm_dispatch = bool(shm_dispatch)
-        self.track_dispatch = bool(track_dispatch)
+        # Process pools need POSIX semaphores, which live in the same
+        # /dev/shm as the segments: without shared memory, start on threads.
+        if backend == "process" and not shared_memory_supported():
+            backend = "thread"
+        self.backend = backend
         self.pool_id = f"workerpool-{next(WorkerPool._ids)}"
         self.runs = 0
         self.closed = False
-        #: Dispatch accounting (populated when ``track_dispatch=True``):
-        #: pickled bytes of task messages / one-time payloads, and counts of
-        #: payload publishes and in-place parameter updates.
-        self.dispatch_stats: Dict[str, int] = {
-            "task_bytes": 0,
-            "payload_bytes": 0,
-            "payload_publishes": 0,
-            "param_updates": 0,
-        }
-        #: Robustness counters surfaced through :attr:`health`.
+        #: Dispatch and robustness counters surfaced through :attr:`health`.
         self._health: Dict[str, Any] = {
+            "publishes": 0,
+            "param_updates": 0,
             "retries": 0,
             "timeouts": 0,
             "redispatches": 0,
@@ -737,9 +657,9 @@ class WorkerPool:
         self._sequential = False
         self._owner_pid = os.getpid()
         self._executor: Optional[ProcessPoolExecutor] = None
-        #: ``(initializer, payload)`` behind the live process executor, kept
-        #: so a broken executor can be rebuilt against surviving segments.
-        self._active_payload: Optional[Tuple[Callable[..., None], Any]] = None
+        #: Handle payload behind the live process executor, kept so a broken
+        #: executor can be rebuilt against the surviving segments.
+        self._active_payload: Optional[ShmWorkerPayload] = None
         self._token: Optional[str] = None
         self._thread_executor: Optional[ThreadPoolExecutor] = None
         self._replicas: Optional[List[Any]] = None
@@ -757,25 +677,7 @@ class WorkerPool:
     @property
     def shm_active(self) -> bool:
         """Whether dispatch currently goes through shared-memory segments."""
-        return (
-            self.shm_dispatch
-            and self.backend == "process"
-            and shared_memory_supported()
-        )
-
-    @property
-    def needs_inline_state(self) -> bool:
-        """Whether training tasks must carry the weights inline.
-
-        ``False`` on the thread and sequential rungs (replicas / the live
-        engine are refreshed from the live model) and under shm dispatch
-        (weights ride the shared parameter segment); ``True`` only for the
-        plain pickle process rung, where each task message must ship the
-        current ``state_dict``.
-        """
-        if self._sequential or self.backend == "thread":
-            return False
-        return not self.shm_active
+        return self.rung == "shm"
 
     @property
     def rung(self) -> str:
@@ -784,11 +686,13 @@ class WorkerPool:
 
     @property
     def health(self) -> Dict[str, Any]:
-        """A structured operational report: rung, knobs, fault counters.
+        """A structured operational report: rung, knobs, dispatch and fault counters.
 
-        ``degrades`` lists every ladder step taken (e.g. ``"shm->pickle"``)
-        in order; ``retries`` / ``timeouts`` / ``redispatches`` /
-        ``worker_crashes`` count recovered incidents, and
+        ``publishes`` counts graph/parameter segment publishes (one per
+        structure change) and ``param_updates`` in-place parameter-segment
+        rewrites.  ``degrades`` lists every ladder step taken (e.g.
+        ``"shm->thread"``) in order; ``retries`` / ``timeouts`` /
+        ``redispatches`` / ``worker_crashes`` count recovered incidents, and
         ``stragglers_verified`` counts abandoned originals that finished
         anyway and were bit-compared against their re-dispatched twin.
         """
@@ -838,7 +742,7 @@ class WorkerPool:
         replacement), and a crashed worker gets the executor rebuilt
         against the surviving shared segments.  Only when a rung is
         *exhausted* does the pool step down the degradation ladder
-        shm -> pickle -> thread -> sequential -- permanently, loudly (one
+        shm -> thread -> sequential -- permanently, loudly (one
         :class:`~repro.errors.DegradeWarning` per step) and with the
         collector reset so partially-consumed results can never be
         double-counted.  Re-running is safe: each task's draws come from
@@ -851,10 +755,6 @@ class WorkerPool:
         self.runs += 1
         if not tasks:
             return [] if collector is None else None
-        if self.track_dispatch:
-            self.dispatch_stats["task_bytes"] += sum(
-                _pickled_bytes(task) for task in tasks
-            )
         if self.workers == 1 or len(tasks) == 1:
             return self._run_sequential(engine, kind, tasks, collector)
         while True:
@@ -871,16 +771,14 @@ class WorkerPool:
                 self._degrade(cause)
 
     # ------------------------------------------------------------------
-    def _token_for(self, engine: Any, kind: str) -> str:
-        """The staleness token for ``engine``, with the structure flavour cached."""
-        include_state = kind != "train"
-        if not include_state and self._structure_cache is not None:
+    def _token_for(self, engine: Any) -> str:
+        """The structure token for ``engine``, cached for the engine's lifetime."""
+        if self._structure_cache is not None:
             ref, token = self._structure_cache
             if ref() is engine:
                 return token
-        token = _engine_token(engine, include_state=include_state)
-        if not include_state:
-            self._structure_cache = (weakref.ref(engine), token)
+        token = _structure_token(engine)
+        self._structure_cache = (weakref.ref(engine), token)
         return token
 
     def _run_on_processes(
@@ -891,19 +789,13 @@ class WorkerPool:
         # this one -- concurrent callers serialise instead.
         with self._lock:
             faults.check("dispatch")
-            if self.shm_active:
-                self._ensure_shm_executor_locked(engine, kind)
-                version = self._param_version
+            self._ensure_shm_executor_locked(engine, kind)
+            version = self._param_version
 
-                def submit(task: Any, attempt: int) -> Any:
-                    return self._executor.submit(
-                        _run_remote_shm, kind, version, task, attempt
-                    )
-            else:
-                self._ensure_pickle_executor_locked(engine, kind)
-
-                def submit(task: Any, attempt: int) -> Any:
-                    return self._executor.submit(_run_remote, kind, task, attempt)
+            def submit(task: Any, attempt: int) -> Any:
+                return self._executor.submit(
+                    _run_remote_shm, kind, version, task, attempt
+                )
 
             return self._consume_futures(
                 tasks, submit, self._rebuild_process_executor_locked, collector
@@ -919,12 +811,11 @@ class WorkerPool:
         Training always rewrites (weights change every step); generation
         rewrites only when the weight fingerprint actually moved.
         """
-        structure = self._token_for(engine, kind="train")
+        structure = self._token_for(engine)
         if self._executor is None or structure != self._token:
             self._shutdown_process_executor_locked()
             self._release_stores_locked()
-            payload = self._publish_engine_locked(engine)
-            self._start_process_executor_locked(_init_worker_shm, payload)
+            self._start_process_executor_locked(self._publish_engine_locked(engine))
             self._token = structure
             self._param_token = None if kind == "train" else weights_token(engine.model)
         elif kind == "train":
@@ -936,26 +827,12 @@ class WorkerPool:
                 self._update_params_locked(engine)
                 self._param_token = state
 
-    def _ensure_pickle_executor_locked(self, engine: Any, kind: str) -> None:
-        """Make the pickled-payload executor current; caller holds the lock."""
-        token = self._token_for(engine, kind)
-        if self._executor is None or token != self._token:
-            self._shutdown_process_executor_locked()
-            payload = payload_from_engine(engine)
-            if self.track_dispatch:
-                self.dispatch_stats["payload_bytes"] += _pickled_bytes(payload)
-                self.dispatch_stats["payload_publishes"] += 1
-            self._start_process_executor_locked(_init_worker, payload)
-            self._token = token
-
-    def _start_process_executor_locked(
-        self, initializer: Callable[..., None], payload: Any
-    ) -> None:
-        self._active_payload = (initializer, payload)
+    def _start_process_executor_locked(self, payload: ShmWorkerPayload) -> None:
+        self._active_payload = payload
         self._executor = ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=_process_context(),
-            initializer=initializer,
+            initializer=_init_worker_shm,
             initargs=(payload,),
         )
 
@@ -978,8 +855,7 @@ class WorkerPool:
             except Exception:
                 pass
             self._executor = None
-        initializer, payload = self._active_payload
-        self._start_process_executor_locked(initializer, payload)
+        self._start_process_executor_locked(self._active_payload)
 
     def _consume_futures(
         self,
@@ -1119,27 +995,21 @@ class WorkerPool:
             raise
         self._stores = stores
         self._param_version += 1
-        external = engine.model.encoder._external_features
-        payload = ShmWorkerPayload(
+        self._health["publishes"] += 1
+        return ShmWorkerPayload(
             config=engine.config,
             num_nodes=engine.graph.num_nodes,
             num_timestamps=engine.graph.num_timestamps,
-            feature_dim=external.shape[-1] if external is not None else 0,
             graph=stores["graph"].handle,
             params=stores["params"].handle,
             version=self._param_version,
         )
-        if self.track_dispatch:
-            self.dispatch_stats["payload_bytes"] += _pickled_bytes(payload)
-            self.dispatch_stats["payload_publishes"] += 1
-        return payload
 
     def _update_params_locked(self, engine: Any) -> None:
         """Rewrite the parameter segment in place and advance the version."""
         self._stores["params"].update(_shm_param_arrays(engine))
         self._param_version += 1
-        if self.track_dispatch:
-            self.dispatch_stats["param_updates"] += 1
+        self._health["param_updates"] += 1
 
     def _run_on_threads(
         self, engine: Any, kind: str, tasks: List[Any], collector: Optional[Any] = None
@@ -1160,14 +1030,14 @@ class WorkerPool:
 
         else:
             with self._lock:
-                token = self._token_for(engine, kind)
+                token = self._token_for(engine)
                 if self._replicas is None or token != self._replica_token:
                     self._replicas = _build_train_replicas(engine, self.workers)
                     self._replica_token = token
-                elif getattr(tasks[0], "state", None) is None:
-                    # Tasks without inline weights expect workers to hold the
-                    # *current* weights: refresh cached replicas from the live
-                    # model (an exact copy, so the run stays bit-identical).
+                else:
+                    # Cached replicas must hold the *current* weights: refresh
+                    # them from the live model (an exact copy, so the run
+                    # stays bit-identical).
                     state = engine.model.state_dict()
                     for replica in self._replicas:
                         replica.model.load_state_dict(state)
@@ -1228,14 +1098,10 @@ class WorkerPool:
         with self._lock:
             from_rung = self._rung_locked()
             if from_rung == "shm":
-                # Keep the process backend, drop shared-memory dispatch:
-                # segments are unlinked *and* the weight version advanced
-                # (in _release_stores_locked) so a future republish can
-                # never hand workers a version they think they already have.
-                self._shutdown_process_executor_locked()
-                self._release_stores_locked()
-                self.shm_dispatch = False
-            elif from_rung == "pickle":
+                # Drop the process backend: segments are unlinked *and* the
+                # weight version advanced (in _release_stores_locked) so a
+                # future republish can never hand workers a version they
+                # think they already have.
                 self._shutdown_process_executor_locked()
                 self._release_stores_locked()
                 self.backend = "thread"
@@ -1262,9 +1128,7 @@ class WorkerPool:
     def _rung_locked(self) -> str:
         if self._sequential:
             return "sequential"
-        if self.backend == "thread":
-            return "thread"
-        return "shm" if self.shm_active else "pickle"
+        return "shm" if self.backend == "process" else "thread"
 
     # ------------------------------------------------------------------
     def _release_stores_locked(self) -> None:
@@ -1361,13 +1225,12 @@ def run_sharded(
     """Run chunk ``tasks`` on ``workers`` workers; results in task order.
 
     When ``pool`` is given (and open), dispatch goes through that persistent
-    :class:`WorkerPool` -- its worker count, backend and shared-memory
-    dispatch mode govern.  Otherwise ``workers=1`` (or a single task) is a
-    plain loop over the live engine -- the reference sequential path -- and
-    anything wider runs on an ephemeral :class:`WorkerPool` built from the
-    engine's config, torn down before returning.  Either way the result is
-    bit-identical because every task carries its own spawned seed-sequence
-    child.
+    :class:`WorkerPool` -- its worker count and backend govern.  Otherwise
+    ``workers=1`` (or a single task) is a plain loop over the live engine --
+    the reference sequential path -- and anything wider runs on an ephemeral
+    :class:`WorkerPool` built from the engine's config, torn down before
+    returning.  Either way the result is bit-identical because every task
+    carries its own spawned seed-sequence child.
     """
     if backend not in BACKENDS:
         raise ConfigError(
@@ -1384,7 +1247,6 @@ def run_sharded(
     with WorkerPool(
         min(workers, len(tasks)),
         backend,
-        shm_dispatch=config.shm_dispatch,
         max_shard_retries=config.max_shard_retries,
         shard_timeout=config.shard_timeout,
     ) as ephemeral:

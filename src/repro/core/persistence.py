@@ -39,6 +39,9 @@ _META_KEY = "__meta__"
 _FORMAT_VERSION = 2
 #: Every format this loader understands; the writer always emits the newest.
 _SUPPORTED_FORMATS = (1, 2)
+#: Config fields earlier versions saved and this one removed on purpose:
+#: dropped on load without the unknown-key warning.
+_RETIRED_CONFIG_KEYS = frozenset({"shm_dispatch"})
 
 
 def save_generator(generator: TGAEGenerator, path: PathLike) -> None:
@@ -150,8 +153,10 @@ def load_generator(path: PathLike, dtype: Optional[str] = None) -> TGAEGenerator
     with ``train_state=None`` -- a subsequent ``update``/resume then
     warm-starts the weights but runs a cold optimizer on a fresh RNG
     lineage.  Config keys unknown to this version are dropped with a
-    ``RuntimeWarning``.  A truncated or corrupt archive, or one missing a
-    member, raises :class:`ConfigError`.
+    ``RuntimeWarning``; retired keys (``_RETIRED_CONFIG_KEYS``) are dropped
+    silently.  A truncated or corrupt archive, one missing a member, one
+    whose graph arrays fall outside its recorded universe, or one with a
+    mistyped config value raises :class:`ConfigError`.
     """
     try:
         return _read_generator(path, dtype)
@@ -182,7 +187,9 @@ def _read_generator(path: PathLike, dtype: Optional[str]) -> TGAEGenerator:
             for key in archive.files
             if key.startswith("param:")
         }
-        cfg_dict = dict(meta["config"])
+        cfg_dict = {
+            k: v for k, v in meta["config"].items() if k not in _RETIRED_CONFIG_KEYS
+        }
         known_keys = {f.name for f in dataclasses.fields(TGAEConfig)}
         unknown_keys = sorted(set(cfg_dict) - known_keys)
         if unknown_keys:
@@ -200,7 +207,12 @@ def _read_generator(path: PathLike, dtype: Optional[str]) -> TGAEGenerator:
             # Pre-policy checkpoint: the stored arrays *are* the policy.
             stored_dtypes = sorted({str(arr.dtype) for arr in state.values()})
             cfg_dict["dtype"] = stored_dtypes[0] if len(stored_dtypes) == 1 else "float64"
-        config = TGAEConfig(**cfg_dict)
+        try:
+            config = TGAEConfig(**cfg_dict)
+        except TypeError as exc:
+            raise ConfigError(
+                f"checkpoint {path!s} carries a mistyped config value ({exc})"
+            ) from exc
         mixed = sorted(
             name for name, arr in state.items() if arr.dtype != config.np_dtype
         )
@@ -226,7 +238,6 @@ def _read_generator(path: PathLike, dtype: Optional[str]) -> TGAEGenerator:
             archive["graph:dst"],
             archive["graph:t"],
             num_timestamps=meta["num_timestamps"],
-            validate=False,
         )
         model = TGAEModel(meta["num_nodes"], meta["num_timestamps"], config)
         model.load_state_dict(state)

@@ -45,7 +45,7 @@ class PoolError(ReproError, RuntimeError):
 
     Raised when a closed :class:`~repro.core.parallel.WorkerPool` is asked
     to run work, or when a shard failed on every rung of the degradation
-    ladder (shm -> pickle -> threads -> sequential) -- i.e. only after the
+    ladder (shm -> threads -> sequential) -- i.e. only after the
     pool has genuinely nothing left to try.  Subclasses ``RuntimeError``
     so pre-typed callers keep working.
     """
@@ -63,7 +63,7 @@ class FaultInjected(ReproError, RuntimeError):
 class DegradeWarning(RuntimeWarning):
     """A worker pool stepped down one rung of its degradation ladder.
 
-    Emitted once per step (shm -> pickle -> threads -> sequential) with the
+    Emitted once per step (shm -> threads -> sequential) with the
     pool id, the rung transition and the triggering error, so operators can
     ``warnings.filterwarnings`` on the category instead of string-matching
     stderr.  Subclasses ``RuntimeWarning``: existing filters keep matching.

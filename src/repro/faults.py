@@ -24,7 +24,7 @@ Sites currently instrumented
     and transient-``OSError`` injection.
 ``"dispatch"``
     The parent-side entry of each :class:`~repro.core.parallel.WorkerPool`
-    dispatch rung (shm / pickle / thread).  Raising here (e.g. a pickling
+    dispatch rung (shm / thread).  Raising here (e.g. a pickling
     failure) exercises the degradation ladder one rung at a time.
 ``"shm-create"`` / ``"shm-attach"``
     Shared-memory segment allocation (writer side) and attachment

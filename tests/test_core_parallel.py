@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from repro.core import GenerationEngine, TGAEGenerator, fast_config
-from repro.core.parallel import payload_from_engine, run_sharded
+from repro.core.parallel import _engine_from_state, run_sharded
 from repro.datasets import communication_network
 from repro.errors import ConfigError
+from repro.graph import TemporalGraph
 from repro.rng import seed_sequence, spawn_streams, stream
 
 
@@ -141,29 +142,25 @@ class TestChunkingGuards:
 
 
 class TestWorkerPayload:
-    """Workers receive plain arrays and rebuild a bit-equal engine."""
-
-    def test_payload_is_plain_data(self, streaming_fitted):
-        payload = payload_from_engine(streaming_fitted.engine())
-        assert isinstance(payload.state, dict)
-        for value in payload.state.values():
-            assert isinstance(value, np.ndarray)
-        for field in (payload.src, payload.dst, payload.t):
-            assert isinstance(field, np.ndarray)
+    """Workers rebuild a bit-equal engine from a state dict and plain arrays."""
 
     def test_rebuilt_engine_matches_live_engine(self, streaming_fitted):
-        import repro.core.parallel as parallel_mod
-
         engine = streaming_fitted.engine()
-        payload = payload_from_engine(engine)
-        try:
-            parallel_mod._init_worker(payload)
-            rebuilt = parallel_mod._WORKER_ENGINE
-            a = engine.generate(np.random.default_rng(7), workers=1)
-            b = rebuilt.generate(np.random.default_rng(7), workers=1)
-            assert fingerprint(a) == fingerprint(b)
-        finally:
-            parallel_mod._WORKER_ENGINE = None
+        graph = engine.graph
+        # What a worker process sees: a graph rebuilt from the edge arrays
+        # and the weights as a plain state dict.
+        rebuilt = _engine_from_state(
+            engine.config,
+            TemporalGraph(
+                graph.num_nodes, graph.src.copy(), graph.dst.copy(), graph.t.copy(),
+                num_timestamps=graph.num_timestamps,
+            ),
+            engine.model.state_dict(),
+            engine.model.encoder._external_features,
+        )
+        a = engine.generate(np.random.default_rng(7), workers=1)
+        b = rebuilt.generate(np.random.default_rng(7), workers=1)
+        assert fingerprint(a) == fingerprint(b)
 
 
 class TestRngRegistry:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -169,3 +170,65 @@ class TestErrors:
         np.savez_compressed(path, **arrays)
         with pytest.raises(ConfigError, match="graph:src"):
             load_generator(path)
+
+    @pytest.mark.parametrize(
+        "member,bound",
+        [("src", "num_nodes"), ("dst", "num_nodes"), ("t", "num_timestamps")],
+    )
+    def test_load_out_of_universe_graph_raises(self, fitted, tmp_path, member, bound):
+        # A tampered archive whose edges leave the recorded universe must
+        # fail at load, not as a bare IndexError inside the first generate.
+        path = tmp_path / "model.npz"
+        save_generator(fitted, path)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        arrays[f"graph:{member}"] = arrays[f"graph:{member}"] + getattr(
+            fitted.observed, bound
+        )
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ConfigError, match=f"{member} values must lie"):
+            load_generator(path)
+
+    def test_load_mistyped_config_value_raises(self, fitted, tmp_path):
+        src = tmp_path / "model.npz"
+        bad = tmp_path / "mistyped.npz"
+        save_generator(fitted, src)
+
+        def mistype_radius(meta):
+            meta["config"]["radius"] = "two"
+
+        _rewrite_meta(src, bad, mistype_radius)
+        with pytest.raises(ConfigError, match="mistyped.npz"):
+            load_generator(bad)
+
+
+class TestConfigKeys:
+    def test_retired_key_loads_silently(self, fitted, tmp_path):
+        # Archives written while TGAEConfig still had ``shm_dispatch`` carry
+        # it; the retired key is dropped without the unknown-key warning.
+        src = tmp_path / "model.npz"
+        legacy = tmp_path / "legacy.npz"
+        save_generator(fitted, src)
+
+        def add_retired_key(meta):
+            meta["config"]["shm_dispatch"] = False
+
+        _rewrite_meta(src, legacy, add_retired_key)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            restored = load_generator(legacy)
+        assert restored.config == fitted.config
+        assert restored.generate(seed=7) == fitted.generate(seed=7)
+
+    def test_unknown_key_still_warns(self, fitted, tmp_path):
+        src = tmp_path / "model.npz"
+        newer = tmp_path / "newer.npz"
+        save_generator(fitted, src)
+
+        def add_unknown_key(meta):
+            meta["config"]["from_a_newer_version"] = 1
+
+        _rewrite_meta(src, newer, add_unknown_key)
+        with pytest.warns(RuntimeWarning, match="from_a_newer_version"):
+            restored = load_generator(newer)
+        assert restored.config == fitted.config

@@ -7,13 +7,12 @@ Three contracts under test, matching the PR's headline guarantees:
   in-place updates visible to attached readers, layout changes rejected.
 * Shared-memory dispatch changes *how bytes move*, never the result:
   training and generation through an shm pool are bit-identical to
-  ``workers=1`` and to the pickled-payload path, across seeds and backends.
+  ``workers=1`` and to the thread backend, across seeds and dtypes.
 * Segments never outlive their pool: explicit close, trainer teardown, a
   ``KeyboardInterrupt`` mid-epoch, and forked children all leave zero
   leaked segments (a forked child must *not* unlink its parent's).
 """
 
-import dataclasses
 import multiprocessing
 
 import numpy as np
@@ -177,40 +176,24 @@ class TestSharedArrayStore:
 
 
 class TestShmDispatchBitIdentity:
-    """Shm dispatch vs pickled dispatch vs sequential: one trajectory."""
+    """Shm dispatch vs thread dispatch vs sequential: one trajectory."""
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_training_matches_sequential_across_seeds(self, observed, seed):
         sequential = train_run(observed, workers=1, seed=seed)
-        with WorkerPool(2, backend="process", shm_dispatch=True) as pool:
+        with WorkerPool(2, backend="process") as pool:
             assert pool.shm_active
             pooled = train_run(observed, workers=2, seed=seed, pool=pool)
             assert pool.shm_segments()  # segments actually published
         assert_same_run(sequential, pooled)
 
-    def test_shm_and_pickle_dispatch_agree(self, observed):
-        with WorkerPool(2, backend="process", shm_dispatch=True) as shm_pool:
-            shm_run = train_run(observed, workers=2, pool=shm_pool)
-        with WorkerPool(2, backend="process", shm_dispatch=False) as pickle_pool:
-            assert not pickle_pool.shm_active
-            pickle_run = train_run(observed, workers=2, pool=pickle_pool)
-        assert_same_run(shm_run, pickle_run)
-
     def test_thread_backend_ignores_shm_and_matches(self, observed):
         sequential = train_run(observed, workers=1)
-        with WorkerPool(3, backend="thread", shm_dispatch=True) as pool:
+        with WorkerPool(3, backend="thread") as pool:
             assert not pool.shm_active  # threads share memory natively
             threaded = train_run(observed, workers=3, pool=pool)
             assert pool.shm_segments() == ()
         assert_same_run(sequential, threaded)
-
-    def test_needs_inline_state_matrix(self):
-        with WorkerPool(2, backend="process", shm_dispatch=True) as pool:
-            assert pool.needs_inline_state is (not pool.shm_active)
-        with WorkerPool(2, backend="process", shm_dispatch=False) as pool:
-            assert pool.needs_inline_state is True
-        with WorkerPool(2, backend="thread") as pool:
-            assert pool.needs_inline_state is False
 
     def test_generation_through_shm_pool_bit_identical(self, observed):
         config = fast_config(
@@ -231,24 +214,24 @@ class TestShmDispatchBitIdentity:
             epochs=1, num_initial_nodes=12, candidate_limit=8, seed=5
         )
         fitted = TGAEGenerator(config).fit(observed)
-        pool = WorkerPool(2, backend="process", shm_dispatch=True, track_dispatch=True)
+        pool = WorkerPool(2, backend="process")
         with pool:
             engine = fitted.engine()
             engine.generate(np.random.default_rng(1), pool=pool)
-            assert pool.dispatch_stats["payload_publishes"] == 1
+            assert pool.health["publishes"] == 1
             segments = pool.shm_segments()
             # Same weights again: neither republish nor in-place update.
             engine.generate(np.random.default_rng(2), pool=pool)
-            assert pool.dispatch_stats["payload_publishes"] == 1
-            assert pool.dispatch_stats["param_updates"] == 0
+            assert pool.health["publishes"] == 1
+            assert pool.health["param_updates"] == 0
             # A weight-only change (same shapes) must ride the in-place
             # update path: same segments, same executor, fresh version.
             for _, param in fitted.model.named_parameters():
                 param.data = param.data + 0.01
             baseline = engine.generate(np.random.default_rng(3), workers=1)
             refreshed = engine.generate(np.random.default_rng(3), pool=pool)
-            assert pool.dispatch_stats["payload_publishes"] == 1
-            assert pool.dispatch_stats["param_updates"] == 1
+            assert pool.health["publishes"] == 1
+            assert pool.health["param_updates"] == 1
             assert pool.shm_segments() == segments
             assert refreshed == baseline
 
@@ -260,13 +243,12 @@ class TestShmDispatchBitIdentity:
         )
         generator = TGAEGenerator(config)
         with generator.worker_pool(workers=2) as pool:
-            pool.track_dispatch = True
             generator.fit(observed)
-            assert pool.dispatch_stats["payload_publishes"] == 1
+            assert pool.health["publishes"] == 1
             executor = pool._executor
             generator.generate(seed=1)
             generator.score_topk(3)
-            assert pool.dispatch_stats["payload_publishes"] == 1
+            assert pool.health["publishes"] == 1
             assert pool._executor is executor
             assert pool.runs >= 3
 
@@ -275,10 +257,10 @@ class TestShmDispatchBitIdentity:
         import pickle
 
         seqs = np.random.SeedSequence(0).spawn(4)
-        with WorkerPool(2, backend="process", shm_dispatch=True) as pool:
+        with WorkerPool(2, backend="process") as pool:
             train_run(observed, workers=2, pool=pool)
-        # The shm trainer leaves task.state=None, so a task pickles to a
-        # small constant regardless of parameter count.
+        # A task carries no weights, so it pickles to a small constant
+        # regardless of parameter count.
         from repro.core.trainer import TrainShardTask
 
         task = TrainShardTask(
@@ -288,7 +270,6 @@ class TestShmDispatchBitIdentity:
             recon_scale=1.0,
             kl_scale=1.0,
             seed_seq=seqs[0],
-            state=None,
         )
         assert len(pickle.dumps(task)) < 4096
 
@@ -335,7 +316,7 @@ class TestDtypePolicyShm:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_shm_training_bit_identical_per_dtype(self, observed, dtype):
         sequential = train_run(observed, workers=1, dtype=dtype)
-        with WorkerPool(2, backend="process", shm_dispatch=True) as pool:
+        with WorkerPool(2, backend="process") as pool:
             assert pool.shm_active
             pooled = train_run(observed, workers=2, dtype=dtype, pool=pool)
         assert_same_run(sequential, pooled)
@@ -345,7 +326,7 @@ class TestShmTeardown:
     """Segments never outlive the pool, whatever kills it."""
 
     def test_close_unlinks_segments(self, observed):
-        pool = WorkerPool(2, backend="process", shm_dispatch=True)
+        pool = WorkerPool(2, backend="process")
         train_run(observed, workers=2, pool=pool)
         segments = pool.shm_segments()
         assert segments
@@ -409,22 +390,22 @@ class TestShmTeardown:
     def test_degrade_ladder_releases_segments(self, observed):
         """When the shm rung dies, its segments die with it -- step by step.
 
-        A persistent dispatch-side fault walks the pool down the full
-        ladder: the shm rung's segments are unlinked at the first step,
-        the process backend is abandoned at the second, and the final run
-        on the thread rung still reproduces the exact trajectory.
+        A dispatch-side fault steps the pool off the shm rung: its segments
+        are unlinked and the process backend abandoned in that one step,
+        and the run on the thread rung still reproduces the exact
+        trajectory.
         """
         from repro import faults
 
-        pool = WorkerPool(2, backend="process", shm_dispatch=True)
+        pool = WorkerPool(2, backend="process")
         try:
             train_run(observed, workers=2, pool=pool, epochs=1)
             segments = pool.shm_segments()
             assert segments
-            with faults.inject("dispatch", exc=OSError, times=2):
+            with faults.inject("dispatch", exc=OSError, times=1):
                 with pytest.warns(RuntimeWarning, match="degrading"):
                     degraded = train_run(observed, workers=2, pool=pool, epochs=1)
-            assert pool.health["degrades"] == ["shm->pickle", "pickle->thread"]
+            assert pool.health["degrades"] == ["shm->thread"]
             assert pool.backend == "thread"
             assert pool.shm_segments() == ()
             for name in segments:
@@ -437,7 +418,7 @@ class TestShmTeardown:
     def test_close_from_forked_child_leaves_parent_pool_alone(self, observed):
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("fork start method unavailable")
-        pool = WorkerPool(2, backend="process", shm_dispatch=True)
+        pool = WorkerPool(2, backend="process")
         try:
             train_run(observed, workers=2, pool=pool, epochs=1)
             segments = pool.shm_segments()
@@ -458,31 +439,3 @@ class TestShmTeardown:
             pool.close()
         for name in segments:
             assert not attachable(name)
-
-
-class TestShmConfigWiring:
-    """The config flag reaches pools built by the generator and trainer."""
-
-    def test_generator_pool_inherits_config_flag(self, observed):
-        config = fast_config(
-            epochs=1, num_initial_nodes=12, candidate_limit=8,
-            shm_dispatch=False,
-        )
-        fitted = TGAEGenerator(config).fit(observed)
-        with fitted.worker_pool(workers=2) as pool:
-            assert pool.shm_dispatch is False
-            assert not pool.shm_active
-
-    def test_config_roundtrips_through_persistence(self, observed, tmp_path):
-        from repro.core import load_generator, save_generator
-
-        config = fast_config(
-            epochs=1, num_initial_nodes=12, candidate_limit=8,
-            shm_dispatch=False,
-        )
-        fitted = TGAEGenerator(config).fit(observed)
-        path = tmp_path / "model.npz"
-        save_generator(fitted, path)
-        loaded = load_generator(path)
-        assert loaded.config.shm_dispatch is False
-        assert fitted.generate(seed=3) == loaded.generate(seed=3)

@@ -277,12 +277,12 @@ class TestUpdate:
     def test_shm_structure_republished_exactly_once(self, observed):
         config = make_config(2)
         gen = TGAEGenerator(config).fit(observed)
-        pool = WorkerPool(2, backend="process", shm_dispatch=True, track_dispatch=True)
+        pool = WorkerPool(2, backend="process")
         with pool:
             engine = gen.engine()
             before_a = engine.generate(np.random.default_rng(1), pool=pool)
             engine.generate(np.random.default_rng(2), pool=pool)
-            assert pool.dispatch_stats["payload_publishes"] == 1
+            assert pool.health["publishes"] == 1
             assert before_a == gen.engine().generate(np.random.default_rng(1), workers=1)
 
             k = observed.num_edges // 5
@@ -292,8 +292,8 @@ class TestUpdate:
             # the next dispatch republishes the graph segment -- exactly once.
             engine = gen.engine()
             after_a = engine.generate(np.random.default_rng(3), pool=pool)
-            assert pool.dispatch_stats["payload_publishes"] == 2
+            assert pool.health["publishes"] == 2
             engine.generate(np.random.default_rng(4), pool=pool)
-            assert pool.dispatch_stats["payload_publishes"] == 2
+            assert pool.health["publishes"] == 2
             assert after_a == gen.engine().generate(np.random.default_rng(3), workers=1)
             assert after_a.num_edges == gen.observed.num_edges

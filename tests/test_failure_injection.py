@@ -395,7 +395,7 @@ class TestShardRetry:
         self, observed
     ):
         # A shard that fails on *every* rung exhausts the whole ladder:
-        # three DegradeWarnings, then a typed PoolError -- never a hang,
+        # two DegradeWarnings, then a typed PoolError -- never a hang,
         # never a silent wrong answer -- with every segment reaped.
         _require_shm()
         config = _nemesis_config()
@@ -405,9 +405,7 @@ class TestShardRetry:
                 with pytest.warns(DegradeWarning):
                     with pytest.raises(PoolError):
                         _train(observed, config, pool=pool, workers=2)
-            assert pool.health["degrades"] == [
-                "shm->pickle", "pickle->thread", "thread->sequential",
-            ]
+            assert pool.health["degrades"] == ["shm->thread", "thread->sequential"]
             assert pool.rung == "sequential"
             assert pool.shm_segments() == ()
         finally:
@@ -485,9 +483,7 @@ class TestWorkerCrashRecovery:
                 with pytest.warns(DegradeWarning):
                     with pytest.raises(PoolError):
                         _train(observed, config, pool=pool, workers=2)
-            assert pool.health["degrades"] == [
-                "shm->pickle", "pickle->thread", "thread->sequential",
-            ]
+            assert pool.health["degrades"] == ["shm->thread", "thread->sequential"]
             assert pool.health["worker_crashes"] >= 2
             assert pool.shm_segments() == ()
         finally:
@@ -521,7 +517,7 @@ class TestStragglerRedispatch:
 # ---------------------------------------------------------------------------
 class TestDegradationLadder:
     def test_ladder_constant_is_ordered(self):
-        assert LADDER == ("shm", "pickle", "thread", "sequential")
+        assert LADDER == ("shm", "thread", "sequential")
 
     def test_full_ladder_walk_stays_bit_identical(self, observed):
         _require_shm()
@@ -529,36 +525,57 @@ class TestDegradationLadder:
         baseline = _train(observed, config)
         pool = WorkerPool(2, backend="process")
         try:
-            with faults.inject("dispatch", exc=OSError, times=3):
+            with faults.inject("dispatch", exc=OSError, times=2):
                 with pytest.warns(DegradeWarning) as caught:
                     run = _train(observed, config, pool=pool, workers=2)
             _assert_same_run(run, baseline)
-            assert pool.health["degrades"] == [
-                "shm->pickle", "pickle->thread", "thread->sequential",
-            ]
+            assert pool.health["degrades"] == ["shm->thread", "thread->sequential"]
             assert pool.rung == "sequential"
             degrade_messages = [
                 str(w.message) for w in caught
                 if isinstance(w.message, DegradeWarning)
             ]
-            assert len(degrade_messages) == 3
+            assert len(degrade_messages) == 2
             assert all("degrading" in m for m in degrade_messages)
             assert pool.shm_segments() == ()
         finally:
             pool.close()
 
-    def test_shm_allocation_failure_degrades_to_pickle(self, observed):
+    def test_shm_allocation_failure_degrades_to_thread(self, observed):
         _require_shm()
         config = _nemesis_config()
         baseline = _train(observed, config)
         pool = WorkerPool(2, backend="process")
         try:
             with faults.inject("shm-create", exc=OSError, times=1):
-                with pytest.warns(DegradeWarning, match="shm->pickle"):
+                with pytest.warns(DegradeWarning, match="shm->thread"):
                     run = _train(observed, config, pool=pool, workers=2)
             _assert_same_run(run, baseline)
-            assert pool.health["degrades"] == ["shm->pickle"]
+            assert pool.health["degrades"] == ["shm->thread"]
             assert pool.shm_segments() == ()
+        finally:
+            pool.close()
+
+    def test_process_pool_without_shared_memory_starts_on_threads(
+        self, observed, monkeypatch
+    ):
+        # No /dev/shm means no process-pool semaphores either: the pool
+        # starts on the thread rung, silently, and stays bit-identical.
+        import repro.core.parallel as parallel_mod
+
+        config = _nemesis_config(epochs=1)
+        baseline = _train(observed, config)
+        monkeypatch.setattr(parallel_mod, "shared_memory_supported", lambda: False)
+        pool = WorkerPool(2, backend="process")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DegradeWarning)
+                run = _train(observed, config, pool=pool, workers=2)
+            _assert_same_run(run, baseline)
+            assert pool.rung == "thread"
+            assert pool.requested_backend == "process"
+            assert pool.health["degrades"] == []
+            assert pool.health["publishes"] == 0
         finally:
             pool.close()
 
