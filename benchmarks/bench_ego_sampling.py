@@ -1,15 +1,16 @@
 """Ego sampling and packing cost gate for the cold inference encode.
 
-A cold ``generate`` encodes every active temporal node in its canonical
-encode groups (:func:`repro.core.embed_cache.encode_groups`): per group,
-one tile sampled by :meth:`EgoGraphSampler.inference_batch`, packed by
-``EgoTile.packed`` and encoded by ``TGAEModel.encode_inference``.  This
-benchmark times those three stages over exactly those groups, at the CI
-size and at n=5000, m=20000, T=48, and writes the ``ego_sampling`` section
-of ``BENCH_stages.json``.  Two gates:
+A cold ``generate`` encodes every active temporal node, in ascending key
+order, in blocks of :data:`repro.core.engine.ENCODE_BLOCK_ROWS` keys
+(:meth:`GenerationEngine.warm_rows`): per block, one tile sampled by
+:meth:`EgoGraphSampler.inference_batch`, packed by ``EgoTile.packed`` and
+encoded by ``TGAEModel.encode_inference``.  This benchmark times those
+three stages over exactly those blocks, at the CI size and at n=5000,
+m=20000, T=48, and writes the ``ego_sampling`` section of
+``BENCH_stages.json``.  Two gates:
 
 * **Ratio** -- sampling plus packing takes at most
-  :data:`STAGE_RATIO_CEILING` times the encoder's time on the same groups:
+  :data:`STAGE_RATIO_CEILING` times the encoder's time on the same blocks:
   the sampler is never the largest stage of an encode.
 * **Absolute** -- sampling plus packing costs at most
   :data:`US_PER_CENTRE_CEILING` microseconds per centre at each size, so
@@ -24,36 +25,35 @@ import numpy as np
 
 from _artifacts import write_bench_artifact
 from repro.core import EgoGraphSampler, TGAEGenerator, fast_config
-from repro.core.embed_cache import encode_groups
+from repro.core.engine import ENCODE_BLOCK_ROWS
 from repro.datasets import erdos_renyi_temporal
 
 #: ``(name, (n, m, T))`` of the measured graphs.
 SIZES = (("ci", (300, 1200, 12)), ("n5000", (5000, 20000, 48)))
 
-#: Sampling + packing seconds over encode seconds on the same groups.
+#: Sampling + packing seconds over encode seconds on the same blocks.
 STAGE_RATIO_CEILING = 1.0
 
-#: Sampling + packing microseconds per encoded centre, per size.  Groups
-#: hold ~8.6 centres at the CI size and ~2.8 at n5000, so the fixed cost
-#: of a tile weighs more there.  Measured 43-57 / 122-140 us on a 2-vCPU
-#: x86-64 container (the per-row sampler this replaced measured 326-354 /
-#: 413 us there); each ceiling leaves 2.5x headroom
-#: over the slowest measurement for slower CI runners.
+#: Sampling + packing microseconds per encoded centre, per size.  Set when
+#: the encode ran in groups of ~8.6 centres at the CI size and ~2.8 at
+#: n5000 (measured 43-57 / 122-140 us on a 2-vCPU x86-64 container, 2.5x
+#: headroom over the slowest); 64-row blocks amortise a tile's fixed cost
+#: and measure 17.6 / 12.6 us there.
 US_PER_CENTRE_CEILING = {"ci": 140.0, "n5000": 350.0}
 
 REPEATS = 3
 
 
-def _stage_seconds(generator, groups, num_timestamps):
-    """Min-of-``REPEATS`` sample, pack and encode seconds over ``groups``."""
+def _stage_seconds(generator, blocks, num_timestamps):
+    """Min-of-``REPEATS`` sample, pack and encode seconds over ``blocks``."""
     engine = generator.engine()
     engine.model.eval()
     sampler = EgoGraphSampler(engine.graph, engine.config)
     best = np.full(3, np.inf)
     for _ in range(REPEATS):
         spent = np.zeros(3)
-        for group in groups:
-            centers = np.stack([group // num_timestamps, group % num_timestamps], axis=1)
+        for block in blocks:
+            centers = np.stack([block // num_timestamps, block % num_timestamps], axis=1)
             start = time.perf_counter()
             batch = sampler.inference_batch(centers)
             sampled = time.perf_counter()
@@ -73,16 +73,15 @@ def bench_ego_sampling():
         generator = TGAEGenerator(
             fast_config(epochs=1, num_initial_nodes=16, seed=0)
         ).fit(observed)
-        active = np.zeros(n * T, dtype=bool)
-        active[observed.src * T + observed.t] = True
-        groups = encode_groups(np.flatnonzero(active), active, T)
-        centres = sum(group.size for group in groups)
-        sample_s, pack_s, encode_s = _stage_seconds(generator, groups, T)
+        keys = np.unique(observed.src * np.int64(T) + observed.t)
+        blocks = np.split(keys, np.arange(ENCODE_BLOCK_ROWS, keys.size, ENCODE_BLOCK_ROWS))
+        centres = keys.size
+        sample_s, pack_s, encode_s = _stage_seconds(generator, blocks, T)
         ratio = (sample_s + pack_s) / encode_s
         us_per_centre = 1e6 * (sample_s + pack_s) / centres
         print(
             f"\n=== ego sampling @ {name}: n={n}, m={m}, T={T}, "
-            f"{len(groups)} groups, {centres} centres ===\n"
+            f"{len(blocks)} blocks, {centres} centres ===\n"
             f"sample {sample_s:7.3f}s  pack {pack_s:7.3f}s  encode {encode_s:7.3f}s  "
             f"-> (sample+pack)/encode {ratio:.2f}, {us_per_centre:.1f} us/centre"
         )
@@ -90,7 +89,7 @@ def bench_ego_sampling():
             "num_nodes": n,
             "num_edges": m,
             "num_timestamps": T,
-            "groups": len(groups),
+            "blocks": len(blocks),
             "centres": int(centres),
             "sample_seconds": round(float(sample_s), 4),
             "pack_seconds": round(float(pack_s), 4),

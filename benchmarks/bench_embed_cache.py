@@ -12,10 +12,9 @@ Two wins are gated and logged into ``BENCH_dispatch.json``:
   nodes plus the rows ``score_topk`` requested (counter-asserted on a
   graph whose temporal nodes are mostly inactive).
 * ``bench_embed_cache_invalidation`` -- after appending ~5% new observed
-  edges with ``epochs=0``, only the encode groups of the dirty
-  ego-neighbourhood re-encode (a strict subset of the universe,
-  counter-asserted) and the post-append output equals a cold-cache twin
-  exactly.
+  edges with ``epochs=0``, at most the dirty ego-neighbourhood rows
+  re-encode (a strict subset of the universe, counter-asserted) and the
+  post-append output equals a cold-cache twin exactly.
 
 The floor is deliberately conservative: the encoder (ego sampling plus
 packed TGAT attention) dominates inference, so warm decode-only calls are
@@ -27,7 +26,7 @@ import time
 import numpy as np
 
 from _artifacts import write_bench_artifact
-from repro.core import EMBED_TILE, TGAEGenerator, dirty_temporal_nodes, fast_config
+from repro.core import TGAEGenerator, dirty_temporal_nodes, fast_config
 from repro.datasets import communication_network, erdos_renyi_temporal
 
 #: Warm (cache-hit) inference must beat cache-off inference by at least
@@ -192,7 +191,7 @@ def bench_embed_cache_encode_budget():
 
 
 def bench_embed_cache_invalidation():
-    """5% append: only dirty groups re-encode, output equals a cold twin."""
+    """5% append: only dirty rows re-encode, output equals a cold twin."""
     observed = communication_network(120, 900, 5, seed=2)
 
     def fit_cached():
@@ -227,19 +226,14 @@ def bench_embed_cache_invalidation():
     after = warm.cache_stats()
     reencoded = after["encoded_rows"] - before["encoded_rows"]
     universe = observed.num_nodes * observed.num_timestamps
-    T = observed.num_timestamps
-    tiles = np.unique(np.stack([dirty % T, dirty // T // EMBED_TILE], axis=1), axis=0)
-    tile_sizes = np.bincount(np.arange(observed.num_nodes) // EMBED_TILE)
-    dirty_tile_rows = int(tile_sizes[tiles[:, 1]].sum())
     print(
         f"\n=== embed cache invalidation @ n={observed.num_nodes}, "
         f"{k} appended edges ===\n"
         f"dirty rows {dirty.size}/{universe}  invalidated {invalidated}  "
-        f"re-encoded {reencoded} (tile ceiling {dirty_tile_rows})"
+        f"re-encoded {reencoded}"
     )
-    assert reencoded <= dirty_tile_rows, (
-        f"re-encoded {reencoded} rows, more than the {dirty_tile_rows} rows "
-        "of the tiles covering the dirty set"
+    assert reencoded <= dirty.size, (
+        f"re-encoded {reencoded} rows, more than the {dirty.size} dirty rows"
     )
     assert reencoded < universe, "append re-encoded the whole universe"
     write_bench_artifact(
@@ -252,7 +246,6 @@ def bench_embed_cache_invalidation():
             "dirty_rows": int(dirty.size),
             "invalidated_rows": int(invalidated),
             "reencoded_rows": int(reencoded),
-            "dirty_tile_rows": dirty_tile_rows,
             "bit_identical_to_cold": True,
         },
     )

@@ -34,7 +34,12 @@ implement it:
   (``TGAEConfig.packed_batches = True``).
 * ``repro.graph.build_bipartite_batch`` merges ego-graphs into the shared
   k-bipartite graphs of Fig. 4 (cross-ego node deduplication), available
-  via ``TGAEConfig(packed_batches=False)``.
+  for *training* via ``TGAEConfig(packed_batches=False)``.
+
+Inference always encodes in the packed layout, in fixed 64-row blocks:
+every encoder product is row-invariant (``repro.autograd.row_matmul``), so
+a temporal node's embedding is a pure function of (weights, graph, config,
+node) and the embedding cache can serve it from any earlier call.
 
 Generation draws every row of a chunk's score matrix in one vectorised
 Gumbel top-k pass (sampling without replacement per temporal node).

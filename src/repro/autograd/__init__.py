@@ -4,6 +4,7 @@ Public surface:
 
 * :class:`Tensor` and constructors (:func:`tensor`, :func:`zeros`,
   :func:`ones`, :func:`concat`, :func:`stack`)
+* :func:`row_matmul`, the batch-invariant matmul every encoder product uses
 * :func:`no_grad` context manager
 * composite ops in :mod:`repro.autograd.ops`
 * :func:`check_gradients` for finite-difference validation
@@ -30,6 +31,7 @@ from .tensor import (
     is_grad_enabled,
     no_grad,
     ones,
+    row_matmul,
     stack,
     tensor,
     zeros,
@@ -47,6 +49,7 @@ __all__ = [
     "is_grad_enabled",
     "checkpoint",
     "dtype_audit",
+    "row_matmul",
     "softmax",
     "log_softmax",
     "logsumexp",

@@ -134,6 +134,27 @@ def _coerce_operand(other: ArrayLike, dtype: np.dtype) -> "Tensor":
     return Tensor(np.asarray(other, dtype=dtype))
 
 
+def row_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a 2-D ``b`` whose every output row ignores ``a``'s other rows.
+
+    NumPy hands a one-row product -- ``(1, K) @ (K, N)``, each ``(1, K)``
+    item of a stacked ``(B, 1, K) @ (K, N)``, a tiny-``K`` single row -- to
+    a different BLAS kernel than a many-row GEMM, and the two can disagree
+    in the last bit.  Flattening the leading dims into one 2-D GEMM and
+    duplicating a lone row to two makes each output row a function of its
+    own input row alone, whatever batch it arrived in (the batch-invariant
+    kernel rule of He et al., "Defeating Nondeterminism in LLM Inference",
+    2025).  Inference embeddings rely on it: encoding a key alone or among
+    any other keys yields the same bits.  Other operand shapes fall back to
+    plain ``@``.
+    """
+    if b.ndim != 2:
+        return a @ b
+    rows = a.reshape(-1, a.shape[-1])
+    out = (np.repeat(rows, 2, axis=0) @ b)[:1] if rows.shape[0] == 1 else rows @ b
+    return out.reshape(a.shape[:-1] + b.shape[1:])
+
+
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` to undo NumPy broadcasting.
 
@@ -379,7 +400,7 @@ class Tensor:
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other_t = _coerce_operand(other, self.data.dtype)
-        data = self.data @ other_t.data
+        data = row_matmul(self.data, other_t.data)
 
         def grad_self(g: np.ndarray) -> np.ndarray:
             if other_t.data.ndim == 1:

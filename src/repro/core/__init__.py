@@ -2,13 +2,7 @@
 
 from .config import NO_TRUNCATION, TGAEConfig, fast_config
 from .decoder import DecoderOutput, EgoGraphDecoder
-from .embed_cache import (
-    EMBED_TILE,
-    EmbeddingCache,
-    dirty_temporal_nodes,
-    graph_token,
-    weights_token,
-)
+from .embed_cache import EmbeddingCache, dirty_temporal_nodes, graph_token, weights_token
 from .encoder import TGAEEncoder
 from .engine import (
     GenerateChunkTask,
@@ -72,7 +66,6 @@ __all__ = [
     "WorkerPool",
     "run_sharded",
     "TopKScores",
-    "EMBED_TILE",
     "EmbeddingCache",
     "dirty_temporal_nodes",
     "graph_token",

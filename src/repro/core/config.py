@@ -64,13 +64,18 @@ class TGAEConfig:
         to very large node universes.  ``0`` (default) keeps the exact dense
         decoder of Alg. 2.
     packed_batches:
-        When ``True`` (default), training minibatches and Sec. IV-G
-        generation run the encoder over padded ego-parallel batches
-        (:func:`repro.graph.pack_ego_batch`) -- one vectorised forward per
-        batch of temporal nodes, each ego-graph encoded independently
-        exactly as in the per-node path.  When ``False``, the original
-        merged k-bipartite layout (cross-ego node deduplication, Fig. 4) is
-        used instead.
+        Selects the *training* encoder layout.  When ``True`` (default),
+        training minibatches run the encoder over padded ego-parallel
+        batches (:func:`repro.graph.pack_ego_batch`) -- one vectorised
+        forward per batch of temporal nodes, each ego-graph encoded
+        independently exactly as in the per-node path.  When ``False``,
+        they use the original merged k-bipartite layout (cross-ego node
+        deduplication, Fig. 4).  Inference (``generate``, ``score_topk``,
+        dense score rows) always encodes in the packed layout: the merged
+        layout depends on the batch by design -- deduplication moves a
+        radius-2 embedding by ~0.05 between partitions -- so a merged
+        inference embedding would depend on which other keys shared its
+        encode block, and cache-on would no longer equal cache-off.
     workers:
         Worker count for the sharded generation engine
         (:mod:`repro.core.parallel`).  ``1`` (default) runs chunks as a

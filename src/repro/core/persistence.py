@@ -155,8 +155,9 @@ def load_generator(path: PathLike, dtype: Optional[str] = None) -> TGAEGenerator
     lineage.  Config keys unknown to this version are dropped with a
     ``RuntimeWarning``; retired keys (``_RETIRED_CONFIG_KEYS``) are dropped
     silently.  A truncated or corrupt archive, one missing a member, one
-    whose graph arrays fall outside its recorded universe, or one with a
-    mistyped config value raises :class:`ConfigError`.
+    whose metadata or config is not a JSON object, one whose graph arrays
+    fall outside its recorded universe, one with a mistyped config value, or
+    one with a NaN or infinite parameter raises :class:`ConfigError`.
     """
     try:
         return _read_generator(path, dtype)
@@ -175,6 +176,11 @@ def _read_generator(path: PathLike, dtype: Optional[str]) -> TGAEGenerator:
         if _META_KEY not in archive:
             raise ConfigError(f"{path!s} is not a saved TGAE generator")
         meta = json.loads(bytes(archive[_META_KEY].tobytes()).decode("utf-8"))
+        if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
+            raise ConfigError(
+                f"{path!s} carries malformed metadata: expected a JSON object "
+                "with a 'config' object"
+            )
         version = meta.get("format_version")
         if version not in _SUPPORTED_FORMATS:
             supported = ", ".join(str(v) for v in _SUPPORTED_FORMATS)
@@ -221,6 +227,13 @@ def _read_generator(path: PathLike, dtype: Optional[str]) -> TGAEGenerator:
                 f"checkpoint records dtype={config.dtype!r} but parameters "
                 f"{mixed} are stored at a different precision; refusing to "
                 "mix silently"
+            )
+        non_finite = sorted(
+            name for name, arr in state.items() if not np.isfinite(arr).all()
+        )
+        if non_finite:
+            raise ConfigError(
+                f"checkpoint {path!s} has non-finite values in parameters {non_finite}"
             )
         if dtype is not None:
             try:

@@ -196,9 +196,10 @@ class EgoGraphSampler:
         call).  The inference ego-graph of a temporal node
         — and hence its encoder embedding — is then a pure function of
         ``(weights, graph, config)``, independent of which call, chunk or
-        tile requested it.  That purity is what the inference embedding
-        cache (:mod:`repro.core.embed_cache`) and its canonical encode
-        groups rest on.  All centres form one tile; each must lie in
+        tile requested it.  That purity, with the row-invariant encoder
+        products, is what the inference embedding cache
+        (:mod:`repro.core.embed_cache`) rests on.  All centres form one
+        tile; each must lie in
         ``[0, n) x [0, T)`` (:class:`~repro.errors.GraphFormatError`
         otherwise).
         """

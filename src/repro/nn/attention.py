@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..autograd import Tensor, checkpoint, concat, is_grad_enabled, segment_softmax
+from ..autograd import Tensor, checkpoint, concat, is_grad_enabled, row_matmul, segment_softmax
 from ..errors import ConfigError, ShapeError
 from . import init
 from .module import Module, Parameter
@@ -346,12 +346,12 @@ class TemporalGraphAttention(Module):
         wt = None if w_time is None else w_time.data[head]
 
         # --- forward: one pass, scratch reused -------------------------
-        z_src = hs @ ws
-        z_dst = hd @ wd
+        z_src = row_matmul(hs, ws)
+        z_dst = row_matmul(hd, wd)
         z_src_shape, z_dst_shape = z_src.shape, z_dst.shape
         msg = z_src[src_index]
         if tf is not None:
-            np.add(msg, tf @ wt, out=msg)
+            np.add(msg, row_matmul(tf, wt), out=msg)
         zd_g = z_dst[dst_index]
         del z_src, z_dst
         score = (msg * a_s).sum(axis=-1)

@@ -52,16 +52,22 @@ class TestRoundTrip:
         assert restored.observed == fitted.observed
 
 
-def _rewrite_meta(src_path, out_path, mutate):
-    """Copy a saved archive, applying ``mutate`` to its JSON metadata."""
+def _write_meta(src_path, out_path, meta):
+    """Copy a saved archive with ``meta`` (any JSON value) as its metadata."""
     with np.load(src_path, allow_pickle=False) as archive:
         arrays = {key: archive[key] for key in archive.files}
-    meta = json.loads(bytes(arrays["__meta__"].tobytes()).decode("utf-8"))
-    mutate(meta)
     arrays["__meta__"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )
     np.savez_compressed(out_path, **arrays)
+
+
+def _rewrite_meta(src_path, out_path, mutate):
+    """Copy a saved archive, applying ``mutate`` to its JSON metadata."""
+    with np.load(src_path, allow_pickle=False) as archive:
+        meta = json.loads(bytes(archive["__meta__"].tobytes()).decode("utf-8"))
+    mutate(meta)
+    _write_meta(src_path, out_path, meta)
 
 
 class TestDtypePolicy:
@@ -200,6 +206,42 @@ class TestErrors:
         _rewrite_meta(src, bad, mistype_radius)
         with pytest.raises(ConfigError, match="mistyped.npz"):
             load_generator(bad)
+
+
+    def test_load_list_meta_raises(self, fitted, tmp_path):
+        src = tmp_path / "model.npz"
+        bad = tmp_path / "listmeta.npz"
+        save_generator(fitted, src)
+        _write_meta(src, bad, [1, 2, 3])
+        with pytest.raises(ConfigError, match="listmeta.npz"):
+            load_generator(bad)
+
+    def test_load_list_config_raises(self, fitted, tmp_path):
+        src = tmp_path / "model.npz"
+        bad = tmp_path / "listconfig.npz"
+        save_generator(fitted, src)
+
+        def listify_config(meta):
+            meta["config"] = list(meta["config"].items())
+
+        _rewrite_meta(src, bad, listify_config)
+        with pytest.raises(ConfigError, match="listconfig.npz"):
+            load_generator(bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_load_non_finite_parameter_raises(self, fitted, tmp_path, value):
+        # A poisoned weight must fail at load, not as a misleading
+        # "generation produced no edges" in the first generate.
+        path = tmp_path / "model.npz"
+        save_generator(fitted, path)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        name = sorted(key for key in arrays if key.startswith("param:"))[0]
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[0] = value
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ConfigError, match=name[len("param:"):]):
+            load_generator(path)
 
 
 class TestConfigKeys:

@@ -11,11 +11,10 @@ skipped:
 * a warm repeat call does **zero** encoder work (``encoded_rows`` /
   ``encode_calls`` frozen) and still reproduces the cold output;
 * a cold ``generate`` encodes exactly the active temporal nodes;
-* after an observed-edge append with ``epochs=0`` only the dirty
-  ego-neighbourhood rows and the encode tiles of newly active keys are
-  dropped -- surviving rows keep serving hits under the rebound graph
-  token -- and the post-append outputs equal a cold-cache (and cache-off)
-  twin;
+* after an observed-edge append with ``epochs=0`` exactly the dirty
+  ego-neighbourhood rows are dropped -- surviving rows keep serving hits
+  under the rebound graph token -- and the post-append outputs equal a
+  cold-cache (and cache-off) twin;
 * ``dirty_temporal_nodes`` is a sound superset of the rows whose
   embeddings actually moved;
 * retraining flushes loudly through the weights token;
@@ -38,7 +37,6 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from strategies import STATE_MACHINE_SETTINGS
 from repro.core import (
-    EMBED_TILE,
     EmbeddingCache,
     GenerationEngine,
     TGAEGenerator,
@@ -69,17 +67,6 @@ def assert_topk_equal(a, b):
 def active_keys(graph: TemporalGraph) -> np.ndarray:
     """Sorted universe keys ``u * T + t`` of the temporal nodes with an out-edge."""
     return np.unique(graph.src * np.int64(graph.num_timestamps) + graph.t)
-
-
-def tile_keys(graph: TemporalGraph, keys: np.ndarray) -> np.ndarray:
-    """Every key of the timestamp-major tiles ``(t, u // EMBED_TILE)`` of ``keys``."""
-    T = graph.num_timestamps
-
-    def tile_of(k):
-        return (k % T) * graph.num_nodes + k // T // EMBED_TILE
-
-    universe = np.arange(graph.num_nodes * T, dtype=np.int64)
-    return universe[np.isin(tile_of(universe), tile_of(np.asarray(keys)))]
 
 
 def all_centers(graph: TemporalGraph) -> np.ndarray:
@@ -174,8 +161,7 @@ class TestWarmPath:
         cold = generator.generate(seed=0)
         after_cold = generator.cache_stats()
         assert after_cold["encode_calls"] > 0
-        # Encode groups never mix activities: a cold generate encodes
-        # exactly the active keys, none of the inactive rows in their tiles.
+        # A cold generate encodes exactly the active keys it asked for.
         assert after_cold["encoded_rows"] == active_keys(observed).size
 
         warm = generator.generate(seed=0)
@@ -242,19 +228,15 @@ class TestIncrementalInvalidation:
         )
         num_rows = observed.num_nodes * observed.num_timestamps
         assert 0 < dirty.size < num_rows, "append must dirty a strict subset"
-        T = observed.num_timestamps
-        new_keys = np.unique(src * T + t)
-        newly_active = np.setdiff1d(new_keys, active_keys(observed))
-        stale = np.union1d(dirty, tile_keys(observed, newly_active))
 
         after = generator.cache_stats()
         assert after["invalidated_rows"] - before["invalidated_rows"] == int(
-            valid_before[stale].sum()
+            valid_before[dirty].sum()
         )
         assert after["flushes"] == before["flushes"], "no full flush on append"
-        # Exactly the stale rows dropped; every clean row survived.
-        assert not cache.valid[stale].any()
-        clean = np.setdiff1d(np.arange(num_rows), stale)
+        # Exactly the dirty rows dropped; every clean row survived.
+        assert not cache.valid[dirty].any()
+        clean = np.setdiff1d(np.arange(num_rows), dirty)
         assert np.array_equal(cache.valid[clean], valid_before[clean])
 
     def test_post_append_output_matches_cold_and_off(self, observed):
@@ -274,9 +256,9 @@ class TestIncrementalInvalidation:
 
     def test_surviving_rows_keep_serving_hits(self):
         # A sparser, larger universe than the module graph: the 2-hop
-        # dirty neighbourhood of one appended edge must cover a strict
-        # subset of the encode tiles for the partial-recompute assertion
-        # to have teeth.
+        # dirty neighbourhood of one appended edge must be a strict subset
+        # of the universe for the partial-recompute assertion to have
+        # teeth.
         observed = communication_network(60, 180, 5, seed=17)
         generator = fit_twin(observed, embed_cache=True, epochs=2,
                              num_initial_nodes=8)
@@ -292,17 +274,19 @@ class TestIncrementalInvalidation:
         )
         generator.score_topk(3)
         after = generator.cache_stats()
-        # Re-encoded rows are bounded by the tiles covering the dirty set --
-        # never the whole universe again.
+        # Re-encoded rows are bounded by the dirty set -- never the whole
+        # universe again.
         reencoded = after["encoded_rows"] - before["encoded_rows"]
-        assert reencoded <= tile_keys(observed, dirty).size
+        assert reencoded <= dirty.size
         assert reencoded < observed.num_nodes * observed.num_timestamps
         assert after["hit_rows"] > before["hit_rows"]
 
-    def test_newly_active_key_invalidates_its_whole_tile(self):
-        # radius=1: the ego walk dirties only the new edge's endpoints, so
-        # the other active rows of the tile go stale only through the tile
-        # rule (the key moves between the tile's two encode groups).
+    def test_newly_active_key_keeps_its_neighbours_cached(self):
+        # radius=1: the ego walk dirties only the new edge's endpoints.  The
+        # other active rows at the key's timestamp among the 32 node ids of
+        # its block -- the encode group it shared before encodes became
+        # row-invariant -- stay cached and serve hits, and the output still
+        # equals a cold twin's.
         observed = communication_network(60, 180, 5, seed=17)
         warm = fit_twin(observed, embed_cache=True, radius=1)
         cold = fit_twin(observed, embed_cache=True, radius=1)
@@ -314,25 +298,39 @@ class TestIncrementalInvalidation:
         T = observed.num_timestamps
         active = np.zeros(observed.num_nodes * T, dtype=bool)
         active[active_keys(observed)] = True
-        # The first inactive (u, t) whose tile holds at least two active rows.
+
+        def block_keys(key):
+            u, t = divmod(key, T)
+            nodes = np.arange(observed.num_nodes, dtype=np.int64)
+            return nodes[nodes // 32 == u // 32] * T + t
+
+        # The first inactive (u, t) whose block holds at least two active rows.
         key = next(
             key for key in np.flatnonzero(~active).tolist()
-            if active[tile_keys(observed, [key])].sum() >= 2
+            if active[block_keys(key)].sum() >= 2
         )
         u, t = divmod(key, T)
-        tile = tile_keys(observed, [key])
-        v = int(tile[active[tile]][0] // T)  # one endpoint is itself active
-        others = tile[active[tile] & (tile // T != v)]
-        assert others.size > 0
+        block = block_keys(key)
+        v = int(block[active[block]][0] // T)  # one endpoint is itself active
+        neighbours = block[active[block] & (block // T != v)]
+        assert neighbours.size > 0
 
         new = (np.array([u]), np.array([v]), np.array([t]))
         warm.update(new, epochs=0)
         cold.update(new, epochs=0)
-        assert not cache.valid[others].any(), "active rows of the tile stayed cached"
+        dirty = dirty_temporal_nodes(
+            warm.observed, *new, radius=1, time_window=warm.config.time_window
+        )
+        assert not np.isin(neighbours, dirty).any()
+        assert cache.valid[neighbours].all(), "clean neighbours were dropped"
+        before = warm.cache_stats()
         assert_topk_equal(warm.score_topk(3), cold.score_topk(3))
         assert graph_fingerprint(warm.generate(seed=0)) == graph_fingerprint(
             cold.generate(seed=0)
         )
+        after = warm.cache_stats()
+        assert after["encoded_rows"] - before["encoded_rows"] == dirty.size
+        assert after["hit_rows"] - before["hit_rows"] >= 2 * neighbours.size
 
     def test_dirty_set_covers_all_changed_rows(self, observed):
         """Soundness: rows whose embeddings moved are inside the dirty set."""
