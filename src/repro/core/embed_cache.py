@@ -49,9 +49,6 @@ import numpy as np
 
 from ..graph.temporal_graph import TemporalGraph
 
-#: Two concatenated sha256 hexdigests: ``weights_token + graph_token``.
-_TOKEN_BYTES = 128
-
 _STAT_KEYS = (
     "hit_rows",
     "encoded_rows",
@@ -97,14 +94,6 @@ def graph_token(
     return digest.hexdigest()
 
 
-def _token_array(weights: str, graph: str) -> np.ndarray:
-    """Pack the two hexdigests into the 128-byte token array."""
-    packed = (weights + graph).encode("ascii")
-    if len(packed) != _TOKEN_BYTES:
-        raise ValueError(f"expected two sha256 hexdigests, got {len(packed)} bytes")
-    return np.frombuffer(packed, dtype=np.uint8).copy()
-
-
 class EmbeddingCache:
     """Per-``(node, t)`` encoder embeddings, versioned by weights/graph tokens.
 
@@ -126,7 +115,9 @@ class EmbeddingCache:
     def __init__(self, num_rows: int, hidden_dim: int, dtype: Any) -> None:
         self.rows = np.zeros((int(num_rows), int(hidden_dim)), dtype=np.dtype(dtype))
         self.valid = np.zeros(int(num_rows), dtype=bool)
-        self._token = np.zeros(_TOKEN_BYTES, dtype=np.uint8)
+        #: The bound (weights, graph) token pair; empty until :meth:`ensure`.
+        self._weights = ""
+        self._graph = ""
         self.stats: Dict[str, int] = {key: 0 for key in _STAT_KEYS}
         self._lock = threading.Lock()
 
@@ -136,10 +127,7 @@ class EmbeddingCache:
     @property
     def tokens_set(self) -> bool:
         """Whether the cache has ever been bound to a (weights, graph) pair."""
-        return bool(self._token.any())
-
-    def _matches(self, weights: str, graph: str) -> bool:
-        return bool(np.array_equal(self._token, _token_array(weights, graph)))
+        return bool(self._weights)
 
     def ensure(self, weights: str, graph: str) -> bool:
         """Bind the cache to a token pair, after which its rows may be served.
@@ -149,17 +137,14 @@ class EmbeddingCache:
         rebound.  Always returns ``True``.
         """
         with self._lock:
-            if self._matches(weights, graph):
+            if (self._weights, self._graph) == (weights, graph):
                 return True
             if self.tokens_set:
                 self.stats["flushes"] += 1
-                current = self._token.tobytes().decode("ascii")
-                if current[:64] != weights:
-                    self.stats["weight_flushes"] += 1
-                if current[64:] != graph:
-                    self.stats["graph_flushes"] += 1
+                self.stats["weight_flushes"] += int(self._weights != weights)
+                self.stats["graph_flushes"] += int(self._graph != graph)
                 self.valid[:] = False
-            self._token[:] = _token_array(weights, graph)
+            self._weights, self._graph = weights, graph
             return True
 
     # ------------------------------------------------------------------
@@ -198,27 +183,25 @@ class EmbeddingCache:
             self.valid[keys] = False
             self.stats["invalidated_rows"] += dropped
             if graph is not None and self.tokens_set:
-                self._token[64:] = np.frombuffer(
-                    graph.encode("ascii"), dtype=np.uint8
-                )
+                self._graph = graph
         return dropped
 
     def flush(self) -> None:
         """Drop every row and unbind the token pair (explicit full reset)."""
         with self._lock:
             self.valid[:] = False
-            self._token[:] = 0
+            self._weights = self._graph = ""
             self.stats["flushes"] += 1
 
     # ------------------------------------------------------------------
     # Storage
     # ------------------------------------------------------------------
     def share_arrays(self) -> Dict[str, np.ndarray]:
-        """The arrays the cache's state lives in: rows, valid mask, token.
+        """The arrays the cache's rows live in: the rows and their valid mask.
 
         Their total ``nbytes`` is the cache's memory footprint.
         """
-        return {"rows": self.rows, "valid": self.valid, "token": self._token}
+        return {"rows": self.rows, "valid": self.valid}
 
 
 def dirty_temporal_nodes(

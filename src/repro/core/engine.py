@@ -48,7 +48,7 @@ from ..rng import seed_sequence, spawn_streams
 from .config import TGAEConfig
 from .embed_cache import EmbeddingCache, graph_token, weights_token
 from .model import TGAEModel
-from .parallel import WorkerPool, run_sharded
+from .parallel import WorkerPool, check_dispatch, run_sharded
 from .sampler import EgoGraphSampler
 
 #: Rejection-sampling rounds before the exact set-difference fallback when
@@ -574,12 +574,6 @@ class GenerationEngine:
             size = min(size, total)
         return size
 
-    def _resolve_workers(self, override: Optional[int]) -> int:
-        workers = int(override if override is not None else self.config.workers)
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
-        return workers
-
     # ------------------------------------------------------------------
     # Generation (Sec. IV-G)
     # ------------------------------------------------------------------
@@ -614,8 +608,7 @@ class GenerationEngine:
         centers_all, degrees, distinct_counts = self.active_nodes()
         total = centers_all.shape[0]
         chunk = self._resolve_chunk(chunk_size, total)
-        workers = self._resolve_workers(workers)
-        backend = backend if backend is not None else self.config.parallel_backend
+        workers, backend = check_dispatch(workers, backend, self.config)
         root = np.random.SeedSequence(int(rng.integers(np.iinfo(np.int64).max)))
         starts = list(range(0, total, chunk))
         children = spawn_streams(root, len(starts))
@@ -725,20 +718,24 @@ class GenerationEngine:
     # ------------------------------------------------------------------
     # Score inspection
     # ------------------------------------------------------------------
-    def dense_score_rows(
-        self, centers: np.ndarray, sampler: Optional[EgoGraphSampler] = None
-    ) -> np.ndarray:
-        """Full softmax rows for explicit centres (test/debug helper).
+    def dense_score_rows(self, centers: np.ndarray) -> np.ndarray:
+        """Full softmax rows for explicit ``(u, t)`` centres (test/debug helper).
 
         Always decodes against the whole node universe regardless of
         ``candidate_limit``; used by the small-graph score-matrix helper.
-        Embeddings come from :meth:`warm_rows`.  ``sampler`` is accepted
-        for backwards compatibility but unused: inference ego-graphs take
-        counter-keyed draws keyed by ``(u, t)``, not a caller-provided
-        generator.
+        Embeddings come from :meth:`warm_rows`.  A centre outside the
+        ``(n, T)`` universe raises :class:`GenerationError` naming it, before
+        it can alias another centre's ``u * T + t`` key.
         """
         centers = np.asarray(centers, dtype=np.int64)
-        keys = centers[:, 0] * np.int64(self.graph.num_timestamps) + centers[:, 1]
+        n, T = self.graph.num_nodes, self.graph.num_timestamps
+        outside = (centers < 0).any(axis=1) | (centers[:, 0] >= n) | (centers[:, 1] >= T)
+        if outside.any():
+            u, t = centers[np.argmax(outside)].tolist()
+            raise GenerationError(
+                f"centres must lie in [0, {n}) x [0, {T}), got ({u}, {t})"
+            )
+        keys = centers[:, 0] * np.int64(T) + centers[:, 1]
         with no_grad():
             embeddings = self.warm_rows(keys)
             decoded = self.model.decode_from_embeddings(embeddings, centers)
@@ -777,8 +774,7 @@ class GenerationEngine:
                 f"got {outside[0]}"
             )
         step = self._resolve_chunk(chunk, graph.num_nodes)
-        workers = self._resolve_workers(workers)
-        backend = backend if backend is not None else self.config.parallel_backend
+        workers, backend = check_dispatch(workers, backend, self.config)
         root = seed_sequence(self.config.seed, "tgae", "score-topk")
         specs = [
             (timestamp, np.arange(start, min(start + step, graph.num_nodes)))

@@ -22,14 +22,9 @@ from ..graph.temporal_graph import TemporalGraph
 from ..rng import stream
 from .config import TGAEConfig
 from .embed_cache import EmbeddingCache, dirty_temporal_nodes, graph_token
-from .engine import (
-    GenerationEngine,
-    TopKScores,
-    sample_rows_without_replacement,
-    sample_without_replacement,
-)
+from .engine import GenerationEngine, TopKScores
 from .model import TGAEModel
-from .parallel import WorkerPool
+from .parallel import WorkerPool, check_dispatch, pool_for
 from .trainer import TrainingHistory, TrainingState, train_tgae
 
 EdgeBatch = Union[TemporalGraph, np.ndarray, Tuple[Sequence[int], Sequence[int], Sequence[int]]]
@@ -52,11 +47,6 @@ def _as_edge_arrays(new_edges: EdgeBatch) -> Tuple[np.ndarray, np.ndarray, np.nd
             f"arrays, or a (k, 3) array of rows; got shape {array.shape}"
         )
     return array[:, 0], array[:, 1], array[:, 2]
-
-# Back-compat aliases: the row samplers started life as private helpers of
-# this module and are re-exported for existing importers.
-_sample_rows_without_replacement = sample_rows_without_replacement
-_sample_without_replacement = sample_without_replacement
 
 
 class TGAEGenerator(TemporalGraphGenerator):
@@ -260,8 +250,7 @@ class TGAEGenerator(TemporalGraphGenerator):
         ``pool.close()``) when done; an open pool is also picked up by
         :meth:`generate`, :meth:`score_topk` and :meth:`fit` automatically.
         """
-        workers = int(workers if workers is not None else self.config.workers)
-        backend = backend if backend is not None else self.config.parallel_backend
+        workers, backend = check_dispatch(workers, backend, self.config)
         pool = self._pool
         # Compare against the *requested* backend: a pool whose process
         # backend degraded to threads stays valid for "process" requests
@@ -274,12 +263,7 @@ class TGAEGenerator(TemporalGraphGenerator):
         ):
             if pool is not None and not pool.closed:
                 pool.close()
-            self._pool = pool = WorkerPool(
-                workers,
-                backend,
-                max_shard_retries=self.config.max_shard_retries,
-                shard_timeout=self.config.shard_timeout,
-            )
+            self._pool = pool = pool_for(self.config, workers, backend)
         return pool
 
     def close_pool(self) -> None:
@@ -376,19 +360,6 @@ class TGAEGenerator(TemporalGraphGenerator):
 
     def _generate(self, seed: Optional[int]) -> TemporalGraph:
         return self.engine().generate(self._generation_rng(seed))
-
-    def _generation_candidates(
-        self,
-        centers: np.ndarray,
-        rng: np.random.Generator,
-        min_distinct: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Candidate sets for inference: historical partners + negatives.
-
-        Vectorised batched assembly on the graph's partner CSR; see
-        :meth:`GenerationEngine.candidate_batch`.
-        """
-        return self.engine().candidate_batch(centers, rng, min_distinct=min_distinct)
 
     # ------------------------------------------------------------------
     # Score inspection

@@ -8,13 +8,17 @@ a spawned :class:`~numpy.random.SeedSequence` child (see :mod:`repro.rng`),
 touches only its own centre rows, and returns plain arrays.  Inference chunks
 carry their encoder embeddings in the task (the caller makes them once, in
 :meth:`~repro.core.engine.GenerationEngine.warm_rows`), so workers only
-decode.  This module fans the units out:
+decode.  This module fans the units out, and :func:`run_sharded` is the
+one place that decides how:
 
-* ``workers=1`` runs the chunks as a plain in-process loop over the live
-  engine -- the reference sequential path.
-* Everything else goes through one dispatch entry, :meth:`WorkerPool.run`:
-  on the caller's persistent pool, or on an ephemeral pool built from the
-  engine's config for the one call.
+* An open :class:`WorkerPool` gets the run.  Without one, ``workers=1``
+  (or a single task) is a plain in-process loop over the live engine --
+  the reference sequential path -- and anything wider runs on an
+  ephemeral pool built from the engine's config for the one call.
+  Training opens its pool once per run (:func:`pool_for`) and hands it to
+  every epoch's :func:`run_sharded` call.
+* :func:`check_dispatch` is the one validation of a ``(workers,
+  backend)`` pair; the engine, the trainer and the pool call it at entry.
 * ``backend="process"`` (default) runs chunks in worker *processes* -- the
   right choice for the CPU-bound NumPy passes, which the GIL would
   serialise under threads.  Each worker attaches the shared graph and
@@ -51,8 +55,9 @@ a ~5 KB :class:`ShmWorkerPayload` of handles; after that, per-epoch and
 per-generate dispatch is **O(1) in model size**: a refreshed model (a new
 epoch, a refit) is shipped by overwriting the parameter segment *in place*
 and bumping a version counter -- no re-pickle, no executor rebuild.  The
-graph/config/shape *structure* token decides when workers must be rebuilt,
-while weight-only changes ride the in-place update path, so one pool serves
+graph/config/shape *structure* token decides when workers must be rebuilt;
+otherwise one rule serves training and inference alike: the parameter
+segment is rewritten iff the weights token moved.  So one pool serves
 ``fit`` -> ``generate`` -> ``score_topk`` on one executor.  The pool owns
 the segments and unlinks them on :meth:`WorkerPool.close` (and on degrade,
 worker crash, or interpreter exit); teardown is idempotent and safe to run
@@ -71,8 +76,9 @@ process executor whose worker crashed (the parent-owned segments survive).
 When a rung is exhausted the pool steps down the degradation ladder
 ``shm -> thread -> sequential`` -- permanently and loudly, one
 :class:`~repro.errors.DegradeWarning` per step -- with counters exposed on
-:attr:`WorkerPool.health`.  All of it is provoked deterministically in tests
-through :mod:`repro.faults`.
+:attr:`WorkerPool.health`.  The pool's ladder position is one field; its
+``backend`` and ``rung`` are views of it.  All of it is provoked
+deterministically in tests through :mod:`repro.faults`.
 """
 
 from __future__ import annotations
@@ -91,7 +97,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,6 +116,8 @@ __all__ = [
     "ShmWorkerPayload",
     "WorkerPool",
     "attach_shared_arrays",
+    "check_dispatch",
+    "pool_for",
     "run_sharded",
     "shared_memory_supported",
 ]
@@ -149,6 +157,38 @@ class _RungExhausted(Exception):
 
 #: What the ladder in :meth:`WorkerPool.run` catches before stepping down.
 _RUNG_FAILURES = (_RungExhausted,) + _POOL_FAILURES
+
+
+def check_dispatch(
+    workers: Optional[int], backend: Optional[str], config: Optional[TGAEConfig] = None
+) -> Tuple[int, str]:
+    """The validated ``(workers, backend)`` pair a call dispatches with.
+
+    ``None`` values fall back to ``config.workers`` /
+    ``config.parallel_backend``.  The one check behind every entry point
+    (engine, trainer, :func:`run_sharded`, :class:`WorkerPool`), so each
+    raises the same :class:`~repro.errors.ConfigError` before doing any work.
+    """
+    if config is not None:
+        workers = config.workers if workers is None else workers
+        backend = config.parallel_backend if backend is None else backend
+    workers = int(workers)
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    if backend not in BACKENDS:
+        raise ConfigError(
+            f"parallel backend must be one of {BACKENDS}, got {backend!r}"
+        )
+    return workers, backend
+
+
+def _collect(results: Iterable[Any], collector: Optional[Any]) -> Optional[List[Any]]:
+    """Results as a list or, with a ``collector``, streamed into it in order."""
+    if collector is None:
+        return list(results)
+    for result in results:
+        collector.add(result)
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -482,8 +522,6 @@ def _init_worker_shm(payload: ShmWorkerPayload) -> None:
 
 def _run_on(engine: Any, kind: str, task: Any) -> Any:
     """Execute one chunk task against an engine instance."""
-    if engine is None:
-        raise RuntimeError("worker engine was not initialised")
     if kind == "generate":
         return engine.generate_chunk(task)
     if kind == "topk":
@@ -583,15 +621,17 @@ class WorkerPool:
             graph_b = engine.generate(rng_b, pool=pool)
 
     or through the owning objects: :meth:`repro.core.TGAEGenerator.worker_pool`
-    and ``train_tgae(..., workers=N)`` manage a pool for you, and
-    :func:`run_sharded` opens one for a single call when none is given.  When a rung
-    of the dispatch ladder cannot run (no POSIX semaphores, crashed and
-    unrebuildable workers, restricted sandbox) the pool steps down
-    ``shm -> thread -> sequential`` -- loudly, one
-    :class:`~repro.errors.DegradeWarning` per step (``backend`` then
-    reports the effective backend, ``requested_backend`` the original,
-    :attr:`rung` the active rung); results are bit-identical on every rung,
-    and any shared segments are unlinked at the moment of degradation.  A
+    and ``train_tgae(..., workers=N)`` manage a pool for you (both build it
+    with :func:`pool_for`), and :func:`run_sharded` opens one for a single
+    call when none is given.  When a rung of the dispatch ladder cannot run
+    (no POSIX semaphores, crashed and unrebuildable workers, restricted
+    sandbox) the pool steps down ``shm -> thread -> sequential`` -- loudly,
+    one :class:`~repro.errors.DegradeWarning` per step.  The rung is the
+    pool's one piece of ladder state: :attr:`rung` reports it,
+    :attr:`backend` the effective backend it implies and
+    :attr:`requested_backend` the original.  Results are bit-identical on
+    every rung, and any shared segments are unlinked at the moment of
+    degradation.  A
     ``"process"`` pool on a platform without shared memory starts on the
     thread rung, silently.  Transient per-shard failures are retried in
     place (``max_shard_retries``, exponential backoff) and stragglers
@@ -613,12 +653,7 @@ class WorkerPool:
         #: Assigned before any validation so close()/__del__ on a pool whose
         #: __init__ raised stays a clean no-op.
         self.closed = True
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
-        if backend not in BACKENDS:
-            raise ConfigError(
-                f"parallel backend must be one of {BACKENDS}, got {backend!r}"
-            )
+        workers, backend = check_dispatch(workers, backend)
         if max_shard_retries < 0:
             raise ConfigError(
                 f"max_shard_retries must be >= 0, got {max_shard_retries}"
@@ -633,13 +668,14 @@ class WorkerPool:
         self.max_shard_retries = int(max_shard_retries)
         self.shard_timeout = shard_timeout
         self.retry_backoff = float(retry_backoff)
-        self.requested_backend = backend
-        # Process pools need POSIX semaphores, which live in the same
-        # /dev/shm as the segments: without shared memory, start on threads.
-        if backend == "process" and not shared_memory_supported():
-            backend = "thread"
-        self.backend = backend
-        self.pool_id = f"workerpool-{next(WorkerPool._ids)}"
+        self._requested_backend = backend
+        #: The ladder position (a ``LADDER`` entry), only ever moving down.
+        #: Process pools need POSIX semaphores, which live in the same
+        #: /dev/shm as the segments: without shared memory, start on threads.
+        self._rung = (
+            "shm" if backend == "process" and shared_memory_supported() else "thread"
+        )
+        self.pool_id = f"workerpool-{next(self._ids)}"
         self.runs = 0
         self.closed = False
         #: Dispatch and robustness counters surfaced through :attr:`health`.
@@ -653,8 +689,6 @@ class WorkerPool:
             "stragglers_verified": 0,
             "degrades": [],
         }
-        #: Final ladder rung: no executor at all, shards run in-process.
-        self._sequential = False
         self._owner_pid = os.getpid()
         self._executor: Optional[ProcessPoolExecutor] = None
         #: Handle payload behind the live process executor, kept so a broken
@@ -682,7 +716,17 @@ class WorkerPool:
     @property
     def rung(self) -> str:
         """The degradation-ladder rung dispatch currently uses (see ``LADDER``)."""
-        return self._rung_locked()
+        return self._rung
+
+    @property
+    def backend(self) -> str:
+        """The effective backend: ``"process"`` on the shm rung, else ``"thread"``."""
+        return "process" if self._rung == "shm" else "thread"
+
+    @property
+    def requested_backend(self) -> str:
+        """The backend the pool was built for, whatever rung it is on now."""
+        return self._requested_backend
 
     @property
     def health(self) -> Dict[str, Any]:
@@ -753,17 +797,16 @@ class WorkerPool:
             raise PoolError(f"{self.pool_id} has been shut down")
         tasks = list(tasks)
         self.runs += 1
-        if not tasks:
-            return [] if collector is None else None
-        if self.workers == 1 or len(tasks) == 1:
+        if self.workers == 1 or len(tasks) <= 1:
             return self._run_sequential(engine, kind, tasks, collector)
         while True:
+            runner = {
+                "shm": self._run_on_processes,
+                "thread": self._run_on_threads,
+                "sequential": self._run_sequential,
+            }[self._rung]
             try:
-                if self._sequential:
-                    return self._run_sequential(engine, kind, tasks, collector)
-                if self.backend == "thread":
-                    return self._run_on_threads(engine, kind, tasks, collector)
-                return self._run_on_processes(engine, kind, tasks, collector)
+                return runner(engine, kind, tasks, collector)
             except _RUNG_FAILURES as exc:
                 cause = exc.cause if isinstance(exc, _RungExhausted) else exc
                 if collector is not None:
@@ -789,7 +832,7 @@ class WorkerPool:
         # this one -- concurrent callers serialise instead.
         with self._lock:
             faults.check("dispatch")
-            self._ensure_shm_executor_locked(engine, kind)
+            self._ensure_shm_executor_locked(engine)
             version = self._param_version
 
             def submit(task: Any, attempt: int) -> Any:
@@ -801,31 +844,26 @@ class WorkerPool:
                 tasks, submit, self._rebuild_process_executor_locked, collector
             )
 
-    def _ensure_shm_executor_locked(self, engine: Any, kind: str) -> None:
+    def _ensure_shm_executor_locked(self, engine: Any) -> None:
         """Make the shm executor current for ``engine``; caller holds the lock.
 
         The *structure* token (graph + config + parameter shapes) gates the
-        expensive path -- executor rebuild and segment republish; a pure
-        weight change is an in-place parameter-segment rewrite plus a
-        version bump that rides inside the per-task trampoline arguments.
-        Training always rewrites (weights change every step); generation
-        rewrites only when the weight fingerprint actually moved.
+        expensive path -- executor rebuild and segment republish.  Otherwise
+        one rule serves every task kind: the parameter segment is rewritten
+        in place (plus a version bump that rides inside the per-task
+        trampoline arguments) iff the weights token moved -- every training
+        epoch, a refit, never a repeat ``generate``.
         """
         structure = self._token_for(engine)
+        state = weights_token(engine.model)
         if self._executor is None or structure != self._token:
             self._shutdown_process_executor_locked()
             self._release_stores_locked()
             self._start_process_executor_locked(self._publish_engine_locked(engine))
             self._token = structure
-            self._param_token = None if kind == "train" else weights_token(engine.model)
-        elif kind == "train":
+        elif state != self._param_token:
             self._update_params_locked(engine)
-            self._param_token = None
-        else:
-            state = weights_token(engine.model)
-            if state != self._param_token:
-                self._update_params_locked(engine)
-                self._param_token = state
+        self._param_token = state
 
     def _start_process_executor_locked(self, payload: ShmWorkerPayload) -> None:
         self._active_payload = payload
@@ -874,14 +912,13 @@ class WorkerPool:
         """
         attempts = [0] * len(tasks)
         futures = self._submit_all(tasks, attempts, submit, rebuild)
-        results: Optional[List[Any]] = [] if collector is None else None
-        for i in range(len(tasks)):
-            result = self._await_shard(i, tasks, futures, attempts, submit, rebuild)
-            if results is not None:
-                results.append(result)
-            else:
-                collector.add(result)
-        return results
+        return _collect(
+            (
+                self._await_shard(i, tasks, futures, attempts, submit, rebuild)
+                for i in range(len(tasks))
+            ),
+            collector,
+        )
 
     def _submit_all(
         self,
@@ -1067,14 +1104,9 @@ class WorkerPool:
         degrade to below it -- exhaustion raises
         :class:`~repro.errors.PoolError` instead of stepping down.
         """
-        results: Optional[List[Any]] = [] if collector is None else None
-        for task in tasks:
-            result = self._run_one_retrying(engine, kind, task)
-            if results is not None:
-                results.append(result)
-            else:
-                collector.add(result)
-        return results
+        return _collect(
+            (self._run_one_retrying(engine, kind, task) for task in tasks), collector
+        )
 
     def _run_one_retrying(self, engine: Any, kind: str, task: Any) -> Any:
         attempt = 0
@@ -1096,7 +1128,7 @@ class WorkerPool:
     def _degrade(self, cause: BaseException) -> None:
         """Step one rung down the ladder, releasing the failed rung's resources."""
         with self._lock:
-            from_rung = self._rung_locked()
+            from_rung = self._rung
             if from_rung == "shm":
                 # Drop the process backend: segments are unlinked *and* the
                 # weight version advanced (in _release_stores_locked) so a
@@ -1104,18 +1136,16 @@ class WorkerPool:
                 # think they already have.
                 self._shutdown_process_executor_locked()
                 self._release_stores_locked()
-                self.backend = "thread"
             elif from_rung == "thread":
                 if self._thread_executor is not None:
                     self._thread_executor.shutdown(wait=True)
                     self._thread_executor = None
-                self._sequential = True
             else:
                 raise PoolError(
                     f"{self.pool_id}: sequential execution failed "
                     f"({type(cause).__name__}: {cause}); no rung left to degrade to"
                 ) from cause
-            to_rung = self._rung_locked()
+            self._rung = to_rung = LADDER[LADDER.index(from_rung) + 1]
         self._health["degrades"].append(f"{from_rung}->{to_rung}")
         warnings.warn(
             f"{self.pool_id}: {from_rung} dispatch failed "
@@ -1124,11 +1154,6 @@ class WorkerPool:
             DegradeWarning,
             stacklevel=3,
         )
-
-    def _rung_locked(self) -> str:
-        if self._sequential:
-            return "sequential"
-        return "shm" if self.backend == "process" else "thread"
 
     # ------------------------------------------------------------------
     def _release_stores_locked(self) -> None:
@@ -1214,6 +1239,20 @@ class WorkerPool:
         )
 
 
+def pool_for(config: TGAEConfig, workers: int, backend: str) -> WorkerPool:
+    """The :class:`WorkerPool` of ``workers`` on ``backend`` that ``config`` asks for.
+
+    The one mapping from a config to a pool: its fault knobs
+    (``max_shard_retries``, ``shard_timeout``) come from ``config``.
+    """
+    return WorkerPool(
+        workers,
+        backend,
+        max_shard_retries=config.max_shard_retries,
+        shard_timeout=config.shard_timeout,
+    )
+
+
 def run_sharded(
     engine: Any,
     kind: str,
@@ -1221,33 +1260,25 @@ def run_sharded(
     workers: int,
     backend: str = "process",
     pool: Optional[WorkerPool] = None,
-) -> List[Any]:
+    collector: Optional[Any] = None,
+) -> Optional[List[Any]]:
     """Run chunk ``tasks`` on ``workers`` workers; results in task order.
 
-    When ``pool`` is given (and open), dispatch goes through that persistent
-    :class:`WorkerPool` -- its worker count and backend govern.  Otherwise
-    ``workers=1`` (or a single task) is a plain loop over the live engine --
-    the reference sequential path -- and anything wider runs on an ephemeral
-    :class:`WorkerPool` built from the engine's config, torn down before
-    returning.  Either way the result is bit-identical because every task
-    carries its own spawned seed-sequence child.
+    The one place that decides how shards run.  When ``pool`` is given (and
+    open), dispatch goes through that persistent :class:`WorkerPool` -- its
+    worker count and backend govern.  Otherwise ``workers=1`` (or a single
+    task) is a plain loop over the live engine -- the reference sequential
+    path -- and anything wider runs on an ephemeral pool from
+    :func:`pool_for`, torn down before returning.  Either way the result is
+    bit-identical because every task carries its own spawned seed-sequence
+    child.  With a ``collector`` (see :meth:`WorkerPool.run`) results are
+    streamed into it in task order and ``None`` is returned.
     """
-    if backend not in BACKENDS:
-        raise ConfigError(
-            f"parallel backend must be one of {BACKENDS}, got {backend!r}"
-        )
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    check_dispatch(workers, backend)
     tasks = list(tasks)
     if pool is not None and not pool.closed:
-        return pool.run(engine, kind, tasks)
+        return pool.run(engine, kind, tasks, collector)
     if workers == 1 or len(tasks) <= 1:
-        return [_run_on(engine, kind, task) for task in tasks]
-    config = engine.config
-    with WorkerPool(
-        min(workers, len(tasks)),
-        backend,
-        max_shard_retries=config.max_shard_retries,
-        shard_timeout=config.shard_timeout,
-    ) as ephemeral:
-        return ephemeral.run(engine, kind, tasks)
+        return _collect((_run_on(engine, kind, task) for task in tasks), collector)
+    with pool_for(engine.config, min(workers, len(tasks)), backend) as ephemeral:
+        return ephemeral.run(engine, kind, tasks, collector)

@@ -8,9 +8,11 @@ gradient clipping.
 
 Sharding is what makes training scale on both axes at once:
 
-* **Time**: shards are independent, so ``workers > 1`` fans them out over
-  the same process/thread pool the generation engine uses
-  (:mod:`repro.core.parallel`).  Every shard owns a spawned
+* **Time**: shards are independent, so every epoch hands its shards to
+  :func:`~repro.core.parallel.run_sharded`, the same dispatch seam the
+  generation engine uses: an open pool (the caller's, or one the run opens
+  once for ``workers > 1``) gets them, otherwise they run as an in-process
+  loop.  Every shard owns a spawned
   :class:`~numpy.random.SeedSequence` child driving its ego sampling,
   candidate negatives and reparameterisation noise, and gradients are summed
   in shard order, so the loss/gradient trajectory -- and therefore the final
@@ -42,7 +44,7 @@ from ..rng import seed_sequence, spawn_streams
 from .config import TGAEConfig
 from .loss import adjacency_target_rows, tgae_shard_loss
 from .model import TGAEModel
-from .parallel import BACKENDS, WorkerPool
+from .parallel import WorkerPool, check_dispatch, pool_for, run_sharded
 from .sampler import EgoGraphSampler
 
 #: Default number of shards an epoch batch is split into when
@@ -187,8 +189,8 @@ def run_train_shard(engine, task: TrainShardTask) -> TrainShardResult:
 class _EpochShardCollector:
     """Streams shard results into the merged gradient as they arrive.
 
-    Fed by :meth:`WorkerPool.run` in *shard order* (the pool awaits its
-    per-shard futures in task-submission order), so
+    Fed by :func:`~repro.core.parallel.run_sharded` in *shard order* (a
+    pool awaits its per-shard futures in task-submission order), so
     while worker K computes shard K the parent is already summing shard
     K-1's gradients -- the merge overlaps shard compute instead of waiting
     for the full result list.  The accumulation is bit-identical to
@@ -258,10 +260,10 @@ def train_tgae(
         bit-identical for every worker count and backend.
     pool:
         A caller-owned persistent :class:`~repro.core.parallel.WorkerPool`
-        to dispatch shards through.  ``None`` with ``workers > 1`` creates
-        a private pool for the run and tears it down afterwards (the pool
-        persists *across epochs* either way -- that is what amortises
-        process startup).
+        to dispatch shards through.  ``None`` with ``workers > 1`` opens a
+        private pool for the run (:func:`~repro.core.parallel.pool_for`) and
+        tears it down afterwards (the pool persists *across epochs* either
+        way -- that is what amortises process startup).
     track_memory:
         Record per-epoch tracemalloc peaks into the history.  Starts
         tracing if it is not already running (and stops it afterwards);
@@ -295,14 +297,7 @@ def train_tgae(
     from .engine import GenerationEngine
 
     config = config if config is not None else model.config
-    workers = int(workers if workers is not None else config.workers)
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    backend = backend if backend is not None else config.parallel_backend
-    if backend not in BACKENDS:
-        raise ConfigError(
-            f"parallel backend must be one of {BACKENDS}, got {backend!r}"
-        )
+    workers, backend = check_dispatch(workers, backend, config)
     if (checkpoint_every is None) != (checkpoint_path is None):
         raise ConfigError(
             "checkpoint_every and checkpoint_path must be given together"
@@ -344,14 +339,11 @@ def train_tgae(
         optimizer.load_state_dict(resume_from.optimizer)
     history = TrainingHistory()
     engine = GenerationEngine(model, graph, config)
-    own_pool = pool is None and workers > 1
-    if own_pool:
-        pool = WorkerPool(
-            workers,
-            backend,
-            max_shard_retries=config.max_shard_retries,
-            shard_timeout=config.shard_timeout,
-        )
+    # A run without an open pool opens one for all its epochs, so process
+    # startup is paid once, not per epoch.
+    own_pool = None
+    if workers > 1 and (pool is None or pool.closed):
+        own_pool = pool = pool_for(config, workers, backend)
     prior_losses = list(resume_from.losses) if resume_from is not None else []
     prior_norms = list(resume_from.grad_norms) if resume_from is not None else []
 
@@ -395,12 +387,6 @@ def train_tgae(
             kl_scale = 1.0 / centers.shape[0]
             starts = list(range(0, centers.shape[0], shard_size))
             children = spawn_streams(shard_root, len(starts))
-            pooled = (
-                pool is not None
-                and not pool.closed
-                and pool.workers > 1
-                and len(starts) > 1
-            )
             tasks = [
                 TrainShardTask(
                     index=i,
@@ -416,11 +402,9 @@ def train_tgae(
             # receives results in shard order as workers finish, so the
             # gradient sum for shard K-1 happens while shard K still runs.
             collector = _EpochShardCollector()
-            if pooled:
-                pool.run(engine, "train", tasks, collector=collector)
-            else:
-                for task in tasks:
-                    collector.add(run_train_shard(engine, task))
+            run_sharded(
+                engine, "train", tasks, workers, backend, pool=pool, collector=collector
+            )
             load_gradients(model.named_parameters(), collector.grads)
             loss_value = float(collector.loss)
             grad_norm = clip_grad_norm(model.parameters(), config.grad_clip)
@@ -452,7 +436,7 @@ def train_tgae(
         model.eval()
         if started_tracing:
             tracemalloc.stop()
-        if own_pool and pool is not None:
-            pool.close()
+        if own_pool is not None:
+            own_pool.close()
     history.state = capture_state(total_epochs)
     return history

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..autograd import Tensor, checkpoint, concat, is_grad_enabled, row_matmul, segment_softmax
+from ..autograd import Tensor, checkpoint, concat, is_grad_enabled, row_matmul
 from ..errors import ConfigError, ShapeError
 from . import init
 from .module import Module, Parameter
@@ -61,13 +61,6 @@ def _time_encode(
     """
     dt = np.asarray(delta_t, dtype=frequency.data.dtype).reshape(-1, 1)
     angles = Tensor(dt) * frequency.reshape(1, dim) + phase
-    # cos(x) expressed via available primitives: cos(x) = sin(x + pi/2),
-    # and sin through the identity with tanh is inexact -- instead use
-    # the exact complex-exponential-free route: cos(x) = (e^{ix}+e^{-ix})/2
-    # is unavailable, so we implement cos directly as a primitive-free
-    # composition: cos(x) = 1 - 2*sigmoid-free... Simplest exact approach:
-    # differentiate through exp of imaginary parts is impossible, so we
-    # add a dedicated cosine below.
     return _cos(angles)
 
 
@@ -264,42 +257,6 @@ class TemporalGraphAttention(Module):
             out = out[: batch * n_dst]
         return out.reshape(batch, n_dst, self.out_features)
 
-    def _head_reference(
-        self,
-        head: int,
-        src_index: np.ndarray,
-        dst_index: np.ndarray,
-        n_dst: int,
-        h_src: Tensor,
-        h_dst: Tensor,
-        time_feat: Optional[Tensor],
-        w_src: Tensor,
-        w_dst: Tensor,
-        attn_src: Tensor,
-        attn_dst: Tensor,
-        w_time: Optional[Tensor] = None,
-    ) -> Tensor:
-        """One head's Eq. 4-5 aggregation composed from autograd primitives.
-
-        The readable specification of the attention head and the oracle for
-        the fused kernel below: ``tests/test_nn_attention_fused.py`` asserts
-        :meth:`_head` reproduces this composition's output *and* every input
-        gradient bit for bit, under both dtype policies.  The production
-        paths (plain and checkpointed) always run the fused kernel.
-        """
-        z_src = h_src @ w_src[head]
-        z_dst = h_dst @ w_dst[head]
-        msg = z_src.take_rows(src_index)
-        if time_feat is not None:
-            msg = msg + time_feat @ w_time[head]
-        score = (msg * attn_src[head]).sum(axis=-1) + (
-            z_dst.take_rows(dst_index) * attn_dst[head]
-        ).sum(axis=-1)
-        score = score.leaky_relu(self.negative_slope)
-        alpha = segment_softmax(score, dst_index, n_dst)
-        weighted = msg * alpha.reshape(-1, 1)
-        return weighted.segment_sum(dst_index, n_dst)
-
     def _head(
         self,
         head: int,
@@ -317,8 +274,9 @@ class TemporalGraphAttention(Module):
     ) -> Tensor:
         """Fused one-pass kernel for one head: QK -> segment softmax -> sum.
 
-        Computes exactly what :meth:`_head_reference` composes out of ~15
-        autograd nodes, but as a *single* graph node with a hand-derived
+        Computes exactly what the composed reference head (the oracle in
+        ``tests/test_nn_attention_fused.py``) builds out of ~15 autograd
+        nodes, but as a *single* graph node with a hand-derived
         vector-Jacobian product.  Wins:
 
         * the per-edge intermediates that the composed graph keeps alive for

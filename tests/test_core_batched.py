@@ -11,10 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import EgoGraphSampler, TGAEEncoder, TGAEGenerator, TGAEModel, fast_config
-from repro.core.generator import (
-    _sample_rows_without_replacement,
-    _sample_without_replacement,
-)
+from repro.core.engine import sample_rows_without_replacement, sample_without_replacement
 from repro.errors import GraphFormatError
 from repro.graph import (
     TemporalGraph,
@@ -195,7 +192,7 @@ class TestSamplingWithoutReplacement:
         rng = np.random.default_rng(0)
         probs = np.array([0.0, 0.0, 1.0])
         draws = [
-            _sample_without_replacement(probs, 2, rng, forbid=2) for _ in range(200)
+            sample_without_replacement(probs, 2, rng, forbid=2) for _ in range(200)
         ]
         for drawn in draws:
             assert 2 not in drawn  # the forbidden index never appears
@@ -208,16 +205,16 @@ class TestSamplingWithoutReplacement:
         # left -- previously divided by zero and could return the forbidden
         # index itself.
         rng = np.random.default_rng(0)
-        drawn = _sample_without_replacement(np.array([0.7]), 3, rng, forbid=0)
+        drawn = sample_without_replacement(np.array([0.7]), 3, rng, forbid=0)
         assert drawn.size == 0
-        rows = _sample_rows_without_replacement(
+        rows = sample_rows_without_replacement(
             np.array([[0.7], [0.3]]), np.array([2, 2]), rng, forbid=np.array([0, 0])
         )
         assert all(r.size == 0 for r in rows)
 
     def test_zero_mass_rows_fall_back_uniformly(self):
         rng = np.random.default_rng(1)
-        rows = _sample_rows_without_replacement(
+        rows = sample_rows_without_replacement(
             np.zeros((3, 4)), np.array([4, 2, 0]), rng
         )
         assert sorted(rows[0].tolist()) == [0, 1, 2, 3]
@@ -237,11 +234,11 @@ class TestSamplingWithoutReplacement:
         freq_sequential = np.zeros_like(probs)
         for _ in range(trials):
             for row, drawn in enumerate(
-                _sample_rows_without_replacement(probs, counts, rng_a)
+                sample_rows_without_replacement(probs, counts, rng_a)
             ):
                 freq_batched[row, drawn] += 1
             for row in range(probs.shape[0]):
-                drawn = _sample_without_replacement(probs[row], int(counts[row]), rng_b)
+                drawn = sample_without_replacement(probs[row], int(counts[row]), rng_b)
                 freq_sequential[row, drawn] += 1
         np.testing.assert_allclose(
             freq_batched / trials, freq_sequential / trials, atol=0.035
@@ -251,7 +248,7 @@ class TestSamplingWithoutReplacement:
         rng = np.random.default_rng(2)
         probs = rng.random((6, 8))
         forbid = np.array([0, 1, 2, 3, 4, 5])
-        rows = _sample_rows_without_replacement(
+        rows = sample_rows_without_replacement(
             probs, np.full(6, 5), rng, forbid=forbid
         )
         for row, drawn in enumerate(rows):

@@ -21,6 +21,7 @@ model, not the distribution:
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -309,7 +310,7 @@ class TestCandidateAssembly:
         config = fast_config(epochs=1, num_initial_nodes=8, candidate_limit=6)
         generator = TGAEGenerator(config).fit(observed)
         centers = np.array([[2, 1], [3, 0]])
-        cand = generator._generation_candidates(centers, np.random.default_rng(0))
+        cand = generator.engine().candidate_batch(centers, np.random.default_rng(0))
         assert cand.shape == (2, 6)
 
 
@@ -416,6 +417,33 @@ class TestScoreTopK:
         generator = TGAEGenerator(config).fit(small)
         with pytest.raises(GenerationError, match=r"\[0, 3\)"):
             generator.score_topk(2, timestamps=[stamp])
+
+
+class TestCentreValidation:
+    """Out-of-range centres are a typed error naming the centre as given.
+
+    ``u * T + t`` keys alias across the universe edge: on n=30, T=5 the
+    centre ``(0, 5)`` has ``(1, 0)``'s key, so an unchecked centre would
+    read or encode another centre's row.
+    """
+
+    @pytest.fixture(scope="class", params=[True, False], ids=["cache-on", "cache-off"])
+    def fitted(self, request):
+        config = fast_config(epochs=1, num_initial_nodes=8, embed_cache=request.param)
+        generator = TGAEGenerator(config).fit(communication_network(30, 120, 5, seed=4))
+        generator.generate(seed=0)  # a warm cache, when there is one
+        return generator
+
+    @pytest.mark.parametrize("centre", [(0, 5), (0, -1), (29, 5), (30, 0), (-1, 2)])
+    def test_dense_score_rows_names_the_centre(self, fitted, centre):
+        centers = np.array([[1, 0], centre], dtype=np.int64)
+        with pytest.raises(GenerationError, match=re.escape(f"got {centre}")):
+            fitted.engine().dense_score_rows(centers)
+
+    @pytest.mark.parametrize("stamp", [5, -1])
+    def test_score_matrix_names_the_centre(self, fitted, stamp):
+        with pytest.raises(GenerationError, match=re.escape(f"got (0, {stamp})")):
+            fitted.score_matrix(timestamps=[stamp])
 
 
 class TestStreamingEndToEnd:

@@ -337,17 +337,17 @@ class TestShmTeardown:
         pool.close()  # idempotent (atexit may race an explicit close)
 
     def test_trainer_owned_pool_unlinks_on_completion(self, observed, monkeypatch):
-        import repro.core.trainer as trainer_mod
+        import repro.core.parallel as parallel_mod
 
         created = []
-        original_pool = trainer_mod.WorkerPool
+        original_pool = parallel_mod.WorkerPool
 
         def recording_pool(*args, **kwargs):
             pool = original_pool(*args, **kwargs)
             created.append(pool)
             return pool
 
-        monkeypatch.setattr(trainer_mod, "WorkerPool", recording_pool)
+        monkeypatch.setattr(parallel_mod, "WorkerPool", recording_pool)
         train_run(observed, workers=2)
         assert len(created) == 1
         assert created[0].closed
@@ -356,11 +356,12 @@ class TestShmTeardown:
     def test_keyboard_interrupt_mid_epoch_unlinks_segments(
         self, observed, monkeypatch
     ):
+        import repro.core.parallel as parallel_mod
         import repro.core.trainer as trainer_mod
 
         created = []
         segments_seen = []
-        original_pool = trainer_mod.WorkerPool
+        original_pool = parallel_mod.WorkerPool
 
         def recording_pool(*args, **kwargs):
             pool = original_pool(*args, **kwargs)
@@ -378,7 +379,7 @@ class TestShmTeardown:
 
             return clip_grad_norm(parameters, max_norm)
 
-        monkeypatch.setattr(trainer_mod, "WorkerPool", recording_pool)
+        monkeypatch.setattr(parallel_mod, "WorkerPool", recording_pool)
         monkeypatch.setattr(trainer_mod, "clip_grad_norm", interrupting_clip)
         with pytest.raises(KeyboardInterrupt):
             train_run(observed, workers=2, epochs=3)

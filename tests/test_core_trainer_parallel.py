@@ -154,17 +154,17 @@ class TestTrainerGuards:
         assert model.training is False
 
     def test_internal_pool_torn_down_when_epoch_raises(self, observed, monkeypatch):
-        import repro.core.trainer as trainer_mod
+        import repro.core.parallel as parallel_mod
 
         created = []
-        original_pool = trainer_mod.WorkerPool
+        original_pool = parallel_mod.WorkerPool
 
         def recording_pool(*args, **kwargs):
             pool = original_pool(*args, **kwargs)
             created.append(pool)
             return pool
 
-        monkeypatch.setattr(trainer_mod, "WorkerPool", recording_pool)
+        monkeypatch.setattr(parallel_mod, "WorkerPool", recording_pool)
         from repro.optim import Adam
 
         def failing_step(self):
