@@ -5,6 +5,8 @@ Public surface:
 * :class:`Tensor` and constructors (:func:`tensor`, :func:`zeros`,
   :func:`ones`, :func:`concat`, :func:`stack`)
 * :func:`row_matmul`, the batch-invariant matmul every encoder product uses
+* :func:`scatter_add_rows`, the order-preserving row scatter-add of the
+  attention kernel and the gather backward
 * :func:`no_grad` context manager
 * composite ops in :mod:`repro.autograd.ops`
 * :func:`check_gradients` for finite-difference validation
@@ -32,6 +34,7 @@ from .tensor import (
     no_grad,
     ones,
     row_matmul,
+    scatter_add_rows,
     stack,
     tensor,
     zeros,
@@ -50,6 +53,7 @@ __all__ = [
     "checkpoint",
     "dtype_audit",
     "row_matmul",
+    "scatter_add_rows",
     "softmax",
     "log_softmax",
     "logsumexp",

@@ -21,6 +21,7 @@ is validated against finite differences by the property-based test-suite.
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -153,6 +154,45 @@ def row_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rows = a.reshape(-1, a.shape[-1])
     out = (np.repeat(rows, 2, axis=0) @ b)[:1] if rows.shape[0] == 1 else rows @ b
     return out.reshape(a.shape[:-1] + b.shape[1:])
+
+
+#: Flat elements per 1-D ``np.add.at`` call of :func:`scatter_add_rows`.  It
+#: bounds the int64 flat-index transient at 128 KiB whatever the edge count,
+#: which keeps checkpointed attention's peak-memory cut; not configurable.
+SCATTER_CHUNK_ELEMENTS = 16384
+
+
+def scatter_add_rows(
+    index: np.ndarray, values: np.ndarray, rows: int, dtype: np.dtype
+) -> np.ndarray:
+    """``np.add.at`` of ``values`` into ``np.zeros((rows,) + values.shape[1:], dtype)``.
+
+    ``index`` is 1-D and names the output row of each of ``values``' rows.
+    NumPy (>= 1.25) runs a 1-D ``ufunc.at`` through a fast indexed loop,
+    while a 1-D index into a wider array takes the generic per-row path,
+    several times slower.  Flattening ``(index, values)`` to
+    ``index[:, None] * width + arange(width)`` performs the same scalar
+    additions in the same order -- each output element receives its updates
+    in increasing ``index`` position, starting from +0.0 -- so the result
+    is bitwise the row scatter's at any dtype and on any NumPy; only the
+    speed needs the fast path.  The rows go in consecutive chunks of
+    :data:`SCATTER_CHUNK_ELEMENTS` flat elements, which keeps that order.
+    An out-of-range index raises ``IndexError``, as ``np.add.at`` does.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    out = np.zeros((rows,) + values.shape[1:], dtype=dtype)
+    width = math.prod(values.shape[1:])
+    if width == 0:  # nothing to add, but np.add.at still checks the index
+        np.add.at(out, index, values)
+        return out
+    flat = out.reshape(-1)
+    cols = np.arange(width, dtype=np.int64)
+    step = max(1, SCATTER_CHUNK_ELEMENTS // width)
+    for start in range(0, index.shape[0], step):
+        part = index[start : start + step]
+        flat_index = part if width == 1 else (part[:, None] * width + cols).reshape(-1)
+        np.add.at(flat, flat_index, values[start : start + step].reshape(-1))
+    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -538,6 +578,8 @@ class Tensor:
         shape = self.data.shape
 
         def grad_fn(g: np.ndarray) -> np.ndarray:
+            if idx.ndim == 1:
+                return scatter_add_rows(idx, g, shape[0], self.data.dtype)
             out = np.zeros(shape, dtype=self.data.dtype)
             np.add.at(out, idx, g)
             return out

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..autograd import Tensor, checkpoint, concat, is_grad_enabled, row_matmul
+from ..autograd import Tensor, checkpoint, concat, is_grad_enabled, row_matmul, scatter_add_rows
 from ..errors import ConfigError, ShapeError
 from . import init
 from .module import Module, Parameter
@@ -289,7 +289,8 @@ class TemporalGraphAttention(Module):
 
         Bit-exactness contract: every forward array expression and every
         backward accumulation replicates the composed graph's NumPy idioms
-        operation for operation (same ``np.add.at`` scatters, same
+        operation for operation (same per-target update order, via
+        :func:`~repro.autograd.scatter_add_rows`; same
         ``swapaxes`` matmul transposes, same broadcast-then-reduce shapes,
         same two-operand gradient-sum order -- IEEE addition of two operands
         is commutative bitwise), so losses, gradients, and the float64
@@ -306,7 +307,7 @@ class TemporalGraphAttention(Module):
         # --- forward: one pass, scratch reused -------------------------
         z_src = row_matmul(hs, ws)
         z_dst = row_matmul(hd, wd)
-        z_src_shape, z_dst_shape = z_src.shape, z_dst.shape
+        z_src_rows, z_dst_rows = z_src.shape[0], z_dst.shape[0]
         msg = z_src[src_index]
         if tf is not None:
             np.add(msg, row_matmul(tf, wt), out=msg)
@@ -325,14 +326,12 @@ class TemporalGraphAttention(Module):
         seg_max = np.where(np.isfinite(seg_max), seg_max, 0.0)
         shifted = score - seg_max[dst_index]
         exp = np.exp(shifted, out=shifted)
-        denom = np.zeros((n_dst,), dtype=exp.dtype)
-        np.add.at(denom, dst_index, exp)
+        denom = scatter_add_rows(dst_index, exp, n_dst, exp.dtype)
         np.add(denom, np.asarray(1e-30, dtype=exp.dtype), out=denom)
         denom_g = denom[dst_index]
         alpha = exp / denom_g
         weighted = msg * alpha[:, None]
-        out = np.zeros((n_dst, msg.shape[1]), dtype=msg.dtype)
-        np.add.at(out, dst_index, weighted)
+        out = scatter_add_rows(dst_index, weighted, n_dst, msg.dtype)
         del weighted, score, denom
 
         parents = [h_src, h_dst]
@@ -355,8 +354,7 @@ class TemporalGraphAttention(Module):
             g_alpha = (g_w * msg).sum(axis=(1,), keepdims=True).reshape(msg.shape[0])
             g_exp = g_alpha / denom_g
             g_denomg = -g_alpha * exp / (denom_g**2)
-            g_denom = np.zeros((n_dst,), dtype=exp.dtype)
-            np.add.at(g_denom, dst_index, g_denomg)
+            g_denom = scatter_add_rows(dst_index, g_denomg, n_dst, exp.dtype)
             g_exp = g_exp + g_denom[dst_index]
             g_score = (g_exp * exp) * scale
             # Score products: broadcast the per-edge grad over head_dim.
@@ -366,13 +364,11 @@ class TemporalGraphAttention(Module):
             g_zdg = np.broadcast_to(g_col, zd_g.shape) * a_d
             g_attn_dst_h = (np.broadcast_to(g_col, zd_g.shape) * zd_g).sum(axis=0)
             # dst projection chain.
-            g_z_dst = np.zeros(z_dst_shape, dtype=g.dtype)
-            np.add.at(g_z_dst, dst_index, g_zdg)
+            g_z_dst = scatter_add_rows(dst_index, g_zdg, z_dst_rows, g.dtype)
             g_h_dst = g_z_dst @ np.swapaxes(wd, -1, -2)
             g_wd_h = np.swapaxes(hd, -1, -2) @ g_z_dst
             # src projection (+ optional time) chain.
-            g_z_src = np.zeros(z_src_shape, dtype=g.dtype)
-            np.add.at(g_z_src, src_index, g_msg)
+            g_z_src = scatter_add_rows(src_index, g_msg, z_src_rows, g.dtype)
             g_h_src = g_z_src @ np.swapaxes(ws, -1, -2)
             g_ws_h = np.swapaxes(hs, -1, -2) @ g_z_src
             grads = [g_h_src, g_h_dst]
