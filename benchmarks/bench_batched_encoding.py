@@ -5,12 +5,12 @@ ego-graph per active temporal node.  This benchmark measures encoder
 throughput (centre temporal nodes per second) on the Figure 6 scalability
 grid for two execution strategies over the *same* sampled ego-graphs:
 
-* **per-node** -- the sequential path: one merged bipartite build + one
-  encoder forward per ego-graph, exactly what a non-batched implementation
-  of Alg. 1/2 does;
+* **per-node** -- the sequential path: one single-ego ``pack_ego_batch``
+  + one encoder forward per ego-graph, exactly what a non-batched
+  implementation of Alg. 1/2 does;
 * **batched** -- the padded ego-parallel path: ``pack_ego_batch`` packs a
   chunk of ego-graphs into padded index tensors + masks and the encoder
-  runs one vectorised forward per chunk (``TGAEEncoder.encode_batch``).
+  runs one vectorised forward per chunk.
 
 Both paths produce numerically identical centre representations (asserted
 here and, with tighter seeding, in ``tests/test_core_batched.py``); the
@@ -25,7 +25,7 @@ import numpy as np
 from repro.core import TGAEEncoder, fast_config
 from repro.datasets import make_scalability_graph, node_scale_sweep
 from repro.autograd import no_grad
-from repro.graph import build_bipartite_batch, ego_graph_batch, pack_ego_batch
+from repro.graph import ego_graph_batch, pack_ego_batch
 
 BASE_NODES = 120
 STEPS = 3
@@ -35,9 +35,7 @@ CHUNK = 32
 
 def _encode_sequential(encoder, egos):
     with no_grad():
-        return np.stack(
-            [encoder.encode_centers(build_bipartite_batch([ego])).numpy()[0] for ego in egos]
-        )
+        return np.stack([encoder(pack_ego_batch([ego])).numpy()[0] for ego in egos])
 
 
 def _encode_batched(encoder, egos):
@@ -45,7 +43,7 @@ def _encode_batched(encoder, egos):
     with no_grad():
         for start in range(0, len(egos), CHUNK):
             packed = pack_ego_batch(egos[start : start + CHUNK])
-            outputs.append(encoder.encode_batch(packed).numpy())
+            outputs.append(encoder(packed).numpy())
     return np.concatenate(outputs, axis=0)
 
 

@@ -57,7 +57,7 @@ def _stage_seconds(generator, blocks, num_timestamps):
             start = time.perf_counter()
             batch = sampler.inference_batch(centers)
             sampled = time.perf_counter()
-            packed = batch.packed
+            packed = batch.tile.packed()
             packed_at = time.perf_counter()
             engine.model.encode_inference(packed)
             spent += (sampled - start, packed_at - sampled, time.perf_counter() - packed_at)

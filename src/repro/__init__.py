@@ -8,7 +8,7 @@ Sub-packages
 ``repro.nn`` / ``repro.optim``
     Neural-network layers (incl. temporal graph attention) and optimizers.
 ``repro.graph``
-    Temporal graph data structures, ego-graph sampling, bipartite batches.
+    Temporal graph data structures, ego-graph sampling, packed bipartite batches.
 ``repro.datasets``
     Synthetic stand-ins for the paper's seven datasets + scalability grid.
 ``repro.metrics``
@@ -23,20 +23,20 @@ Sub-packages
 The batched ego-graph encoding pipeline
 ---------------------------------------
 The hot path of both training and Sec. IV-G generation is encoding one
-k-radius ego-graph per active temporal node.  Two computation-graph layouts
-implement it:
+k-radius ego-graph per active temporal node.  ``repro.graph.EgoTile.packed``
+lays a tile of ego-graphs out as padded k-bipartite tables (index tensors +
+masks) and ``repro.core.TGAEEncoder`` runs **one** vectorised forward per
+batch.  The packer has two layouts:
 
-* ``repro.graph.pack_ego_batch`` packs a chunk of ego-graphs into a padded
-  ego-parallel batch (index tensors + masks) and
-  ``repro.core.TGAEEncoder.encode_batch`` runs **one** vectorised encoder
-  forward per chunk -- numerically identical to encoding each ego-graph on
-  its own, several times faster, and the default
-  (``TGAEConfig.packed_batches = True``).
-* ``repro.graph.build_bipartite_batch`` merges ego-graphs into the shared
-  k-bipartite graphs of Fig. 4 (cross-ego node deduplication), available
-  for *training* via ``TGAEConfig(packed_batches=False)``.
+* ``packed()`` gives each ego-graph its own tables -- numerically identical
+  to encoding each ego-graph on its own, several times faster, and the
+  default (``TGAEConfig.packed_batches = True``);
+  ``repro.graph.pack_ego_batch`` runs it on a list of ego-graphs.
+* ``packed(merge=True)`` shares one table per level across the tile: the
+  merged k-bipartite graphs of Fig. 4 (cross-ego node deduplication),
+  available for *training* via ``TGAEConfig(packed_batches=False)``.
 
-Inference always encodes in the packed layout, in fixed 64-row blocks:
+Inference always encodes one table per ego, in fixed 64-row blocks:
 every encoder product is row-invariant (``repro.autograd.row_matmul``), so
 a temporal node's embedding is a pure function of (weights, graph, config,
 node) and the embedding cache can serve it from any earlier call.

@@ -64,14 +64,15 @@ class TGAEConfig:
         to very large node universes.  ``0`` (default) keeps the exact dense
         decoder of Alg. 2.
     packed_batches:
-        Selects the *training* encoder layout.  When ``True`` (default),
-        training minibatches run the encoder over padded ego-parallel
-        batches (:func:`repro.graph.pack_ego_batch`) -- one vectorised
-        forward per batch of temporal nodes, each ego-graph encoded
-        independently exactly as in the per-node path.  When ``False``,
-        they use the original merged k-bipartite layout (cross-ego node
-        deduplication, Fig. 4).  Inference (``generate``, ``score_topk``,
-        dense score rows) always encodes in the packed layout: the merged
+        Selects the *training* encoder layout, the ``merge`` parameter of
+        :meth:`repro.graph.EgoTile.packed` (``merge=not packed_batches``).
+        When ``True`` (default), each ego-graph of a minibatch gets its own
+        padded tables -- one vectorised forward per batch of temporal
+        nodes, each ego-graph encoded independently exactly as in the
+        per-node path.  When ``False``, all ego-graphs share one table per
+        level: the merged k-bipartite layout of Fig. 4 (cross-ego node
+        deduplication).  Inference (``generate``, ``score_topk``, dense
+        score rows) always encodes one table per ego: the merged
         layout depends on the batch by design -- deduplication moves a
         radius-2 embedding by ~0.05 between partitions -- so a merged
         inference embedding would depend on which other keys shared its

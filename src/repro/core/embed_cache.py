@@ -186,13 +186,6 @@ class EmbeddingCache:
                 self._graph = graph
         return dropped
 
-    def flush(self) -> None:
-        """Drop every row and unbind the token pair (explicit full reset)."""
-        with self._lock:
-            self.valid[:] = False
-            self._weights = self._graph = ""
-            self.stats["flushes"] += 1
-
     # ------------------------------------------------------------------
     # Storage
     # ------------------------------------------------------------------

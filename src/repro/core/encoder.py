@@ -2,7 +2,7 @@
 
 Implements Sec. IV-C.  Node input features default to learned node-identity
 embeddings plus a timestamp embedding; ``k`` TGAT layers then push messages
-from the hop-``k`` periphery of the merged ego-graphs down to the centre
+from the hop-``k`` periphery of the ego-graphs down to the centre
 nodes through the k-bipartite computation graphs (Fig. 4), producing one
 hidden vector ``h_{u^t}`` per centre temporal node (Eq. 3).
 """
@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from ..autograd import Tensor, checkpoint, is_grad_enabled
-from ..graph.bipartite import BipartiteBatch, PackedEgoBatch
+from ..errors import ConfigError, ShapeError
+from ..graph.bipartite import PackedEgoBatch
 from ..nn import (
     Embedding,
     Linear,
@@ -26,8 +27,30 @@ from ..nn import (
 from .config import TGAEConfig
 
 
+def check_features(
+    features: np.ndarray,
+    num_nodes: int,
+    num_timestamps: int,
+    feature_dim: Optional[int] = None,
+) -> None:
+    """Raise :class:`~repro.errors.ShapeError` unless ``features`` fits the graph.
+
+    A feature matrix is ``(num_nodes, d)`` (static) or ``(num_timestamps,
+    num_nodes, d)`` (per snapshot) with ``d >= 1``; ``feature_dim`` pins
+    ``d`` when given.
+    """
+    if features.ndim not in (2, 3) or features.shape[-1] == 0:
+        raise ShapeError(
+            f"features must be 2-D or 3-D with d >= 1 columns, got shape {features.shape}"
+        )
+    leading = (num_nodes,) if features.ndim == 2 else (num_timestamps, num_nodes)
+    expected = leading + (features.shape[-1] if feature_dim is None else feature_dim,)
+    if features.shape != expected:
+        raise ShapeError(f"features shape {features.shape} != expected {expected}")
+
+
 class TGAEEncoder(Module):
-    """Encode centre temporal nodes of a :class:`BipartiteBatch`.
+    """Encode centre temporal nodes of a :class:`PackedEgoBatch`.
 
     Parameters
     ----------
@@ -89,17 +112,10 @@ class TGAEEncoder(Module):
         if features is None:
             self._external_features = None
             return
-        features = np.asarray(features, dtype=self.config.np_dtype)
         if self.feature_proj is None:
-            raise ValueError("encoder was built without feature support (feature_dim=0)")
-        if features.ndim == 2:
-            expected = (self.num_nodes, self.feature_dim)
-        elif features.ndim == 3:
-            expected = (self.num_timestamps, self.num_nodes, self.feature_dim)
-        else:
-            raise ValueError(f"features must be 2-D or 3-D, got shape {features.shape}")
-        if features.shape != expected:
-            raise ValueError(f"features shape {features.shape} != expected {expected}")
+            raise ConfigError("encoder was built without feature support (feature_dim=0)")
+        features = np.asarray(features, dtype=self.config.np_dtype)
+        check_features(features, self.num_nodes, self.num_timestamps, self.feature_dim)
         self._external_features = features
 
     def node_features(self, temporal_nodes: np.ndarray) -> Tensor:
@@ -198,43 +214,18 @@ class TGAEEncoder(Module):
             )
         return self._input_impl(temporal_nodes, *params)
 
-    def forward(self, batch: BipartiteBatch) -> Tensor:
-        """Return hidden vectors for the *centre* nodes, ``(n_centers, hidden)``.
+    def forward(self, packed: PackedEgoBatch) -> Tensor:
+        """Return hidden vectors for the centres, ``(num_centers, hidden)``.
 
         One TGAT layer is applied per bipartite level, from the outermost
-        (hop ``k``) inward; level nesting guarantees every target also
-        receives its own previous representation through its self-loop edge.
-        """
-        radius = batch.radius
-        # Representations of the outermost level's nodes.
-        current = self._level_input(batch.level_nodes[radius])
-        for level in range(radius, 0, -1):
-            layer = self.layers[radius - level]
-            edges = batch.levels[level - 1]
-            target_nodes = batch.level_nodes[level - 1]
-            target_feats = self._level_input(target_nodes)
-            current = layer(
-                h_src=current,
-                h_dst=target_feats,
-                src_index=edges.src_index,
-                dst_index=edges.dst_index,
-                delta_t=edges.delta_t,
-            )
-        return current
-
-    def encode_centers(self, batch: BipartiteBatch) -> Tensor:
-        """Hidden vectors aligned with the original ego-graph order."""
-        return self.forward(batch).take_rows(batch.center_index)
-
-    def encode_batch(self, packed: PackedEgoBatch) -> Tensor:
-        """Encode a padded ego-parallel batch in one vectorised forward.
-
-        Returns ``(batch, hidden)`` centre representations, one per packed
-        ego-graph, numerically matching a sequential per-ego
-        :meth:`encode_centers` call (each ego-graph stays independent; no
-        cross-ego node merging takes place).
+        (hop ``k``) inward, vectorised over the batch's tables; level
+        nesting guarantees every target also receives its own previous
+        representation through its self-loop edge.  With one table per ego
+        the result matches encoding each ego-graph on its own; the merged
+        layout's shared table is read out at ``center_index``.
         """
         radius = packed.radius
+        # Representations of the outermost level's nodes.
         current = self._level_input(packed.level_nodes[radius])
         for level in range(radius, 0, -1):
             layer = self.layers[radius - level]
@@ -248,5 +239,7 @@ class TGAEEncoder(Module):
                 delta_t=edges.delta_t,
                 edge_mask=edges.edge_mask,
             )
-        # Level 0 holds exactly the centre of each ego-graph.
-        return current.reshape(packed.batch_size, self.config.hidden_dim)
+        hidden = current.reshape(-1, self.config.hidden_dim)
+        if packed.batch_size == packed.num_centers:
+            return hidden  # one table per ego: its level 0 is the centre
+        return hidden.take_rows(packed.center_index)

@@ -385,7 +385,7 @@ class GenerationEngine:
             block = misses[start : start + ENCODE_BLOCK_ROWS]
             batch = sampler.inference_batch(np.stack([block // T, block % T], axis=1))
             rows = encoded[start : start + block.size]
-            rows[:] = self.model.encode_inference(batch.packed)
+            rows[:] = self.model.encode_inference(batch.tile.packed())
             if cache is not None:
                 cache.store(block, rows)
         out[need] = encoded[np.searchsorted(misses, keys[need])]

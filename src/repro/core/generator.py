@@ -22,6 +22,7 @@ from ..graph.temporal_graph import TemporalGraph
 from ..rng import stream
 from .config import TGAEConfig
 from .embed_cache import EmbeddingCache, dirty_temporal_nodes, graph_token
+from .encoder import check_features
 from .engine import GenerationEngine, TopKScores
 from .model import TGAEModel
 from .parallel import WorkerPool, check_dispatch, pool_for
@@ -106,11 +107,12 @@ class TGAEGenerator(TemporalGraphGenerator):
         an atomically-written resume checkpoint every N epochs (see
         :func:`~repro.core.trainer.train_tgae`).
         """
-        self._node_features = (
-            np.asarray(node_features, dtype=self.config.np_dtype)
-            if node_features is not None
-            else None
-        )
+        if node_features is not None:
+            # Validate before any state is assigned: a failed fit must
+            # leave the generator as it was.
+            node_features = np.asarray(node_features, dtype=self.config.np_dtype)
+            check_features(node_features, graph.num_nodes, graph.num_timestamps)
+        self._node_features = node_features
         self._fit_verbose = verbose
         self._fit_track_memory = track_memory
         self._fit_checkpoint = (checkpoint_every, checkpoint_path)

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from ..autograd import Tensor, no_grad
-from ..graph.bipartite import BipartiteBatch, PackedEgoBatch
+from ..graph.bipartite import PackedEgoBatch
 from ..nn import Module
 from .config import TGAEConfig
 from .decoder import DecoderOutput, EgoGraphDecoder
@@ -15,7 +15,7 @@ from .encoder import TGAEEncoder
 
 
 class TGAEModel(Module):
-    """End-to-end TGAE: bipartite batch in, edge distributions out.
+    """End-to-end TGAE: packed bipartite batch in, edge distributions out.
 
     The module owns the encoder (Sec. IV-C) and the decoder (Sec. IV-D);
     sampling and training logic live in :mod:`repro.core.sampler` and
@@ -46,7 +46,7 @@ class TGAEModel(Module):
 
     def forward(
         self,
-        batch: Union[BipartiteBatch, PackedEgoBatch],
+        batch: PackedEgoBatch,
         sample: bool = True,
         candidates: Optional[np.ndarray] = None,
         noise_rng: Optional[np.random.Generator] = None,
@@ -56,10 +56,8 @@ class TGAEModel(Module):
         Parameters
         ----------
         batch:
-            Either merged ego-graphs in k-bipartite form
-            (:class:`BipartiteBatch`) or the padded ego-parallel layout
-            (:class:`PackedEgoBatch`); the packed layout is the vectorised
-            hot path used by training and generation.
+            The centres' ego-graphs in k-bipartite form, one table per ego
+            or merged (:meth:`~repro.graph.EgoTile.packed`).
         sample:
             Forwarded to the decoder: reparameterised latent (training) vs
             posterior mean (inference).
@@ -72,13 +70,8 @@ class TGAEModel(Module):
             the sharded trainer passes its per-shard stream here so draws
             never depend on worker scheduling.
         """
-        if isinstance(batch, PackedEgoBatch):
-            center_nodes = batch.center_nodes
-            center_hidden = self.encoder.encode_batch(batch)
-        else:
-            center_nodes = batch.level_nodes[0][batch.center_index]
-            center_hidden = self.encoder.encode_centers(batch)
-        center_features = self.encoder.node_features(center_nodes)
+        center_hidden = self.encoder(batch)
+        center_features = self.encoder.node_features(batch.center_nodes)
         if candidates is not None:
             return self.decoder.forward_candidates(
                 center_hidden, center_features, candidates,
@@ -91,24 +84,17 @@ class TGAEModel(Module):
     # ------------------------------------------------------------------
     # Inference-path encode/decode split (embedding cache hot path)
     # ------------------------------------------------------------------
-    def encode_inference(
-        self, batch: Union[BipartiteBatch, PackedEgoBatch]
-    ) -> np.ndarray:
+    def encode_inference(self, batch: PackedEgoBatch) -> np.ndarray:
         """Encoder half of the inference forward: centre embeddings as an array.
 
-        Runs the same encoder invocation :meth:`forward` would (packed
-        ego-parallel or merged bipartite, by batch type) under ``no_grad``
-        and returns the ``(batch, hidden)`` embedding matrix.  Composing it
-        with :meth:`decode_from_embeddings` is bitwise-identical to
-        ``self(batch, sample=False)`` — the split only exposes the seam the
-        embedding cache stores rows across.
+        Runs the same encoder invocation :meth:`forward` would under
+        ``no_grad`` and returns the ``(batch, hidden)`` embedding matrix.
+        Composing it with :meth:`decode_from_embeddings` is
+        bitwise-identical to ``self(batch, sample=False)`` — the split only
+        exposes the seam the embedding cache stores rows across.
         """
         with no_grad():
-            if isinstance(batch, PackedEgoBatch):
-                hidden = self.encoder.encode_batch(batch)
-            else:
-                hidden = self.encoder.encode_centers(batch)
-        return hidden.numpy()
+            return self.encoder(batch).numpy()
 
     def decode_from_embeddings(
         self,

@@ -1,23 +1,19 @@
-"""Training-batch construction: Alg. 1 sampling + Fig. 4 merging + targets.
+"""Training-batch construction: Alg. 1 sampling + Fig. 4 layout + targets.
 
 One :class:`TrainingBatch` bundles everything a TGAE optimisation step needs:
-the merged bipartite computation graphs for ``n_s`` degree-weighted centre
-nodes and the observed adjacency rows those centres must reconstruct.
+the sampled ego-graphs of ``n_s`` degree-weighted centre nodes, laid out as
+k-bipartite computation graphs on demand, and the observed adjacency rows
+those centres must reconstruct.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
-from ..graph.bipartite import (
-    BipartiteBatch,
-    PackedEgoBatch,
-    build_bipartite_batch,
-    pack_ego_batch,
-)
+from ..graph.bipartite import PackedEgoBatch, pack_ego_batch
 from ..graph.ego_graph import (
     EgoTile,
     counter_hash,
@@ -47,13 +43,8 @@ __all__ = [
 class TrainingBatch:
     """One mini-batch: a sampled ego tile + reconstruction targets.
 
-    The sampled ego-graphs are stored as one :class:`EgoTile`; the two
-    computation-graph views are built lazily and cached on first access:
-
-    * :attr:`bipartite` -- the merged/deduplicated k-bipartite layout of
-      Fig. 4 (cross-ego node sharing).
-    * :attr:`packed` -- the padded ego-parallel layout consumed by the
-      vectorised batched hot path.
+    The sampled ego-graphs are stored as one :class:`EgoTile`;
+    :meth:`computation_batch` lays them out for the encoder.
 
     ``candidates`` is populated only in sampled-softmax mode
     (``config.candidate_limit > 0``): a ``(batch, C)`` array of node ids the
@@ -64,28 +55,10 @@ class TrainingBatch:
     target_rows: List[np.ndarray]
     tile: EgoTile
     candidates: Optional[np.ndarray] = None
-    _bipartite: Optional[BipartiteBatch] = field(default=None, repr=False)
-    _packed: Optional[PackedEgoBatch] = field(default=None, repr=False)
 
-    @property
-    def bipartite(self) -> BipartiteBatch:
-        """Merged k-bipartite view (built on first access)."""
-        if self._bipartite is None:
-            self._bipartite = build_bipartite_batch(self.tile.egos())
-        return self._bipartite
-
-    @property
-    def packed(self) -> PackedEgoBatch:
-        """Padded ego-parallel view (built on first access)."""
-        if self._packed is None:
-            self._packed = self.tile.packed()
-        return self._packed
-
-    def computation_batch(
-        self, packed: bool = True
-    ) -> Union[BipartiteBatch, PackedEgoBatch]:
-        """The computation-graph view selected by ``packed``."""
-        return self.packed if packed else self.bipartite
+    def computation_batch(self, packed: bool = True) -> PackedEgoBatch:
+        """One table per ego (``packed``) or the merged Fig. 4 layout."""
+        return self.tile.packed(merge=not packed)
 
 
 class EgoGraphSampler:
@@ -130,9 +103,9 @@ class EgoGraphSampler:
     ) -> TrainingBatch:
         """Build the training batch (ego-graphs + targets) for explicit centres.
 
-        The computation-graph views (merged bipartite / padded packed) are
-        materialised lazily by :class:`TrainingBatch`, so callers only pay
-        for the layout they actually consume.  ``target_rows`` may carry
+        The computation graphs are laid out by
+        :meth:`TrainingBatch.computation_batch` in the layout the caller
+        consumes.  ``target_rows`` may carry
         precomputed adjacency rows for the centres (the sharded trainer
         computes them once for the whole epoch batch); ``None`` derives them
         here.

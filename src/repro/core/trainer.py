@@ -193,10 +193,11 @@ class _EpochShardCollector:
     pool awaits its per-shard futures in task-submission order), so
     while worker K computes shard K the parent is already summing shard
     K-1's gradients -- the merge overlaps shard compute instead of waiting
-    for the full result list.  The accumulation is bit-identical to
-    ``merge_gradient_shards`` over the complete list: first occurrence of a
-    parameter copies, later occurrences add left-to-right, and the loss sum
-    runs in the same order as ``sum(result.loss for result in results)``.
+    for the full result list.  The accumulation is a plain sum in shard
+    order: first occurrence of a parameter copies, later occurrences add
+    left-to-right, and the loss sum runs in the same order as
+    ``sum(result.loss for result in results)``.  A parameter no shard
+    touched stays missing, as after a single-batch backward.
     """
 
     __slots__ = ("loss", "grads")

@@ -1,13 +1,6 @@
 """Temporal graph data structures and sampling (Definitions 1-4, Alg. 1, Fig. 4)."""
 
-from .bipartite import (
-    BipartiteBatch,
-    BipartiteLevel,
-    PackedEgoBatch,
-    PackedLevel,
-    build_bipartite_batch,
-    pack_ego_batch,
-)
+from .bipartite import PackedEgoBatch, PackedLevel, pack_ego_batch
 from .ego_graph import (
     EgoGraph,
     EgoTile,
@@ -72,11 +65,8 @@ __all__ = [
     "sample_initial_nodes",
     "initial_node_probabilities",
     "ego_graph_batch",
-    "BipartiteBatch",
-    "BipartiteLevel",
     "PackedEgoBatch",
     "PackedLevel",
-    "build_bipartite_batch",
     "pack_ego_batch",
     "sample_temporal_walk",
     "sample_walk_corpus",

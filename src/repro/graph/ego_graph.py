@@ -160,9 +160,9 @@ class EgoTile:
         ``edges[l-1]`` is ``(E_l, 2)`` of ``(child row in nodes[l], parent
         row in nodes[l-1])``, grouped by ego in ego order.
 
-    Three views: :meth:`packed` (the padded ego-parallel batch),
-    :meth:`egos` (per-ego :class:`EgoGraph` objects, for the merged Fig. 4
-    layout) and :meth:`from_egos` (the inverse of :meth:`egos`).
+    Three views: :meth:`packed` (the padded k-bipartite batch, per ego or
+    merged as in Fig. 4), :meth:`egos` (per-ego :class:`EgoGraph` objects)
+    and :meth:`from_egos` (the inverse of :meth:`egos`).
     """
 
     nodes: List[np.ndarray]
@@ -233,14 +233,20 @@ class EgoTile:
             out.append(EgoGraph(center=center, layers=layers, edges=edges))
         return out
 
-    def packed(self) -> PackedEgoBatch:
-        """The padded ego-parallel batch of the tile.
+    def packed(self, merge: bool = False) -> PackedEgoBatch:
+        """The tile's k-bipartite computation graphs as one padded batch.
 
-        Per ego and level ``l``, the node table is the sorted union of the
-        ego's layer ``l`` and its level ``l-1`` table (nesting); the edges
-        are the ego's sampled edges in tile order followed by one zero-offset
-        self edge per level ``l-1`` row.  Tables and edge lists are
-        right-padded to the tile maximum, with zero padding.
+        ``merge=False`` gives each ego its own tables (the ego-parallel
+        layout); ``merge=True`` gives every row one owner, so all egos share
+        one table per level and a batch of one (the merged, cross-ego
+        deduplicated layout of Fig. 4).  Per table and level ``l``, the
+        node table is the sorted union of the layer-``l`` rows it owns and
+        its level ``l-1`` table (nesting); level 0 holds the centres.  The
+        edges are the sampled edges in tile order, the first of each ``(src
+        row, dst row)`` pair kept, followed by one zero-offset self edge per
+        level ``l-1`` row.  Tables and edge lists are right-padded to the
+        widest table, with zero padding; ``center_index`` is each centre's
+        row in its level-0 table.
         """
         from . import bipartite
 
@@ -251,78 +257,77 @@ class EgoTile:
             np.max([nodes.max(axis=0) for nodes in self.nodes if nodes.size], axis=0) + 1
         ).tolist()
         stride = node_mod * time_mod
-        ego_range = np.arange(batch + 1)
-        # Level 0: one table row per ego, its centre.  Tables are kept as
-        # sorted ``(ego, node, time)`` keys.
-        table_keys = (
-            np.arange(batch, dtype=np.int64) * stride
-            + self.centers[:, 0] * time_mod + self.centers[:, 1]
-        )
-        table_owner, table_off, table_t = self.owners[0], self.offsets[0], self.centers[:, 1]
-        row_map = np.arange(batch, dtype=np.int64)  # nodes[l-1] row -> table row
-        level_nodes = [self.centers.reshape(batch, 1, 2).copy()]
-        node_mask = [np.ones((batch, 1), dtype=bool)]
-        levels = []
-        for level in range(1, self.radius + 1):
+        owners = [np.zeros_like(owner) for owner in self.owners] if merge else self.owners
+        table_range = np.arange((1 if merge else batch) + 1)
+        # Tables are kept as sorted ``(owner, node, time)`` keys.
+        table_keys = np.zeros(0, dtype=np.int64)
+        level_nodes, node_mask, levels = [], [], []
+        for level in range(self.radius + 1):
             layer = self.nodes[level]
             keys = np.concatenate(
-                [self.owners[level] * stride + layer[:, 0] * time_mod + layer[:, 1], table_keys]
+                [owners[level] * stride + layer[:, 0] * time_mod + layer[:, 1], table_keys]
             )
             order = keys.argsort()
             starts = _group_starts(keys[order])
             inverse = np.empty(keys.size, dtype=np.int64)
             inverse[order] = starts.cumsum() - 1
             layer_map, nest_map = inverse[: layer.shape[0]], inverse[layer.shape[0] :]
-            prev_owner, prev_off, prev_t = table_owner, table_off, table_t
             table_keys = keys[order[starts]]
             table_owner = table_keys // stride
             within = table_keys - table_owner * stride
             table_u = within // time_mod
             table_t = within - table_u * time_mod
-            table_off = table_owner.searchsorted(ego_range)
+            table_off = table_owner.searchsorted(table_range)
             counts = table_off[1:] - table_off[:-1]
             mask = np.arange(counts.max()) < counts[:, None]
             nodes = np.zeros(mask.shape + (2,), dtype=np.int64)
-            nodes[mask] = _pairs(table_u, table_t)  # row-major == ego-major
+            nodes[mask] = _pairs(table_u, table_t)  # row-major == owner-major
             level_nodes.append(nodes)
             node_mask.append(mask)
-            # Per ego: the sampled edges in tile order, then the nesting
-            # self-loops in level l-1 table order.
-            edges = self.edges[level - 1]
-            sampled_src = layer_map[edges[:, 0]]
-            sampled_owner = table_owner[sampled_src]
-            sampled_off = sampled_owner.searchsorted(ego_range)
-            sampled_count = sampled_off[1:] - sampled_off[:-1]
-            owner = np.concatenate([sampled_owner, prev_owner])
-            prev_rows = np.arange(prev_owner.size)
-            col = np.concatenate([
-                np.arange(edges.shape[0]) - sampled_off[sampled_owner],
-                sampled_count[prev_owner] + prev_rows - prev_off[prev_owner],
-            ])
-            src = np.concatenate([sampled_src, nest_map])
-            dst = np.concatenate([row_map[edges[:, 1]], prev_rows])
-            edge_counts = sampled_count + (prev_off[1:] - prev_off[:-1])
-            edge_mask = np.arange(edge_counts.max()) < edge_counts[:, None]
-            src_index = np.zeros(edge_mask.shape, dtype=np.int64)
-            dst_index = np.zeros(edge_mask.shape, dtype=np.int64)
-            delta_t = np.zeros(edge_mask.shape, dtype=np.float64)
-            src_index[owner, col] = src - table_off[owner]
-            dst_index[owner, col] = dst - prev_off[owner]
-            delta_t[owner, col] = prev_t[dst] - table_t[src]
-            levels.append(
-                bipartite.PackedLevel(
-                    src_index=src_index,
-                    dst_index=dst_index,
-                    delta_t=delta_t,
-                    edge_mask=edge_mask,
+            if level == 0:
+                center_index = layer_map - table_off[owners[0]]
+            else:
+                # Per table: the sampled edges in tile order, then the
+                # nesting self-loops in level l-1 table order.
+                edges = self.edges[level - 1]
+                sampled_src, sampled_dst = layer_map[edges[:, 0]], row_map[edges[:, 1]]
+                if merge:  # an edge sampled by several egos is stored once
+                    first, _ = _first_seen(sampled_src * prev_owner.size + sampled_dst)
+                    sampled_src, sampled_dst = sampled_src[first], sampled_dst[first]
+                sampled_owner = table_owner[sampled_src]
+                sampled_off = sampled_owner.searchsorted(table_range)
+                sampled_count = sampled_off[1:] - sampled_off[:-1]
+                owner = np.concatenate([sampled_owner, prev_owner])
+                prev_rows = np.arange(prev_owner.size)
+                col = np.concatenate([
+                    np.arange(sampled_src.size) - sampled_off[sampled_owner],
+                    sampled_count[prev_owner] + prev_rows - prev_off[prev_owner],
+                ])
+                src = np.concatenate([sampled_src, nest_map])
+                dst = np.concatenate([sampled_dst, prev_rows])
+                edge_counts = sampled_count + (prev_off[1:] - prev_off[:-1])
+                edge_mask = np.arange(edge_counts.max()) < edge_counts[:, None]
+                src_index = np.zeros(edge_mask.shape, dtype=np.int64)
+                dst_index = np.zeros(edge_mask.shape, dtype=np.int64)
+                delta_t = np.zeros(edge_mask.shape, dtype=np.float64)
+                src_index[owner, col] = src - table_off[owner]
+                dst_index[owner, col] = dst - prev_off[owner]
+                delta_t[owner, col] = prev_t[dst] - table_t[src]
+                levels.append(
+                    bipartite.PackedLevel(
+                        src_index=src_index,
+                        dst_index=dst_index,
+                        delta_t=delta_t,
+                        edge_mask=edge_mask,
+                    )
                 )
-            )
-            row_map = layer_map
+            # This level's table parents the next; row_map: nodes[l] row -> table row.
+            prev_owner, prev_off, prev_t, row_map = table_owner, table_off, table_t, layer_map
         return bipartite.PackedEgoBatch(
             level_nodes=level_nodes,
             node_mask=node_mask,
             levels=levels,
-            center_index=np.zeros(batch, dtype=np.int64),
+            center_index=center_index,
         )
 
 

@@ -1,6 +1,6 @@
 """Optimizers, learning-rate schedules, and gradient plumbing for the repro substrate."""
 
-from .accumulate import load_gradients, merge_gradient_shards
+from .accumulate import load_gradients
 from .adam import Adam
 from .base import Optimizer
 from .clip import clip_grad_norm
@@ -12,7 +12,6 @@ __all__ = [
     "SGD",
     "Adam",
     "clip_grad_norm",
-    "merge_gradient_shards",
     "load_gradients",
     "ConstantLR",
     "StepLR",

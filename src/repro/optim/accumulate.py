@@ -1,41 +1,23 @@
-"""Deterministic merging of per-shard gradients (data-parallel training).
+"""Installing merged per-shard gradients (data-parallel training).
 
 The sharded trainer runs forward+backward per shard and merges the
 resulting gradient dictionaries into the live model before one optimiser
-step.  Merging is a plain sum in *shard order*: because the shard
-partitioning never depends on the worker count, the floating-point
-accumulation order -- and therefore every Adam step -- is bit-identical no
-matter how many workers computed the shards, or on which backend.
+step.  Merging (``_EpochShardCollector`` in :mod:`repro.core.trainer`) is
+a plain sum in *shard order*: because the shard partitioning never depends
+on the worker count, the floating-point accumulation order -- and therefore
+every Adam step -- is bit-identical no matter how many workers computed the
+shards, or on which backend.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, Tuple
 
 import numpy as np
 
 from ..nn.module import Parameter
 
-__all__ = ["merge_gradient_shards", "load_gradients"]
-
-
-def merge_gradient_shards(
-    shard_grads: Sequence[Mapping[str, np.ndarray]],
-) -> Dict[str, np.ndarray]:
-    """Sum per-shard ``{param_name: grad}`` maps in the given (shard) order.
-
-    A parameter missing from every shard (it never entered a shard's loss)
-    stays missing from the result, mirroring the ``grad is None`` state a
-    single-batch backward would leave.
-    """
-    merged: Dict[str, np.ndarray] = {}
-    for grads in shard_grads:
-        for name, grad in grads.items():
-            if name in merged:
-                merged[name] = merged[name] + grad
-            else:
-                merged[name] = grad.copy()
-    return merged
+__all__ = ["load_gradients"]
 
 
 def load_gradients(

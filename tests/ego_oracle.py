@@ -113,8 +113,7 @@ def _pack_single_ego(
 ) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
     """Nested per-level node tables and edge lists for one ego-graph.
 
-    Replicates the single-ego semantics of :func:`build_bipartite_batch`
-    (within-ego deduplication, level nesting, self-loop edges) with
+    Within-ego deduplication, level nesting and self-loop edges, with
     vectorised ``np.unique`` interning instead of per-node dict lookups.
     """
     tables: List[np.ndarray] = [ego.layers[0].reshape(1, 2).astype(np.int64)]

@@ -1,10 +1,10 @@
 """Batched-vs-sequential equivalence of the ego-graph encoding pipeline.
 
-The padded ego-parallel hot path (``pack_ego_batch`` + ``encode_batch``)
-must be a pure vectorisation: same centre representations as encoding each
-ego-graph on its own, same sampling distribution as the per-row generation
-path, and a guarded degenerate-row fallback that can never divide by zero
-or emit a forbidden index.
+The padded ego-parallel hot path (``pack_ego_batch`` + one ``TGAEEncoder``
+forward) must be a pure vectorisation: same centre representations as
+encoding each ego-graph on its own, same sampling distribution as the
+per-row generation path, and a guarded degenerate-row fallback that can
+never divide by zero or emit a forbidden index.
 """
 
 import numpy as np
@@ -13,12 +13,7 @@ import pytest
 from repro.core import EgoGraphSampler, TGAEEncoder, TGAEGenerator, TGAEModel, fast_config
 from repro.core.engine import sample_rows_without_replacement, sample_without_replacement
 from repro.errors import GraphFormatError
-from repro.graph import (
-    TemporalGraph,
-    build_bipartite_batch,
-    ego_graph_batch,
-    pack_ego_batch,
-)
+from repro.graph import EgoTile, TemporalGraph, ego_graph_batch, pack_ego_batch
 from repro.nn import TemporalGraphAttention
 
 
@@ -76,9 +71,9 @@ class TestPackEgoBatch:
         _, egos = sample_egos(g, config, count=6)
         packed = pack_ego_batch(egos)
         for b, ego in enumerate(egos):
-            merged = build_bipartite_batch([ego])
+            merged = EgoTile.from_egos([ego]).packed(merge=True)
             for level in range(config.radius + 1):
-                assert int(packed.node_mask[level][b].sum()) == merged.level_nodes[level].shape[0]
+                assert int(packed.node_mask[level][b].sum()) == merged.level_nodes[level].shape[1]
             for level in range(config.radius):
                 assert int(packed.levels[level].edge_mask[b].sum()) == merged.levels[level].num_edges
 
@@ -103,10 +98,8 @@ class TestBatchedEncodingEquivalence:
         config = fast_config(radius=radius)
         _, egos = sample_egos(g, config, count=12, seed=radius)
         encoder = TGAEEncoder(g.num_nodes, g.num_timestamps, config)
-        batched = encoder.encode_batch(pack_ego_batch(egos)).numpy()
-        sequential = np.stack(
-            [encoder.encode_centers(build_bipartite_batch([ego])).numpy()[0] for ego in egos]
-        )
+        batched = encoder(pack_ego_batch(egos)).numpy()
+        sequential = np.stack([encoder(pack_ego_batch([ego])).numpy()[0] for ego in egos])
         assert batched.shape == (12, config.hidden_dim)
         np.testing.assert_allclose(batched, sequential, atol=1e-9)
 
@@ -117,7 +110,7 @@ class TestBatchedEncodingEquivalence:
         model = TGAEModel(g.num_nodes, g.num_timestamps, config)
         batched = model(pack_ego_batch(egos), sample=False).logits.numpy()
         sequential = np.stack(
-            [model(build_bipartite_batch([ego]), sample=False).logits.numpy()[0] for ego in egos]
+            [model(pack_ego_batch([ego]), sample=False).logits.numpy()[0] for ego in egos]
         )
         np.testing.assert_allclose(batched, sequential, atol=1e-8)
 
@@ -127,7 +120,7 @@ class TestBatchedEncodingEquivalence:
         sampler = EgoGraphSampler(g, config, np.random.default_rng(3))
         model = TGAEModel(g.num_nodes, g.num_timestamps, config)
         batch = sampler.next_batch()
-        out = model(batch.packed, sample=True)
+        out = model(batch.computation_batch(), sample=True)
         out.logits.sum().backward()
         grads = [p.grad for p in model.parameters() if p.grad is not None]
         assert grads and all(np.isfinite(gr).all() for gr in grads)
@@ -137,10 +130,11 @@ class TestBatchedEncodingEquivalence:
         config = fast_config(num_initial_nodes=5)
         sampler = EgoGraphSampler(g, config, np.random.default_rng(5))
         batch = sampler.next_batch()
-        assert batch.packed.batch_size == 5
-        assert batch.bipartite.num_centers == 5
-        assert batch.computation_batch(True) is batch.packed
-        assert batch.computation_batch(False) is batch.bipartite
+        packed, merged = batch.computation_batch(True), batch.computation_batch(False)
+        assert packed.batch_size == packed.num_centers == 5
+        assert merged.batch_size == 1 and merged.num_centers == 5
+        np.testing.assert_array_equal(packed.center_nodes, batch.centers)
+        np.testing.assert_array_equal(merged.center_nodes, batch.centers)
 
 
 class TestBatchedAttentionMasking:

@@ -57,7 +57,8 @@ class TestDecoder:
         model = TGAEModel(observed.num_nodes, observed.num_timestamps, SPARSE)
         sampler = EgoGraphSampler(observed, SPARSE, np.random.default_rng(3))
         batch = sampler.next_batch()
-        decoded = model(batch.bipartite, sample=False, candidates=batch.candidates)
+        decoded = model(batch.computation_batch(packed=False), sample=False,
+                        candidates=batch.candidates)
         assert decoded.logits.shape == batch.candidates.shape
 
     def test_candidate_logits_match_dense_columns(self, observed):
@@ -65,10 +66,9 @@ class TestDecoder:
         model = TGAEModel(observed.num_nodes, observed.num_timestamps, SPARSE)
         sampler = EgoGraphSampler(observed, SPARSE, np.random.default_rng(4))
         batch = sampler.next_batch()
-        dense = model(batch.bipartite, sample=False).logits.numpy()
-        sparse = model(
-            batch.bipartite, sample=False, candidates=batch.candidates
-        ).logits.numpy()
+        merged = batch.computation_batch(packed=False)
+        dense = model(merged, sample=False).logits.numpy()
+        sparse = model(merged, sample=False, candidates=batch.candidates).logits.numpy()
         for row in range(batch.candidates.shape[0]):
             assert np.allclose(sparse[row], dense[row][batch.candidates[row]])
 
@@ -76,7 +76,8 @@ class TestDecoder:
         model = TGAEModel(observed.num_nodes, observed.num_timestamps, SPARSE)
         sampler = EgoGraphSampler(observed, SPARSE, np.random.default_rng(5))
         batch = sampler.next_batch()
-        decoded = model(batch.bipartite, sample=True, candidates=batch.candidates)
+        decoded = model(batch.computation_batch(packed=False), sample=True,
+                        candidates=batch.candidates)
         loss = tgae_loss(decoded, batch.target_rows, kl_weight=1e-3,
                          candidates=batch.candidates)
         loss.backward()

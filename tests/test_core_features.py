@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import TGAEGenerator, TGAEModel, fast_config
 from repro.datasets import communication_network
+from repro.errors import ConfigError, NotFittedError, ShapeError
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +84,26 @@ class TestValidation:
             model.encoder.set_external_features(
                 np.zeros((observed.num_nodes, 5))
             )
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5,), (2, 15, 5, 1)])
+    def test_failed_fit_leaves_generator_unfitted(self, observed, shape):
+        generator = TGAEGenerator(CONFIG)
+        with pytest.raises(ShapeError):
+            generator.fit(observed, node_features=np.zeros(shape))
+        assert not generator.is_fitted
+        assert generator.model is None
+        with pytest.raises(NotFittedError):
+            generator.generate(seed=0)
+
+    def test_wrong_shape_is_a_shape_error(self, observed):
+        model = TGAEModel(observed.num_nodes, observed.num_timestamps, CONFIG,
+                          feature_dim=5)
+        with pytest.raises(ShapeError):
+            model.encoder.set_external_features(np.zeros((3, 5)))
+        with pytest.raises(ShapeError):
+            model.encoder.set_external_features(np.zeros(5))
+
+    def test_features_without_support_are_a_config_error(self, observed):
+        model = TGAEModel(observed.num_nodes, observed.num_timestamps, CONFIG)
+        with pytest.raises(ConfigError):
+            model.encoder.set_external_features(np.zeros((observed.num_nodes, 5)))

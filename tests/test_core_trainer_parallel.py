@@ -58,12 +58,14 @@ def assert_same_run(run_a, run_b):
 class TestShardedTrainingDeterminism:
     """workers=1 and workers=4 produce bit-identical training trajectories."""
 
+    @pytest.mark.parametrize("packed", [True, False], ids=["packed", "merged"])
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("backend", ["process", "thread"])
-    def test_workers_1_vs_4_bit_identical(self, observed, seed, backend):
+    def test_workers_1_vs_4_bit_identical(self, observed, seed, backend, packed):
         assert_same_run(
-            train_run(observed, workers=1, seed=seed),
-            train_run(observed, workers=4, backend=backend, seed=seed),
+            train_run(observed, workers=1, seed=seed, packed_batches=packed),
+            train_run(observed, workers=4, backend=backend, seed=seed,
+                      packed_batches=packed),
         )
 
     def test_dense_decoder_path_bit_identical(self, observed):
@@ -206,6 +208,14 @@ class TestCheckpointedTraining:
             train_run(observed, workers=1, checkpoint_attention=True),
             train_run(observed, workers=4, checkpoint_attention=True),
         )
+
+    def test_merged_layout_bit_identical(self, observed):
+        """The merged Fig. 4 layout: checkpointing and workers change no bit."""
+        plain = train_run(observed, packed_batches=False)
+        assert_same_run(plain, train_run(observed, packed_batches=False,
+                                         checkpoint_attention=True))
+        assert_same_run(plain, train_run(observed, workers=4, packed_batches=False,
+                                         checkpoint_attention=True))
 
     def test_generation_identical_after_checkpointed_training(self, observed):
         import dataclasses

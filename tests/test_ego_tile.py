@@ -8,11 +8,13 @@
   ``counter_ego_graph`` reference), and the picks are uniform.
 * **Purity** -- an ego-graph depends only on its key: a group sliced from
   a larger tile equals that group sampled alone.
-* **Layouts** -- ``tile.egos()`` feeds the merged Fig. 4 layout exactly as
-  the oracle's egos do, and ``EgoTile.from_egos`` inverts ``egos()``.
+* **Layouts** -- ``tile.packed(merge=True)`` is the merged layout of
+  Fig. 4 as a short set definition states it, and ``EgoTile.from_egos``
+  inverts ``egos()``.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,13 +26,7 @@ from strategies import STANDARD_SETTINGS
 
 from repro.core import EgoGraphSampler, fast_config
 from repro.errors import GraphFormatError
-from repro.graph import (
-    EgoTile,
-    TemporalGraph,
-    build_bipartite_batch,
-    pack_ego_batch,
-    sample_ego_tile,
-)
+from repro.graph import EgoTile, TemporalGraph, pack_ego_batch, sample_ego_tile
 from repro.graph.ego_graph import counter_hash
 
 NO_TRUNCATION = 10**6
@@ -73,13 +69,43 @@ def assert_packed_equal(actual, expected):
         np.testing.assert_array_equal(x, y)
 
 
-def assert_bipartite_equal(actual, expected):
-    np.testing.assert_array_equal(actual.center_index, expected.center_index)
-    for x, y in zip(actual.level_nodes, expected.level_nodes):
-        np.testing.assert_array_equal(x, y)
-    for la, lb in zip(actual.levels, expected.levels):
-        for f in dataclasses.fields(la):
-            np.testing.assert_array_equal(getattr(la, f.name), getattr(lb, f.name))
+def fig4_layout(egos):
+    """The merged k-bipartite graphs of Fig. 4, as sets of ``(node, time)``.
+
+    Level 0 is the set of centres and level ``l`` the union of every ego's
+    layer ``l`` with level ``l-1`` (nesting).  The edges into level ``l-1``
+    are the set of sampled ``(child, parent)`` pairs over all egos plus one
+    self edge per level-``l-1`` node, counted as a multiset.
+    """
+    nodes = [{ego.center for ego in egos}]
+    edges = []
+    for level in range(1, egos[0].radius + 1):
+        nodes.append(nodes[-1] | {tuple(row) for ego in egos
+                                  for row in ego.layers[level].tolist()})
+        sampled = {
+            (tuple(ego.layers[level][child].tolist()),
+             tuple(ego.layers[level - 1][parent].tolist()))
+            for ego in egos for child, parent in ego.edges[level - 1].tolist()
+        }
+        edges.append(Counter(sampled) + Counter((node, node) for node in nodes[level - 1]))
+    return nodes, edges
+
+
+def assert_merged_layout(batch, egos):
+    """``batch`` is one shared table per level laying out ``fig4_layout(egos)``."""
+    nodes, edges = fig4_layout(egos)
+    assert batch.batch_size == 1 and batch.num_centers == len(egos)
+    tables = [level[0] for level in batch.level_nodes]
+    for level, table in enumerate(tables):
+        assert batch.node_mask[level].all()
+        rows = [tuple(row) for row in table.tolist()]
+        assert len(rows) == len(set(rows)) and set(rows) == nodes[level]
+    for level, lev in enumerate(batch.levels, start=1):
+        assert lev.edge_mask.all()
+        src, dst = tables[level][lev.src_index[0]], tables[level - 1][lev.dst_index[0]]
+        assert Counter(zip(map(tuple, src.tolist()), map(tuple, dst.tolist()))) == edges[level - 1]
+        np.testing.assert_array_equal(lev.delta_t[0], dst[:, 1] - src[:, 1])
+    np.testing.assert_array_equal(tables[0][batch.center_index], [ego.center for ego in egos])
 
 
 class TestExactEquality:
@@ -163,17 +189,16 @@ class TestPurity:
 
 
 class TestLayouts:
-    @given(tile_cases())
+    @given(tile_cases(), st.one_of(st.just(NO_TRUNCATION), st.integers(1, 4)))
     @STANDARD_SETTINGS
-    def test_merged_layout_matches_oracle_egos(self, case):
+    def test_merged_layout_matches_oracle_egos(self, case, threshold):
         graph, centers, keys, radius, window = case
-        tile = sample_ego_tile(graph, centers, keys, radius, NO_TRUNCATION, window)
-        rng = np.random.default_rng(0)
-        oracle = [
-            oracle_ego_graph(graph, (int(u), int(t)), radius, NO_TRUNCATION, window, rng)
-            for u, t in centers
+        tile = sample_ego_tile(graph, centers, keys, radius, threshold, window)
+        reference = [
+            counter_ego_graph(graph, (int(u), int(t)), int(k), radius, threshold, window)
+            for (u, t), k in zip(centers, keys)
         ]
-        assert_bipartite_equal(build_bipartite_batch(tile.egos()), build_bipartite_batch(oracle))
+        assert_merged_layout(tile.packed(merge=True), reference)
 
     @given(tile_cases(), st.integers(1, 4))
     @STANDARD_SETTINGS
@@ -191,9 +216,11 @@ class TestLayouts:
                               rng.integers(0, 4, 80))
         sampler = EgoGraphSampler(graph, fast_config(), np.random.default_rng(1))
         batch = sampler.batch_for_centers(sampler.sample_centers(6))
-        assert_bipartite_equal(batch.computation_batch(False),
-                               build_bipartite_batch(batch.tile.egos()))
-        assert_packed_equal(batch.computation_batch(True), pack_ego_batch(batch.tile.egos()))
+        egos = batch.tile.egos()
+        assert_packed_equal(batch.computation_batch(True), pack_ego_batch(egos))
+        assert_merged_layout(batch.computation_batch(False), egos)
+        assert_packed_equal(batch.computation_batch(False),
+                            EgoTile.from_egos(egos).packed(merge=True))
 
     def test_empty_tile_cannot_pack(self):
         graph = TemporalGraph(3, [0], [1], [0])

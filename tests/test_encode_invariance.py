@@ -42,7 +42,7 @@ def encoder(request, observed):
 
     def encode(keys: np.ndarray) -> np.ndarray:
         centers = np.stack([keys // T, keys % T], axis=1)
-        return generator.model.encode_inference(sampler.inference_batch(centers).packed)
+        return generator.model.encode_inference(sampler.inference_batch(centers).tile.packed())
 
     universe = np.arange(observed.num_nodes * T, dtype=np.int64)
     return encode, encode(universe)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from strategies import QUICK_SETTINGS
 
 from repro.graph import (
+    EgoTile,
     TemporalGraph,
-    build_bipartite_batch,
     cumulative_snapshots,
     ego_graph_batch,
     initial_node_probabilities,
@@ -77,15 +77,16 @@ def test_bipartite_nesting_invariant(graph, radius):
     rng = np.random.default_rng(1)
     centers = sample_initial_nodes(graph, 4, rng)
     egos = ego_graph_batch(graph, centers, radius, threshold=5, time_window=2, rng=rng)
-    batch = build_bipartite_batch(egos)
+    batch = EgoTile.from_egos(egos).packed(merge=True)
+    tables = [nodes[0] for nodes in batch.level_nodes]  # one shared table, no padding
     for level in range(1, batch.radius + 1):
-        upper = {tuple(r) for r in batch.level_nodes[level].tolist()}
-        lower = {tuple(r) for r in batch.level_nodes[level - 1].tolist()}
+        upper = {tuple(r) for r in tables[level].tolist()}
+        lower = {tuple(r) for r in tables[level - 1].tolist()}
         assert lower <= upper
         edges = batch.levels[level - 1]
-        targets = set(edges.dst_index.tolist())
+        targets = set(edges.dst_index[0].tolist())
         # Every target row receives at least one edge (its self-loop).
-        assert targets == set(range(batch.level_nodes[level - 1].shape[0]))
+        assert targets == set(range(tables[level - 1].shape[0]))
 
 
 @given(temporal_graphs())
