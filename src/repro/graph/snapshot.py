@@ -99,8 +99,6 @@ def cumulative_snapshots(graph: TemporalGraph) -> List[Snapshot]:
     result: List[Snapshot] = []
     order = np.argsort(graph.t, kind="stable")
     sorted_t = graph.t[order]
-    bounds = np.searchsorted(sorted_t, np.arange(graph.num_timestamps + 1), side="right")
-    # bounds[t] = number of edges with timestamp <= t (using side='right' on value t).
     cut = np.searchsorted(sorted_t, np.arange(graph.num_timestamps), side="right")
     for timestamp in range(graph.num_timestamps):
         sel = order[: cut[timestamp]]

@@ -8,14 +8,34 @@ timestamp and reduced by mean (Table V) or median (Table IV).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence, Union
 
 import numpy as np
 
 from ..errors import GraphFormatError
 from ..graph.snapshot import Snapshot, cumulative_snapshots
 from ..graph.temporal_graph import TemporalGraph
-from .statistics import STATISTIC_FUNCTIONS
+from .statistics import STATISTIC_FUNCTIONS, statistic_series
+
+
+def select_statistics(
+    statistics: Union[str, Sequence[str], None] = None, reduction: str = "mean"
+) -> List[str]:
+    """Validate a statistic selection and reduction; return the names.
+
+    ``None`` selects all seven Table III statistics and a bare string is one
+    statistic name.  Unknown names raise ``KeyError``; a reduction other
+    than ``"mean"`` or ``"median"`` raises ``ValueError``.
+    """
+    if reduction not in ("mean", "median"):
+        raise ValueError(f"reduction must be 'mean' or 'median', got {reduction!r}")
+    if statistics is None:
+        return list(STATISTIC_FUNCTIONS)
+    names = [statistics] if isinstance(statistics, str) else list(statistics)
+    unknown = [n for n in names if n not in STATISTIC_FUNCTIONS]
+    if unknown:
+        raise KeyError(f"unknown statistics: {unknown}")
+    return names
 
 
 def relative_error_series(
@@ -69,7 +89,7 @@ def f_med(
 def compare_graphs(
     observed: TemporalGraph,
     generated: TemporalGraph,
-    statistics: Optional[Sequence[str]] = None,
+    statistics: Union[str, Sequence[str], None] = None,
     reduction: str = "mean",
 ) -> Dict[str, float]:
     """Score a generated graph on several statistics at once.
@@ -77,22 +97,18 @@ def compare_graphs(
     Parameters
     ----------
     statistics:
-        Names from :data:`~repro.metrics.statistics.STATISTIC_FUNCTIONS`;
-        defaults to all seven Table III statistics.
+        Names from :data:`~repro.metrics.statistics.STATISTIC_FUNCTIONS`
+        (a bare string is one name); defaults to all seven Table III
+        statistics.
     reduction:
         ``"mean"`` (f_avg) or ``"median"`` (f_med).
     """
-    if reduction not in ("mean", "median"):
-        raise ValueError(f"reduction must be 'mean' or 'median', got {reduction!r}")
+    names = select_statistics(statistics, reduction)
     if observed.num_timestamps != generated.num_timestamps:
         raise GraphFormatError(
             "observed and generated graphs must span the same number of "
             f"timestamps ({observed.num_timestamps} != {generated.num_timestamps})"
         )
-    names = list(statistics) if statistics is not None else list(STATISTIC_FUNCTIONS)
-    unknown = [n for n in names if n not in STATISTIC_FUNCTIONS]
-    if unknown:
-        raise KeyError(f"unknown statistics: {unknown}")
     obs_snaps = cumulative_snapshots(observed)
     gen_snaps = cumulative_snapshots(generated)
     scores: Dict[str, float] = {}
@@ -114,15 +130,13 @@ def compare_graphs(
 
 
 def statistic_time_series(
-    graph: TemporalGraph, statistics: Optional[Sequence[str]] = None
+    graph: TemporalGraph, statistics: Union[str, Sequence[str], None] = None
 ) -> Dict[str, np.ndarray]:
     """Per-timestamp values of each statistic on cumulative snapshots.
 
-    This is the data behind Figure 5 (temporal tendency curves).
+    This is the data behind Figure 5 (temporal tendency curves), read from
+    :func:`~repro.metrics.statistics.statistic_series`.
     """
-    names = list(statistics) if statistics is not None else list(STATISTIC_FUNCTIONS)
-    snaps = cumulative_snapshots(graph)
-    return {
-        name: np.asarray([STATISTIC_FUNCTIONS[name](s) for s in snaps], dtype=np.float64)
-        for name in names
-    }
+    names = select_statistics(statistics)
+    series = statistic_series(graph)
+    return {name: series[name] for name in names}

@@ -13,14 +13,14 @@ TagGen and TIGGER).  These utilities extend the evaluation suite with:
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Dict
 
 import numpy as np
 
 from ..graph.snapshot import Snapshot, cumulative_snapshots
 from ..graph.temporal_graph import TemporalGraph
 from .mmd import mmd_squared
-from .statistics import STATISTIC_FUNCTIONS
+from .statistics import STATISTIC_FUNCTIONS, statistic_series
 
 
 def degree_histogram(snapshot: Snapshot, max_degree: int = 0) -> np.ndarray:
@@ -90,9 +90,8 @@ def temporal_tendency_error(
     """
     if statistic not in STATISTIC_FUNCTIONS:
         raise KeyError(f"unknown statistic {statistic!r}")
-    fn: Callable[[Snapshot], float] = STATISTIC_FUNCTIONS[statistic]
-    obs_series = np.asarray([fn(s) for s in cumulative_snapshots(observed)])
-    gen_series = np.asarray([fn(s) for s in cumulative_snapshots(generated)])
+    obs_series = statistic_series(observed)[statistic]
+    gen_series = statistic_series(generated)[statistic]
 
     def safe_log(x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x, dtype=np.float64)

@@ -1,78 +1,58 @@
-"""Streaming O(E)-peak evaluation of the Eq. 10 comparison scores.
+"""One-pass O(n + E) evaluation of the Eq. 10 comparison scores.
 
 :func:`~repro.metrics.comparison.compare_graphs` materialises *every*
 cumulative snapshot of both graphs up front -- ``sum_t E_t = O(T * E)``
-edge arrays -- and then loops statistics over them, caching a sparse CSR
-(and its symmetrised twin) per snapshot along the way.  Fine at paper
-scale, but it is the last non-streaming stage of the
-``fit -> generate -> evaluate`` pipeline: at n=100k the retained snapshot
-and CSR caches dwarf everything the streaming engine and trainer were
-built to avoid.
+edge arrays -- and rebuilds each one's sparse adjacency to score it.  It is
+the reference path; :func:`streaming_evaluate` is the production one.
 
-:func:`streaming_evaluate` computes the *same* scores one timestamp at a
-time: a single transient :class:`~repro.graph.snapshot.Snapshot` pair is
-alive at any moment, every Table III statistic reads its shared cached CSR
-group-bys (no dense node x node array anywhere), and the per-statistic
-error lists are reduced exactly as in ``compare_graphs``.  Peak memory is
-O(E) -- the largest single snapshot plus its CSR -- instead of O(T * E),
-and the returned scores are **bit-identical** to the dense path: the same
-statistic values are computed on the same edge sets in the same order.
+:func:`streaming_evaluate` reads each graph's statistic series from
+:func:`~repro.metrics.statistics.statistic_series`, which walks the
+time-sorted edges once and keeps only O(n + E) state (degrees, a
+union-find, neighbour sets), then reduces the per-timestamp relative errors
+exactly as ``compare_graphs`` does.  No snapshot or sparse matrix is built,
+and the returned scores are **bit-identical** to the dense path: the series
+values equal the per-snapshot statistics bit for bit, and the errors are
+formed and reduced with the same floating-point operations in the same
+order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Dict, Sequence, Union
 
 import numpy as np
 
 from ..errors import GraphFormatError
-from ..graph.snapshot import Snapshot
 from ..graph.temporal_graph import TemporalGraph
-from .statistics import STATISTIC_FUNCTIONS
+from .comparison import select_statistics
+from .statistics import statistic_series
 from .temporal import compare_temporal_signatures
 
-__all__ = ["iter_cumulative_snapshots", "streaming_evaluate"]
-
-
-def iter_cumulative_snapshots(graph: TemporalGraph) -> Iterator[Snapshot]:
-    """Yield the cumulative snapshots ``S_0 .. S_{T-1}`` one at a time.
-
-    The lazy twin of :func:`~repro.graph.snapshot.cumulative_snapshots`:
-    identical snapshots (same stable time order, same edge selection per
-    ``t``), but each one is yielded and can be dropped before the next is
-    built, so a consumer that works timestamp-by-timestamp keeps one
-    snapshot's edges and CSR caches alive instead of all ``T``.
-    """
-    order = np.argsort(graph.t, kind="stable")
-    sorted_t = graph.t[order]
-    cut = np.searchsorted(sorted_t, np.arange(graph.num_timestamps), side="right")
-    for timestamp in range(graph.num_timestamps):
-        sel = order[: cut[timestamp]]
-        yield Snapshot(graph.num_nodes, graph.src[sel], graph.dst[sel])
+__all__ = ["streaming_evaluate"]
 
 
 def streaming_evaluate(
     observed: TemporalGraph,
     generated: TemporalGraph,
-    statistics: Optional[Sequence[str]] = None,
+    statistics: Union[str, Sequence[str], None] = None,
     reduction: str = "mean",
     include_temporal: bool = False,
 ) -> Dict[str, float]:
-    """Eq. 10 comparison scores at O(E) peak memory.
+    """Eq. 10 comparison scores in one pass over each graph's edges.
 
     Drop-in replacement for :func:`~repro.metrics.comparison.compare_graphs`
-    returning bit-identical scores: per timestamp one transient snapshot
-    pair is built, all requested statistics are evaluated on its shared
-    cached CSR, relative errors accumulate into per-statistic lists (the
-    paper's rule of skipping timestamps where the observed statistic is
-    numerically zero included), and the lists reduce by mean (f_avg) or
-    median (f_med) at the end.
+    returning bit-identical scores: both graphs' statistic series come from
+    one :func:`~repro.metrics.statistics.statistic_series` pass each
+    (O(n + E) memory), timestamps where the observed statistic is
+    numerically zero are skipped (the paper's rule), and the remaining
+    relative errors reduce by mean (f_avg) or median (f_med).
 
     Parameters
     ----------
     statistics:
-        Names from :data:`~repro.metrics.statistics.STATISTIC_FUNCTIONS`;
-        defaults to all seven Table III statistics.
+        Names from :data:`~repro.metrics.statistics.STATISTIC_FUNCTIONS`
+        (a bare string is one name); defaults to all seven Table III
+        statistics.
     reduction:
         ``"mean"`` (f_avg) or ``"median"`` (f_med).
     include_temporal:
@@ -81,38 +61,25 @@ def streaming_evaluate(
         already O(E): they read the raw edge arrays, never snapshots) into
         the result under ``"temporal:<name>"`` keys.
     """
-    if reduction not in ("mean", "median"):
-        raise ValueError(f"reduction must be 'mean' or 'median', got {reduction!r}")
+    names = select_statistics(statistics, reduction)
     if observed.num_timestamps != generated.num_timestamps:
         raise GraphFormatError(
             "observed and generated graphs must span the same number of "
             f"timestamps ({observed.num_timestamps} != {generated.num_timestamps})"
         )
-    names = list(statistics) if statistics is not None else list(STATISTIC_FUNCTIONS)
-    unknown = [n for n in names if n not in STATISTIC_FUNCTIONS]
-    if unknown:
-        raise KeyError(f"unknown statistics: {unknown}")
-    errors: Dict[str, list] = {name: [] for name in names}
-    pairs = zip(
-        iter_cumulative_snapshots(observed), iter_cumulative_snapshots(generated)
-    )
-    for obs, gen in pairs:
-        for name in names:
-            fn = STATISTIC_FUNCTIONS[name]
-            reference = fn(obs)
-            if abs(reference) < 1e-12:
-                continue
-            errors[name].append(abs((reference - fn(gen)) / reference))
-        # obs/gen (and their cached CSRs) die here -- peak stays O(E).
+    obs_series = statistic_series(observed)
+    gen_series = statistic_series(generated)
     scores: Dict[str, float] = {}
     for name in names:
-        series = errors[name]
-        if not series:
+        reference = obs_series[name]
+        kept = np.abs(reference) >= 1e-12
+        errors = np.abs((reference[kept] - gen_series[name][kept]) / reference[kept])
+        if not errors.size:
             scores[name] = 0.0
         elif reduction == "mean":
-            scores[name] = float(np.mean(series))
+            scores[name] = float(np.mean(errors))
         else:
-            scores[name] = float(np.median(series))
+            scores[name] = float(np.median(errors))
     if include_temporal:
         deltas = compare_temporal_signatures(observed, generated)
         scores.update({f"temporal:{name}": value for name, value in deltas.items()})

@@ -1,13 +1,17 @@
-"""Streaming evaluation: bit-equal to the dense path, O(E) by construction.
+"""Streaming evaluation: bit-equal to the dense path, one pass by construction.
 
-``streaming_evaluate`` must be a drop-in for ``compare_graphs``: same
-statistic values on the same snapshot edge sets reduced in the same order,
-hence *exactly* equal scores -- not approximately equal.  The iterator twin
-of ``cumulative_snapshots`` must yield identical snapshots one at a time.
+``streaming_evaluate`` must be a drop-in for ``compare_graphs``: the
+one-pass ``statistic_series`` must reproduce every per-snapshot statistic
+bit for bit, and the errors must reduce in the same order, hence *exactly*
+equal scores -- not approximately equal.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from strategies import STANDARD_SETTINGS
 
 from repro.datasets import communication_network
 from repro.errors import GraphFormatError
@@ -15,7 +19,7 @@ from repro.graph import TemporalGraph, cumulative_snapshots
 from repro.metrics import (
     STATISTIC_FUNCTIONS,
     compare_graphs,
-    iter_cumulative_snapshots,
+    statistic_series,
     streaming_evaluate,
 )
 from repro.metrics.temporal import compare_temporal_signatures
@@ -26,30 +30,6 @@ def pair():
     observed = communication_network(40, 300, 6, seed=5)
     generated = communication_network(40, 300, 6, seed=9)
     return observed, generated
-
-
-class TestIterCumulativeSnapshots:
-    def test_yields_same_snapshots_as_dense_builder(self, pair):
-        graph, _ = pair
-        dense = cumulative_snapshots(graph)
-        lazy = list(iter_cumulative_snapshots(graph))
-        assert len(dense) == len(lazy)
-        for a, b in zip(dense, lazy):
-            assert a.num_nodes == b.num_nodes
-            assert np.array_equal(a.src, b.src)
-            assert np.array_equal(a.dst, b.dst)
-
-    def test_handles_empty_graph(self):
-        graph = TemporalGraph(4, [], [], [], num_timestamps=3)
-        snaps = list(iter_cumulative_snapshots(graph))
-        assert len(snaps) == 3
-        assert all(s.num_edges == 0 for s in snaps)
-
-    def test_is_lazy(self, pair):
-        graph, _ = pair
-        iterator = iter_cumulative_snapshots(graph)
-        first = next(iterator)
-        assert first.num_edges <= graph.num_edges
 
 
 class TestStreamingEvaluateParity:
@@ -99,6 +79,15 @@ class TestStreamingEvaluateGuards:
         with pytest.raises(KeyError, match="nope"):
             streaming_evaluate(observed, generated, statistics=["nope"])
 
+    def test_bare_string_is_one_statistic_name(self, pair):
+        observed, generated = pair
+        streamed = streaming_evaluate(observed, generated, statistics="lcc")
+        dense = compare_graphs(observed, generated, statistics="lcc")
+        assert list(streamed) == ["lcc"]
+        assert streamed == dense == compare_graphs(
+            observed, generated, statistics=["lcc"]
+        )
+
     def test_rejects_bad_reduction(self, pair):
         observed, generated = pair
         with pytest.raises(ValueError, match="reduction"):
@@ -115,3 +104,53 @@ class TestStreamingEvaluateGuards:
         b = TemporalGraph(4, [], [], [], num_timestamps=3)
         scores = streaming_evaluate(a, b)
         assert all(value == 0.0 for value in scores.values())
+
+
+def _edge_graph(draw, num_t, max_nodes=9, max_edges=40):
+    """A small graph where self-loops, repeated pairs (also at later
+    timestamps), empty timestamps, isolated nodes and ``n=1`` are all likely."""
+    n = draw(st.integers(1, max_nodes))
+    node = st.integers(0, n - 1)
+    edges = draw(
+        st.lists(st.tuples(node, node, st.integers(0, num_t - 1)), max_size=max_edges)
+    )
+    src, dst, t = (list(column) for column in zip(*edges)) if edges else ([], [], [])
+    return TemporalGraph(n, src, dst, t, num_timestamps=num_t)
+
+
+@st.composite
+def temporal_graphs(draw):
+    return _edge_graph(draw, draw(st.integers(1, 6)))
+
+
+@st.composite
+def graph_pairs(draw):
+    num_t = draw(st.integers(1, 6))
+    return _edge_graph(draw, num_t), _edge_graph(draw, num_t)
+
+
+@given(temporal_graphs())
+@STANDARD_SETTINGS
+def test_statistic_series_is_bitwise_the_per_snapshot_statistics(graph):
+    series = statistic_series(graph)
+    snapshots = cumulative_snapshots(graph)
+    assert list(series) == list(STATISTIC_FUNCTIONS)
+    for name, fn in STATISTIC_FUNCTIONS.items():
+        expected = np.asarray([fn(s) for s in snapshots], dtype=np.float64)
+        assert series[name].tobytes() == expected.tobytes(), name
+
+
+@given(
+    graph_pairs(),
+    st.sampled_from(["mean", "median"]),
+    st.lists(st.sampled_from(list(STATISTIC_FUNCTIONS)), min_size=1, unique=True),
+)
+@STANDARD_SETTINGS
+def test_streaming_evaluate_equals_compare_graphs(pair, reduction, names):
+    observed, generated = pair
+    dense = compare_graphs(observed, generated, statistics=names, reduction=reduction)
+    streamed = streaming_evaluate(
+        observed, generated, statistics=names, reduction=reduction
+    )
+    assert streamed == dense
+    assert list(streamed) == names
