@@ -14,9 +14,10 @@ Two wins are gated against recorded ceilings and logged into
   bench-local :class:`WorkerPool` subclass that pickles what it sends.
 * ``bench_streaming_eval_peak`` -- ``streaming_evaluate`` must score a
   graph pair with at most :data:`EVAL_PEAK_CEILING` x the peak traced
-  memory of the dense ``compare_graphs`` path, returning *exactly* equal
-  scores for both reductions, and in at most :data:`EVAL_TIME_CEILING` x
-  its wall time and :data:`EVAL_SECONDS_CEILING` seconds.
+  memory of the dense per-snapshot oracle ``reference_compare_graphs``
+  (``tests/eval_oracle.py``), returning *exactly* equal scores for both
+  reductions, and in at most :data:`EVAL_TIME_CEILING` x its wall time and
+  :data:`EVAL_SECONDS_CEILING` seconds.
 * ``bench_dispatch_smoke`` -- the cheap CI gate: ``train_tgae(workers=N)``
   through an shm pool is bit-identical to ``workers=1``, and the pool's
   shared segments are unlinked on close.
@@ -29,15 +30,21 @@ the printed per-epoch byte count into :data:`RECORDED_SHM_EPOCH_BYTES`.
 import gc
 import os
 import pickle
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
 from _artifacts import write_bench_artifact
 from repro.core import TGAEModel, WorkerPool, fast_config, train_tgae
 from repro.datasets import communication_network, erdos_renyi_temporal
-from repro.metrics import compare_graphs, streaming_evaluate
+from repro.metrics import streaming_evaluate
+
+# The per-snapshot Eq. 10 loop lives with the tests as their oracle.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from eval_oracle import reference_compare_graphs  # noqa: E402
 
 #: Recorded per-epoch shm dispatch bytes (tasks + amortised payload) at the
 #: ``bench_dispatch_payload`` config.  Mostly target-row index arrays --
@@ -49,11 +56,11 @@ RECORDED_SHM_EPOCH_BYTES = 22_386
 DISPATCH_CEILING = 1.25
 
 #: ``streaming_evaluate`` peak memory as a fraction of the dense
-#: ``compare_graphs`` peak at the bench config (measured: ~0.10x).
+#: ``reference_compare_graphs`` peak at the bench config (measured: ~0.10x).
 EVAL_PEAK_CEILING = 0.25
 
 #: ``streaming_evaluate`` wall time as a fraction of the dense
-#: ``compare_graphs`` wall time, median of :data:`EVAL_TIME_REPEATS` calls
+#: ``reference_compare_graphs`` wall time, median of :data:`EVAL_TIME_REPEATS` calls
 #: each, timed outside tracemalloc (measured: ~0.06x).
 EVAL_TIME_CEILING = 0.2
 
@@ -177,7 +184,7 @@ def bench_streaming_eval_peak():
 
     gc.collect()
     tracemalloc.start()
-    dense = compare_graphs(observed, generated)
+    dense = reference_compare_graphs(observed, generated)
     dense_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
 
@@ -189,7 +196,7 @@ def bench_streaming_eval_peak():
 
     # Wall time is measured untraced: tracemalloc slows Python-object
     # allocation, which the two paths do in very different amounts.
-    dense_seconds = _median_seconds(compare_graphs, observed, generated)
+    dense_seconds = _median_seconds(reference_compare_graphs, observed, generated)
     stream_seconds = _median_seconds(streaming_evaluate, observed, generated)
 
     ratio = stream_peak / dense_peak
@@ -202,7 +209,7 @@ def bench_streaming_eval_peak():
         f"peak ratio: {ratio:.3f}  time ratio: {time_ratio:.3f}"
     )
     assert dense == streamed, "streaming scores must equal the dense path exactly"
-    assert compare_graphs(observed, generated, reduction="median") == (
+    assert reference_compare_graphs(observed, generated, reduction="median") == (
         streaming_evaluate(observed, generated, reduction="median")
     ), "streaming median scores must equal the dense path exactly"
     assert ratio <= EVAL_PEAK_CEILING, (

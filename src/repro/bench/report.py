@@ -28,7 +28,7 @@ from typing import Dict
 import numpy as np
 
 from ..graph.event_stream import burstiness, from_temporal_graph, inter_event_times
-from ..graph.snapshot import cumulative_snapshots
+from ..graph.snapshot import snapshot_at
 from ..graph.temporal_graph import TemporalGraph
 from ..metrics import (
     EXTENDED_STATISTIC_FUNCTIONS,
@@ -73,8 +73,8 @@ def evaluation_report(
     report["statistics_f_avg"] = dict(f_avg_scores)
     report["statistics_f_med"] = dict(f_med_scores)
 
-    final_obs = cumulative_snapshots(observed)[-1]
-    final_gen = cumulative_snapshots(generated)[-1]
+    final_obs = snapshot_at(observed, observed.num_timestamps - 1)
+    final_gen = snapshot_at(generated, generated.num_timestamps - 1)
     extended: Dict[str, float] = {}
     for name, func in EXTENDED_STATISTIC_FUNCTIONS.items():
         reference = func(final_obs)

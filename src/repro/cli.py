@@ -53,12 +53,13 @@ from .bench import (
 from .core import TGAEConfig, TGAEGenerator, fast_config, load_generator, save_generator
 from .datasets import available_datasets, load_dataset
 from .graph import (
-    cumulative_snapshots,
+    TemporalGraph,
     from_temporal_graph,
     load_edge_list,
     load_event_stream,
     save_edge_list,
     save_event_stream,
+    snapshot_at,
 )
 from .metrics import (
     EXTENDED_STATISTIC_FUNCTIONS,
@@ -66,7 +67,6 @@ from .metrics import (
     compute_all_statistics,
     motif_distribution,
     motif_mmd,
-    streaming_evaluate,
     temporal_signature,
 )
 
@@ -283,12 +283,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    observed = load_edge_list(args.observed)
-    generated = load_edge_list(args.generated)
-    if args.streaming:
-        scores = streaming_evaluate(observed, generated, reduction=args.reduction)
-    else:
-        scores = compare_graphs(observed, generated, reduction=args.reduction)
+    observed, generated = _load_pair(args)
+    scores = compare_graphs(observed, generated, reduction=args.reduction)
     print(f"{'statistic':16s} {'score':>10s}")
     for metric, value in scores.items():
         print(f"{metric:16s} {format_value(value):>10s}")
@@ -329,7 +325,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
-    final = cumulative_snapshots(graph)[-1]
+    final = snapshot_at(graph, graph.num_timestamps - 1)
     print(f"graph: n={graph.num_nodes} m={graph.num_edges} T={graph.num_timestamps}")
     print("\nTable III statistics (final cumulative snapshot)")
     for metric, value in compute_all_statistics(final).items():
@@ -343,21 +339,28 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _align_timestamps(observed, generated):
-    """Give both graphs the same T (reindexing is per-file and may differ)."""
-    from .graph import TemporalGraph
+def _load_pair(args: argparse.Namespace):
+    """The observed file as ``fit`` reads it, and the generated file in its universe.
 
-    T = max(observed.num_timestamps, generated.num_timestamps)
-    rebuild = lambda g: TemporalGraph(
-        g.num_nodes, g.src, g.dst, g.t, num_timestamps=T, validate=False
+    The generated file is not reindexed: its timestamps already address the
+    observed ``[0, T)``, so an empty timestamp stays empty instead of
+    shifting every later one down.  Its node universe is the observed one,
+    widened if the file names a higher id.
+    """
+    observed = load_edge_list(args.observed)
+    generated = load_edge_list(
+        args.generated, reindex=False, num_timestamps=observed.num_timestamps
     )
-    return rebuild(observed), rebuild(generated)
+    if generated.num_nodes < observed.num_nodes:
+        generated = TemporalGraph(
+            observed.num_nodes, generated.src, generated.dst, generated.t,
+            num_timestamps=observed.num_timestamps, validate=False,
+        )
+    return observed, generated
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    observed = load_edge_list(args.observed)
-    generated = load_edge_list(args.generated)
-    observed, generated = _align_timestamps(observed, generated)
+    observed, generated = _load_pair(args)
     report = evaluation_report(
         observed,
         generated,
@@ -484,12 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generated", required=True)
     p.add_argument("--reduction", default="mean", choices=["mean", "median"])
     p.add_argument("--delta", type=int, default=3)
-    p.add_argument(
-        "--streaming",
-        action="store_true",
-        help="evaluate one cumulative snapshot at a time (O(E) peak memory "
-        "instead of O(T*E); scores are bit-identical to the default path)",
-    )
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("table", help="regenerate a paper table on one dataset")

@@ -7,8 +7,9 @@ ego-graphs take *counter-keyed* truncation draws whose key hashes
 ``(u, t)`` into one word of the ``(seed, "tgae", "infer-ego")`` stream
 (see :meth:`repro.core.sampler.EgoGraphSampler.inference_batch`) — the
 encoder input is too.  This module caches those embeddings across ``generate`` /
-``score_topk`` / ``dense_score_rows`` calls so repeat inference against the
-same fitted model skips the encoder entirely and becomes decode-only.
+``score_topk`` / :meth:`~repro.core.engine.GenerationEngine.warm_rows` calls so
+repeat inference against the same fitted model skips the encoder entirely and
+becomes decode-only.
 
 Three design rules make every cache hit *bitwise* equal to a cold encode:
 

@@ -718,29 +718,6 @@ class GenerationEngine:
     # ------------------------------------------------------------------
     # Score inspection
     # ------------------------------------------------------------------
-    def dense_score_rows(self, centers: np.ndarray) -> np.ndarray:
-        """Full softmax rows for explicit ``(u, t)`` centres (test/debug helper).
-
-        Always decodes against the whole node universe regardless of
-        ``candidate_limit``; used by the small-graph score-matrix helper.
-        Embeddings come from :meth:`warm_rows`.  A centre outside the
-        ``(n, T)`` universe raises :class:`GenerationError` naming it, before
-        it can alias another centre's ``u * T + t`` key.
-        """
-        centers = np.asarray(centers, dtype=np.int64)
-        n, T = self.graph.num_nodes, self.graph.num_timestamps
-        outside = (centers < 0).any(axis=1) | (centers[:, 0] >= n) | (centers[:, 1] >= T)
-        if outside.any():
-            u, t = centers[np.argmax(outside)].tolist()
-            raise GenerationError(
-                f"centres must lie in [0, {n}) x [0, {T}), got ({u}, {t})"
-            )
-        keys = centers[:, 0] * np.int64(T) + centers[:, 1]
-        with no_grad():
-            embeddings = self.warm_rows(keys)
-            decoded = self.model.decode_from_embeddings(embeddings, centers)
-            return softmax(decoded.logits, axis=-1).numpy()
-
     def score_topk(
         self,
         k: int,

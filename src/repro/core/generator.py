@@ -383,24 +383,3 @@ class TGAEGenerator(TemporalGraphGenerator):
             k, timestamps=timestamps, workers=workers,
             pool=self._active_pool(workers),
         )
-
-    def score_matrix(self, timestamps: Optional[List[int]] = None) -> np.ndarray:
-        """Dense score matrix ``S`` rows for inspection.
-
-        **Test-only helper** for small graphs: materialises the
-        ``(n, T, n)``-shaped array the tests use to check normalisation.
-        Production inspection goes through :meth:`score_topk`.
-        """
-        if self.model is None:
-            raise GenerationError("generator is not fitted")
-        graph = self.observed
-        stamps = timestamps if timestamps is not None else list(range(graph.num_timestamps))
-        engine = self.engine()
-        scores = np.zeros((graph.num_nodes, len(stamps), graph.num_nodes))
-        self.model.eval()
-        for j, timestamp in enumerate(stamps):
-            centers = np.stack(
-                [np.arange(graph.num_nodes), np.full(graph.num_nodes, timestamp)], axis=1
-            )
-            scores[:, j, :] = engine.dense_score_rows(centers)
-        return scores

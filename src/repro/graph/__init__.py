@@ -39,7 +39,7 @@ from .transforms import (
     shuffle_timestamps,
     subsample_nodes,
 )
-from .temporal_graph import TemporalGraph, dense_temporal_adjacency, merge
+from .temporal_graph import TemporalGraph, merge
 from .walks import sample_temporal_walk, sample_walk_corpus, walks_to_graph
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "validate_generated",
     "ValidationReport",
     "TemporalGraph",
-    "dense_temporal_adjacency",
     "merge",
     "Snapshot",
     "cumulative_snapshots",

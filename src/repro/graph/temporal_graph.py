@@ -602,21 +602,6 @@ class TemporalGraph:
             validate=False,
         )
 
-def dense_temporal_adjacency(graph: "TemporalGraph") -> np.ndarray:
-    """Dense ``(T, n, n)`` 0/1 adjacency tensor ``A_{t=1:T}`` (Sec. IV-A).
-
-    **Test-only helper.**  Production paths never materialise a node x node
-    array; they go through :meth:`TemporalGraph.adjacency_at` (sparse CSR per
-    snapshot) and :meth:`TemporalGraph.out_partner_groups` instead.  This
-    function exists so equivalence tests can check the sparse providers
-    against the textbook dense tensor on small graphs.
-    """
-    adj = np.zeros(
-        (graph.num_timestamps, graph.num_nodes, graph.num_nodes), dtype=np.int8
-    )
-    adj[graph.t, graph.src, graph.dst] = 1
-    return adj
-
 
 def merge(graphs: List[TemporalGraph]) -> TemporalGraph:
     """Union of several temporal graphs over the same node universe."""

@@ -4,6 +4,12 @@ Given an observed temporal graph and a generated one, both are unrolled into
 cumulative snapshots ``S_t`` and ``S'_t``; for every statistic ``f_m`` the
 relative error ``| (f_m(S_t) - f_m(S'_t)) / f_m(S_t) |`` is computed per
 timestamp and reduced by mean (Table V) or median (Table IV).
+
+:func:`compare_graphs` scores the Table III statistics and *is*
+:func:`~repro.metrics.streaming.streaming_evaluate`, which reads both
+graphs' one-pass statistic series.  :func:`f_avg`, :func:`f_med` and
+:func:`relative_error_series` score any ``Snapshot -> float`` callable
+(such as the extended statistics) snapshot by snapshot.
 """
 
 from __future__ import annotations
@@ -15,27 +21,8 @@ import numpy as np
 from ..errors import GraphFormatError
 from ..graph.snapshot import Snapshot, cumulative_snapshots
 from ..graph.temporal_graph import TemporalGraph
-from .statistics import STATISTIC_FUNCTIONS, statistic_series
-
-
-def select_statistics(
-    statistics: Union[str, Sequence[str], None] = None, reduction: str = "mean"
-) -> List[str]:
-    """Validate a statistic selection and reduction; return the names.
-
-    ``None`` selects all seven Table III statistics and a bare string is one
-    statistic name.  Unknown names raise ``KeyError``; a reduction other
-    than ``"mean"`` or ``"median"`` raises ``ValueError``.
-    """
-    if reduction not in ("mean", "median"):
-        raise ValueError(f"reduction must be 'mean' or 'median', got {reduction!r}")
-    if statistics is None:
-        return list(STATISTIC_FUNCTIONS)
-    names = [statistics] if isinstance(statistics, str) else list(statistics)
-    unknown = [n for n in names if n not in STATISTIC_FUNCTIONS]
-    if unknown:
-        raise KeyError(f"unknown statistics: {unknown}")
-    return names
+from .statistics import select_statistics, statistic_series
+from .streaming import streaming_evaluate
 
 
 def relative_error_series(
@@ -86,47 +73,9 @@ def f_med(
     return float(np.median(errors)) if errors.size else 0.0
 
 
-def compare_graphs(
-    observed: TemporalGraph,
-    generated: TemporalGraph,
-    statistics: Union[str, Sequence[str], None] = None,
-    reduction: str = "mean",
-) -> Dict[str, float]:
-    """Score a generated graph on several statistics at once.
-
-    Parameters
-    ----------
-    statistics:
-        Names from :data:`~repro.metrics.statistics.STATISTIC_FUNCTIONS`
-        (a bare string is one name); defaults to all seven Table III
-        statistics.
-    reduction:
-        ``"mean"`` (f_avg) or ``"median"`` (f_med).
-    """
-    names = select_statistics(statistics, reduction)
-    if observed.num_timestamps != generated.num_timestamps:
-        raise GraphFormatError(
-            "observed and generated graphs must span the same number of "
-            f"timestamps ({observed.num_timestamps} != {generated.num_timestamps})"
-        )
-    obs_snaps = cumulative_snapshots(observed)
-    gen_snaps = cumulative_snapshots(generated)
-    scores: Dict[str, float] = {}
-    for name in names:
-        fn = STATISTIC_FUNCTIONS[name]
-        errors = []
-        for obs, gen in zip(obs_snaps, gen_snaps):
-            reference = fn(obs)
-            if abs(reference) < 1e-12:
-                continue
-            errors.append(abs((reference - fn(gen)) / reference))
-        if not errors:
-            scores[name] = 0.0
-        elif reduction == "mean":
-            scores[name] = float(np.mean(errors))
-        else:
-            scores[name] = float(np.median(errors))
-    return scores
+#: Eq. 10 over several statistics at once: the one implementation, by its
+#: table-harness name.
+compare_graphs = streaming_evaluate
 
 
 def statistic_time_series(

@@ -17,7 +17,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..graph.snapshot import Snapshot, cumulative_snapshots
+from ..graph.snapshot import Snapshot, cumulative_snapshots, snapshot_at
 from ..graph.temporal_graph import TemporalGraph
 from .mmd import mmd_squared
 from .statistics import STATISTIC_FUNCTIONS, statistic_series
@@ -63,8 +63,8 @@ def degree_mmd(observed: TemporalGraph, generated: TemporalGraph, sigma: float =
 
 def final_degree_mmd(observed: TemporalGraph, generated: TemporalGraph, sigma: float = 1.0) -> float:
     """MMD between the final-snapshot degree distributions only."""
-    obs = cumulative_snapshots(observed)[-1]
-    gen = cumulative_snapshots(generated)[-1]
+    obs = snapshot_at(observed, observed.num_timestamps - 1)
+    gen = snapshot_at(generated, generated.num_timestamps - 1)
     top = 0
     for snap in (obs, gen):
         degrees = snap.degrees()

@@ -15,7 +15,7 @@ edges, bit-identical to mapping the per-snapshot functions over
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -139,6 +139,26 @@ def compute_all_statistics(snapshot: Snapshot) -> Dict[str, float]:
 def statistic_names() -> List[str]:
     """Canonical metric order used by the benchmark tables."""
     return list(STATISTIC_FUNCTIONS)
+
+
+def select_statistics(
+    statistics: Union[str, Sequence[str], None] = None, reduction: str = "mean"
+) -> List[str]:
+    """Validate a statistic selection and reduction; return the names.
+
+    ``None`` selects all seven Table III statistics and a bare string is one
+    statistic name.  Unknown names raise ``KeyError``; a reduction other
+    than ``"mean"`` or ``"median"`` raises ``ValueError``.
+    """
+    if reduction not in ("mean", "median"):
+        raise ValueError(f"reduction must be 'mean' or 'median', got {reduction!r}")
+    if statistics is None:
+        return list(STATISTIC_FUNCTIONS)
+    names = [statistics] if isinstance(statistics, str) else list(statistics)
+    unknown = [n for n in names if n not in STATISTIC_FUNCTIONS]
+    if unknown:
+        raise KeyError(f"unknown statistics: {unknown}")
+    return names
 
 
 def statistic_series(graph: TemporalGraph) -> Dict[str, np.ndarray]:

@@ -1,19 +1,18 @@
-"""One-pass O(n + E) evaluation of the Eq. 10 comparison scores.
+"""The Eq. 10 comparison scores, in one pass over each graph's edges.
 
-:func:`~repro.metrics.comparison.compare_graphs` materialises *every*
-cumulative snapshot of both graphs up front -- ``sum_t E_t = O(T * E)``
-edge arrays -- and rebuilds each one's sparse adjacency to score it.  It is
-the reference path; :func:`streaming_evaluate` is the production one.
-
-:func:`streaming_evaluate` reads each graph's statistic series from
-:func:`~repro.metrics.statistics.statistic_series`, which walks the
-time-sorted edges once and keeps only O(n + E) state (degrees, a
-union-find, neighbour sets), then reduces the per-timestamp relative errors
-exactly as ``compare_graphs`` does.  No snapshot or sparse matrix is built,
-and the returned scores are **bit-identical** to the dense path: the series
-values equal the per-snapshot statistics bit for bit, and the errors are
-formed and reduced with the same floating-point operations in the same
-order.
+:func:`streaming_evaluate` is the one implementation of Eq. 10;
+:func:`~repro.metrics.comparison.compare_graphs` is the same function under
+the name the table harness and the examples use.  It reads each graph's
+statistic series from :func:`~repro.metrics.statistics.statistic_series`,
+which walks the time-sorted edges once and keeps only O(n + E) state
+(degrees, a union-find, neighbour sets), then reduces the per-timestamp
+relative errors.  No snapshot or sparse matrix is built.  The scores are
+**bit-identical** to mapping the per-snapshot statistics over every
+cumulative snapshot pair and reducing the errors in timestamp order: the
+series values equal the per-snapshot statistics bit for bit, and the
+errors are formed and reduced with the same floating-point operations in
+the same order.  The test suite keeps that per-snapshot loop as its
+reference.
 """
 
 from __future__ import annotations
@@ -24,9 +23,7 @@ import numpy as np
 
 from ..errors import GraphFormatError
 from ..graph.temporal_graph import TemporalGraph
-from .comparison import select_statistics
-from .statistics import statistic_series
-from .temporal import compare_temporal_signatures
+from .statistics import select_statistics, statistic_series
 
 __all__ = ["streaming_evaluate"]
 
@@ -36,16 +33,14 @@ def streaming_evaluate(
     generated: TemporalGraph,
     statistics: Union[str, Sequence[str], None] = None,
     reduction: str = "mean",
-    include_temporal: bool = False,
 ) -> Dict[str, float]:
-    """Eq. 10 comparison scores in one pass over each graph's edges.
+    """Score a generated graph on several statistics at once (Eq. 10).
 
-    Drop-in replacement for :func:`~repro.metrics.comparison.compare_graphs`
-    returning bit-identical scores: both graphs' statistic series come from
-    one :func:`~repro.metrics.statistics.statistic_series` pass each
-    (O(n + E) memory), timestamps where the observed statistic is
-    numerically zero are skipped (the paper's rule), and the remaining
-    relative errors reduce by mean (f_avg) or median (f_med).
+    Both graphs' statistic series come from one
+    :func:`~repro.metrics.statistics.statistic_series` pass each (O(n + E)
+    memory), timestamps where the observed statistic is numerically zero
+    are skipped (the paper's rule), and the remaining relative errors
+    reduce by mean (f_avg) or median (f_med).
 
     Parameters
     ----------
@@ -55,11 +50,6 @@ def streaming_evaluate(
         statistics.
     reduction:
         ``"mean"`` (f_avg) or ``"median"`` (f_med).
-    include_temporal:
-        Also merge the temporal-signature deltas
-        (:func:`~repro.metrics.temporal.compare_temporal_signatures` --
-        already O(E): they read the raw edge arrays, never snapshots) into
-        the result under ``"temporal:<name>"`` keys.
     """
     names = select_statistics(statistics, reduction)
     if observed.num_timestamps != generated.num_timestamps:
@@ -80,7 +70,4 @@ def streaming_evaluate(
             scores[name] = float(np.mean(errors))
         else:
             scores[name] = float(np.median(errors))
-    if include_temporal:
-        deltas = compare_temporal_signatures(observed, generated)
-        scores.update({f"temporal:{name}": value for name, value in deltas.items()})
     return scores

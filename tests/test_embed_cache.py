@@ -1,7 +1,8 @@
 """Versioned inference embedding cache: hot path, invalidation, parity.
 
 The cache's one contract is *bitwise transparency*: every public inference
-output (``generate``, ``score_topk``, ``dense_score_rows``) is identical
+output (``generate``, ``score_topk``, and the dense rows of
+``dense_oracle.dense_score_rows``) is identical
 with the cache on, off, cold, warm, incrementally invalidated, or served
 handed to pooled workers.  These tests pin each face of that
 contract plus the perf counters that prove the encoder was actually
@@ -35,6 +36,7 @@ from hypothesis import settings as hyp_settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from dense_oracle import dense_score_rows
 from strategies import STATE_MACHINE_SETTINGS
 from repro.core import (
     EmbeddingCache,
@@ -143,8 +145,8 @@ class TestCacheParity:
 
     def test_dense_rows_parity(self, observed, fitted_on, fitted_off):
         centers = all_centers(observed)[::7]
-        rows_on = fitted_on.engine().dense_score_rows(centers)
-        rows_off = fitted_off.engine().dense_score_rows(centers)
+        rows_on = dense_score_rows(fitted_on.engine(), centers)
+        rows_off = dense_score_rows(fitted_off.engine(), centers)
         assert rows_on.tobytes() == rows_off.tobytes()
 
     def test_cache_off_generator_reports_no_stats(self, fitted_off):

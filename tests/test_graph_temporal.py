@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from dense_oracle import dense_temporal_adjacency
 from repro.errors import GraphFormatError
-from repro.graph import TemporalGraph, dense_temporal_adjacency, merge
+from repro.graph import TemporalGraph, merge
 
 
 def small_graph():

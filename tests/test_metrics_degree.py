@@ -1,11 +1,22 @@
-"""Tests for the degree-distribution and temporal-tendency extension metrics."""
+"""Tests for the degree-distribution and temporal-tendency extension metrics,
+and for the final-snapshot reads of `stats`, `report` and `final_degree_mmd`."""
 
 import numpy as np
 import pytest
 
+from repro.bench import evaluation_report
+from repro.cli import main
 from repro.datasets import communication_network
-from repro.graph import Snapshot, TemporalGraph, cumulative_snapshots
+from repro.graph import (
+    Snapshot,
+    TemporalGraph,
+    cumulative_snapshots,
+    save_edge_list,
+    snapshot_at,
+)
 from repro.metrics import (
+    EXTENDED_STATISTIC_FUNCTIONS,
+    STATISTIC_FUNCTIONS,
     degree_histogram,
     degree_mmd,
     final_degree_mmd,
@@ -94,3 +105,57 @@ class TestTendency:
             num_timestamps=g.num_timestamps,
         )
         assert temporal_tendency_error(g, late, "wedge_count") > 0.1
+
+
+def drawn_graph(seed):
+    """Unsorted timestamps, self-loops, repeated pairs and isolated nodes."""
+    rng = np.random.default_rng(seed)
+    n, m, num_t = 30, 120, 5
+    return TemporalGraph(
+        n, rng.integers(0, n, m), rng.integers(0, n, m), rng.integers(0, num_t, m),
+        num_timestamps=num_t,
+    )
+
+
+def all_snapshots_final(graph, timestamp):
+    """The final snapshot read off the full cumulative sequence."""
+    return cumulative_snapshots(graph)[timestamp]
+
+
+class TestFinalSnapshotOnly:
+    """Building only the final snapshot gives the bytes building all T gave."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_statistic_is_repr_equal(self, seed):
+        graph = drawn_graph(seed)
+        alone = snapshot_at(graph, graph.num_timestamps - 1)
+        final = cumulative_snapshots(graph)[-1]
+        functions = {**STATISTIC_FUNCTIONS, **EXTENDED_STATISTIC_FUNCTIONS}
+        for name, fn in functions.items():
+            assert repr(fn(alone)) == repr(fn(final)), name
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_final_degree_mmd(self, monkeypatch, seed):
+        observed, generated = drawn_graph(seed), drawn_graph(seed + 100)
+        alone = final_degree_mmd(observed, generated)
+        monkeypatch.setattr("repro.metrics.degree.snapshot_at", all_snapshots_final)
+        assert repr(final_degree_mmd(observed, generated)) == repr(alone)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_cli_stats(self, tmp_path, capsys, monkeypatch, seed):
+        path = tmp_path / "graph.txt"
+        save_edge_list(drawn_graph(seed), path)
+        assert main(["stats", "--input", str(path)]) == 0
+        alone = capsys.readouterr().out
+        monkeypatch.setattr("repro.cli.snapshot_at", all_snapshots_final)
+        assert main(["stats", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == alone
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_report_extended_section(self, monkeypatch, seed):
+        observed, generated = drawn_graph(seed), drawn_graph(seed + 100)
+        fast = dict(include_utility=False, include_significance=False)
+        alone = evaluation_report(observed, generated, **fast)["extended"]
+        monkeypatch.setattr("repro.bench.report.snapshot_at", all_snapshots_final)
+        full = evaluation_report(observed, generated, **fast)["extended"]
+        assert {k: repr(v) for k, v in full.items()} == {k: repr(v) for k, v in alone.items()}

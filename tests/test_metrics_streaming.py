@@ -1,9 +1,10 @@
-"""Streaming evaluation: bit-equal to the dense path, one pass by construction.
+"""Streaming evaluation: bit-equal to the per-snapshot oracle, one pass by construction.
 
-``streaming_evaluate`` must be a drop-in for ``compare_graphs``: the
-one-pass ``statistic_series`` must reproduce every per-snapshot statistic
-bit for bit, and the errors must reduce in the same order, hence *exactly*
-equal scores -- not approximately equal.
+``streaming_evaluate`` (also exported as ``compare_graphs``) must return the
+scores of the per-snapshot loop in ``eval_oracle``: the one-pass
+``statistic_series`` must reproduce every per-snapshot statistic bit for
+bit, and the errors must reduce in the same order, hence *exactly* equal
+scores -- not approximately equal.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eval_oracle import reference_compare_graphs
 from strategies import STANDARD_SETTINGS
 
 from repro.datasets import communication_network
@@ -22,7 +24,6 @@ from repro.metrics import (
     statistic_series,
     streaming_evaluate,
 )
-from repro.metrics.temporal import compare_temporal_signatures
 
 
 @pytest.fixture(scope="module")
@@ -33,19 +34,22 @@ def pair():
 
 
 class TestStreamingEvaluateParity:
-    """The headline contract: scores exactly equal compare_graphs."""
+    """The headline contract: scores exactly equal the per-snapshot oracle."""
+
+    def test_compare_graphs_is_streaming_evaluate(self):
+        assert compare_graphs is streaming_evaluate
 
     @pytest.mark.parametrize("reduction", ["mean", "median"])
     def test_exact_equality_all_statistics(self, pair, reduction):
         observed, generated = pair
-        dense = compare_graphs(observed, generated, reduction=reduction)
+        dense = reference_compare_graphs(observed, generated, reduction=reduction)
         streamed = streaming_evaluate(observed, generated, reduction=reduction)
         assert dense == streamed  # bitwise: same floats, same keys
 
     def test_exact_equality_on_statistic_subset(self, pair):
         observed, generated = pair
         names = ["mean_degree", "triangle_count"]
-        dense = compare_graphs(observed, generated, statistics=names)
+        dense = reference_compare_graphs(observed, generated, statistics=names)
         streamed = streaming_evaluate(observed, generated, statistics=names)
         assert dense == streamed
         assert set(streamed) == set(names)
@@ -59,18 +63,9 @@ class TestStreamingEvaluateParity:
     def test_second_seed_pair(self):
         observed = communication_network(30, 200, 4, seed=1)
         generated = communication_network(30, 200, 4, seed=2)
-        assert compare_graphs(observed, generated) == streaming_evaluate(
+        assert reference_compare_graphs(observed, generated) == streaming_evaluate(
             observed, generated
         )
-
-    def test_include_temporal_merges_signature_deltas(self, pair):
-        observed, generated = pair
-        scores = streaming_evaluate(observed, generated, include_temporal=True)
-        structural = {k: v for k, v in scores.items() if not k.startswith("temporal:")}
-        assert structural == compare_graphs(observed, generated)
-        deltas = compare_temporal_signatures(observed, generated)
-        for name, value in deltas.items():
-            assert scores[f"temporal:{name}"] == value
 
 
 class TestStreamingEvaluateGuards:
@@ -82,9 +77,9 @@ class TestStreamingEvaluateGuards:
     def test_bare_string_is_one_statistic_name(self, pair):
         observed, generated = pair
         streamed = streaming_evaluate(observed, generated, statistics="lcc")
-        dense = compare_graphs(observed, generated, statistics="lcc")
+        dense = reference_compare_graphs(observed, generated, statistics="lcc")
         assert list(streamed) == ["lcc"]
-        assert streamed == dense == compare_graphs(
+        assert streamed == dense == streaming_evaluate(
             observed, generated, statistics=["lcc"]
         )
 
@@ -146,9 +141,11 @@ def test_statistic_series_is_bitwise_the_per_snapshot_statistics(graph):
     st.lists(st.sampled_from(list(STATISTIC_FUNCTIONS)), min_size=1, unique=True),
 )
 @STANDARD_SETTINGS
-def test_streaming_evaluate_equals_compare_graphs(pair, reduction, names):
+def test_streaming_evaluate_equals_the_per_snapshot_oracle(pair, reduction, names):
     observed, generated = pair
-    dense = compare_graphs(observed, generated, statistics=names, reduction=reduction)
+    dense = reference_compare_graphs(
+        observed, generated, statistics=names, reduction=reduction
+    )
     streamed = streaming_evaluate(
         observed, generated, statistics=names, reduction=reduction
     )
