@@ -61,8 +61,8 @@ def bench_fault_overhead():
     assert not faults.active(), "fault rules must be disarmed for this gate"
     empty = np.empty(0, dtype=np.int64)
     tasks = [
-        TopKChunkTask(index=i, node_ids=empty, timestamp=0, k=1, seed_seq=child)
-        for i, child in enumerate(np.random.SeedSequence(0).spawn(SHARDS))
+        TopKChunkTask(index=i, node_ids=empty, timestamp=0, k=1, word=i)
+        for i in range(SHARDS)
     ]
 
     times = []

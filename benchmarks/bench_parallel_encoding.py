@@ -3,9 +3,9 @@
 PR 2 removed generation's memory ceiling; the remaining ceiling is *time*:
 one encoder forward + candidate decode per chunk of active temporal nodes.
 This benchmark measures what sharding those chunks over a process pool buys
-on the Figure-6 medium streaming size, and -- because the engine spawns one
-seed-sequence child per chunk before dispatch -- asserts that the parallel
-run reproduces the sequential run **bit for bit**.
+on the Figure-6 medium streaming size, and -- because the engine keys every
+draw by its row under one word fixed before dispatch -- asserts that the
+parallel run reproduces the sequential run **bit for bit**.
 
 Encoder embeddings are made once, in the calling process
 (``GenerationEngine.warm_rows``), and ride the chunk tasks; workers only
@@ -13,7 +13,7 @@ decode and assemble.  With the embedding cache on (the ``fast_config``
 default) the workers=1 run fills the cache, so the measured speedup is the
 fan-out of warm decode and edge assembly, not encoder sharding.
 
-Two entry points:
+Three entry points:
 
 * ``bench_parallel_encoding_speedup`` -- workers=1 vs workers=4 generation
   wall-clock at the fig6 medium point.  The >= 1.5x speedup floor is only
@@ -23,6 +23,12 @@ Two entry points:
 * ``bench_parallel_encoding_smoke`` -- a small, fast bit-identity check at
   a configurable worker count (``REPRO_BENCH_WORKERS``, default 2); the CI
   workers=2 gate.
+* ``bench_draw_blocks`` -- the sweep behind
+  :data:`repro.core.engine.DRAW_BLOCK_ELEMENTS`: warm ``generate`` and warm
+  ``score_topk`` seconds at several shard sizes, at the CI size and at
+  n=5000, m=20000, T=48, dense decoder at float32 (the ``draw_blocks``
+  section).  Every size must give the same bits, and the chosen size must
+  stay within :data:`BLOCK_SLACK` of the fastest.
 """
 
 import hashlib
@@ -33,6 +39,8 @@ import numpy as np
 
 from _artifacts import write_bench_artifact
 from repro.core import TGAEGenerator, fast_config
+from repro.core import engine as engine_module
+from repro.datasets import erdos_renyi_temporal
 from repro.datasets.scalability import ScalabilityPoint, make_scalability_graph
 
 #: The fig6 medium streaming point (same scale as bench_fig6's
@@ -42,6 +50,19 @@ SMALL = ScalabilityPoint(400, 3, 0.004)
 
 PARALLEL_WORKERS = 4
 SPEEDUP_FLOOR = 1.5
+
+#: ``(name, (n, m, T))`` of the shard-size sweep.
+BLOCK_SIZES = (("ci", (300, 1200, 12)), ("n5000", (5000, 20000, 48)))
+#: Shard sizes swept, in race elements a shard (rows times decode width);
+#: :data:`repro.core.engine.DRAW_BLOCK_ELEMENTS` is one.
+BLOCK_ELEMENTS = (2**16, 2**17, 2**18, 2**19, 2**20)
+#: The chosen shard size may cost at most this times the fastest swept one
+#: (summed over warm ``generate`` and ``score_topk``): the host is shared
+#: and noisy, and the gate catches a wrong choice, not a few percent.
+BLOCK_SLACK = 1.3
+#: Timestamps of the swept ``score_topk(10)`` calls.
+TOPK_STAMPS = 8
+BLOCK_REPEATS = 3
 
 
 def _available_cores() -> int:
@@ -152,3 +173,66 @@ def bench_parallel_encoding_smoke():
             "bit_identical": True,
         },
     )
+
+
+def _timed_calls(engine, stamps):
+    """``((generate s, score_topk s), fingerprint)`` of one warm pair of calls."""
+    start = time.perf_counter()
+    graph = engine.generate(np.random.default_rng(0))
+    generated = time.perf_counter()
+    topk = engine.score_topk(10, timestamps=stamps)
+    seconds = (generated - start, time.perf_counter() - generated)
+    fingerprint = _fingerprint(graph) + hashlib.sha256(
+        np.concatenate([topk.node, topk.timestamp, topk.target]).tobytes()
+        + topk.score.tobytes()
+    ).hexdigest()
+    return seconds, fingerprint
+
+
+def bench_draw_blocks():
+    """Shard size changes time only; the chosen size is near the fastest."""
+    chosen = engine_module.DRAW_BLOCK_ELEMENTS
+    payload = {"chosen_elements": chosen, "sizes": {}}
+    try:
+        for name, (n, m, T) in BLOCK_SIZES:
+            observed = erdos_renyi_temporal(n, m, T, seed=0)
+            generator = TGAEGenerator(
+                fast_config(epochs=1, num_initial_nodes=16, seed=0, dtype="float32")
+            ).fit(observed)
+            engine = generator.engine()
+            stamps = list(range(min(TOPK_STAMPS, T)))
+            # Warm the embedding cache for every key either call decodes.
+            _timed_calls(engine, stamps)
+            best = {elements: np.full(2, np.inf) for elements in BLOCK_ELEMENTS}
+            prints = set()
+            # Interleaved repeats, so a drifting host slows every size alike.
+            for _ in range(BLOCK_REPEATS):
+                for elements in BLOCK_ELEMENTS:
+                    engine_module.DRAW_BLOCK_ELEMENTS = elements
+                    seconds, fingerprint = _timed_calls(engine, stamps)
+                    best[elements] = np.minimum(best[elements], seconds)
+                    prints.add(fingerprint)
+            assert len(prints) == 1, f"shard size changed the output at {name}"
+            totals = {elements: float(b.sum()) for elements, b in best.items()}
+            fastest = min(totals.values())
+            print(f"\n=== draw blocks @ {name} (n={n}, m={m}, T={T}) ===")
+            for elements, (gen_s, topk_s) in best.items():
+                print(
+                    f"elements=2^{int(np.log2(elements)):2d} (rows={elements // n:5d})  "
+                    f"generate {gen_s:7.4f}s  score_topk {topk_s:7.4f}s"
+                    f"{'  <- chosen' if elements == chosen else ''}"
+                )
+            payload["sizes"][name] = {
+                "num_nodes": n, "num_edges": m, "num_timestamps": T,
+                "active_rows": int(engine.active_nodes()[0].shape[0]),
+                "generate_warm_s": {str(e): round(float(b[0]), 4) for e, b in best.items()},
+                "score_topk_warm_s": {str(e): round(float(b[1]), 4) for e, b in best.items()},
+                "bit_identical": True,
+            }
+            assert totals[chosen] <= BLOCK_SLACK * fastest, (
+                f"DRAW_BLOCK_ELEMENTS={chosen} costs {totals[chosen]:.3f}s at {name}, "
+                f"over {BLOCK_SLACK}x the fastest swept size ({fastest:.3f}s)"
+            )
+    finally:
+        engine_module.DRAW_BLOCK_ELEMENTS = chosen
+    write_bench_artifact("BENCH_parallel.json", "draw_blocks", payload)

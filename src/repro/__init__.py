@@ -41,8 +41,10 @@ every encoder product is row-invariant (``repro.autograd.row_matmul``), so
 a temporal node's embedding is a pure function of (weights, graph, config,
 node) and the embedding cache can serve it from any earlier call.
 
-Generation draws every row of a chunk's score matrix in one vectorised
-Gumbel top-k pass (sampling without replacement per temporal node).
+Generation draws every row of a shard's decoded weights in one vectorised
+exponential race (sampling without replacement per temporal node), with
+every draw keyed by its row, so the generated graph never depends on how
+the rows were sharded.
 """
 
 from .base import TemporalGraphGenerator

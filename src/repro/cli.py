@@ -108,12 +108,6 @@ def _add_config(parser: argparse.ArgumentParser) -> None:
         "output is bit-identical for every worker count)",
     )
     parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="centre rows per generation chunk (default: --initial-nodes)",
-    )
-    parser.add_argument(
         "--train-shard-size",
         type=int,
         default=None,
@@ -174,7 +168,6 @@ def _config_from(args: argparse.Namespace) -> TGAEConfig:
         seed=args.seed,
         candidate_limit=args.candidate_limit,
         workers=args.workers,
-        chunk_size=args.chunk_size,
         train_shard_size=getattr(args, "train_shard_size", None),
         embed_cache=getattr(args, "embed_cache", True),
         checkpoint_attention=getattr(args, "checkpoint_attention", False),
@@ -274,9 +267,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if not getattr(args, "embed_cache", True):
         generator.config = dataclasses.replace(generator.config, embed_cache=False)
     # workers > 1 runs on a pool opened for this call from the config above.
-    generated = generator.generate(
-        seed=args.seed, workers=args.workers, chunk_size=args.chunk_size
-    )
+    generated = generator.generate(seed=args.seed, workers=args.workers)
     save_edge_list(generated, args.output)
     print(f"wrote {generated} to {args.output}")
     return 0
@@ -465,13 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the saved config's worker count for this generation "
         "(output is bit-identical for every worker count)",
-    )
-    p.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="override the saved config's centre rows per generation chunk "
-        "(changes the chunk partitioning and therefore the draws)",
     )
     p.add_argument(
         "--no-embed-cache",

@@ -11,7 +11,6 @@ from .engine import (
     TopKScores,
     active_temporal_nodes,
     sample_rows_without_replacement,
-    sample_without_replacement,
 )
 from .parallel import WorkerPool, run_sharded
 from .generator import TGAEGenerator
@@ -72,7 +71,6 @@ __all__ = [
     "weights_token",
     "active_temporal_nodes",
     "sample_rows_without_replacement",
-    "sample_without_replacement",
     "VARIANTS",
     "tgae_full",
     "tgae_g",

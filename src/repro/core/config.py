@@ -79,13 +79,10 @@ class TGAEConfig:
         encode block, and cache-on would no longer equal cache-off.
     workers:
         Worker count for the sharded generation engine
-        (:mod:`repro.core.parallel`).  ``1`` (default) runs chunks as a
-        plain sequential loop; higher values fan chunks out over a pool.
-        Output is bit-identical for every worker count because each chunk
-        draws from its own spawned seed-sequence child.
-    chunk_size:
-        Centre rows per generation/score chunk.  ``None`` (default) uses
-        ``num_initial_nodes``; must be ``>= 1`` when set.
+        (:mod:`repro.core.parallel`).  ``1`` (default) runs shards as a
+        plain sequential loop; higher values fan shards out over a pool.
+        Output is bit-identical for every worker count because every
+        generation draw is keyed by its row, never by its shard.
     parallel_backend:
         ``"process"`` (default; right for CPU-bound NumPy forwards) or
         ``"thread"``.  The process pool degrades to threads automatically
@@ -163,7 +160,6 @@ class TGAEConfig:
     candidate_limit: int = 0
     packed_batches: bool = True
     workers: int = 1
-    chunk_size: Optional[int] = None
     parallel_backend: str = "process"
     train_shard_size: Optional[int] = None
     max_shard_retries: int = 2
@@ -196,10 +192,6 @@ class TGAEConfig:
             raise ConfigError("candidate_limit must be >= 0 (0 = dense decoder)")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ConfigError(
-                f"chunk_size must be >= 1 when set, got {self.chunk_size}"
-            )
         if self.train_shard_size is not None and self.train_shard_size < 1:
             raise ConfigError(
                 f"train_shard_size must be >= 1 when set, got {self.train_shard_size}"

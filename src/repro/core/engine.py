@@ -11,20 +11,20 @@ memory model of O(E + n*C) instead of O(T * n^2):
   slices (historical partners + uniform negatives), padded with extra
   distinct negatives whenever a row's pool would under-fill its distinct
   target count;
-* edges are sampled *within* the candidate sets (masked Gumbel top-k over
-  the ``(chunk, C)`` decoded probabilities) -- the old scatter into full
-  ``(chunk, num_nodes)`` rows is gone;
+* edges are sampled *within* the candidate sets (an exponential race over
+  the ``(rows, C)`` decoded weights) -- the old scatter into full
+  ``(rows, num_nodes)`` rows is gone;
 * :meth:`GenerationEngine.score_topk` replaces the dense score matrix with
-  chunked sparse ``(row, col, score)`` triples;
-* both :meth:`GenerationEngine.generate` and
-  :meth:`GenerationEngine.score_topk` are *sharded*: the per-timestamp
-  centre set is partitioned into chunks, every chunk owns a spawned
-  :class:`~numpy.random.SeedSequence` child (:mod:`repro.rng`), and chunks
-  run on a process/thread pool (:mod:`repro.core.parallel`) when
-  ``workers > 1``.  Because chunk streams depend only on the root seed and
-  the chunk index -- never on execution order -- output is bit-identical
-  for every worker count and backend, and ``workers=1`` is a plain
-  sequential loop over the same chunks;
+  sharded sparse ``(row, col, score)`` triples;
+* every draw is *row-keyed*: draw ``j`` of stage ``s`` for active temporal
+  node ``(u, t)`` is ``counter_hash(counter_hash(word, u, t), s, j)``, with
+  one ``word`` per call (from the caller's generator in ``generate``, the
+  ``(seed, "tgae", "score-topk")`` stream in ``score_topk``).  A row's
+  candidates, draws and edges are therefore a function of the row alone,
+  and the centre set is cut into shards (:func:`shard_rows`) only for
+  speed: the shards run in a plain sequential loop for ``workers=1``
+  or on a process/thread pool (:mod:`repro.core.parallel`), and the output
+  is bit-identical for every partition, worker count and backend;
 * encoder embeddings are made in one place,
   :meth:`GenerationEngine.warm_rows`, in the calling process: public entry
   points encode every missing key once, in fixed row blocks, hand each
@@ -42,9 +42,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..autograd import no_grad, softmax
-from ..errors import ConfigError, GenerationError
+from ..errors import GenerationError
+from ..graph.ego_graph import counter_hash
 from ..graph.temporal_graph import TemporalGraph
-from ..rng import seed_sequence, spawn_streams
+# ``spawn_streams`` is no longer called here; the import stays only because
+# the e2e benchmark's tracer resolves ``repro.core.engine:spawn_streams``
+# (ROADMAP item 4 replaces that tracer and deletes this line).
+from ..rng import seed_sequence, spawn_streams  # noqa: F401
 from .config import TGAEConfig
 from .embed_cache import EmbeddingCache, graph_token, weights_token
 from .model import TGAEModel
@@ -55,14 +59,17 @@ from .sampler import EgoGraphSampler
 #: padding a deficient candidate row with distinct negatives.
 _PAD_ATTEMPTS = 8
 
-#: Rows per candidate-assembly tile.  The CSR gather, the partner-slot mask
-#: and the distinct-mask scratch of one tile (~tile * width int64/bool) stay
-#: L2-resident instead of streaming ``(rows, width)`` intermediates through
-#: memory three times.  A batch of at most this many rows is assembled in a
-#: single tile whose RNG call order is exactly the pre-tiling code's, so
-#: every chunked caller (chunks default to ``num_initial_nodes`` rows) is
-#: bit-identical to the historical path.
-_CAND_TILE_ROWS = 256
+#: Scratch elements per generation / score shard (:func:`shard_rows`): a
+#: shard holds this many elements of its widest intermediate, the
+#: ``(rows, n)`` race of the dense decoder or the ``(rows, C, hidden)``
+#: gathered decoder columns of the streaming one, so a shard's scratch stays
+#: a few MiB at any universe size.  Every draw is keyed by its row, so this
+#: is a speed and memory choice only: any partition gives the same bits.
+#: Swept over 2^16..2^20 (``draw_blocks`` in ``BENCH_parallel.json``):
+#: 2^18 is within noise of the fastest at the CI size and at n=5000, where
+#: 2^20 (209-row shards) made warm ``generate`` ~35% slower.  Not
+#: configurable.
+DRAW_BLOCK_ELEMENTS = 2**18
 
 #: Rows per inference encode block in :meth:`GenerationEngine.warm_rows`.
 #: A peak-memory ceiling, not a determinism contract: every encoder product
@@ -72,29 +79,98 @@ _CAND_TILE_ROWS = 256
 #: configurable.
 ENCODE_BLOCK_ROWS = 64
 
+# Stage words of the keyed draws: draw ``j`` of stage ``s`` for a row with
+# key ``k`` is ``counter_hash(k, s, j)``.
+_NEGATIVES, _HUB, _PAD, _RACE, _REPEAT = range(5)
+_SHIFT11 = np.uint64(11)
+_SHIFT32 = np.uint64(32)
+
+
+def row_draw_keys(word, centers: np.ndarray) -> np.ndarray:
+    """Per-row draw keys: each centre ``(u, t)`` hashed into one call word.
+
+    ``generate`` draws its word from the caller's generator and
+    ``score_topk`` takes it from the ``(seed, "tgae", "score-topk")``
+    stream.  A row's draws then depend on ``(word, u, t)`` alone, never on
+    which other rows share its shard.
+    """
+    centers = np.asarray(centers, dtype=np.int64).reshape(-1, 2)
+    return counter_hash(word, centers[:, 0], centers[:, 1])
+
+
+def shard_rows(total: int, width: int, workers: int, groups: int = 1) -> int:
+    """Rows per shard when ``groups`` groups of ``total`` rows are cut apart.
+
+    :data:`DRAW_BLOCK_ELEMENTS` over the scratch ``width`` of a row, or
+    fewer when that alone would leave some of the ``workers`` without a
+    shard.
+    """
+    per_group = -(-workers // max(groups, 1))
+    return max(1, min(DRAW_BLOCK_ELEMENTS // width, -(-total // per_group)))
+
+
+def _stage_hashes(keys: np.ndarray, stage: int, count: int) -> np.ndarray:
+    """``(rows, count)`` hashes ``counter_hash(keys[i], stage, j)``."""
+    return counter_hash(counter_hash(keys, stage)[:, None], np.arange(count))
+
+
+def _keyed_uniforms(keys: np.ndarray, stage: int, count: int) -> np.ndarray:
+    """``(rows, count)`` float64 uniforms on ``[0, 1)``, draw ``j`` of ``stage`` per row."""
+    h = _stage_hashes(keys, stage, count)
+    h >>= _SHIFT11
+    out = h.astype(np.float64)
+    out *= 2.0**-53
+    return out
+
+
+def _keyed_integers(keys: np.ndarray, stage: int, count: int, high) -> np.ndarray:
+    """``(rows, count)`` integers on ``[0, high)`` by multiply-shift (``high < 2**32``)."""
+    h = _stage_hashes(keys, stage, count)
+    h >>= _SHIFT32
+    h *= np.asarray(high, dtype=np.uint64)
+    h >>= _SHIFT32
+    return h.astype(np.int64)
+
+
+def _smallest(keys: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's ``k`` smallest keys, in ascending key order."""
+    if k < keys.shape[1]:
+        top = np.argpartition(keys, k - 1, axis=1)[:, :k]
+    else:
+        top = np.broadcast_to(np.arange(keys.shape[1]), keys.shape)
+    within = np.argsort(np.take_along_axis(keys, top, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(top, within, axis=1)
+
 
 def sample_rows_without_replacement(
     probs: np.ndarray,
     counts: np.ndarray,
-    rng: np.random.Generator,
+    row_keys: np.ndarray,
     forbid: Optional[np.ndarray] = None,
     allowed: Optional[np.ndarray] = None,
 ) -> List[np.ndarray]:
-    """Row-batched sampling without replacement via vectorised Gumbel top-k.
+    """Row-batched sampling without replacement by an exponential race.
 
     Draws ``counts[i]`` distinct column indices from the categorical
-    distribution ``probs[i]`` for every row ``i`` in one vectorised pass
-    (one Gumbel perturbation + one argsort over the whole matrix), instead
-    of one NumPy round-trip per row.
+    distribution ``probs[i]`` for every row ``i``: each usable column ``j``
+    finishes at ``E_ij / p_ij`` with ``E_ij = -log(1 - U_ij)`` a unit
+    exponential, and the ``counts[i]`` first to finish are the draw, in
+    finishing order.  That is the law of successive sampling proportional
+    to weight without replacement -- the same as Gumbel top-k -- at one log
+    per element.  ``U_ij`` is the keyed uniform ``counter_hash(row_keys[i],
+    stage, j)``, so a row's draw depends on its key and its own weights
+    alone, never on which rows share the call.
 
     Parameters
     ----------
     probs:
         ``(rows, n)`` non-negative weights; rows need not be normalised
-        (Gumbel top-k is invariant to per-row scaling).
+        (the race is invariant to per-row scaling).
     counts:
         ``(rows,)`` number of distinct draws requested per row; clipped to
         the number of columns with positive allowed mass.
+    row_keys:
+        ``(rows,)`` uint64 draw keys (:func:`row_draw_keys`).
     forbid:
         Optional ``(rows,)`` column index excluded per row (no self-loop
         edges during generation).
@@ -109,63 +185,62 @@ def sample_rows_without_replacement(
     row yields an empty draw rather than dividing by zero or returning the
     forbidden index.
     """
-    p = np.asarray(probs, dtype=np.float64).copy()
+    p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 2:
         raise GenerationError(f"probs must be 2-D, got shape {p.shape}")
-    rows, _ = p.shape
-    row_ids = np.arange(rows)
+    rows, n = p.shape
+    usable = np.ones(p.shape, dtype=bool) if allowed is None else np.array(allowed, dtype=bool)
     if forbid is not None:
-        forbid = np.asarray(forbid, dtype=np.int64)
-        p[row_ids, forbid] = 0.0
-    if allowed is not None:
-        p[~allowed] = 0.0
-    totals = p.sum(axis=1)
-    degenerate = totals <= 0
-    if degenerate.any():
-        # Degenerate rows: fall back to uniform over allowed entries.
-        p[degenerate] = 1.0
-        if forbid is not None:
-            p[row_ids[degenerate], forbid[degenerate]] = 0.0
-        if allowed is not None:
-            p[~allowed] = 0.0
-    positive = p > 0
-    counts = np.minimum(
-        np.asarray(counts, dtype=np.int64), positive.sum(axis=1)
-    ).clip(min=0)
-    gumbel = -np.log(-np.log(rng.random(p.shape) + 1e-300) + 1e-300)
-    with np.errstate(divide="ignore"):
-        keys = np.where(positive, np.log(np.where(positive, p, 1.0)) + gumbel, -np.inf)
+        usable[np.arange(rows), np.asarray(forbid, dtype=np.int64)] = False
+    positive = usable & (p > 0)
+    degenerate = ~positive.any(axis=1)
+    # Degenerate rows: every usable column races at unit weight (uniform).
+    positive[degenerate] = usable[degenerate]
+    counts = np.minimum(np.asarray(counts, dtype=np.int64), positive.sum(axis=1)).clip(min=0)
     max_k = int(counts.max()) if counts.size else 0
     if max_k == 0:
         return [np.array([], dtype=np.int64) for _ in range(rows)]
-    n = p.shape[1]
-    if max_k < n:
-        # Top-max_k per row in linear time, then sort only those columns so
-        # each row's first counts[i] entries are its true top keys.
-        top = np.argpartition(-keys, max_k - 1, axis=1)[:, :max_k]
-        within = np.argsort(-np.take_along_axis(keys, top, axis=1), axis=1)
-        order = np.take_along_axis(top, within, axis=1)
-    else:
-        order = np.argsort(-keys, axis=1)
+    race = _keyed_uniforms(np.asarray(row_keys, dtype=np.uint64), _RACE, n)
+    np.negative(race, out=race)
+    np.log1p(race, out=race)
+    np.negative(race, out=race)
+    np.divide(race, p, out=race, where=positive & ~degenerate[:, None])
+    race[~positive] = np.inf
+    order = _smallest(race, max_k)
     return [order[i, : counts[i]].astype(np.int64) for i in range(rows)]
 
 
-def sample_without_replacement(
-    probs: np.ndarray, count: int, rng: np.random.Generator, forbid: Optional[int] = None
-) -> np.ndarray:
-    """Draw ``count`` distinct indices from one categorical via Gumbel top-k.
+def sample_repeats(
+    weights: np.ndarray,
+    drawn: List[np.ndarray],
+    extra: np.ndarray,
+    row_keys: np.ndarray,
+) -> List[np.ndarray]:
+    """Multi-edge repeats: ``extra[i]`` draws with replacement from ``drawn[i]``.
 
-    Single-row convenience wrapper around
-    :func:`sample_rows_without_replacement`, inheriting its degenerate-row
-    guarantees (uniform fallback; empty draw when every entry is forbidden).
+    Generation's remaining ``d - k`` edge budget repeats a row's distinct
+    targets proportionally to their weights, so bursty multi-edge structure
+    survives.  Draw ``j`` of row ``i`` is the keyed uniform
+    ``counter_hash(row_keys[i], stage, j)`` searched in the cumulative
+    ``weights[i, drawn[i]]`` (uniform over ``drawn[i]`` when those are all
+    zero).  Returns one array of columns per row; rows with ``extra[i] == 0``
+    get an empty one, and a row with ``extra[i] > 0`` must have drawn at
+    least one column.
     """
-    rows = sample_rows_without_replacement(
-        np.asarray(probs, dtype=np.float64)[None, :],
-        np.array([count], dtype=np.int64),
-        rng,
-        forbid=None if forbid is None else np.array([forbid], dtype=np.int64),
+    repeat_rows = np.nonzero(extra)[0]
+    uniforms = _keyed_uniforms(
+        np.asarray(row_keys, dtype=np.uint64)[repeat_rows], _REPEAT,
+        int(extra.max(initial=0)),
     )
-    return rows[0]
+    out = [np.array([], dtype=np.int64)] * len(drawn)
+    for u, row in zip(uniforms, repeat_rows):
+        cols = drawn[row]
+        cum = np.cumsum(weights[row, cols], dtype=np.float64)
+        if cum[-1] <= 0:
+            cum = np.arange(1.0, cols.size + 1)
+        picks = np.searchsorted(cum, u[: extra[row]] * cum[-1], side="right")
+        out[row] = cols[np.minimum(picks, cols.size - 1)]
+    return out
 
 
 def distinct_allowed_mask(
@@ -242,6 +317,11 @@ def active_temporal_nodes(
     return centers, degrees.astype(np.int64), distinct_counts.astype(np.int64)
 
 
+def _dispatch_width(workers: int, pool: Optional[WorkerPool]) -> int:
+    """The worker count a call's shards will meet (an open pool governs)."""
+    return pool.workers if pool is not None and not pool.closed else workers
+
+
 @dataclass
 class TopKScores:
     """Sparse top-k decoded scores: parallel ``(node, timestamp, target, score)``.
@@ -267,18 +347,19 @@ class TopKScores:
 class GenerateChunkTask:
     """One shard of the generation fan-out.
 
-    Carries only what a worker cannot derive itself: the chunk's centre
+    Carries only what a worker cannot derive itself: the shard's centre
     rows with their edge budgets (index arrays, never graph objects), the
-    spawned seed-sequence child that makes the chunk's draws independent
-    of execution order, and the centres' encoder ``embeddings`` (rows from
-    :meth:`GenerationEngine.warm_rows`; only an empty shard may omit them).
+    call's draw ``word`` (every row keys its draws by ``(word, u, t)``, see
+    :func:`row_draw_keys`), and the centres' encoder ``embeddings`` (rows
+    from :meth:`GenerationEngine.warm_rows`; only an empty shard may omit
+    them).
     """
 
     index: int
     centers: np.ndarray
     degrees: np.ndarray
     distinct: np.ndarray
-    seed_seq: np.random.SeedSequence
+    word: int
     embeddings: Optional[np.ndarray] = None
 
 
@@ -286,15 +367,16 @@ class GenerateChunkTask:
 class TopKChunkTask:
     """One shard of the :meth:`GenerationEngine.score_topk` fan-out.
 
-    ``embeddings`` holds the encoder rows of ``(node_ids, timestamp)``, as
-    in :class:`GenerateChunkTask`.
+    ``word`` keys the rows' candidate draws and ``embeddings`` holds the
+    encoder rows of ``(node_ids, timestamp)``, as in
+    :class:`GenerateChunkTask`.
     """
 
     index: int
     node_ids: np.ndarray
     timestamp: int
     k: int
-    seed_seq: np.random.SeedSequence
+    word: int
     embeddings: Optional[np.ndarray] = None
 
 
@@ -397,29 +479,33 @@ class GenerationEngine:
     def candidate_batch(
         self,
         centers: np.ndarray,
-        rng: np.random.Generator,
+        row_keys: np.ndarray,
         min_distinct: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Batched candidate sets: historical partners + uniform negatives.
 
         One vectorised gather from the graph's cached partner CSR replaces
-        the old per-row python loop: every row starts with (up to ``width``)
-        of its centre's distinct historical out-partners and is completed
-        with uniform negatives drawn in a single batched call.
+        the old per-row python loop: every row starts with (up to its
+        width) of its centre's distinct historical out-partners and is
+        completed with uniform negatives, slot ``j`` of row ``i`` drawing
+        ``counter_hash(row_keys[i], stage, j)``.
 
-        When ``min_distinct`` is given, the row width grows to
-        ``max(candidate_limit, min_distinct.max() + 1)`` and any row whose
-        distinct usable slots (first occurrences, centre excluded) still
-        fall short of its requirement is padded with extra *distinct*
-        uniform negatives -- the fix for the silent under-fill degenerate
-        case where a small pool produced fewer targets than observed.
+        Row ``i`` is ``max(candidate_limit, min_distinct[i] + 1)`` slots
+        wide (``candidate_limit`` without ``min_distinct``); the array is
+        as wide as its widest row, and a narrower row's trailing slots hold
+        its own centre, which the usable-slot mask always excludes.  Any row
+        whose distinct usable slots still fall short of its requirement is
+        padded with extra *distinct* uniform negatives -- the fix for the
+        silent under-fill degenerate case where a small pool produced fewer
+        targets than observed.  A row's candidates are therefore a function
+        of its centre, its key and its own requirement alone.
         """
-        return self.candidates_with_mask(centers, rng, min_distinct=min_distinct)[0]
+        return self.candidates_with_mask(centers, row_keys, min_distinct=min_distinct)[0]
 
     def candidates_with_mask(
         self,
         centers: np.ndarray,
-        rng: np.random.Generator,
+        row_keys: np.ndarray,
         min_distinct: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`candidate_batch` plus its usable-slot mask, computed once.
@@ -429,98 +515,61 @@ class GenerationEngine:
         centres forbidden -- the mask the sampler needs, produced as a
         by-product of the padding pass instead of being recomputed.
         """
-        limit = max(self.config.candidate_limit, 1)
         n = self.graph.num_nodes
         nodes = np.asarray(centers[:, 0], dtype=np.int64)
-        rows = nodes.size
-        width = limit
+        row_keys = np.asarray(row_keys, dtype=np.uint64)
+        limit = max(self.config.candidate_limit, 1)
+        widths = np.full(nodes.size, limit, dtype=np.int64)
         needed: Optional[np.ndarray] = None
         if min_distinct is not None:
             needed = np.minimum(np.asarray(min_distinct, dtype=np.int64), n - 1)
-            width = max(limit, int(needed.max(initial=0)) + 1)
-        offsets, partners = self.graph.out_partner_groups()
-        # Cache-blocked assembly: fixed-size row tiles, each fully finished
-        # (negatives, CSR gather, hub subsample, distinct mask, padding)
-        # before the next starts, so the per-tile scratch stays hot.  A
-        # single tile reproduces the untiled RNG call order exactly.
-        out = np.empty((rows, width), dtype=np.int64)
-        allowed = np.empty((rows, width), dtype=bool)
+            widths = np.maximum(widths, needed + 1)
+        width = int(widths.max(initial=limit))
         cols = np.arange(width)
-        for start in range(0, max(rows, 1), _CAND_TILE_ROWS):
-            stop = min(start + _CAND_TILE_ROWS, rows)
-            self._assemble_tile(
-                out[start:stop],
-                allowed[start:stop],
-                nodes[start:stop],
-                None if needed is None else needed[start:stop],
-                offsets,
-                partners,
-                cols,
-                rng,
-            )
-        return out, allowed
-
-    def _assemble_tile(
-        self,
-        out: np.ndarray,
-        allowed: np.ndarray,
-        nodes: np.ndarray,
-        needed: Optional[np.ndarray],
-        offsets: np.ndarray,
-        partners: np.ndarray,
-        cols: np.ndarray,
-        rng: np.random.Generator,
-    ) -> None:
-        """Assemble one tile of candidate rows in place.
-
-        ``out``/``allowed`` are ``(tile, width)`` views into the batch
-        arrays; ``nodes``/``needed`` the matching row slices.  Uniform
-        negatives first, then historical partners gathered from the CSR
-        prefix, then an unbiased without-replacement subsample for hub rows
-        whose pool overflows the width, then the distinct-slot mask and
-        deficient-row padding.
-        """
-        n = self.graph.num_nodes
-        width = out.shape[1]
-        pool_counts = offsets[nodes + 1] - offsets[nodes]
-        take = np.minimum(pool_counts, width)
-        out[...] = rng.integers(0, n, size=out.shape, dtype=np.int64)
+        offsets, partners = self.graph.out_partner_groups()
+        out = _keyed_integers(row_keys, _NEGATIVES, width, n)
         if partners.size:
-            partner_slot = cols[None, :] < take[:, None]
-            gather = np.where(partner_slot, offsets[nodes][:, None] + cols[None, :], 0)
-            np.copyto(out, partners[gather], where=partner_slot)
-            # Hubs with more partners than slots: an ascending-id prefix would
-            # systematically exclude high-id partners, so overflowing rows
-            # take an unbiased without-replacement subsample of their pool --
-            # batched random keys per pool entry, the `width` smallest keys
-            # per row form a uniform subset (no per-row Python round-trips).
-            over = np.nonzero(pool_counts > width)[0]
+            pool_counts = offsets[nodes + 1] - offsets[nodes]
+            partner_slot = cols < np.minimum(pool_counts, widths)[:, None]
+            # Slot j holds pool entry j -- except on hubs with more partners
+            # than slots, where an ascending-id prefix would systematically
+            # exclude high-id partners: there the pool entries with the
+            # row's smallest keyed hashes, in ascending order, form an
+            # unbiased without-replacement subsample.
+            entry = np.broadcast_to(cols, out.shape).copy()
+            over = np.nonzero(pool_counts > widths)[0]
             if over.size:
-                over_counts = pool_counts[over]
-                max_pool = int(over_counts.max())
-                keys = rng.random((over.size, max_pool))
-                keys[np.arange(max_pool)[None, :] >= over_counts[:, None]] = np.inf
-                pick = np.argpartition(keys, width - 1, axis=1)[:, :width]
-                out[over] = partners[offsets[nodes[over]][:, None] + pick]
-        allowed[...] = distinct_allowed_mask(out, nodes)
+                max_pool = int(pool_counts[over].max())
+                keys = _stage_hashes(row_keys[over], _HUB, max_pool)
+                keys[np.arange(max_pool) >= pool_counts[over][:, None]] = np.iinfo(np.uint64).max
+                pick = _smallest(keys, min(width, max_pool))
+                entry[over, : pick.shape[1]] = pick
+            gather = np.where(partner_slot, offsets[nodes][:, None] + entry, 0)
+            np.copyto(out, partners[gather], where=partner_slot)
+        np.copyto(out, nodes[:, None], where=cols >= widths[:, None])
+        allowed = distinct_allowed_mask(out, nodes)
         if needed is not None:
-            self._pad_deficient_rows(out, nodes, needed, rng, allowed)
+            self._pad_deficient_rows(out, nodes, needed, widths, row_keys, allowed)
+        return out, allowed
 
     def _pad_deficient_rows(
         self,
         candidates: np.ndarray,
         nodes: np.ndarray,
         needed: np.ndarray,
-        rng: np.random.Generator,
+        widths: np.ndarray,
+        row_keys: np.ndarray,
         allowed: np.ndarray,
     ) -> None:
         """Top up rows whose distinct usable candidates fall short (in place).
 
-        Duplicate slots are overwritten with fresh node ids not yet present
-        in the row: a few rejection-sampling rounds of uniform negatives,
-        then an exact set-difference fallback for tiny universes.  Row
-        widths guarantee enough surplus slots (``width >= needed + 1``).
-        Both ``candidates`` and its ``allowed`` mask are updated in place.
+        Unusable slots within the row's width are overwritten with fresh
+        node ids not yet present in the row: a few rejection-sampling
+        rounds of keyed uniform negatives (``4 * missing`` draws a round),
+        then an exact set-difference fallback for tiny universes that takes
+        the remaining ids with the smallest keyed hashes.  Row widths
+        guarantee enough surplus slots (``width >= needed + 1``).  Both
+        ``candidates`` and its ``allowed`` mask are updated in place.
         """
         n = self.graph.num_nodes
         have = allowed.sum(axis=1)
@@ -529,50 +578,32 @@ class GenerationEngine:
             taken = set(candidates[row].tolist())
             taken.add(int(nodes[row]))
             fresh: List[int] = []
-            for _ in range(_PAD_ATTEMPTS):
-                if len(fresh) >= missing:
-                    break
-                for value in rng.integers(0, n, size=4 * missing).tolist():
-                    if value not in taken:
-                        taken.add(value)
-                        fresh.append(value)
-                        if len(fresh) == missing:
-                            break
+            draws = _PAD_ATTEMPTS * 4 * missing
+            for value in _keyed_integers(row_keys[row : row + 1], _PAD, draws, n)[0].tolist():
+                if value not in taken:
+                    taken.add(value)
+                    fresh.append(value)
+                    if len(fresh) == missing:
+                        break
             if len(fresh) < missing:
                 remaining = np.setdiff1d(
                     np.arange(n), np.fromiter(taken, dtype=np.int64, count=len(taken))
                 )
-                extra = rng.permutation(remaining)[: missing - len(fresh)]
-                fresh.extend(extra.tolist())
-            slots = np.nonzero(~allowed[row])[0][: len(fresh)]
+                # Draw ``draws + v`` of the stage orders the remaining ids.
+                order = np.argsort(
+                    counter_hash(row_keys[row], _PAD, draws + remaining), kind="stable"
+                )
+                fresh.extend(remaining[order[: missing - len(fresh)]].tolist())
+            slots = np.nonzero(~allowed[row, : widths[row]])[0][: len(fresh)]
             candidates[row, slots] = np.asarray(fresh, dtype=np.int64)
             allowed[row] = distinct_allowed_mask(
                 candidates[row : row + 1], nodes[row : row + 1]
             )[0]
 
-    # ------------------------------------------------------------------
-    # Chunking / sharding knobs
-    # ------------------------------------------------------------------
-    def _resolve_chunk(self, override: Optional[int], total: int) -> int:
-        """The chunk size to shard ``total`` centres into, validated.
-
-        Precedence: explicit ``override`` argument, then
-        ``config.chunk_size``, then ``config.num_initial_nodes``.  A
-        non-positive value is a :class:`ConfigError` (the old code silently
-        masked these with ``max(..., 16)``); a chunk larger than the centre
-        count simply degrades to a single chunk.
-        """
-        size = override
-        if size is None:
-            size = self.config.chunk_size
-        if size is None:
-            size = self.config.num_initial_nodes
-        size = int(size)
-        if size < 1:
-            raise ConfigError(f"chunk size must be >= 1, got {size}")
-        if total > 0:
-            size = min(size, total)
-        return size
+    def _decode_width(self) -> int:
+        """Scratch elements per decoded row (see :data:`DRAW_BLOCK_ELEMENTS`)."""
+        limit = self.config.candidate_limit
+        return limit * self.config.hidden_dim if limit else self.graph.num_nodes
 
     # ------------------------------------------------------------------
     # Generation (Sec. IV-G)
@@ -581,7 +612,6 @@ class GenerationEngine:
         self,
         rng: np.random.Generator,
         workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         backend: Optional[str] = None,
         pool: Optional[WorkerPool] = None,
     ) -> TemporalGraph:
@@ -595,37 +625,36 @@ class GenerationEngine:
         candidate set -- probabilities are never scattered into full
         ``num_nodes``-wide rows.
 
-        The centre set is sharded into chunks; one root seed drawn from
-        ``rng`` spawns a seed-sequence child per chunk *before* dispatch,
-        so the generated graph depends only on ``rng``'s state and the
-        chunk partitioning -- never on ``workers`` or ``backend``.
-        ``workers``/``chunk_size``/``backend`` default to the config knobs;
-        ``pool`` dispatches through a persistent
-        :class:`~repro.core.parallel.WorkerPool` instead of one opened for
-        this call (amortising startup over repeated calls).
+        One 64-bit word drawn from ``rng`` keys every draw of the call by
+        row (:func:`row_draw_keys`), so the generated graph is a function of
+        (weights, graph, config, ``rng``'s state) alone: the shards
+        (:func:`shard_rows`), ``workers`` and ``backend`` change wall-clock
+        time, never output.  ``workers``/``backend``
+        default to the config knobs; ``pool`` dispatches through a
+        persistent :class:`~repro.core.parallel.WorkerPool` instead of one
+        opened for this call (amortising startup over repeated calls).
         """
         graph = self.graph
         centers_all, degrees, distinct_counts = self.active_nodes()
-        total = centers_all.shape[0]
-        chunk = self._resolve_chunk(chunk_size, total)
         workers, backend = check_dispatch(workers, backend, self.config)
-        root = np.random.SeedSequence(int(rng.integers(np.iinfo(np.int64).max)))
-        starts = list(range(0, total, chunk))
-        children = spawn_streams(root, len(starts))
+        word = rng.integers(np.iinfo(np.uint64).max, dtype=np.uint64, endpoint=True)
         self.model.eval()
         embeddings = self.warm_rows(
             centers_all[:, 0] * np.int64(graph.num_timestamps) + centers_all[:, 1]
         )
+        step = shard_rows(
+            centers_all.shape[0], self._decode_width(), _dispatch_width(workers, pool)
+        )
         tasks = [
             GenerateChunkTask(
                 index=i,
-                centers=centers_all[start : start + chunk],
-                degrees=degrees[start : start + chunk],
-                distinct=distinct_counts[start : start + chunk],
-                seed_seq=children[i],
-                embeddings=embeddings[start : start + chunk],
+                centers=centers_all[start : start + step],
+                degrees=degrees[start : start + step],
+                distinct=distinct_counts[start : start + step],
+                word=word,
+                embeddings=embeddings[start : start + step],
             )
-            for i, start in enumerate(starts)
+            for i, start in enumerate(range(0, centers_all.shape[0], step))
         ]
         results = run_sharded(
             self, "generate", tasks, workers=workers, backend=backend, pool=pool
@@ -647,72 +676,61 @@ class GenerationEngine:
     def generate_chunk(
         self, task: GenerateChunkTask
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sample the edges of one centre chunk; pure given the task.
+        """Sample the edges of one centre shard; pure given the task.
 
         Runs in the parent (``workers=1``), in a worker thread, or in a
         worker process against a rebuilt engine -- identically in all
-        three, because its only randomness comes from the task's spawned
-        seed-sequence child and its embeddings ride in the task.  Returns
-        ``(src, dst, t)`` arrays (possibly empty: an empty centre shard is
-        an explicit no-op).
+        three, because its only randomness is keyed by ``(task.word, u, t)``
+        and its embeddings ride in the task.  Each row's edges depend on
+        that row alone, so any partition of the centres into tasks yields
+        the same edges.  Returns ``(src, dst, t)`` arrays (possibly empty:
+        an empty centre shard is an explicit no-op).
         """
         empty = np.array([], dtype=np.int64)
         if task.centers.shape[0] == 0:
             return empty, empty, empty
-        rng = np.random.default_rng(task.seed_seq)
         streaming = self.config.candidate_limit > 0
         part = task.centers
-        part_deg = task.degrees
-        part_distinct = task.distinct
+        keys = row_draw_keys(task.word, part)
         with no_grad():
-            # Canonical chunk stream: candidate assembly, then the decode
-            # of the task's embeddings, then the Gumbel draw.
             if streaming:
                 cand, allowed = self.candidates_with_mask(
-                    part, rng, min_distinct=part_distinct
+                    part, keys, min_distinct=task.distinct
                 )
             else:
                 cand = allowed = None
-            decoded = self.model.decode_from_embeddings(
+            logits = self.model.decode_from_embeddings(
                 task.embeddings, part, candidates=cand
+            ).logits.numpy()
+        # The race and the repeats need weights only up to a per-row scale,
+        # so rows are never normalised: ``exp(logit - max)`` with the max
+        # over the row's usable slots.  Duplicate slots of a usable node
+        # share its logit; only the centre's own (never usable) slots can
+        # exceed the max, and the clip keeps them finite.
+        if streaming:
+            top = logits.max(axis=1, keepdims=True, where=allowed, initial=-np.inf)
+            weights = fold_duplicate_mass(cand, np.exp(np.minimum(logits - top, 0)))
+            drawn = sample_rows_without_replacement(
+                weights, task.distinct, keys, allowed=allowed
             )
-            probs = softmax(decoded.logits, axis=-1).numpy()
-            if streaming:
-                probs = fold_duplicate_mass(cand, probs)
-                drawn = sample_rows_without_replacement(
-                    probs, part_distinct, rng, allowed=allowed
-                )
-            else:
-                drawn = sample_rows_without_replacement(
-                    probs, part_distinct, rng, forbid=part[:, 0]
-                )
-        # Vectorised edge assembly: one pass collects the per-row target
-        # pieces (preserving the historical per-row `rng.choice` call order
-        # for multi-edge repeats), then src/t come from a single np.repeat
-        # over the per-row counts instead of per-row np.full/concatenate.
-        out_counts = np.zeros(len(drawn), dtype=np.int64)
-        pieces: List[np.ndarray] = []
-        for row, cols in enumerate(drawn):
-            if cols.size == 0:
-                continue
-            targets = cand[row, cols] if cand is not None else cols
-            extra = int(part_deg[row]) - targets.size
-            pieces.append(targets)
-            if extra > 0:
-                # Multi-edges: repeat drawn targets proportionally to
-                # their decoded probabilities.
-                weight = probs[row][cols]
-                weight = weight / weight.sum() if weight.sum() > 0 else None
-                pieces.append(rng.choice(targets, size=extra, p=weight))
-                out_counts[row] = targets.size + extra
-            else:
-                out_counts[row] = targets.size
-        if not pieces:
+        else:
+            weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+            drawn = sample_rows_without_replacement(
+                weights, task.distinct, keys, forbid=part[:, 0]
+            )
+        sizes = np.array([cols.size for cols in drawn], dtype=np.int64)
+        extra = np.where(sizes > 0, np.maximum(task.degrees - sizes, 0), 0)
+        out_counts = sizes + extra
+        if not out_counts.any():
             return empty, empty, empty
+        repeats = sample_repeats(weights, drawn, extra, keys)
+        rows = np.repeat(np.arange(sizes.size), out_counts)
+        cols = np.concatenate([np.concatenate(pair) for pair in zip(drawn, repeats)])
+        dst = cand[rows, cols] if cand is not None else cols
         return (
-            np.repeat(part[:, 0].astype(np.int64), out_counts),
-            np.concatenate(pieces).astype(np.int64),
-            np.repeat(part[:, 1].astype(np.int64), out_counts),
+            part[rows, 0].astype(np.int64),
+            dst.astype(np.int64),
+            part[rows, 1].astype(np.int64),
         )
 
     # ------------------------------------------------------------------
@@ -722,21 +740,21 @@ class GenerationEngine:
         self,
         k: int,
         timestamps: Optional[List[int]] = None,
-        chunk: Optional[int] = None,
         workers: Optional[int] = None,
         backend: Optional[str] = None,
         pool: Optional[WorkerPool] = None,
     ) -> TopKScores:
-        """Chunked top-``k`` decoded scores as sparse triples.
+        """Sharded top-``k`` decoded scores as sparse triples.
 
-        Shards centres ``(u, t)`` into per-timestamp chunks, decodes each
-        chunk once (over candidate sets in streaming mode, the full
-        universe otherwise) and keeps only the ``k`` highest-probability
-        targets per centre -- peak memory is O(chunk * max(C, n)) while the
-        output is O(n * k) triples, never an ``(n, T, n)`` tensor.  Chunks
-        draw from seed-sequence children spawned off the named
-        ``(seed, "tgae", "score-topk")`` stream, so the triples are
-        bit-identical for every worker count and backend.
+        Shards centres ``(u, t)`` into per-timestamp blocks of nodes
+        (:func:`shard_rows`), decodes each block once (over
+        candidate sets in streaming mode, the full universe otherwise) and
+        keeps only the ``k`` highest-probability targets per centre -- peak
+        memory is O(block * max(C, n)) while the output is O(n * k)
+        triples, never an ``(n, T, n)`` tensor.  Candidate draws are keyed
+        by row under one word of the named ``(seed, "tgae", "score-topk")``
+        stream, so the triples are bit-identical for every partition,
+        worker count and backend.
         """
         if k < 1:
             raise GenerationError(f"k must be >= 1, got {k}")
@@ -750,23 +768,25 @@ class GenerationEngine:
                 f"score_topk timestamps must lie in [0, {graph.num_timestamps}), "
                 f"got {outside[0]}"
             )
-        step = self._resolve_chunk(chunk, graph.num_nodes)
         workers, backend = check_dispatch(workers, backend, self.config)
-        root = seed_sequence(self.config.seed, "tgae", "score-topk")
+        word = seed_sequence(self.config.seed, "tgae", "score-topk").generate_state(
+            1, np.uint64
+        )[0]
+        step = shard_rows(
+            graph.num_nodes, self._decode_width(), _dispatch_width(workers, pool), len(stamps)
+        )
         specs = [
             (timestamp, np.arange(start, min(start + step, graph.num_nodes)))
             for timestamp in stamps
             for start in range(0, graph.num_nodes, step)
         ]
-        children = spawn_streams(root, len(specs))
         self.model.eval()
         keys = [node_ids * np.int64(graph.num_timestamps) + t for t, node_ids in specs]
         embeddings = self.warm_rows(np.concatenate(keys)) if keys else None
         bounds = np.cumsum([0] + [part.size for part in keys])
         tasks = [
             TopKChunkTask(
-                index=i, node_ids=node_ids, timestamp=int(timestamp), k=k,
-                seed_seq=children[i],
+                index=i, node_ids=node_ids, timestamp=int(timestamp), k=k, word=word,
                 embeddings=embeddings[bounds[i] : bounds[i + 1]],
             )
             for i, (timestamp, node_ids) in enumerate(specs)
@@ -796,18 +816,20 @@ class GenerationEngine:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Top-``k`` triples for one ``(timestamp, node chunk)`` shard.
 
-        Pure given the task (all randomness from its seed-sequence child);
-        returns ``(nodes, timestamps, targets, scores)`` arrays.
+        Pure given the task (candidate draws keyed by ``(task.word, u,
+        t)``); returns ``(nodes, timestamps, targets, scores)`` arrays.
         """
         empty = np.array([], dtype=np.int64)
         node_ids = np.asarray(task.node_ids, dtype=np.int64)
         if node_ids.size == 0:
             return empty, empty, empty, np.array([], dtype=np.float64)
-        rng = np.random.default_rng(task.seed_seq)
         streaming = self.config.candidate_limit > 0
         part = np.stack([node_ids, np.full(node_ids.size, task.timestamp)], axis=1)
         with no_grad():
-            cand = self.candidate_batch(part, rng) if streaming else None
+            cand = (
+                self.candidate_batch(part, row_draw_keys(task.word, part))
+                if streaming else None
+            )
             decoded = self.model.decode_from_embeddings(
                 task.embeddings, part, candidates=cand
             )

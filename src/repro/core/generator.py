@@ -341,13 +341,12 @@ class TGAEGenerator(TemporalGraphGenerator):
         self,
         seed: Optional[int] = None,
         workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
     ) -> TemporalGraph:
         """Sample a synthetic temporal graph mimicking the observed one.
 
-        ``workers``/``chunk_size`` override the config's sharding knobs for
-        this call (see :class:`~repro.core.engine.GenerationEngine`); the
-        output is bit-identical for every worker count.  An open
+        ``workers`` overrides the config's worker count for this call (see
+        :class:`~repro.core.engine.GenerationEngine`); the output is
+        bit-identical for every worker count.  An open
         :meth:`worker_pool` is used automatically (unless ``workers``
         explicitly disagrees with its size).
         """
@@ -356,7 +355,6 @@ class TGAEGenerator(TemporalGraphGenerator):
         return self.engine().generate(
             self._generation_rng(seed),
             workers=workers,
-            chunk_size=chunk_size,
             pool=self._active_pool(workers),
         )
 

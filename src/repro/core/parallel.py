@@ -3,9 +3,11 @@
 The streaming :class:`~repro.core.engine.GenerationEngine` and the
 data-parallel trainer (:mod:`repro.core.trainer`) both split their work into
 independent units -- a decode-and-assemble pass per chunk of centre temporal
-nodes, or one forward + backward per training shard -- where every unit owns
-a spawned :class:`~numpy.random.SeedSequence` child (see :mod:`repro.rng`),
-touches only its own centre rows, and returns plain arrays.  Inference chunks
+nodes, or one forward + backward per training shard -- where every unit
+draws only from randomness fixed before dispatch (a training shard owns a
+spawned :class:`~numpy.random.SeedSequence` child, see :mod:`repro.rng`; an
+inference chunk keys each row's draws by the call's word and the row's
+``(u, t)``), touches only its own centre rows, and returns plain arrays.  Inference chunks
 carry their encoder embeddings in the task (the caller makes them once, in
 :meth:`~repro.core.engine.GenerationEngine.warm_rows`), so workers only
 decode.  This module fans the units out, and :func:`run_sharded` is the
@@ -24,7 +26,8 @@ one place that decides how:
   serialise under threads.  Each worker attaches the shared graph and
   parameter segments once, through a handle payload shipped by the pool
   initializer; per-task messages carry index arrays, a seed-sequence
-  child, a parameter version and (inference) the chunk's embedding rows.
+  child (training) or a draw word (inference), a parameter version and
+  (inference) the chunk's embedding rows.
 * ``backend="thread"`` shares the live engine across a thread pool -- the
   fallback for environments where process pools are unavailable (no POSIX
   shared memory or semaphores, restricted sandboxes); the process backend
@@ -33,10 +36,9 @@ one place that decides how:
   each worker thread its own model replica, refreshed from the live model
   before every run.
 
-Because chunk streams are spawned from one root before any dispatch and
-results are merged in chunk order, every execution mode is
-**bit-identical**: worker count and backend change wall-clock time, never
-output.
+Because every unit's randomness is fixed before any dispatch and results
+are merged in task order, every execution mode is **bit-identical**: worker
+count and backend change wall-clock time, never output.
 
 :class:`WorkerPool` makes the executor *persistent*: one pool outlives many
 ``fit()`` / ``generate()`` / ``score_topk()`` calls and every epoch of a
@@ -68,8 +70,9 @@ a process pool there starts on the thread rung.
 Fault tolerance
 ---------------
 
-Every shard is a pure function of (task, seed-sequence child, weights), so
-recovery never risks the bit-identity contract.  Within a rung a pool
+Every shard is a pure function of (task, weights) -- its randomness rides
+in the task as a seed-sequence child or a draw word -- so recovery never
+risks the bit-identity contract.  Within a rung a pool
 retries transient shard failures (bounded, exponential backoff),
 re-dispatches stragglers that exceed ``shard_timeout``, and rebuilds a
 process executor whose worker crashed (the parent-owned segments survive).
@@ -789,9 +792,9 @@ class WorkerPool:
         shm -> thread -> sequential -- permanently, loudly (one
         :class:`~repro.errors.DegradeWarning` per step) and with the
         collector reset so partially-consumed results can never be
-        double-counted.  Re-running is safe: each task's draws come from
-        its own seed-sequence child, so every recovery path is
-        bit-identical to the undisturbed run.
+        double-counted.  Re-running is safe: each task's draws are fixed by
+        the task itself, so every recovery path is bit-identical to the
+        undisturbed run.
         """
         if self.closed:
             raise PoolError(f"{self.pool_id} has been shut down")
@@ -1270,9 +1273,10 @@ def run_sharded(
     task) is a plain loop over the live engine -- the reference sequential
     path -- and anything wider runs on an ephemeral pool from
     :func:`pool_for`, torn down before returning.  Either way the result is
-    bit-identical because every task carries its own spawned seed-sequence
-    child.  With a ``collector`` (see :meth:`WorkerPool.run`) results are
-    streamed into it in task order and ``None`` is returned.
+    bit-identical because every task's randomness is fixed before dispatch
+    (a spawned seed-sequence child, or a row-keyed draw word).  With a
+    ``collector`` (see :meth:`WorkerPool.run`) results are streamed into it
+    in task order and ``None`` is returned.
     """
     check_dispatch(workers, backend)
     tasks = list(tasks)

@@ -41,7 +41,7 @@ _FORMAT_VERSION = 2
 _SUPPORTED_FORMATS = (1, 2)
 #: Config fields earlier versions saved and this one removed on purpose:
 #: dropped on load without the unknown-key warning.
-_RETIRED_CONFIG_KEYS = frozenset({"shm_dispatch"})
+_RETIRED_CONFIG_KEYS = frozenset({"shm_dispatch", "chunk_size"})
 
 
 def save_generator(generator: TGAEGenerator, path: PathLike) -> None:

@@ -80,12 +80,18 @@ class EgoGraph:
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finaliser: a bijective avalanche mix of ``uint64`` words."""
-    x = x ^ (x >> np.uint64(30))
-    x = x * np.uint64(0xBF58476D1CE4E5B9)
-    x = x ^ (x >> np.uint64(27))
-    x = x * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    """SplitMix64 finaliser: a bijective avalanche mix of ``uint64`` words.
+
+    Mixes ``x`` in place (callers pass a fresh array) and returns it; one
+    scratch array serves all three shifts.
+    """
+    scratch = x >> np.uint64(30)
+    x ^= scratch
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= np.right_shift(x, np.uint64(27), out=scratch)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= np.right_shift(x, np.uint64(31), out=scratch)
+    return x
 
 
 def counter_hash(key, *words) -> np.ndarray:

@@ -86,8 +86,8 @@ def spawn_streams(
 
     Children are derived purely from ``root`` and the child index, so the
     draws of chunk ``i`` are identical no matter how many workers the chunks
-    are later distributed over -- the property the sharded generation
-    engine's bit-reproducibility rests on.
+    are later distributed over -- the property the sharded trainer's
+    bit-reproducibility rests on.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")

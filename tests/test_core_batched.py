@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from repro.core import EgoGraphSampler, TGAEEncoder, TGAEGenerator, TGAEModel, fast_config
-from repro.core.engine import sample_rows_without_replacement, sample_without_replacement
+from repro.core.engine import sample_rows_without_replacement
 from repro.errors import GraphFormatError
 from repro.graph import EgoTile, TemporalGraph, ego_graph_batch, pack_ego_batch
+from repro.graph.ego_graph import counter_hash
 from repro.nn import TemporalGraphAttention
 
 
@@ -181,13 +182,17 @@ class TestLayerNormMasking:
         assert (out[~mask] == 0).all()
 
 
+def keys(count, word=0):
+    """``count`` distinct uint64 row keys under ``word``."""
+    return counter_hash(word, np.arange(count))
+
+
 class TestSamplingWithoutReplacement:
     def test_degenerate_row_all_mass_forbidden_falls_back_to_uniform(self):
-        rng = np.random.default_rng(0)
-        probs = np.array([0.0, 0.0, 1.0])
-        draws = [
-            sample_without_replacement(probs, 2, rng, forbid=2) for _ in range(200)
-        ]
+        probs = np.tile(np.array([0.0, 0.0, 1.0]), (200, 1))
+        draws = sample_rows_without_replacement(
+            probs, np.full(200, 2), keys(200), forbid=np.full(200, 2)
+        )
         for drawn in draws:
             assert 2 not in drawn  # the forbidden index never appears
             assert drawn.size == 2  # uniform fallback over {0, 1}
@@ -198,41 +203,44 @@ class TestSamplingWithoutReplacement:
         # Regression: all probability mass forbidden AND no allowed column
         # left -- previously divided by zero and could return the forbidden
         # index itself.
-        rng = np.random.default_rng(0)
-        drawn = sample_without_replacement(np.array([0.7]), 3, rng, forbid=0)
+        drawn = sample_rows_without_replacement(
+            np.array([[0.7]]), np.array([3]), keys(1), forbid=np.array([0])
+        )[0]
         assert drawn.size == 0
         rows = sample_rows_without_replacement(
-            np.array([[0.7], [0.3]]), np.array([2, 2]), rng, forbid=np.array([0, 0])
+            np.array([[0.7], [0.3]]), np.array([2, 2]), keys(2), forbid=np.array([0, 0])
         )
         assert all(r.size == 0 for r in rows)
 
     def test_zero_mass_rows_fall_back_uniformly(self):
-        rng = np.random.default_rng(1)
         rows = sample_rows_without_replacement(
-            np.zeros((3, 4)), np.array([4, 2, 0]), rng
+            np.zeros((3, 4)), np.array([4, 2, 0]), keys(3, word=1)
         )
         assert sorted(rows[0].tolist()) == [0, 1, 2, 3]
         assert rows[1].size == 2
         assert rows[2].size == 0
 
     def test_batched_matches_sequential_distribution(self):
-        # The batched Gumbel top-k must reproduce the sequential per-row
-        # sampler's edge multiset distributionally: same support, same
-        # marginal inclusion frequencies within Monte-Carlo tolerance.
+        # The batched race must reproduce the sequential per-row sampler's
+        # edge multiset distributionally: same support, same marginal
+        # inclusion frequencies within Monte-Carlo tolerance.
         probs = np.array([[0.5, 0.3, 0.15, 0.05], [0.05, 0.05, 0.45, 0.45]])
         counts = np.array([2, 2])
         trials = 3000
-        rng_a = np.random.default_rng(7)
-        rng_b = np.random.default_rng(8)
         freq_batched = np.zeros_like(probs)
         freq_sequential = np.zeros_like(probs)
-        for _ in range(trials):
-            for row, drawn in enumerate(
-                sample_rows_without_replacement(probs, counts, rng_a)
-            ):
-                freq_batched[row, drawn] += 1
+        batched = sample_rows_without_replacement(
+            np.tile(probs, (trials, 1)), np.tile(counts, trials), keys(2 * trials, word=7)
+        )
+        for i, drawn in enumerate(batched):
+            freq_batched[i % 2, drawn] += 1
+        sequential_keys = keys(2 * trials, word=8)
+        for trial in range(trials):
             for row in range(probs.shape[0]):
-                drawn = sample_without_replacement(probs[row], int(counts[row]), rng_b)
+                drawn = sample_rows_without_replacement(
+                    probs[row][None, :], counts[row : row + 1],
+                    sequential_keys[2 * trial + row : 2 * trial + row + 1],
+                )[0]
                 freq_sequential[row, drawn] += 1
         np.testing.assert_allclose(
             freq_batched / trials, freq_sequential / trials, atol=0.035
@@ -243,7 +251,7 @@ class TestSamplingWithoutReplacement:
         probs = rng.random((6, 8))
         forbid = np.array([0, 1, 2, 3, 4, 5])
         rows = sample_rows_without_replacement(
-            probs, np.full(6, 5), rng, forbid=forbid
+            probs, np.full(6, 5), keys(6, word=2), forbid=forbid
         )
         for row, drawn in enumerate(rows):
             assert forbid[row] not in drawn

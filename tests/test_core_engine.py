@@ -6,11 +6,13 @@ model, not the distribution:
 * the dense decoding path reproduces pinned golden sha256 fingerprints at
   fixed training and generation seeds.  The fingerprints were recaptured
   when the RNG scheme moved to the named seed-sequence registry
-  (``repro.rng``) with per-chunk spawned streams -- equivalence of the
-  engine's draws to the pre-engine generator was certified by the previous
-  generation of these constants before that migration; today's constants
-  pin the registry-era draws, which are additionally bit-identical for
-  every worker count (``tests/test_core_parallel.py``);
+  (``repro.rng``) and again when generation draws became row-keyed --
+  equivalence of the engine's draws to the pre-engine generator was
+  certified by the previous generation of these constants before those
+  migrations; today's constants pin the row-keyed draws, which are
+  additionally bit-identical for every worker count
+  (``tests/test_core_parallel.py``) and every shard partition
+  (``tests/test_generate_invariance.py``);
 * within-candidate masked sampling is distribution-identical to the old
   scatter-into-full-rows path (empirical frequencies over thousands of
   vectorised trials);
@@ -34,10 +36,11 @@ from repro.core import (
     fast_config,
     sample_rows_without_replacement,
 )
-from repro.core.engine import distinct_allowed_mask, fold_duplicate_mass
+from repro.core.engine import distinct_allowed_mask, fold_duplicate_mass, row_draw_keys
 from repro.datasets import communication_network
 from repro.errors import GenerationError, NotFittedError
 from repro.graph import TemporalGraph, validate_generated
+from repro.graph.ego_graph import counter_hash
 
 # Dense-path fingerprints on communication_network(25, 150, 5, seed=17)
 # with fast_config(epochs=3, num_initial_nodes=12): sha256 of the lexsorted
@@ -56,13 +59,18 @@ from repro.graph import TemporalGraph, validate_generated
 # keys hash (u, t) into one word of ``(seed, "tgae", "infer-ego")``) --
 # the per-row oracle in ``tests/ego_oracle.py`` certifies the sampler and
 # packer bit for bit wherever no window is truncated
-# (``tests/test_ego_tile.py``).  Any unintended change to training draws, shard
-# partitioning, chunking, or stream derivation shows up here as a
-# mismatch, and the constants are additionally pinned cache-on == cache-off
-# by ``tests/test_embed_cache.py``.
+# (``tests/test_ego_tile.py``); recaptured once more when generation draws
+# became row-keyed: draw j of stage s for centre (u, t) hashes
+# (counter_hash(word, u, t), s, j) with one word per call, the sampler
+# became an exponential race and the multi-edge repeats a keyed search of
+# the cumulative weights -- the output no longer depends on how the centres
+# are partitioned into shards (``tests/test_generate_invariance.py``).  Any
+# unintended change to training draws, shard partitioning, or stream
+# derivation shows up here as a mismatch, and the constants are
+# additionally pinned cache-on == cache-off by ``tests/test_embed_cache.py``.
 GOLDEN_DENSE = {
-    0: "d596d8829f5fc4f9f4d2ffed4274b975f28e85c51129dd210efc244b83811ee1",
-    7: "f94cfdff4fa5f1b8c7097f5829cfecb10b8d90218701788535bd309943f242d7",
+    0: "8062f86d8a09fc4146471bed703fe59aaf8cbd1e5d91a23cfa55dbdbffc2c478",
+    7: "8d8617698a2d732ffbdebe749667271f0165b2503f8051232d893d6e326e2004",
 }
 
 
@@ -136,6 +144,11 @@ class TestDistinctAllowedMask:
         assert mask.tolist() == [[True, False, True], [True, False, False]]
 
 
+def keys(count, word):
+    """``count`` distinct uint64 row keys under ``word``."""
+    return counter_hash(word, np.arange(count))
+
+
 class TestMaskedSamplingEquivalence:
     """Sampling within candidate sets == scatter-to-full-rows, in distribution."""
 
@@ -150,7 +163,7 @@ class TestMaskedSamplingEquivalence:
         probs_c = np.tile(probs_row, (trials, 1))
         allowed = distinct_allowed_mask(cand)
         cols = sample_rows_without_replacement(
-            probs_c, counts, np.random.default_rng(11), allowed=allowed
+            probs_c, counts, keys(trials, 11), allowed=allowed
         )
         stream_hits = np.bincount(
             np.concatenate([cand[i, c] for i, c in enumerate(cols)]), minlength=n
@@ -160,7 +173,7 @@ class TestMaskedSamplingEquivalence:
         full = np.zeros((trials, n))
         full[:, cand_row] = probs_row
         drawn = sample_rows_without_replacement(
-            full, counts, np.random.default_rng(12)
+            full, counts, keys(trials, 12)
         )
         scatter_hits = np.bincount(np.concatenate(drawn), minlength=n)
 
@@ -180,7 +193,7 @@ class TestMaskedSamplingEquivalence:
         probs = fold_duplicate_mass(cand, np.tile(probs_row, (trials, 1)))
         allowed = distinct_allowed_mask(cand)
         cols = sample_rows_without_replacement(
-            probs, counts, np.random.default_rng(21), allowed=allowed
+            probs, counts, keys(trials, 21), allowed=allowed
         )
         stream_hits = np.bincount(
             np.concatenate([cand[i, c] for i, c in enumerate(cols)]), minlength=n
@@ -190,7 +203,7 @@ class TestMaskedSamplingEquivalence:
         np.add.at(full, (np.repeat(np.arange(trials), 4), np.tile(cand_row, trials)),
                   np.tile(probs_row, trials))
         drawn = sample_rows_without_replacement(
-            full, counts, np.random.default_rng(22)
+            full, counts, keys(trials, 22)
         )
         scatter_hits = np.bincount(np.concatenate(drawn), minlength=n)
 
@@ -218,7 +231,7 @@ class TestMaskedSamplingEquivalence:
         probs = np.full((500, 4), 0.25)
         allowed = distinct_allowed_mask(cand)
         cols = sample_rows_without_replacement(
-            probs, np.full(500, 3, dtype=np.int64), np.random.default_rng(0),
+            probs, np.full(500, 3, dtype=np.int64), keys(500, 0),
             allowed=allowed,
         )
         for i, c in enumerate(cols):
@@ -229,7 +242,7 @@ class TestMaskedSamplingEquivalence:
         probs = np.zeros((2000, 4))
         allowed = np.tile(np.array([True, True, False, True]), (2000, 1))
         cols = sample_rows_without_replacement(
-            probs, np.ones(2000, dtype=np.int64), np.random.default_rng(5),
+            probs, np.ones(2000, dtype=np.int64), keys(2000, 5),
             allowed=allowed,
         )
         picks = np.concatenate(cols)
@@ -239,7 +252,7 @@ class TestMaskedSamplingEquivalence:
 
     def test_fully_masked_row_yields_empty(self):
         cols = sample_rows_without_replacement(
-            np.ones((1, 3)), np.array([2]), np.random.default_rng(0),
+            np.ones((1, 3)), np.array([2]), keys(1, 0),
             allowed=np.zeros((1, 3), dtype=bool),
         )
         assert cols[0].size == 0
@@ -257,7 +270,7 @@ class TestCandidateAssembly:
     def test_partners_lead_each_row(self, engine, observed):
         offsets, partners = observed.out_partner_groups()
         centers = np.stack([np.arange(10), np.zeros(10, dtype=np.int64)], axis=1)
-        cand = engine.candidate_batch(centers, np.random.default_rng(3))
+        cand = engine.candidate_batch(centers, row_draw_keys(3, centers))
         assert cand.shape == (10, 6)
         for row, node in enumerate(centers[:, 0]):
             pool = partners[offsets[node] : offsets[node + 1]]
@@ -280,10 +293,9 @@ class TestCandidateAssembly:
         config = fast_config(epochs=1, num_initial_nodes=4, candidate_limit=5)
         generator = TGAEGenerator(config).fit(hub)
         engine = generator.engine()
-        rng = np.random.default_rng(7)
         seen = set()
-        for _ in range(200):
-            cand = engine.candidate_batch(np.array([[0, 0]]), rng)
+        for word in range(200):
+            cand = engine.candidate_batch(np.array([[0, 0]]), row_draw_keys(word, [[0, 0]]))
             seen.update(cand[0].tolist())
         assert set(range(1, 21)) <= seen
 
@@ -291,7 +303,7 @@ class TestCandidateAssembly:
         centers = np.array([[0, 0], [1, 0]])
         needed = np.array([15, 2])
         cand = engine.candidate_batch(
-            centers, np.random.default_rng(4), min_distinct=needed
+            centers, row_draw_keys(4, centers), min_distinct=needed
         )
         assert cand.shape[1] == 16  # max(limit=6, 15 + 1)
         allowed = distinct_allowed_mask(cand, centers[:, 0])
@@ -302,7 +314,7 @@ class TestCandidateAssembly:
         centers = np.array([[0, 0]])
         needed = np.array([observed.num_nodes + 40])
         cand = engine.candidate_batch(
-            centers, np.random.default_rng(5), min_distinct=needed
+            centers, row_draw_keys(5, centers), min_distinct=needed
         )
         allowed = distinct_allowed_mask(cand, centers[:, 0])
         assert allowed[0].sum() >= observed.num_nodes - 1
@@ -311,7 +323,7 @@ class TestCandidateAssembly:
         config = fast_config(epochs=1, num_initial_nodes=8, candidate_limit=6)
         generator = TGAEGenerator(config).fit(observed)
         centers = np.array([[2, 1], [3, 0]])
-        cand = generator.engine().candidate_batch(centers, np.random.default_rng(0))
+        cand = generator.engine().candidate_batch(centers, row_draw_keys(0, centers))
         assert cand.shape == (2, 6)
 
 

@@ -1,9 +1,9 @@
 """Sharded parallel generation: determinism, guards, and the RNG registry.
 
-The contract under test is the PR's headline guarantee: the generation
-engine's output is **bit-identical for every worker count and backend**,
-because every chunk draws from a seed-sequence child spawned from one root
-before any dispatch.  Alongside it, the degenerate-config guards (explicit
+The contract under test: the generation engine's output is
+**bit-identical for every worker count and backend**, because every draw is
+keyed by its row under one word fixed before any dispatch
+(``tests/test_generate_invariance.py`` extends this to any partition).  Alongside it, the degenerate-config guards (explicit
 ``ConfigError`` instead of the old silent ``max(..., 16)`` masking) and the
 named-stream registry that replaced ``seed + constant`` derivations.
 """
@@ -88,26 +88,15 @@ class TestWorkerCountDeterminism:
 
 
 class TestChunkingGuards:
-    """Degenerate chunk configs fail loudly; oversized chunks are no-ops."""
+    """Degenerate dispatch configs fail loudly; empty shards are no-ops."""
 
     def test_config_rejects_bad_workers(self):
         with pytest.raises(ConfigError):
             fast_config(workers=0)
 
-    def test_config_rejects_bad_chunk_size(self):
-        with pytest.raises(ConfigError):
-            fast_config(chunk_size=0)
-
     def test_config_rejects_bad_backend(self):
         with pytest.raises(ConfigError):
             fast_config(parallel_backend="gpu")
-
-    def test_engine_rejects_zero_chunk_override(self, streaming_fitted):
-        engine = streaming_fitted.engine()
-        with pytest.raises(ConfigError):
-            engine.generate(np.random.default_rng(0), chunk_size=0)
-        with pytest.raises(ConfigError):
-            engine.score_topk(2, chunk=0)
 
     def test_engine_rejects_zero_workers_override(self, streaming_fitted):
         with pytest.raises(ConfigError):
@@ -116,11 +105,6 @@ class TestChunkingGuards:
     def test_run_sharded_rejects_unknown_backend(self, streaming_fitted):
         with pytest.raises(ConfigError):
             run_sharded(streaming_fitted.engine(), "generate", [], 2, backend="gpu")
-
-    def test_chunk_larger_than_center_count_is_one_chunk(self, streaming_fitted):
-        # 10**6 >> active centre count: degrades to a single chunk, no error.
-        graph = streaming_fitted.generate(seed=4, chunk_size=10**6)
-        assert graph.num_edges == streaming_fitted.observed.num_edges
 
     def test_empty_timestamp_list_is_noop(self, streaming_fitted):
         topk = streaming_fitted.engine().score_topk(3, timestamps=[])
@@ -135,7 +119,7 @@ class TestChunkingGuards:
             centers=np.empty((0, 2), dtype=np.int64),
             degrees=np.empty(0, dtype=np.int64),
             distinct=np.empty(0, dtype=np.int64),
-            seed_seq=np.random.SeedSequence(0),
+            word=0,
         )
         src, dst, t = engine.generate_chunk(task)
         assert src.size == dst.size == t.size == 0

@@ -262,6 +262,24 @@ class TestConfigKeys:
         assert restored.config == fitted.config
         assert restored.generate(seed=7) == fitted.generate(seed=7)
 
+    def test_retired_chunk_size_loads_silently(self, fitted, tmp_path):
+        # ``chunk_size`` once set the generation shard size, which shaped the
+        # draws; keyed draws retired it, so an archive carrying it loads
+        # quietly and generates what an archive without it generates.
+        src = tmp_path / "model.npz"
+        legacy = tmp_path / "legacy.npz"
+        save_generator(fitted, src)
+
+        def add_chunk_size(meta):
+            meta["config"]["chunk_size"] = 32
+
+        _rewrite_meta(src, legacy, add_chunk_size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            restored = load_generator(legacy)
+        assert restored.config == load_generator(src).config
+        assert restored.generate(seed=7) == load_generator(src).generate(seed=7)
+
     def test_unknown_key_still_warns(self, fitted, tmp_path):
         src = tmp_path / "model.npz"
         newer = tmp_path / "newer.npz"
