@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from repro.core import TGAEGenerator, UpscaledGenerator
-from repro.graph import cumulative_snapshots
+from repro.graph import snapshot_at
 from repro.metrics import mean_degree
 
 FACTORS = [1, 2, 4, 8]
@@ -33,7 +33,7 @@ def bench_upscaled_generation(benchmark, dblp, bench_config):
             start = time.perf_counter()
             graph = up._generate(seed=0)
             elapsed = time.perf_counter() - start
-            final = cumulative_snapshots(graph)[-1]
+            final = snapshot_at(graph, graph.num_timestamps - 1)
             rows.append(
                 {
                     "factor": factor,

@@ -24,9 +24,9 @@ from repro.core import TGAEGenerator, fast_config
 from repro.datasets import load_dataset
 from repro.graph import (
     burstiness,
-    cumulative_snapshots,
     from_temporal_graph,
     inter_event_times,
+    snapshot_at,
 )
 from repro.metrics import (
     degree_assortativity,
@@ -36,7 +36,7 @@ from repro.metrics import (
 
 def describe(name, graph):
     """Community-relevant fingerprint of one temporal graph."""
-    final = cumulative_snapshots(graph)[-1]
+    final = snapshot_at(graph, graph.num_timestamps - 1)
     stream = from_temporal_graph(graph, spread="uniform", seed=0)
     gaps = inter_event_times(stream, per="node")
     return {

@@ -38,18 +38,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .bench import (
-    ablation_table,
-    dataset_table,
-    evaluation_report,
-    format_table,
-    format_value,
-    motif_table,
-    quality_table,
-    render_report,
-    render_sensitivity,
-    sweep_parameter,
-)
 from .core import TGAEConfig, TGAEGenerator, fast_config, load_generator, save_generator
 from .datasets import available_datasets, load_dataset
 from .graph import (
@@ -178,6 +166,8 @@ def _config_from(args: argparse.Namespace) -> TGAEConfig:
 
 
 def cmd_datasets(args: argparse.Namespace) -> int:
+    from .bench import dataset_table
+
     table = dataset_table(available_datasets(), scale=args.scale)
     print(f"{'dataset':12s} {'nodes':>9s} {'edges':>9s} {'timestamps':>11s}")
     for name, stats in table.items():
@@ -251,7 +241,8 @@ def cmd_update(args: argparse.Namespace) -> int:
         print(f"appending {batch.num_edges} edges from {args.edges}")
         new_edges = batch
     generator.update(new_edges, epochs=args.epochs, verbose=args.verbose)
-    losses = generator.history.losses
+    # ``--epochs 0`` only ingests: a loaded generator then has no history.
+    losses = generator.history.losses if generator.history else []
     if losses:
         print(f"trained {len(losses)} epochs: loss {losses[0]:.3f} -> {losses[-1]:.3f}")
     output = args.output or args.model
@@ -274,6 +265,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .bench import format_value
+
     observed, generated = _load_pair(args)
     scores = compare_graphs(observed, generated, reduction=args.reduction)
     print(f"{'statistic':16s} {'score':>10s}")
@@ -288,6 +281,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from .bench import ablation_table, format_table, format_value, motif_table, quality_table
+
     graph = _load_graph(args)
     config = _config_from(args)
     if args.number in (4, 5):
@@ -307,6 +302,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
+    from .bench import render_sensitivity, sweep_parameter
+
     graph = _load_graph(args)
     config = _config_from(args)
     points = sweep_parameter(graph, config, args.parameter, args.values, seed=args.seed)
@@ -315,6 +312,8 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from .bench import format_value
+
     graph = _load_graph(args)
     final = snapshot_at(graph, graph.num_timestamps - 1)
     print(f"graph: n={graph.num_nodes} m={graph.num_edges} T={graph.num_timestamps}")
@@ -351,6 +350,8 @@ def _load_pair(args: argparse.Namespace):
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .bench import evaluation_report, render_report
+
     observed, generated = _load_pair(args)
     report = evaluation_report(
         observed,

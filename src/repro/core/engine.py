@@ -142,13 +142,13 @@ def _smallest(keys: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(top, within, axis=1)
 
 
-def sample_rows_without_replacement(
+def race_order(
     probs: np.ndarray,
     counts: np.ndarray,
     row_keys: np.ndarray,
     forbid: Optional[np.ndarray] = None,
     allowed: Optional[np.ndarray] = None,
-) -> List[np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Row-batched sampling without replacement by an exponential race.
 
     Draws ``counts[i]`` distinct column indices from the categorical
@@ -179,6 +179,10 @@ def sample_rows_without_replacement(
         This is how the streaming engine masks duplicate candidate slots
         and self-loops when sampling within candidate sets.
 
+    Returns ``(order, counts)``: the clipped ``counts`` and the padded
+    ``(rows, counts.max())`` finishing order, whose row ``i`` holds the
+    draw in its first ``counts[i]`` lanes.
+
     A row whose entire mass sits on forbidden/zero entries falls back to
     uniform sampling over the allowed columns; if no allowed column remains
     at all (e.g. a single-node universe whose only column is forbidden) the
@@ -199,47 +203,78 @@ def sample_rows_without_replacement(
     counts = np.minimum(np.asarray(counts, dtype=np.int64), positive.sum(axis=1)).clip(min=0)
     max_k = int(counts.max()) if counts.size else 0
     if max_k == 0:
-        return [np.array([], dtype=np.int64) for _ in range(rows)]
+        return np.zeros((rows, 0), dtype=np.int64), counts
     race = _keyed_uniforms(np.asarray(row_keys, dtype=np.uint64), _RACE, n)
     np.negative(race, out=race)
     np.log1p(race, out=race)
     np.negative(race, out=race)
     np.divide(race, p, out=race, where=positive & ~degenerate[:, None])
     race[~positive] = np.inf
-    order = _smallest(race, max_k)
-    return [order[i, : counts[i]].astype(np.int64) for i in range(rows)]
+    return _smallest(race, max_k), counts
 
 
-def sample_repeats(
+def sample_rows_without_replacement(
+    probs: np.ndarray,
+    counts: np.ndarray,
+    row_keys: np.ndarray,
+    forbid: Optional[np.ndarray] = None,
+    allowed: Optional[np.ndarray] = None,
+) -> List[np.ndarray]:
+    """:func:`race_order` as one array of drawn columns per row."""
+    order, counts = race_order(probs, counts, row_keys, forbid=forbid, allowed=allowed)
+    return [order[i, :c] for i, c in enumerate(counts)]
+
+
+def repeat_columns(
     weights: np.ndarray,
-    drawn: List[np.ndarray],
+    order: np.ndarray,
+    counts: np.ndarray,
     extra: np.ndarray,
     row_keys: np.ndarray,
-) -> List[np.ndarray]:
-    """Multi-edge repeats: ``extra[i]`` draws with replacement from ``drawn[i]``.
+) -> np.ndarray:
+    """Multi-edge repeats: ``extra[i]`` draws with replacement from a row's draw.
 
     Generation's remaining ``d - k`` edge budget repeats a row's distinct
-    targets proportionally to their weights, so bursty multi-edge structure
-    survives.  Draw ``j`` of row ``i`` is the keyed uniform
-    ``counter_hash(row_keys[i], stage, j)`` searched in the cumulative
-    ``weights[i, drawn[i]]`` (uniform over ``drawn[i]`` when those are all
-    zero).  Returns one array of columns per row; rows with ``extra[i] == 0``
-    get an empty one, and a row with ``extra[i] > 0`` must have drawn at
-    least one column.
+    targets ``order[i, :counts[i]]`` (:func:`race_order`) proportionally to
+    their weights, so bursty multi-edge structure survives.  Draw ``j`` of
+    row ``i`` is the keyed uniform ``counter_hash(row_keys[i], stage, j)``
+    searched (``side="right"``) in the cumulative ``weights[i,
+    order[i, :counts[i]]]``, uniform over those columns when they are all
+    zero.  Every row's search runs at once: one row-wise cumsum, and a pick
+    is the count of cumulative lanes at or below its target.  Returns the
+    padded ``(rows, extra.max())`` columns, row ``i`` in its first
+    ``extra[i]`` lanes; a row with ``extra[i] > 0`` must have
+    ``counts[i] > 0``.
     """
+    out = np.zeros((order.shape[0], int(extra.max(initial=0))), dtype=np.int64)
     repeat_rows = np.nonzero(extra)[0]
-    uniforms = _keyed_uniforms(
-        np.asarray(row_keys, dtype=np.uint64)[repeat_rows], _REPEAT,
-        int(extra.max(initial=0)),
+    if repeat_rows.size == 0:
+        return out
+    lanes = order[repeat_rows]
+    counts = counts[repeat_rows]
+    # Sequential float64 sums per row, so a row's first ``counts`` lanes hold
+    # the bits of a 1-D cumsum of its draw.  The padding lanes after them
+    # sum to at least the row's total, which no target exceeds: a count
+    # that reaches them has counted every drawn lane, and the clip below
+    # maps it to the last one, as a 1-D search past the end would.
+    cum = np.cumsum(weights[repeat_rows[:, None], lanes], axis=1, dtype=np.float64)
+    total = cum[np.arange(lanes.shape[0]), counts - 1]
+    flat = total <= 0
+    cum[flat] = np.arange(1.0, lanes.shape[1] + 1)
+    total[flat] = counts[flat]
+    targets = _keyed_uniforms(
+        np.asarray(row_keys, dtype=np.uint64)[repeat_rows], _REPEAT, out.shape[1]
     )
-    out = [np.array([], dtype=np.int64)] * len(drawn)
-    for u, row in zip(uniforms, repeat_rows):
-        cols = drawn[row]
-        cum = np.cumsum(weights[row, cols], dtype=np.float64)
-        if cum[-1] <= 0:
-            cum = np.arange(1.0, cols.size + 1)
-        picks = np.searchsorted(cum, u[: extra[row]] * cum[-1], side="right")
-        out[row] = cols[np.minimum(picks, cols.size - 1)]
+    targets *= total[:, None]
+    picks = np.empty(targets.shape, dtype=np.int64)
+    # The ``(rows, extra, lanes)`` comparison holds at most
+    # DRAW_BLOCK_ELEMENTS elements at a time (one row if a row is wider).
+    step = max(1, DRAW_BLOCK_ELEMENTS // (targets.shape[1] * lanes.shape[1]))
+    for start in range(0, lanes.shape[0], step):
+        block = slice(start, start + step)
+        picks[block] = (cum[block, None, :] <= targets[block, :, None]).sum(axis=2)
+    np.minimum(picks, (counts - 1)[:, None], out=picks)
+    out[repeat_rows] = np.take_along_axis(lanes, picks, axis=1)
     return out
 
 
@@ -710,22 +745,25 @@ class GenerationEngine:
         if streaming:
             top = logits.max(axis=1, keepdims=True, where=allowed, initial=-np.inf)
             weights = fold_duplicate_mass(cand, np.exp(np.minimum(logits - top, 0)))
-            drawn = sample_rows_without_replacement(
-                weights, task.distinct, keys, allowed=allowed
-            )
+            order, sizes = race_order(weights, task.distinct, keys, allowed=allowed)
         else:
             weights = np.exp(logits - logits.max(axis=1, keepdims=True))
-            drawn = sample_rows_without_replacement(
-                weights, task.distinct, keys, forbid=part[:, 0]
-            )
-        sizes = np.array([cols.size for cols in drawn], dtype=np.int64)
+            order, sizes = race_order(weights, task.distinct, keys, forbid=part[:, 0])
         extra = np.where(sizes > 0, np.maximum(task.degrees - sizes, 0), 0)
-        out_counts = sizes + extra
-        if not out_counts.any():
+        if not sizes.any():
             return empty, empty, empty
-        repeats = sample_repeats(weights, drawn, extra, keys)
-        rows = np.repeat(np.arange(sizes.size), out_counts)
-        cols = np.concatenate([np.concatenate(pair) for pair in zip(drawn, repeats)])
+        repeats = repeat_columns(weights, order, sizes, extra, keys)
+        # Row-major over ``[drawn | repeats]``: each row's distinct targets,
+        # then its repeats.
+        live = np.concatenate(
+            [
+                np.arange(order.shape[1]) < sizes[:, None],
+                np.arange(repeats.shape[1]) < extra[:, None],
+            ],
+            axis=1,
+        )
+        rows = np.nonzero(live)[0]
+        cols = np.concatenate([order, repeats], axis=1)[live]
         dst = cand[rows, cols] if cand is not None else cols
         return (
             part[rows, 0].astype(np.int64),

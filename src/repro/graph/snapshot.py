@@ -4,18 +4,24 @@ Evaluation (Sec. V) compares *cumulative* snapshots: all edges from the
 initial timestamp up to ``t``.  :class:`Snapshot` is a light immutable static
 directed graph over the full node universe, with conversions to scipy sparse
 adjacency and networkx for metric computation.
+
+scipy and networkx are imported inside :meth:`Snapshot.adjacency` and
+:meth:`Snapshot.to_networkx`, the only places that use them, so importing
+the graph layer (and with it every TGAE operation) loads neither.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-import networkx as nx
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import GraphFormatError
 from .temporal_graph import TemporalGraph
+
+if TYPE_CHECKING:
+    import networkx as nx
+    import scipy.sparse as sp
 
 
 class Snapshot:
@@ -50,6 +56,8 @@ class Snapshot:
         metrics, baselines), so it must not depend on call-site flags.
         """
         if self._adjacency is None:
+            import scipy.sparse as sp
+
             data = np.ones(self.num_edges, dtype=np.float64)
             mat = sp.coo_matrix(
                 (data, (self.src, self.dst)), shape=(self.num_nodes, self.num_nodes)
@@ -75,6 +83,8 @@ class Snapshot:
 
     def to_networkx(self, directed: bool = True) -> nx.Graph:
         """Convert to a networkx graph over the *active* nodes only."""
+        import networkx as nx
+
         graph: nx.Graph = nx.DiGraph() if directed else nx.Graph()
         graph.add_edges_from(zip(self.src.tolist(), self.dst.tolist()))
         return graph

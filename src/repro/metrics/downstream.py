@@ -25,18 +25,22 @@ perfect generator has gap 0.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import GraphFormatError
 from ..graph.snapshot import snapshot_at
 from ..graph.temporal_graph import TemporalGraph
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 
 def _training_adjacency(graph: TemporalGraph, holdout_t: int) -> sp.csr_matrix:
     """Undirected binary adjacency of everything strictly before ``holdout_t``."""
+    import scipy.sparse as sp
+
     mask = graph.t < holdout_t
     src, dst = graph.src[mask], graph.dst[mask]
     data = np.ones(src.size, dtype=np.float64)

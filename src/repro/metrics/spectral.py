@@ -18,11 +18,14 @@ ill-conditioned inputs.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..graph.snapshot import Snapshot
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def _symmetric_adjacency(snapshot: Snapshot) -> sp.csr_matrix:
@@ -47,6 +50,8 @@ def adjacency_spectrum(snapshot: Snapshot, k: int = 8) -> np.ndarray:
     if n <= 64 or k_eff >= n - 1:
         values = np.linalg.eigvalsh(adj.toarray())
     else:
+        import scipy.sparse.linalg as spla
+
         try:
             values = spla.eigsh(adj, k=k_eff, which="LM", return_eigenvectors=False)
         except (spla.ArpackNoConvergence, spla.ArpackError):
@@ -63,6 +68,9 @@ def laplacian_spectrum(snapshot: Snapshot, k: int = 8) -> np.ndarray:
     connected components among active nodes.  Isolated (inactive) nodes are
     dropped first so the spectrum reflects the realised graph.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     adj = _symmetric_adjacency(snapshot)
     if adj.nnz == 0:
         return np.empty(0, dtype=np.float64)

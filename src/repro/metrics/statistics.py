@@ -18,8 +18,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from ..graph.snapshot import Snapshot
 from ..graph.temporal_graph import TemporalGraph
@@ -101,6 +99,9 @@ def _active_degrees(snapshot: Snapshot) -> np.ndarray:
 
 
 def _component_sizes(snapshot: Snapshot) -> np.ndarray:
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     if snapshot.num_edges == 0:
         return np.array([], dtype=np.int64)
     active = snapshot.active_nodes()

@@ -164,6 +164,24 @@ class TestResumeAndUpdate:
         # the original checkpoint was left untouched
         assert load_generator(model_path).train_state.epoch == 2
 
+    def test_update_with_zero_epochs_only_ingests(self, tmp_path, edge_list, capsys):
+        model_path = tmp_path / "model.npz"
+        self._fit(edge_list, model_path)
+        capsys.readouterr()
+        new_path = tmp_path / "new.txt"
+        new_path.write_text("1 2 3\n4 5 3\n")
+        out_path = tmp_path / "updated.npz"
+        assert main([
+            "update", "--model", str(model_path), "--edges", str(new_path),
+            "--epochs", "0", "--output", str(out_path),
+        ]) == 0
+        assert "trained" not in capsys.readouterr().out
+        from repro.core import load_generator
+
+        updated = load_generator(out_path)
+        assert updated.observed.num_edges == load_edge_list(edge_list).num_edges + 2
+        assert updated.train_state.epoch == 2
+
 
 class TestTableCommand:
     def test_table6_on_file(self, edge_list, capsys):

@@ -14,7 +14,13 @@ import pytest
 from scipy.stats import chi2 as chi2_dist
 
 from repro.core import TGAEGenerator, fast_config
-from repro.core.engine import sample_repeats, sample_rows_without_replacement
+from repro.core.engine import (
+    _REPEAT,
+    _keyed_uniforms,
+    race_order,
+    repeat_columns,
+    sample_rows_without_replacement,
+)
 from repro.graph import TemporalGraph
 from repro.graph.ego_graph import counter_hash
 
@@ -31,6 +37,40 @@ def chi_square(observed, expected):
     expected = np.asarray(expected, dtype=np.float64)
     statistic = float(((observed - expected) ** 2 / expected).sum())
     return statistic, float(chi2_dist.ppf(0.999, expected.size - 1))
+
+
+def sample_repeats(weights, drawn, extra, row_keys):
+    """Per-row reference for :func:`repeat_columns`: one searchsorted a row.
+
+    Draw ``j`` of row ``i`` is the keyed uniform ``counter_hash(row_keys[i],
+    stage, j)`` searched in the cumulative ``weights[i, drawn[i]]`` (uniform
+    over ``drawn[i]`` when those are all zero).  Returns one array of
+    columns per row.
+    """
+    repeat_rows = np.nonzero(extra)[0]
+    uniforms = _keyed_uniforms(
+        np.asarray(row_keys, dtype=np.uint64)[repeat_rows], _REPEAT,
+        int(extra.max(initial=0)),
+    )
+    out = [np.array([], dtype=np.int64)] * len(drawn)
+    for u, row in zip(uniforms, repeat_rows):
+        cols = drawn[row]
+        cum = np.cumsum(weights[row, cols], dtype=np.float64)
+        if cum[-1] <= 0:
+            cum = np.arange(1.0, cols.size + 1)
+        picks = np.searchsorted(cum, u[: extra[row]] * cum[-1], side="right")
+        out[row] = cols[np.minimum(picks, cols.size - 1)]
+    return out
+
+
+def repeats(weights, drawn, extra, row_keys):
+    """:func:`repeat_columns` over per-row draws, as one array per row."""
+    counts = np.array([cols.size for cols in drawn], dtype=np.int64)
+    order = np.zeros((len(drawn), int(counts.max(initial=0))), dtype=np.int64)
+    for row, cols in enumerate(drawn):
+        order[row, : cols.size] = cols
+    padded = repeat_columns(np.asarray(weights), order, counts, extra, row_keys)
+    return [padded[row, :e] for row, e in enumerate(extra)]
 
 
 def ordered_pair_probabilities(weights):
@@ -111,14 +151,14 @@ class TestRepeats:
     def test_repeats_are_proportional_to_weights(self):
         weights = np.array([[0.0, 1.0, 2.0, 3.0, 4.0]])
         drawn = [np.array([4, 2, 1, 3])]
-        picks = sample_repeats(weights, drawn, np.array([ROWS]), keys(1, 6))[0]
+        picks = repeats(weights, drawn, np.array([ROWS]), keys(1, 6))[0]
         counts = np.bincount(picks, minlength=5)
         assert counts[0] == 0
         statistic, bound = chi_square(counts[1:], ROWS * weights[0, 1:] / 10.0)
         assert statistic < bound
 
     def test_zero_weights_repeat_uniformly(self):
-        picks = sample_repeats(
+        picks = repeats(
             np.zeros((1, 3)), [np.array([2, 0])], np.array([ROWS]), keys(1, 7)
         )[0]
         counts = np.bincount(picks, minlength=3)
@@ -127,11 +167,32 @@ class TestRepeats:
         assert statistic < bound
 
     def test_rows_without_extra_get_no_repeats(self):
-        out = sample_repeats(
+        out = repeats(
             np.ones((2, 3)), [np.array([0, 1]), np.array([], dtype=np.int64)],
             np.array([0, 0]), keys(2),
         )
         assert [r.size for r in out] == [0, 0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_per_row_oracle(self, dtype):
+        # Mixed draw sizes, all-zero rows, rows without repeats and one row
+        # wide enough to split the vectorised search into several blocks.
+        rng = np.random.default_rng(3)
+        rows, n = 300, 40
+        weights = (rng.random((rows, n)) ** 4).astype(dtype)
+        weights[::7] = 0
+        weights[:, ::5] = 0
+        row_keys = keys(rows, 12)
+        order, counts = race_order(weights, rng.integers(0, 12, rows), row_keys)
+        extra = np.where(counts > 0, rng.integers(0, 30, rows), 0)
+        assert counts[1] > 0
+        extra[1] = 8000
+        padded = repeat_columns(weights, order, counts, extra, row_keys)
+        drawn = sample_rows_without_replacement(weights, counts, row_keys)
+        expected = sample_repeats(weights, drawn, extra, row_keys)
+        assert padded.shape == (rows, extra.max())
+        for row in range(rows):
+            assert np.array_equal(padded[row, : extra[row]], expected[row])
 
 
 class TestCandidateDraws:
