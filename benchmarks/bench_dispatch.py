@@ -89,10 +89,10 @@ class _WireCountingPool(WorkerPool):
         self.task_bytes = 0
         self.payload_bytes = 0
 
-    def run(self, engine, kind, tasks, collector=None):
+    def run(self, engine, kind, tasks):
         tasks = list(tasks)
         self.task_bytes += sum(_pickled_bytes(task) for task in tasks)
-        return super().run(engine, kind, tasks, collector)
+        return super().run(engine, kind, tasks)
 
     def _publish_engine_locked(self, engine):
         payload = super()._publish_engine_locked(engine)

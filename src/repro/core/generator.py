@@ -108,43 +108,35 @@ class TGAEGenerator(TemporalGraphGenerator):
         :func:`~repro.core.trainer.train_tgae`).
         """
         if node_features is not None:
-            # Validate before any state is assigned: a failed fit must
-            # leave the generator as it was.
             node_features = np.asarray(node_features, dtype=self.config.np_dtype)
             check_features(node_features, graph.num_nodes, graph.num_timestamps)
-        self._node_features = node_features
-        self._fit_verbose = verbose
-        self._fit_track_memory = track_memory
-        self._fit_checkpoint = (checkpoint_every, checkpoint_path)
-        return super().fit(graph)
-
-    # ------------------------------------------------------------------
-    # Fitting
-    # ------------------------------------------------------------------
-    def _fit(self, graph: TemporalGraph) -> None:
-        self._engine = None
-        rng = np.random.default_rng(self.config.seed)
-        feature_dim = (
-            self._node_features.shape[-1] if self._node_features is not None else 0
+        model = TGAEModel(
+            graph.num_nodes, graph.num_timestamps, self.config,
+            rng=np.random.default_rng(self.config.seed),
+            feature_dim=node_features.shape[-1] if node_features is not None else 0,
         )
-        self.model = TGAEModel(
-            graph.num_nodes, graph.num_timestamps, self.config, rng=rng,
-            feature_dim=feature_dim,
-        )
-        if self._node_features is not None:
-            self.model.encoder.set_external_features(self._node_features)
-        checkpoint_every, checkpoint_path = getattr(
-            self, "_fit_checkpoint", (None, None)
-        )
-        self.history = train_tgae(
-            self.model, graph, self.config,
-            verbose=getattr(self, "_fit_verbose", False),
-            track_memory=getattr(self, "_fit_track_memory", False),
+        if node_features is not None:
+            model.encoder.set_external_features(node_features)
+        history = train_tgae(
+            model, graph, self.config,
+            verbose=verbose,
+            track_memory=track_memory,
             pool=self._active_pool(),
             checkpoint_every=checkpoint_every,
             checkpoint_path=checkpoint_path,
         )
-        self.train_state = self.history.state
+        # Commit only once training returned: a fit that raises leaves the
+        # generator as it was -- unfitted, or still on its previous fit.
+        self._observed = graph
+        self.model = model
+        self.history = history
+        self.train_state = history.state
+        self._node_features = node_features
+        self._engine = None
+        return self
+
+    def _fit(self, graph: TemporalGraph) -> None:
+        self.fit(graph)
 
     # ------------------------------------------------------------------
     # Incremental ingestion (append + warm-start)

@@ -75,9 +75,11 @@ in the task as a seed-sequence child or a draw word -- so recovery never
 risks the bit-identity contract.  Within a rung a pool
 retries transient shard failures (bounded, exponential backoff),
 re-dispatches stragglers that exceed ``shard_timeout``, and rebuilds a
-process executor whose worker crashed (the parent-owned segments survive).
+process executor whose worker crashed (the parent-owned segments survive);
+one retry loop serves every rung, the in-process sequential one included.
 When a rung is exhausted the pool steps down the degradation ladder
-``shm -> thread -> sequential`` -- permanently and loudly, one
+``shm -> thread -> sequential`` and re-runs the whole task list there --
+permanently and loudly, one
 :class:`~repro.errors.DegradeWarning` per step -- with counters exposed on
 :attr:`WorkerPool.health`.  The pool's ladder position is one field; its
 ``backend`` and ``rung`` are views of it.  All of it is provoked
@@ -96,11 +98,11 @@ import threading
 import time
 import warnings
 import weakref
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -183,15 +185,6 @@ def check_dispatch(
             f"parallel backend must be one of {BACKENDS}, got {backend!r}"
         )
     return workers, backend
-
-
-def _collect(results: Iterable[Any], collector: Optional[Any]) -> Optional[List[Any]]:
-    """Results as a list or, with a ``collector``, streamed into it in order."""
-    if collector is None:
-        return list(results)
-    for result in results:
-        collector.add(result)
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -767,19 +760,13 @@ class WorkerPool:
         )
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        engine: Any,
-        kind: str,
-        tasks: Sequence[Any],
-        collector: Optional[Any] = None,
-    ) -> Optional[List[Any]]:
-        """Run chunk ``tasks`` against ``engine``; results in task order.
+    def run(self, engine: Any, kind: str, tasks: Sequence[Any]) -> List[Any]:
+        """Run chunk ``tasks`` against ``engine``; results as a list in task order.
 
-        Without ``collector`` the results come back as a list.  With a
-        ``collector`` (an object with ``add(result)`` and ``reset()``),
-        results are *streamed* into it in task order as workers finish --
-        the consumer's merge work overlaps the remaining shards' compute.
+        Every rung -- shm, thread and sequential -- runs through one
+        retry/timeout loop (:meth:`_consume_futures`).  A call with
+        ``workers == 1`` or at most one task runs on the sequential rung
+        without moving the pool's own rung.
 
         Failure handling is layered.  *Within* a rung, a shard that dies
         with a transient error (``OSError``/pickling) is retried up to
@@ -789,32 +776,28 @@ class WorkerPool:
         replacement), and a crashed worker gets the executor rebuilt
         against the surviving shared segments.  Only when a rung is
         *exhausted* does the pool step down the degradation ladder
-        shm -> thread -> sequential -- permanently, loudly (one
-        :class:`~repro.errors.DegradeWarning` per step) and with the
-        collector reset so partially-consumed results can never be
-        double-counted.  Re-running is safe: each task's draws are fixed by
-        the task itself, so every recovery path is bit-identical to the
-        undisturbed run.
+        shm -> thread -> sequential -- permanently and loudly (one
+        :class:`~repro.errors.DegradeWarning` per step) -- and re-runs the
+        whole task list there; exhausting the sequential rung raises
+        :class:`~repro.errors.PoolError`.  Re-running is safe: each task's
+        draws are fixed by the task itself, so every recovery path is
+        bit-identical to the undisturbed run.
         """
         if self.closed:
             raise PoolError(f"{self.pool_id} has been shut down")
         tasks = list(tasks)
         self.runs += 1
-        if self.workers == 1 or len(tasks) <= 1:
-            return self._run_sequential(engine, kind, tasks, collector)
         while True:
+            rung = "sequential" if self.workers == 1 or len(tasks) <= 1 else self._rung
             runner = {
                 "shm": self._run_on_processes,
                 "thread": self._run_on_threads,
                 "sequential": self._run_sequential,
-            }[self._rung]
+            }[rung]
             try:
-                return runner(engine, kind, tasks, collector)
+                return runner(engine, kind, tasks)
             except _RUNG_FAILURES as exc:
-                cause = exc.cause if isinstance(exc, _RungExhausted) else exc
-                if collector is not None:
-                    collector.reset()
-                self._degrade(cause)
+                self._degrade(rung, exc.cause if isinstance(exc, _RungExhausted) else exc)
 
     # ------------------------------------------------------------------
     def _token_for(self, engine: Any) -> str:
@@ -827,9 +810,7 @@ class WorkerPool:
         self._structure_cache = (weakref.ref(engine), token)
         return token
 
-    def _run_on_processes(
-        self, engine: Any, kind: str, tasks: List[Any], collector: Optional[Any] = None
-    ) -> Optional[List[Any]]:
+    def _run_on_processes(self, engine: Any, kind: str, tasks: List[Any]) -> List[Any]:
         # The whole dispatch holds the lock so a concurrent run() with a
         # different payload token cannot swap the executor out from under
         # this one -- concurrent callers serialise instead.
@@ -844,7 +825,7 @@ class WorkerPool:
                 )
 
             return self._consume_futures(
-                tasks, submit, self._rebuild_process_executor_locked, collector
+                tasks, submit, self._rebuild_process_executor_locked
             )
 
     def _ensure_shm_executor_locked(self, engine: Any) -> None:
@@ -903,25 +884,20 @@ class WorkerPool:
         tasks: List[Any],
         submit: Callable[[Any, int], Any],
         rebuild: Optional[Callable[[], None]],
-        collector: Optional[Any],
-    ) -> Optional[List[Any]]:
-        """Submit every task, then consume results in task order with recovery.
+    ) -> List[Any]:
+        """Submit every task, then collect results in task order with recovery.
 
-        The retry/timeout engine shared by the process and thread rungs.
-        Consuming in task order keeps the merge bit-identical and lets a
-        collector overlap with outstanding shards; per-shard ``attempt``
-        numbers flow into the workers so :mod:`repro.faults` rules can
-        target (or spare) retries.
+        The one retry/timeout loop, shared by every rung.  Collecting in task
+        order keeps the caller's merge bit-identical; per-shard ``attempt``
+        numbers flow into the shards so :mod:`repro.faults` rules can target
+        (or spare) retries.
         """
         attempts = [0] * len(tasks)
         futures = self._submit_all(tasks, attempts, submit, rebuild)
-        return _collect(
-            (
-                self._await_shard(i, tasks, futures, attempts, submit, rebuild)
-                for i in range(len(tasks))
-            ),
-            collector,
-        )
+        return [
+            self._await_shard(i, tasks, futures, attempts, submit, rebuild)
+            for i in range(len(tasks))
+        ]
 
     def _submit_all(
         self,
@@ -1051,9 +1027,7 @@ class WorkerPool:
         self._param_version += 1
         self._health["param_updates"] += 1
 
-    def _run_on_threads(
-        self, engine: Any, kind: str, tasks: List[Any], collector: Optional[Any] = None
-    ) -> Optional[List[Any]]:
+    def _run_on_threads(self, engine: Any, kind: str, tasks: List[Any]) -> List[Any]:
         faults.check("dispatch")
         _prewarm_graph(engine.graph)
         with self._lock:
@@ -1096,42 +1070,43 @@ class WorkerPool:
             return executor.submit(_checked, execute, task, attempt)
 
         # No rebuild callback: a thread pool has no crashed-worker mode.
-        return self._consume_futures(tasks, submit, None, collector)
+        return self._consume_futures(tasks, submit, None)
 
-    def _run_sequential(
-        self, engine: Any, kind: str, tasks: List[Any], collector: Optional[Any]
-    ) -> Optional[List[Any]]:
-        """The bottom rung (and the ``workers=1`` path): a plain in-process loop.
+    def _run_sequential(self, engine: Any, kind: str, tasks: List[Any]) -> List[Any]:
+        """The bottom rung (and the ``workers=1`` path): shards run in-process.
 
-        Still retries transient per-shard errors, but there is nothing to
-        degrade to below it -- exhaustion raises
-        :class:`~repro.errors.PoolError` instead of stepping down.
+        ``submit`` runs the shard at once and returns a completed future, so
+        retries, backoff and exhaustion go through the same loop as the
+        pooled rungs; below this rung there is nothing to degrade to (see
+        :meth:`_degrade`).
         """
-        return _collect(
-            (self._run_one_retrying(engine, kind, task) for task in tasks), collector
-        )
 
-    def _run_one_retrying(self, engine: Any, kind: str, task: Any) -> Any:
-        attempt = 0
-        while True:
+        def submit(task: Any, attempt: int) -> Future:
+            future: Future = Future()
             try:
-                return _checked(
-                    lambda t: _run_on(engine, kind, t), task, attempt
+                future.set_result(
+                    _checked(lambda t: _run_on(engine, kind, t), task, attempt)
                 )
-            except _RETRYABLE_TASK_ERRORS as exc:
-                attempt += 1
-                self._health["retries"] += 1
-                if attempt > self.max_shard_retries:
-                    raise PoolError(
-                        f"{self.pool_id}: shard failed {attempt} attempts on the "
-                        f"sequential rung ({type(exc).__name__}: {exc})"
-                    ) from exc
-                time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
 
-    def _degrade(self, cause: BaseException) -> None:
-        """Step one rung down the ladder, releasing the failed rung's resources."""
+        return self._consume_futures(tasks, submit, None)
+
+    def _degrade(self, from_rung: str, cause: BaseException) -> None:
+        """Step one rung down from ``from_rung``, releasing its resources.
+
+        The sequential rung has no rung below it: its exhaustion raises
+        :class:`~repro.errors.PoolError` and leaves the pool's rung alone.
+        """
+        if from_rung == "sequential":
+            raise PoolError(
+                f"{self.pool_id}: shard failed on the sequential rung "
+                f"({type(cause).__name__}: {cause}); no rung left to degrade to"
+            ) from cause
         with self._lock:
-            from_rung = self._rung
+            if self._rung != from_rung:
+                return  # a concurrent run() already stepped down
             if from_rung == "shm":
                 # Drop the process backend: segments are unlinked *and* the
                 # weight version advanced (in _release_stores_locked) so a
@@ -1139,15 +1114,9 @@ class WorkerPool:
                 # think they already have.
                 self._shutdown_process_executor_locked()
                 self._release_stores_locked()
-            elif from_rung == "thread":
-                if self._thread_executor is not None:
-                    self._thread_executor.shutdown(wait=True)
-                    self._thread_executor = None
-            else:
-                raise PoolError(
-                    f"{self.pool_id}: sequential execution failed "
-                    f"({type(cause).__name__}: {cause}); no rung left to degrade to"
-                ) from cause
+            elif self._thread_executor is not None:
+                self._thread_executor.shutdown(wait=True)
+                self._thread_executor = None
             self._rung = to_rung = LADDER[LADDER.index(from_rung) + 1]
         self._health["degrades"].append(f"{from_rung}->{to_rung}")
         warnings.warn(
@@ -1263,8 +1232,7 @@ def run_sharded(
     workers: int,
     backend: str = "process",
     pool: Optional[WorkerPool] = None,
-    collector: Optional[Any] = None,
-) -> Optional[List[Any]]:
+) -> List[Any]:
     """Run chunk ``tasks`` on ``workers`` workers; results in task order.
 
     The one place that decides how shards run.  When ``pool`` is given (and
@@ -1274,15 +1242,13 @@ def run_sharded(
     path -- and anything wider runs on an ephemeral pool from
     :func:`pool_for`, torn down before returning.  Either way the result is
     bit-identical because every task's randomness is fixed before dispatch
-    (a spawned seed-sequence child, or a row-keyed draw word).  With a
-    ``collector`` (see :meth:`WorkerPool.run`) results are streamed into it
-    in task order and ``None`` is returned.
+    (a spawned seed-sequence child, or a row-keyed draw word).
     """
     check_dispatch(workers, backend)
     tasks = list(tasks)
     if pool is not None and not pool.closed:
-        return pool.run(engine, kind, tasks, collector)
+        return pool.run(engine, kind, tasks)
     if workers == 1 or len(tasks) <= 1:
-        return _collect((_run_on(engine, kind, task) for task in tasks), collector)
+        return [_run_on(engine, kind, task) for task in tasks]
     with pool_for(engine.config, min(workers, len(tasks)), backend) as ephemeral:
-        return ephemeral.run(engine, kind, tasks, collector)
+        return ephemeral.run(engine, kind, tasks)

@@ -156,14 +156,15 @@ def load_generator(path: PathLike, dtype: Optional[str] = None) -> TGAEGenerator
     ``RuntimeWarning``; retired keys (``_RETIRED_CONFIG_KEYS``) are dropped
     silently.  A truncated or corrupt archive, one missing a member, one
     whose metadata or config is not a JSON object, one whose graph arrays
-    fall outside its recorded universe, one with a mistyped config value, or
-    one with a NaN or infinite parameter raises :class:`ConfigError`.
+    are not 1-D integer arrays or fall outside its recorded universe, one
+    with a mistyped config or metadata value, or one with a NaN or infinite
+    parameter raises :class:`ConfigError`.
     """
     try:
         return _read_generator(path, dtype)
     except ConfigError:
         raise
-    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError) as exc:
+    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(
             f"{path!s} is not a readable TGAE generator archive "
             f"({type(exc).__name__}: {exc})"
@@ -245,12 +246,17 @@ def _read_generator(path: PathLike, dtype: Optional[str]) -> TGAEGenerator:
             config = dataclasses.replace(config, dtype=requested)
         generator = TGAEGenerator(config)
         generator.name = meta.get("name", "TGAE")
+        edges = []
+        for member in ("src", "dst", "t"):
+            array = archive[f"graph:{member}"]
+            if array.ndim != 1 or array.dtype.kind not in "iu":
+                raise ConfigError(
+                    f"checkpoint {path!s} stores graph:{member} as "
+                    f"{array.dtype}{array.shape}; expected a 1-D integer array"
+                )
+            edges.append(array)
         observed = TemporalGraph(
-            meta["num_nodes"],
-            archive["graph:src"],
-            archive["graph:dst"],
-            archive["graph:t"],
-            num_timestamps=meta["num_timestamps"],
+            meta["num_nodes"], *edges, num_timestamps=meta["num_timestamps"]
         )
         model = TGAEModel(meta["num_nodes"], meta["num_timestamps"], config)
         model.load_state_dict(state)

@@ -14,9 +14,10 @@ Sharding is what makes training scale on both axes at once:
   once for ``workers > 1``) gets them, otherwise they run as an in-process
   loop.  Every shard owns a spawned
   :class:`~numpy.random.SeedSequence` child driving its ego sampling,
-  candidate negatives and reparameterisation noise, and gradients are summed
-  in shard order, so the loss/gradient trajectory -- and therefore the final
-  weights -- are **bit-identical for every worker count and backend**.
+  candidate negatives and reparameterisation noise.  The shard results come
+  back as a list in shard order and the epoch sums them in that order, so
+  the loss/gradient trajectory -- and therefore the final weights -- are
+  **bit-identical for every worker count and backend**.
 * **Memory**: with ``config.checkpoint_attention`` the TGAT layers free
   their per-edge activations (the O(batch * ego^2) tensors that dominate
   training peak memory) after the forward pass and recompute them during
@@ -184,40 +185,6 @@ def run_train_shard(engine, task: TrainShardTask) -> TrainShardResult:
         if param.grad is not None
     }
     return TrainShardResult(index=task.index, loss=loss.item(), grads=grads)
-
-
-class _EpochShardCollector:
-    """Streams shard results into the merged gradient as they arrive.
-
-    Fed by :func:`~repro.core.parallel.run_sharded` in *shard order* (a
-    pool awaits its per-shard futures in task-submission order), so
-    while worker K computes shard K the parent is already summing shard
-    K-1's gradients -- the merge overlaps shard compute instead of waiting
-    for the full result list.  The accumulation is a plain sum in shard
-    order: first occurrence of a parameter copies, later occurrences add
-    left-to-right, and the loss sum runs in the same order as
-    ``sum(result.loss for result in results)``.  A parameter no shard
-    touched stays missing, as after a single-batch backward.
-    """
-
-    __slots__ = ("loss", "grads")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        """Drop everything accumulated so far (pool degrade re-runs all shards)."""
-        self.loss: float = 0.0
-        self.grads: Dict[str, np.ndarray] = {}
-
-    def add(self, result: TrainShardResult) -> None:
-        """Fold one shard's loss and gradients into the running totals."""
-        self.loss += result.loss
-        for name, grad in result.grads.items():
-            if name in self.grads:
-                self.grads[name] = self.grads[name] + grad
-            else:
-                self.grads[name] = grad.copy()
 
 
 def _resolve_shard_size(config: TGAEConfig) -> int:
@@ -399,15 +366,16 @@ def train_tgae(
                 )
                 for i, start in enumerate(starts)
             ]
-            # Deterministic merge, overlapped with compute: the collector
-            # receives results in shard order as workers finish, so the
-            # gradient sum for shard K-1 happens while shard K still runs.
-            collector = _EpochShardCollector()
-            run_sharded(
-                engine, "train", tasks, workers, backend, pool=pool, collector=collector
-            )
-            load_gradients(model.named_parameters(), collector.grads)
-            loss_value = float(collector.loss)
+            # Deterministic merge: a plain sum in shard order.  The first
+            # occurrence of a parameter is taken, later ones add left to
+            # right; a parameter no shard touched stays without a gradient.
+            loss_value = 0.0
+            grads: Dict[str, np.ndarray] = {}
+            for result in run_sharded(engine, "train", tasks, workers, backend, pool=pool):
+                loss_value += result.loss
+                for name, grad in result.grads.items():
+                    grads[name] = grads[name] + grad if name in grads else grad
+            load_gradients(model.named_parameters(), grads)
             grad_norm = clip_grad_norm(model.parameters(), config.grad_clip)
             optimizer.step()
             history.losses.append(loss_value)

@@ -2,7 +2,7 @@
 
 The sharded trainer runs forward+backward per shard and merges the
 resulting gradient dictionaries into the live model before one optimiser
-step.  Merging (``_EpochShardCollector`` in :mod:`repro.core.trainer`) is
+step.  Merging (in :func:`repro.core.trainer.train_tgae`) is
 a plain sum in *shard order*: because the shard partitioning never depends
 on the worker count, the floating-point accumulation order -- and therefore
 every Adam step -- is bit-identical no matter how many workers computed the

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.core import TGAEGenerator, TGAEModel, fast_config
 from repro.datasets import communication_network
 from repro.errors import ConfigError, NotFittedError, ShapeError
@@ -94,6 +95,32 @@ class TestValidation:
         assert generator.model is None
         with pytest.raises(NotFittedError):
             generator.generate(seed=0)
+
+    def test_fit_that_raises_in_training_leaves_generator_unfitted(self, observed):
+        generator = TGAEGenerator(CONFIG)
+        with faults.inject("epoch", exc=OSError, index=1):
+            with pytest.raises(OSError):
+                generator.fit(observed)
+        assert not generator.is_fitted
+        assert generator.model is None
+        assert generator.history is None
+        assert generator.train_state is None
+        with pytest.raises(NotFittedError):
+            generator.generate(seed=0)
+
+    def test_refit_that_raises_in_training_keeps_previous_fit(self, observed):
+        generator = TGAEGenerator(CONFIG).fit(observed)
+        model, history, state = generator.model, generator.history, generator.train_state
+        before = generator.generate(seed=0)
+        other = communication_network(15, 60, 4, seed=14)
+        with faults.inject("epoch", exc=OSError, index=1):
+            with pytest.raises(OSError):
+                generator.fit(other)
+        assert generator.observed is observed
+        assert generator.model is model
+        assert generator.history is history
+        assert generator.train_state is state
+        assert generator.generate(seed=0) == before
 
     def test_wrong_shape_is_a_shape_error(self, observed):
         model = TGAEModel(observed.num_nodes, observed.num_timestamps, CONFIG,

@@ -208,6 +208,46 @@ class TestErrors:
             load_generator(bad)
 
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: meta.update(num_nodes=30.5),
+            lambda meta: meta.update(num_nodes=None),
+            lambda meta: meta["train_state"].update(epoch=[1]),
+            lambda meta: meta["train_state"].update(optimizer_slots=5),
+            lambda meta: meta["train_state"].update(rng_spawn_key=None),
+            lambda meta: meta.update(train_state=[1, 2]),
+        ],
+        ids=["float-nodes", "null-nodes", "list-epoch", "int-slots", "null-spawn-key",
+             "list-train-state"],
+    )
+    def test_load_mistyped_metadata_value_raises(self, fitted, tmp_path, edit):
+        # Only typed errors may escape the loader: a raw TypeError from deep
+        # inside the restore is a ConfigError naming the archive.
+        src = tmp_path / "model.npz"
+        bad = tmp_path / "mistyped.npz"
+        save_generator(fitted, src)
+        _rewrite_meta(src, bad, edit)
+        with pytest.raises(ConfigError, match="mistyped.npz"):
+            load_generator(bad)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda src: src + 0.5, lambda src: src.reshape(-1, 2)],
+        ids=["float", "2-d"],
+    )
+    def test_load_non_integer_or_non_flat_edges_raises(self, fitted, tmp_path, edit):
+        # A float or 2-D edge array once loaded silently, cast or flattened
+        # into some other graph.
+        path = tmp_path / "model.npz"
+        save_generator(fitted, path)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        arrays["graph:src"] = edit(arrays["graph:src"])
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ConfigError, match="graph:src"):
+            load_generator(path)
+
     def test_load_list_meta_raises(self, fitted, tmp_path):
         src = tmp_path / "model.npz"
         bad = tmp_path / "listmeta.npz"

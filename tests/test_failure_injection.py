@@ -391,6 +391,50 @@ class TestShardRetry:
         finally:
             pool.close()
 
+    def test_mid_epoch_degrade_counts_earlier_shards_once(self, observed):
+        # Shards 0-2 of the first epoch finish on the thread rung before
+        # shard 3 exhausts its retries; the sequential rung re-runs the whole
+        # list, so the earlier shards' gradients are folded exactly once.
+        config = _nemesis_config()
+        baseline = _train(observed, config)
+        pool = WorkerPool(2, backend="thread", max_shard_retries=1)
+        try:
+            with faults.inject("shard", exc=OSError, index=3, times=2):
+                with pytest.warns(DegradeWarning, match="thread->sequential"):
+                    run = _train(observed, config, pool=pool, workers=2)
+            _assert_same_run(run, baseline)
+            assert pool.health["degrades"] == ["thread->sequential"]
+        finally:
+            pool.close()
+
+    def test_one_worker_pool_retries_transient_shard_error(self, observed):
+        config = _nemesis_config()
+        baseline = _train(observed, config)
+        pool = WorkerPool(1)
+        try:
+            with faults.inject("shard", exc=OSError, index=1, attempt=0):
+                run = _train(observed, config, pool=pool)
+            _assert_same_run(run, baseline)
+            assert pool.health["retries"] == 1
+            assert pool.health["degrades"] == []
+        finally:
+            pool.close()
+
+    def test_one_worker_pool_persistent_error_keeps_its_rung(self, observed):
+        # A one-worker pool runs every call on the sequential rung; running
+        # out of retries there raises without moving the pool's own rung.
+        config = _nemesis_config()
+        pool = WorkerPool(1)
+        rung = pool.rung
+        try:
+            with faults.inject("shard", exc=OSError, times=None):
+                with pytest.raises(PoolError, match="sequential rung"):
+                    _train(observed, config, pool=pool)
+            assert pool.rung == rung
+            assert pool.health["degrades"] == []
+        finally:
+            pool.close()
+
     def test_persistent_shard_fault_walks_ladder_then_fails_loudly(
         self, observed
     ):
