@@ -11,6 +11,7 @@ dense node x node array is ever materialised outside tests).
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
@@ -80,7 +81,6 @@ class TGAEGenerator(TemporalGraphGenerator):
         #: lineage); ``None`` until fitted, or for generators restored from
         #: weights-only (format-v1) checkpoints.
         self.train_state: Optional[TrainingState] = None
-        self._node_features: Optional[np.ndarray] = None
         self._pool: Optional[WorkerPool] = None
         #: Persistent inference plumbing: one engine per (model, graph)
         #: pair, and one embedding cache surviving engine rebuilds so
@@ -125,15 +125,29 @@ class TGAEGenerator(TemporalGraphGenerator):
             checkpoint_every=checkpoint_every,
             checkpoint_path=checkpoint_path,
         )
-        # Commit only once training returned: a fit that raises leaves the
-        # generator as it was -- unfitted, or still on its previous fit.
+        self._commit(graph, model, history)
+        return self
+
+    def _commit(
+        self, graph: TemporalGraph, model: TGAEModel, history: Optional[TrainingHistory]
+    ) -> None:
+        """Install a finished run; ``history`` is ``None`` when none trained.
+
+        Called only once training returned, so a ``fit`` or ``update`` that
+        raises leaves the generator as it was -- unfitted, or still on its
+        previous graph, weights and lineage.
+        """
         self._observed = graph
         self.model = model
-        self.history = history
-        self.train_state = history.state
-        self._node_features = node_features
+        if history is not None:
+            self.history = history
+            self.train_state = history.state
         self._engine = None
-        return self
+
+    @property
+    def _node_features(self) -> Optional[np.ndarray]:
+        """The external node features of the fit, held by the encoder."""
+        return None if self.model is None else self.model.encoder._external_features
 
     def _fit(self, graph: TemporalGraph) -> None:
         self.fit(graph)
@@ -153,11 +167,10 @@ class TGAEGenerator(TemporalGraphGenerator):
 
         The online-ingestion path: ``new_edges`` (a :class:`TemporalGraph`,
         a ``(src, dst, t)`` triple, or a ``(k, 3)`` row array) are appended
-        to the observed graph via :meth:`TemporalGraph.appended` -- cached
-        structures are maintained incrementally, and the node/timestamp
-        universe is fixed (the model's embeddings are sized by it), so
-        out-of-universe edges are rejected.  Training then continues for
-        ``epochs`` epochs (default ``config.epochs``) from the current
+        to the observed graph via :meth:`TemporalGraph.appended` -- the
+        node/timestamp universe is fixed (the model's embeddings are sized
+        by it), so out-of-universe edges are rejected.  Training then
+        continues for ``epochs`` epochs (default ``config.epochs``) from the current
         weights, optimizer moments and RNG position (:attr:`train_state`),
         exactly as if the run had never stopped.  With ``new_edges=None``
         this is a pure resume -- the ``fit --resume`` path.  ``epochs=0``
@@ -169,6 +182,12 @@ class TGAEGenerator(TemporalGraphGenerator):
         Generators restored from weights-only (format-v1) checkpoints have
         no :attr:`train_state`; they warm-start the weights but run a cold
         optimizer on a fresh RNG lineage.
+
+        The update is atomic: training runs on a copy of the model, and the
+        appended graph, the trained weights, :attr:`history`,
+        :attr:`train_state` and the cache invalidation are committed only
+        once it returns, so an update that raises leaves the generator as
+        it was.  ``epochs=0`` trains nothing and makes no copy.
 
         The next pooled dispatch after an append republishes the
         shared-memory graph segment automatically: the structure fingerprint
@@ -190,37 +209,36 @@ class TGAEGenerator(TemporalGraphGenerator):
             observed = observed.appended(
                 new_src, new_dst, new_t, num_timestamps=observed.num_timestamps
             )
-            cache = self._embed_cache
-            if cache is not None and cache.tokens_set:
-                cache.invalidate_rows(
-                    dirty_temporal_nodes(
-                        observed, new_src, new_dst, new_t,
-                        radius=self.config.radius,
-                        time_window=self.config.time_window,
-                    ),
-                    graph=graph_token(
-                        observed, self.config,
-                        self.model.encoder._external_features,
-                    ),
-                )
-        self._observed = observed
-        self._engine = None
-        if epochs is not None and int(epochs) == 0:
-            return self
-        config = (
-            self.config
-            if epochs is None
-            else dataclasses.replace(self.config, epochs=int(epochs))
-        )
-        self.history = train_tgae(
-            self.model, observed, config,
-            verbose=verbose,
-            pool=self._active_pool(),
-            resume_from=self.train_state,
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=checkpoint_path,
-        )
-        self.train_state = self.history.state
+        model, history = self.model, None
+        if epochs is None or int(epochs) != 0:
+            config = (
+                self.config
+                if epochs is None
+                else dataclasses.replace(self.config, epochs=int(epochs))
+            )
+            # Train a copy, so that an update that raises steps no weight.
+            model = copy.deepcopy(self.model)
+            history = train_tgae(
+                model, observed, config,
+                verbose=verbose,
+                pool=self._active_pool(),
+                resume_from=self.train_state,
+                checkpoint_every=checkpoint_every,
+                checkpoint_path=checkpoint_path,
+            )
+        cache = self._embed_cache
+        if new_edges is not None and cache is not None and cache.tokens_set:
+            cache.invalidate_rows(
+                dirty_temporal_nodes(
+                    observed, new_src, new_dst, new_t,
+                    radius=self.config.radius,
+                    time_window=self.config.time_window,
+                ),
+                graph=graph_token(
+                    observed, self.config, model.encoder._external_features
+                ),
+            )
+        self._commit(observed, model, history)
         return self
 
     # ------------------------------------------------------------------

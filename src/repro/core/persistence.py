@@ -29,6 +29,7 @@ import numpy as np
 from ..errors import ConfigError, NotFittedError
 from ..graph.temporal_graph import TemporalGraph
 from .config import TGAEConfig
+from .encoder import check_features
 from .generator import TGAEGenerator
 from .model import TGAEModel
 from .trainer import TrainingState
@@ -36,6 +37,8 @@ from .trainer import TrainingState
 PathLike = Union[str, "os.PathLike[str]"]
 
 _META_KEY = "__meta__"
+#: The external node features a generator was fitted with, if any.
+_FEATURES_KEY = "features:node"
 _FORMAT_VERSION = 2
 #: Every format this loader understands; the writer always emits the newest.
 _SUPPORTED_FORMATS = (1, 2)
@@ -76,6 +79,9 @@ def save_generator(generator: TGAEGenerator, path: PathLike) -> None:
     arrays["graph:src"] = observed.src
     arrays["graph:dst"] = observed.dst
     arrays["graph:t"] = observed.t
+    features = generator.model.encoder._external_features
+    if features is not None:
+        arrays[_FEATURES_KEY] = features
     if train_state is not None:
         slots = train_state.optimizer.get("slots", {})
         meta["train_state"] = {
@@ -154,10 +160,13 @@ def load_generator(path: PathLike, dtype: Optional[str] = None) -> TGAEGenerator
     warm-starts the weights but runs a cold optimizer on a fresh RNG
     lineage.  Config keys unknown to this version are dropped with a
     ``RuntimeWarning``; retired keys (``_RETIRED_CONFIG_KEYS``) are dropped
-    silently.  A truncated or corrupt archive, one missing a member, one
-    whose metadata or config is not a JSON object, one whose graph arrays
-    are not 1-D integer arrays or fall outside its recorded universe, one
-    with a mistyped config or metadata value, or one with a NaN or infinite
+    silently.  External node features (the ``features:node`` member) are
+    restored onto the encoder.  A truncated or corrupt archive, one missing
+    a member, one whose metadata or config is not a JSON object, one whose
+    graph arrays are not 1-D integer arrays or fall outside its recorded
+    universe, one whose features do not fit that universe or its dtype
+    policy, one with a mistyped config or metadata value (a count that is
+    not an ``int`` is never truncated), or one with a NaN or infinite
     parameter raises :class:`ConfigError`.
     """
     try:
@@ -169,6 +178,15 @@ def load_generator(path: PathLike, dtype: Optional[str] = None) -> TGAEGenerator
             f"{path!s} is not a readable TGAE generator archive "
             f"({type(exc).__name__}: {exc})"
         ) from exc
+
+
+def _meta_int(value, name: str, path: PathLike) -> int:
+    """``value`` if it is an ``int`` (and not a ``bool``), else :class:`ConfigError`."""
+    if type(value) is not int:
+        raise ConfigError(
+            f"checkpoint {path!s} records {name}={value!r}; expected an integer"
+        )
+    return value
 
 
 def _read_generator(path: PathLike, dtype: Optional[str]) -> TGAEGenerator:
@@ -220,22 +238,29 @@ def _read_generator(path: PathLike, dtype: Optional[str]) -> TGAEGenerator:
             raise ConfigError(
                 f"checkpoint {path!s} carries a mistyped config value ({exc})"
             ) from exc
+        features = archive[_FEATURES_KEY] if _FEATURES_KEY in archive.files else None
+        # The features member follows the parameters' dtype and finiteness rules.
+        arrays = state if features is None else {**state, _FEATURES_KEY: features}
         mixed = sorted(
-            name for name, arr in state.items() if arr.dtype != config.np_dtype
+            name for name, arr in arrays.items() if arr.dtype != config.np_dtype
         )
         if mixed:
             raise ConfigError(
-                f"checkpoint records dtype={config.dtype!r} but parameters "
+                f"checkpoint records dtype={config.dtype!r} but members "
                 f"{mixed} are stored at a different precision; refusing to "
                 "mix silently"
             )
         non_finite = sorted(
-            name for name, arr in state.items() if not np.isfinite(arr).all()
+            name for name, arr in arrays.items() if not np.isfinite(arr).all()
         )
         if non_finite:
             raise ConfigError(
-                f"checkpoint {path!s} has non-finite values in parameters {non_finite}"
+                f"checkpoint {path!s} has non-finite values in {non_finite}"
             )
+        num_nodes = _meta_int(meta.get("num_nodes"), "num_nodes", path)
+        num_timestamps = _meta_int(meta.get("num_timestamps"), "num_timestamps", path)
+        if features is not None:
+            check_features(features, num_nodes, num_timestamps)
         if dtype is not None:
             try:
                 requested = np.dtype(dtype).name
@@ -255,11 +280,13 @@ def _read_generator(path: PathLike, dtype: Optional[str]) -> TGAEGenerator:
                     f"{array.dtype}{array.shape}; expected a 1-D integer array"
                 )
             edges.append(array)
-        observed = TemporalGraph(
-            meta["num_nodes"], *edges, num_timestamps=meta["num_timestamps"]
+        observed = TemporalGraph(num_nodes, *edges, num_timestamps=num_timestamps)
+        model = TGAEModel(
+            num_nodes, num_timestamps, config,
+            feature_dim=features.shape[-1] if features is not None else 0,
         )
-        model = TGAEModel(meta["num_nodes"], meta["num_timestamps"], config)
         model.load_state_dict(state)
+        model.encoder.set_external_features(features)
         model.eval()
         train_state: Optional[TrainingState] = None
         state_meta = meta.get("train_state")
@@ -273,13 +300,16 @@ def _read_generator(path: PathLike, dtype: Optional[str]) -> TGAEGenerator:
                 for slot in state_meta["optimizer_slots"]
             }
             train_state = TrainingState(
-                epoch=int(state_meta["epoch"]),
+                epoch=_meta_int(state_meta["epoch"], "epoch", path),
                 optimizer={
-                    "step": int(state_meta["optimizer_step"]),
+                    "step": _meta_int(state_meta["optimizer_step"], "optimizer_step", path),
                     "slots": slots,
                 },
-                rng_entropy=int(state_meta["rng_entropy"]),
-                rng_spawn_key=tuple(int(word) for word in state_meta["rng_spawn_key"]),
+                rng_entropy=_meta_int(state_meta["rng_entropy"], "rng_entropy", path),
+                rng_spawn_key=tuple(
+                    _meta_int(word, "rng_spawn_key", path)
+                    for word in state_meta["rng_spawn_key"]
+                ),
                 losses=[float(x) for x in archive["train:losses"]],
                 grad_norms=[float(x) for x in archive["train:grad_norms"]],
             )

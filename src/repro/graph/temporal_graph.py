@@ -17,17 +17,15 @@ import numpy as np
 from ..errors import GraphFormatError
 
 
-def _stable_merge_positions(keys_a: np.ndarray, keys_b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Output positions of a stable two-way merge of sorted key arrays.
-
-    Element ``i`` of ``a`` lands at ``pos_a[i]`` and element ``j`` of ``b`` at
-    ``pos_b[j]`` in the merged order; on equal keys every ``a`` element
-    precedes every ``b`` element (``side='left'`` / ``side='right'``), which
-    is exactly the tie rule a stable sort applies to ``concatenate([a, b])``.
-    """
-    pos_a = np.arange(keys_a.size, dtype=np.int64) + np.searchsorted(keys_b, keys_a, side="left")
-    pos_b = np.arange(keys_b.size, dtype=np.int64) + np.searchsorted(keys_a, keys_b, side="right")
-    return pos_a, pos_b
+def _check_ranges(*columns: Tuple[str, np.ndarray, int]) -> None:
+    """Raise unless every ``(name, values, upper)`` column lies in ``[0, upper)``."""
+    for name, arr, upper in columns:
+        if arr.size:
+            low, high = int(arr.min()), int(arr.max())
+            if low < 0 or high >= upper:
+                raise GraphFormatError(
+                    f"{name} values must lie in [0, {upper}), found [{low}, {high}]"
+                )
 
 
 class TemporalGraph:
@@ -53,7 +51,6 @@ class TemporalGraph:
         "num_timestamps",
         "_incidence",
         "_time_order",
-        "_time_bounds",
         "_partner_groups",
         "_snapshot_cache",
     )
@@ -82,8 +79,7 @@ class TemporalGraph:
         if validate:
             self._validate()
         self._incidence: Optional[Dict[str, np.ndarray]] = None
-        self._time_order: Optional[np.ndarray] = None
-        self._time_bounds: Optional[np.ndarray] = None
+        self._time_order: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._partner_groups: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._snapshot_cache: Dict[int, object] = {}
 
@@ -95,17 +91,11 @@ class TemporalGraph:
             raise GraphFormatError(f"num_nodes must be positive, got {self.num_nodes}")
         if self.num_timestamps <= 0:
             raise GraphFormatError(f"num_timestamps must be positive, got {self.num_timestamps}")
-        if self.src.size:
-            for name, arr, upper in (
-                ("src", self.src, self.num_nodes),
-                ("dst", self.dst, self.num_nodes),
-                ("t", self.t, self.num_timestamps),
-            ):
-                low, high = int(arr.min()), int(arr.max())
-                if low < 0 or high >= upper:
-                    raise GraphFormatError(
-                        f"{name} values must lie in [0, {upper}), found [{low}, {high}]"
-                    )
+        _check_ranges(
+            ("src", self.src, self.num_nodes),
+            ("dst", self.dst, self.num_nodes),
+            ("t", self.t, self.num_timestamps),
+        )
 
     @property
     def num_edges(self) -> int:
@@ -169,12 +159,10 @@ class TemporalGraph:
         original edge order is preserved (stable sort).
         """
         if self._time_order is None:
-            self._time_order = np.argsort(self.t, kind="stable")
-        if self._time_bounds is None:
-            self._time_bounds = np.searchsorted(
-                self.t[self._time_order], np.arange(self.num_timestamps + 1)
-            )
-        return self._time_order, self._time_bounds
+            order = np.argsort(self.t, kind="stable")
+            bounds = np.searchsorted(self.t[order], np.arange(self.num_timestamps + 1))
+            self._time_order = (order, bounds)
+        return self._time_order
 
     def snapshots(self) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
         """Yield ``(t, src, dst)`` for every timestamp in order."""
@@ -218,26 +206,20 @@ class TemporalGraph:
         window slices of many ``(node, time)`` queries are one
         ``searchsorted`` (the ego-graph tile sampler).
         """
-        n_entries = 2 * self.num_edges
         owner = np.concatenate([self.src, self.dst])
-        other = np.concatenate([self.dst, self.src])
         times = np.concatenate([self.t, self.t])
-        direction = np.concatenate(
-            [np.zeros(self.num_edges, dtype=np.int8), np.ones(self.num_edges, dtype=np.int8)]
-        )
-        order = np.lexsort((times, owner))
-        owner = owner[order]
-        counts = np.bincount(owner, minlength=self.num_nodes) if n_entries else np.zeros(
-            self.num_nodes, dtype=np.int64
-        )
-        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        times = times[order]
+        keys = owner * np.int64(self.num_timestamps) + times
+        # One stable sort of the (owner, time) keys: ties keep the entry
+        # layout's order, out-edges (the first half) before in-edges.
+        order = np.argsort(keys, kind="stable")
+        offsets = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=self.num_nodes), out=offsets[1:])
         return {
             "offsets": offsets,
-            "other": other[order],
-            "times": times,
-            "direction": direction[order],
-            "keys": owner * np.int64(self.num_timestamps) + times,
+            "other": np.concatenate([self.dst, self.src])[order],
+            "times": times[order],
+            "direction": (order >= self.num_edges).astype(np.int8),
+            "keys": keys[order],
         }
 
     @property
@@ -267,16 +249,16 @@ class TemporalGraph:
         streaming generation engine's candidate assembly reads.
         """
         if self._partner_groups is None:
-            if self.num_edges:
-                pairs = np.unique(self.src * np.int64(self.num_nodes) + self.dst)
-                owners = pairs // self.num_nodes
-                partners = pairs % self.num_nodes
-            else:
-                owners = np.empty(0, dtype=np.int64)
-                partners = np.empty(0, dtype=np.int64)
-            counts = np.bincount(owners, minlength=self.num_nodes)
-            offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-            self._partner_groups = (offsets, partners.astype(np.int64))
+            n = np.int64(self.num_nodes)
+            keys = np.sort(self.src * n + self.dst)
+            # Sort + adjacent-difference dedup: plain np.unique takes a far
+            # slower hash path on int64 keys in recent NumPy releases.
+            first = np.ones(keys.size, dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            owners, partners = np.divmod(keys[first], n)
+            offsets = np.zeros(self.num_nodes + 1, dtype=np.int64)
+            np.cumsum(np.bincount(owners, minlength=self.num_nodes), out=offsets[1:])
+            self._partner_groups = (offsets, partners)
         return self._partner_groups
 
     def snapshot_view(self, timestamp: int):
@@ -313,7 +295,7 @@ class TemporalGraph:
         return snapshot.undirected_adjacency() if symmetric else snapshot.adjacency()
 
     # ------------------------------------------------------------------
-    # Incremental append (the online-ingestion path)
+    # Append (the online-ingestion path)
     # ------------------------------------------------------------------
     def appended(
         self,
@@ -326,12 +308,9 @@ class TemporalGraph:
         """New graph with ``(new_src, new_dst, new_t)`` edges appended.
 
         The returned graph has the appended edges *after* the existing ones
-        (edge indices of the original graph are preserved), and every cache
-        already materialised on ``self`` is carried over **incrementally** --
-        merged in O(E + k log k) for ``k`` new edges instead of rebuilt in
-        O(E log E) -- while staying bitwise-equal to the same cache built
-        from scratch on the concatenated edge list.  Caches that were never
-        built on ``self`` stay lazy on the result.
+        (edge indices of the original graph are preserved).  Like every
+        derived graph it starts cold: each cache is built lazily, on first
+        use, by the same one-shot builder a fresh graph uses.
 
         ``num_timestamps`` defaults to growing the horizon just enough to
         accommodate the new timestamps; pass it explicitly (e.g. the current
@@ -348,259 +327,67 @@ class TemporalGraph:
                 f"new_dst={new_dst.shape}, new_t={new_t.shape}"
             )
         if num_timestamps is None:
-            num_timestamps = self.num_timestamps
-            if new_t.size:
-                num_timestamps = max(num_timestamps, int(new_t.max()) + 1)
+            num_timestamps = max(self.num_timestamps, int(new_t.max(initial=-1)) + 1)
         num_timestamps = int(num_timestamps)
         if num_timestamps < self.num_timestamps:
             raise GraphFormatError(
                 f"appended() cannot shrink the horizon: num_timestamps={num_timestamps} "
                 f"< existing {self.num_timestamps}"
             )
-        if validate and new_src.size:
-            for name, arr, upper in (
+        if validate:
+            _check_ranges(
                 ("new_src", new_src, self.num_nodes),
                 ("new_dst", new_dst, self.num_nodes),
                 ("new_t", new_t, num_timestamps),
-            ):
-                low, high = int(arr.min()), int(arr.max())
-                if low < 0 or high >= upper:
-                    raise GraphFormatError(
-                        f"{name} values must lie in [0, {upper}), found [{low}, {high}]"
-                    )
-        result = TemporalGraph(
-            self.num_nodes,
+            )
+        return self._derived(
             np.concatenate([self.src, new_src]),
             np.concatenate([self.dst, new_dst]),
             np.concatenate([self.t, new_t]),
-            num_timestamps=num_timestamps,
-            validate=False,
+            num_timestamps,
         )
-        if self._time_order is not None and self._time_bounds is not None:
-            result._time_order, result._time_bounds = self._merged_time_order(
-                new_t, num_timestamps
-            )
-        if self._partner_groups is not None:
-            result._partner_groups = self._merged_partner_groups(new_src, new_dst)
-        if self._incidence is not None:
-            result._incidence = self._merged_incidence(new_src, new_dst, new_t, num_timestamps)
-        if self._snapshot_cache:
-            # Snapshots of untouched timestamps are immutable views shared
-            # with self (same convention as snapshot_view sharing between
-            # consumers); touched timestamps are dropped and rebuilt lazily.
-            dirty = set(np.unique(new_t).tolist())
-            for timestamp, snapshot in self._snapshot_cache.items():
-                if timestamp not in dirty:
-                    result._snapshot_cache[timestamp] = snapshot
-        return result
-
-    def _merged_time_order(
-        self, new_t: np.ndarray, num_timestamps: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Merge the cached stable time-sort with ``new_t``.
-
-        All existing edge indices precede the appended ones, so a stable
-        merge that keeps old entries first on equal timestamps reproduces
-        ``np.argsort(concatenate([t, new_t]), kind='stable')`` bitwise; the
-        per-timestamp bounds are recomputed in O(T) against the result
-        horizon ``num_timestamps``.
-        """
-        order_old = self._time_order
-        keys_old = self.t[order_old]
-        local = np.argsort(new_t, kind="stable")
-        keys_new = new_t[local]
-        pos_old, pos_new = _stable_merge_positions(keys_old, keys_new)
-        total = keys_old.size + keys_new.size
-        order = np.empty(total, dtype=order_old.dtype)
-        order[pos_old] = order_old
-        order[pos_new] = self.num_edges + local
-        sorted_t = np.empty(total, dtype=np.int64)
-        sorted_t[pos_old] = keys_old
-        sorted_t[pos_new] = keys_new
-        bounds = np.searchsorted(sorted_t, np.arange(num_timestamps + 1))
-        return order, bounds
-
-    def _merged_partner_groups(
-        self, new_src: np.ndarray, new_dst: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Union-merge the cached out-partner CSR with the appended pairs.
-
-        ``np.unique`` of the concatenated pair keys equals the sorted merge
-        of the old (sorted, unique) keys with the genuinely new keys, so the
-        incremental union is bitwise-identical to a from-scratch group-by.
-        """
-        offsets, partners = self._partner_groups
-        n = np.int64(self.num_nodes)
-        owners_old = np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(offsets))
-        keys_old = owners_old * n + partners
-        if new_src.size:
-            keys_new = np.unique(new_src * n + new_dst)
-            fresh = np.setdiff1d(keys_new, keys_old, assume_unique=True)
-        else:
-            fresh = np.empty(0, dtype=np.int64)
-        pos_old, pos_fresh = _stable_merge_positions(keys_old, fresh)
-        merged = np.empty(keys_old.size + fresh.size, dtype=np.int64)
-        merged[pos_old] = keys_old
-        merged[pos_fresh] = fresh
-        owners = merged // n
-        counts = np.bincount(owners, minlength=self.num_nodes)
-        new_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        return new_offsets, (merged % n).astype(np.int64)
-
-    def _merged_incidence(
-        self,
-        new_src: np.ndarray,
-        new_dst: np.ndarray,
-        new_t: np.ndarray,
-        num_timestamps: int,
-    ) -> Dict[str, np.ndarray]:
-        """Merge the cached incidence structure with the appended edges.
-
-        A from-scratch :meth:`_build_incidence` on the concatenated arrays
-        lexsorts the entry layout ``[src_old, src_new, dst_old, dst_new]``,
-        so within one ``(owner, time)`` group the order is out-edges before
-        in-edges and old before new within each direction.  Reproducing that
-        bitwise therefore needs a direction-split three-way stable merge:
-        out_old with out_new, in_old with in_new, then out with in -- each
-        step keeping the left operand first on equal ``(owner, time)`` keys.
-        """
-        inc = self._incidence
-        n = self.num_nodes
-        owners_all = np.repeat(np.arange(n, dtype=np.int64), np.diff(inc["offsets"]))
-        out_mask = inc["direction"] == 0
-        in_mask = ~out_mask
-        big = np.int64(num_timestamps)
-        k = new_src.size
-
-        def merge_groups(
-            keys_a: np.ndarray,
-            keys_b: np.ndarray,
-            payloads_a: Tuple[np.ndarray, ...],
-            payloads_b: Tuple[np.ndarray, ...],
-        ) -> Tuple[np.ndarray, List[np.ndarray]]:
-            pos_a, pos_b = _stable_merge_positions(keys_a, keys_b)
-            keys = np.empty(keys_a.size + keys_b.size, dtype=np.int64)
-            keys[pos_a] = keys_a
-            keys[pos_b] = keys_b
-            merged = []
-            for arr_a, arr_b in zip(payloads_a, payloads_b):
-                out = np.empty(keys.size, dtype=arr_a.dtype)
-                out[pos_a] = arr_a
-                out[pos_b] = arr_b
-                merged.append(out)
-            return keys, merged
-
-        out_order = np.lexsort((new_t, new_src))
-        in_order = np.lexsort((new_t, new_dst))
-        keys_out, (owner_out, other_out, times_out, dir_out) = merge_groups(
-            owners_all[out_mask] * big + inc["times"][out_mask],
-            new_src[out_order] * big + new_t[out_order],
-            (
-                owners_all[out_mask],
-                inc["other"][out_mask],
-                inc["times"][out_mask],
-                inc["direction"][out_mask],
-            ),
-            (
-                new_src[out_order],
-                new_dst[out_order],
-                new_t[out_order],
-                np.zeros(k, dtype=np.int8),
-            ),
-        )
-        keys_in, (owner_in, other_in, times_in, dir_in) = merge_groups(
-            owners_all[in_mask] * big + inc["times"][in_mask],
-            new_dst[in_order] * big + new_t[in_order],
-            (
-                owners_all[in_mask],
-                inc["other"][in_mask],
-                inc["times"][in_mask],
-                inc["direction"][in_mask],
-            ),
-            (
-                new_dst[in_order],
-                new_src[in_order],
-                new_t[in_order],
-                np.ones(k, dtype=np.int8),
-            ),
-        )
-        keys, (owner, other, times, direction) = merge_groups(
-            keys_out,
-            keys_in,
-            (owner_out, other_out, times_out, dir_out),
-            (owner_in, other_in, times_in, dir_in),
-        )
-        counts = np.bincount(owner, minlength=n) if owner.size else np.zeros(n, dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        return {
-            "offsets": offsets,
-            "other": other,
-            "times": times,
-            "direction": direction,
-            "keys": keys,
-        }
 
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
-    def copy(self) -> "TemporalGraph":
-        """Deep copy of the edge arrays.
+    def _derived(
+        self, src: np.ndarray, dst: np.ndarray, t: np.ndarray,
+        num_timestamps: Optional[int] = None,
+    ) -> "TemporalGraph":
+        """A graph over trusted edge arrays in this node universe.
 
-        The copy starts with cold caches: sharing would be *correct* here
-        (the edge set is identical) but copies are routinely handed to
-        consumers that only ever touch a sliver of the graph, so the cheap
-        contract -- every derived graph rebuilds lazily -- is kept uniform
-        with :meth:`restricted_to` / :meth:`deduplicated`, where carrying
-        parent caches would be stale and wrong.  Only :meth:`appended`
-        carries caches, and it re-derives them incrementally.
+        Every derived graph is made here, and so starts cold: each cache is
+        rebuilt lazily on first use, so no derived graph can hold a stale one.
         """
+        if num_timestamps is None:
+            num_timestamps = self.num_timestamps
         return TemporalGraph(
-            self.num_nodes,
-            self.src.copy(),
-            self.dst.copy(),
-            self.t.copy(),
-            num_timestamps=self.num_timestamps,
-            validate=False,
+            self.num_nodes, src, dst, t, num_timestamps=num_timestamps, validate=False
         )
+
+    def copy(self) -> "TemporalGraph":
+        """Deep copy of the edge arrays; like every derived graph it starts cold."""
+        return self._derived(self.src.copy(), self.dst.copy(), self.t.copy())
 
     def restricted_to(self, max_timestamp: int) -> "TemporalGraph":
         """Sub-temporal-graph containing only edges with ``t <= max_timestamp``."""
         mask = self.t <= max_timestamp
-        return TemporalGraph(
-            self.num_nodes,
-            self.src[mask],
-            self.dst[mask],
-            self.t[mask],
-            num_timestamps=min(self.num_timestamps, max_timestamp + 1),
-            validate=False,
+        return self._derived(
+            self.src[mask], self.dst[mask], self.t[mask],
+            min(self.num_timestamps, max_timestamp + 1),
         )
 
     def deduplicated(self) -> "TemporalGraph":
         """Remove duplicate ``(src, dst, t)`` triples."""
         if self.num_edges == 0:
             return self.copy()
-        triples = np.stack([self.src, self.dst, self.t], axis=1)
-        unique = np.unique(triples, axis=0)
-        return TemporalGraph(
-            self.num_nodes,
-            unique[:, 0],
-            unique[:, 1],
-            unique[:, 2],
-            num_timestamps=self.num_timestamps,
-            validate=False,
-        )
+        unique = np.unique(np.stack([self.src, self.dst, self.t], axis=1), axis=0)
+        return self._derived(unique[:, 0], unique[:, 1], unique[:, 2])
 
     def without_self_loops(self) -> "TemporalGraph":
         """Drop edges whose endpoints coincide."""
         mask = self.src != self.dst
-        return TemporalGraph(
-            self.num_nodes,
-            self.src[mask],
-            self.dst[mask],
-            self.t[mask],
-            num_timestamps=self.num_timestamps,
-            validate=False,
-        )
+        return self._derived(self.src[mask], self.dst[mask], self.t[mask])
 
 
 def merge(graphs: List[TemporalGraph]) -> TemporalGraph:

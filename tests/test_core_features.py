@@ -122,6 +122,29 @@ class TestValidation:
         assert generator.train_state is state
         assert generator.generate(seed=0) == before
 
+    def test_update_that_raises_in_training_keeps_previous_state(self, observed):
+        generator = TGAEGenerator(CONFIG).fit(observed)
+        weights = generator.model.state_dict()
+        history, state = generator.history, generator.train_state
+        before = generator.generate(seed=0)
+        edges = ([0, 1], [2, 3], [1, 2])
+        # Epoch index 3 is the update's second epoch: one epoch has stepped.
+        with faults.inject("epoch", exc=OSError, index=3):
+            with pytest.raises(OSError):
+                generator.update(edges, epochs=2)
+        assert generator.observed is observed
+        assert generator.history is history
+        assert generator.train_state is state
+        for name, array in generator.model.state_dict().items():
+            np.testing.assert_array_equal(array, weights[name], err_msg=name)
+        assert generator.generate(seed=0) == before
+        # A retry lands exactly where an update that never failed lands.
+        generator.update(edges, epochs=2)
+        clean = TGAEGenerator(CONFIG).fit(observed).update(edges, epochs=2)
+        assert generator.train_state.epoch == 4
+        assert generator.history.losses == clean.history.losses
+        assert generator.generate(seed=0) == clean.generate(seed=0)
+
     def test_wrong_shape_is_a_shape_error(self, observed):
         model = TGAEModel(observed.num_nodes, observed.num_timestamps, CONFIG,
                           feature_dim=5)

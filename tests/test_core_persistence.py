@@ -52,6 +52,60 @@ class TestRoundTrip:
         assert restored.observed == fitted.observed
 
 
+@pytest.fixture(scope="module")
+def featured(observed):
+    features = np.random.default_rng(4).standard_normal((observed.num_nodes, 3))
+    return TGAEGenerator(fast_config(epochs=2, num_initial_nodes=8)).fit(
+        observed, node_features=features
+    )
+
+
+def assert_same_edges(a, b):
+    for column in ("src", "dst", "t"):
+        np.testing.assert_array_equal(getattr(a, column), getattr(b, column), err_msg=column)
+
+
+class TestNodeFeatures:
+    def test_round_trip_generates_byte_equal(self, featured, tmp_path):
+        path = tmp_path / "model.npz"
+        save_generator(featured, path)
+        restored = load_generator(path)
+        assert restored._node_features.dtype == featured._node_features.dtype
+        np.testing.assert_array_equal(restored._node_features, featured._node_features)
+        assert_same_edges(restored.generate(seed=0), featured.generate(seed=0))
+
+    def test_checkpoint_of_per_snapshot_features_loads(self, observed, tmp_path):
+        shape = (observed.num_timestamps, observed.num_nodes, 2)
+        features = np.random.default_rng(5).standard_normal(shape)
+        path = tmp_path / "ckpt.npz"
+        generator = TGAEGenerator(fast_config(epochs=2, num_initial_nodes=8)).fit(
+            observed, node_features=features, checkpoint_every=2, checkpoint_path=path
+        )
+        restored = load_generator(path)
+        assert_same_edges(restored.generate(seed=0), generator.generate(seed=0))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda f: f[:-1],
+            lambda f: f[..., None],
+            lambda f: f.astype(np.float16),
+            lambda f: f.astype(np.int64),
+            lambda f: np.where(np.arange(f.size).reshape(f.shape) == 0, np.nan, f),
+        ],
+        ids=["short", "4-d", "float16", "int", "nan"],
+    )
+    def test_load_bad_features_member_raises(self, featured, tmp_path, edit):
+        path = tmp_path / "model.npz"
+        save_generator(featured, path)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        arrays["features:node"] = edit(arrays["features:node"])
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ConfigError, match="features"):
+            load_generator(path)
+
+
 def _write_meta(src_path, out_path, meta):
     """Copy a saved archive with ``meta`` (any JSON value) as its metadata."""
     with np.load(src_path, allow_pickle=False) as archive:
@@ -217,9 +271,21 @@ class TestErrors:
             lambda meta: meta["train_state"].update(optimizer_slots=5),
             lambda meta: meta["train_state"].update(rng_spawn_key=None),
             lambda meta: meta.update(train_state=[1, 2]),
+            # Non-integral counts were once truncated by int(): 1.5 loaded as 1.
+            lambda meta: meta["train_state"].update(epoch=1.5),
+            lambda meta: meta["train_state"].update(epoch=2.0),
+            lambda meta: meta["train_state"].update(epoch=True),
+            lambda meta: meta["train_state"].update(optimizer_step=2.7),
+            lambda meta: meta["train_state"].update(optimizer_step=False),
+            lambda meta: meta["train_state"].update(rng_entropy=1.5),
+            lambda meta: meta["train_state"]["rng_spawn_key"].append(0.5),
+            lambda meta: meta["train_state"]["rng_spawn_key"].append(True),
+            lambda meta: meta.update(num_timestamps=4.0),
         ],
         ids=["float-nodes", "null-nodes", "list-epoch", "int-slots", "null-spawn-key",
-             "list-train-state"],
+             "list-train-state", "float-epoch", "integral-float-epoch", "bool-epoch",
+             "float-step", "bool-step", "float-entropy", "float-spawn-word",
+             "bool-spawn-word", "float-stamps"],
     )
     def test_load_mistyped_metadata_value_raises(self, fitted, tmp_path, edit):
         # Only typed errors may escape the loader: a raw TypeError from deep

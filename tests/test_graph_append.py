@@ -1,13 +1,13 @@
-"""Incremental ``TemporalGraph.appended()``: cache maintenance invariants.
+"""``TemporalGraph.appended()`` and the one-shot cache builders.
 
-The append path promises that every cache already materialised on the source
-graph is carried over *incrementally* (merged, not rebuilt) while staying
-**bitwise-equal** to the same cache built from scratch on the concatenated
-edge list.  These tests pin that contract with direct unit checks, a
-Hypothesis rule-based state machine driving arbitrary append/warm-cache
-sequences, and the regression test that other derived-graph constructors
-(`copy`/`restricted_to`/`deduplicated`) start cold instead of inheriting
-stale parent caches.
+Every derived graph -- ``appended`` included -- starts cold and builds each
+cache lazily through the one builder a fresh graph uses.  These tests pin
+``appended``'s validation, the cold-start contract for every derived-graph
+constructor, the builders' layouts against reference implementations, and
+(through a Hypothesis rule-based state machine driving arbitrary
+append/warm-cache sequences) that every materialised cache is
+**bitwise-equal** to the one a from-scratch build over the concatenated
+edge list produces.
 """
 
 import numpy as np
@@ -116,50 +116,6 @@ class TestAppended:
         assert g2._time_order is None
         assert g2._snapshot_cache == {}
 
-    def test_warm_caches_carried_and_bitwise_equal(self):
-        rng = np.random.default_rng(0)
-        for trial in range(30):
-            g = _random_graph(rng)
-            g.incidence
-            g.out_partner_groups()
-            g._snapshot_order_bounds()
-            for ts in range(g.num_timestamps):
-                g.snapshot_view(ts)
-            k = int(rng.integers(0, 15))
-            g2 = g.appended(
-                rng.integers(0, g.num_nodes, k),
-                rng.integers(0, g.num_nodes, k),
-                rng.integers(0, g.num_timestamps, k),
-            )
-            # caches were carried, not dropped
-            assert g2._incidence is not None
-            assert g2._partner_groups is not None
-            assert g2._time_order is not None
-            assert_caches_bitwise_equal(g2, _fresh_equivalent(g2), force=True)
-
-    def test_empty_batch_carries_caches(self):
-        rng = np.random.default_rng(1)
-        g = _random_graph(rng)
-        g.incidence
-        g.out_partner_groups()
-        g2 = g.appended([], [], [])
-        assert g2.num_edges == g.num_edges
-        assert g2._incidence is not None
-        assert_caches_bitwise_equal(g2, _fresh_equivalent(g2), force=True)
-
-    def test_snapshot_cache_carries_untouched_timestamps_only(self):
-        g = TemporalGraph(5, [0, 1, 2], [1, 2, 3], [0, 1, 2], num_timestamps=3)
-        snap0 = g.snapshot_view(0)
-        snap1 = g.snapshot_view(1)
-        g.snapshot_view(2)
-        g2 = g.appended([3], [4], [2])
-        # untouched timestamps share the parent's immutable snapshot objects
-        assert g2._snapshot_cache[0] is snap0
-        assert g2._snapshot_cache[1] is snap1
-        # the appended timestamp was dropped and rebuilds correctly
-        assert 2 not in g2._snapshot_cache
-        assert g2.snapshot_view(2).num_edges == 2
-
     def test_horizon_growth_with_warm_caches(self):
         rng = np.random.default_rng(2)
         g = _random_graph(rng, T=4)
@@ -176,12 +132,17 @@ class TestDerivedGraphsStartCold:
     @pytest.mark.parametrize(
         "derive",
         [
+            lambda g: g.appended([0, 1], [1, 2], [2, 3]),
+            lambda g: g.appended([], [], []),
             lambda g: g.copy(),
             lambda g: g.restricted_to(2),
             lambda g: g.deduplicated(),
             lambda g: g.without_self_loops(),
         ],
-        ids=["copy", "restricted_to", "deduplicated", "without_self_loops"],
+        ids=[
+            "appended", "appended_empty", "copy", "restricted_to", "deduplicated",
+            "without_self_loops",
+        ],
     )
     def test_caches_empty_after_derivation(self, derive):
         rng = np.random.default_rng(3)
@@ -196,20 +157,81 @@ class TestDerivedGraphsStartCold:
         assert derived._incidence is None
         assert derived._partner_groups is None
         assert derived._time_order is None
-        assert derived._time_bounds is None
         assert derived._snapshot_cache == {}
         # and the lazily rebuilt caches describe the derived edge list,
         # not the parent's (a stale carry would fail here)
         assert_caches_bitwise_equal(derived, _fresh_equivalent(derived), force=True)
 
 
+def _lexsort_incidence(graph: TemporalGraph) -> dict:
+    """Reference incidence layout: a two-key lexsort of the entry columns.
+
+    Entries are laid out ``[out-edges, in-edges]`` and ordered by
+    ``(owner, time)``; lexsort is stable, so ties keep the layout order.
+    """
+    m = graph.num_edges
+    owner = np.concatenate([graph.src, graph.dst])
+    other = np.concatenate([graph.dst, graph.src])
+    times = np.concatenate([graph.t, graph.t])
+    direction = np.concatenate([np.zeros(m, dtype=np.int8), np.ones(m, dtype=np.int8)])
+    order = np.lexsort((times, owner))
+    counts = np.bincount(owner, minlength=graph.num_nodes)
+    return {
+        "offsets": np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+        "other": other[order],
+        "times": times[order],
+        "direction": direction[order],
+        "keys": owner[order] * np.int64(graph.num_timestamps) + times[order],
+    }
+
+
+def _unique_partner_groups(graph: TemporalGraph):
+    """Reference out-partner CSR: ``np.unique`` over the ``src * n + dst`` keys."""
+    pairs = np.unique(graph.src * np.int64(graph.num_nodes) + graph.dst)
+    counts = np.bincount(pairs // graph.num_nodes, minlength=graph.num_nodes)
+    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    return offsets, (pairs % graph.num_nodes).astype(np.int64)
+
+
+_BUILDER_GRAPHS = {
+    "empty": lambda rng: TemporalGraph(5, [], [], [], num_timestamps=3),
+    "random": lambda rng: _random_graph(rng, n=30, T=8, m=200),
+    # 4 nodes x 2 timestamps: every (owner, t) group holds many ties, in
+    # both directions, including self-loops (one out- and one in-entry).
+    "heavy_ties": lambda rng: _random_graph(rng, n=4, T=2, m=300),
+    "single_node": lambda rng: _random_graph(rng, n=1, T=3, m=20),
+}
+
+
+class TestOneShotBuilders:
+    """The cache builders against reference layouts, values and dtypes."""
+
+    @pytest.mark.parametrize("case", sorted(_BUILDER_GRAPHS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_incidence_matches_lexsort_layout(self, case, seed):
+        graph = _BUILDER_GRAPHS[case](np.random.default_rng(seed))
+        got, want = graph.incidence, _lexsort_incidence(graph)
+        assert set(got) == set(want)
+        for key in want:
+            assert got[key].dtype == want[key].dtype, key
+            np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+    @pytest.mark.parametrize("case", sorted(_BUILDER_GRAPHS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_partner_groups_match_unique(self, case, seed):
+        graph = _BUILDER_GRAPHS[case](np.random.default_rng(seed))
+        for got, want in zip(graph.out_partner_groups(), _unique_partner_groups(graph)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
 class AppendMachine(RuleBasedStateMachine):
     """Random interleaving of appends and cache warm-ups.
 
-    After every rule, each cache materialised on the incrementally-built
-    graph must be bitwise-equal to the one a from-scratch build over the
-    concatenated edge list produces; the teardown forces *all* caches and
-    compares the complete query surface.
+    After every rule, each cache materialised on the appended graph must be
+    bitwise-equal to the one a from-scratch build over the concatenated
+    edge list produces; the teardown forces *all* caches and compares the
+    complete query surface.
     """
 
     NODES = 8
