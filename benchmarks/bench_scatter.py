@@ -1,10 +1,13 @@
 """Order-preserving flat scatter-add gate.
 
-The TGAT kernel's message sum and its ``g_z_dst``/``g_z_src`` backward, and
-the gather backward of ``Tensor.take_rows``, scatter-add edge rows into
-target rows through :func:`repro.autograd.scatter_add_rows`, which
-flattens the row scatter into 1-D ``np.add.at`` calls (NumPy's fast indexed
-loop) without changing any output bit.  This benchmark times the helper
+The TGAT kernel's backward (the message gradient into the source rows,
+the score gradient into the target logits) and the gather backward of
+``Tensor.take_rows`` scatter-add edge rows into node rows through
+:func:`repro.autograd.scatter_add_rows`, which flattens the row scatter
+into 1-D ``np.add.at`` calls (NumPy's fast indexed loop) without changing
+any output bit.  The kernel's forward sums (softmax denominator, message
+sum) do not scatter: they are ``ufunc.reduceat`` over target-sorted runs.
+This benchmark times the helper
 against the row ``np.add.at`` it replaces, at float32 (the production
 dtype), on the level-1 edge and target counts of two end-to-end
 workloads:

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, segment_runs
 from .tensor import checkpoint as _checkpoint
 
 
@@ -38,47 +38,77 @@ def segment_softmax(
     """Softmax over groups of rows sharing a segment id.
 
     This implements the attention normalisation of Eq. 5: each edge score is
-    normalised over all edges pointing at the same target node.  The segment
-    maximum used for numerical stability is treated as a constant (detached),
-    which leaves gradients exact because softmax is shift-invariant.
+    normalised over all edges pointing at the same target node.  One graph
+    node: the rows are stably sorted by segment (:func:`segment_runs`), the
+    forward is :func:`sorted_segment_softmax` and the backward the standard
+    softmax vector-Jacobian product :func:`sorted_segment_softmax_vjp`.
 
     Parameters
     ----------
     scores:
         1-D tensor of per-edge scores (or 2-D ``(edges, heads)``).
     segment_ids:
-        Integer array mapping each row of ``scores`` to its target segment.
+        Integer array mapping each row of ``scores`` to its target segment,
+        in ``range(num_segments)``.
     num_segments:
         Total number of segments (target nodes).
     checkpoint:
-        Recompute-in-backward mode: keep only the normalised output alive
-        instead of the ~4 per-edge intermediates (shifted scores, their
-        exponentials, the gathered denominators), re-deriving them during
-        the backward pass.  Values and gradients are bit-identical to the
-        plain path (see :func:`repro.autograd.checkpoint`).
+        Recompute-in-backward mode (:func:`repro.autograd.checkpoint`).
+        Values and gradients are bit-identical to the plain path; the node
+        keeps only its output alive either way.
     """
     ids = np.asarray(segment_ids, dtype=np.int64)
     if ids.ndim != 1 or ids.shape[0] != scores.shape[0]:
         raise ShapeError("segment_ids must be 1-D and match scores rows")
+    if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
+        raise ShapeError(f"segment_ids must lie in range({num_segments})")
     if checkpoint:
-        return _checkpoint(
-            lambda s: _segment_softmax_impl(s, ids, num_segments), scores
-        )
-    return _segment_softmax_impl(scores, ids, num_segments)
+        return _checkpoint(lambda s: _segment_softmax_impl(s, ids), scores)
+    return _segment_softmax_impl(scores, ids)
 
 
-def _segment_softmax_impl(scores: Tensor, ids: np.ndarray, num_segments: int) -> Tensor:
-    """The recorded segment-softmax kernel shared by both modes."""
-    # Per-segment max for stability, computed outside the graph.
-    seg_max = np.full((num_segments,) + scores.shape[1:], -np.inf, dtype=scores.data.dtype)
-    np.maximum.at(seg_max, ids, scores.data)
-    seg_max = np.where(np.isfinite(seg_max), seg_max, 0.0)
-    shifted = scores - Tensor(seg_max[ids])
-    exp = shifted.exp()
-    denom = exp.segment_sum(ids, num_segments)
-    # Guard empty segments against division by zero when gathered back.
-    denom = denom + 1e-30
-    return exp / denom.take_rows(ids)
+def sorted_segment_softmax(
+    scores: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Softmax of each run ``scores[starts[i] : starts[i] + counts[i]]``.
+
+    ``scores`` is sorted by segment (see :func:`segment_runs`); every run is
+    shifted by its own maximum for stability.  Shared by
+    :func:`segment_softmax` and the attention kernel, so both associate the
+    sums identically.
+    """
+    shifted = scores - np.repeat(np.maximum.reduceat(scores, starts, axis=0), counts, axis=0)
+    exp = np.exp(shifted, out=shifted)
+    return exp / np.repeat(np.add.reduceat(exp, starts, axis=0), counts, axis=0)
+
+
+def sorted_segment_softmax_vjp(
+    alpha: np.ndarray, grad: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Gradient of the scores of :func:`sorted_segment_softmax`.
+
+    The standard softmax vector-Jacobian product per run:
+    ``alpha * (grad - sum(alpha * grad))``.
+    """
+    weighted = alpha * grad
+    total = np.repeat(np.add.reduceat(weighted, starts, axis=0), counts, axis=0)
+    return weighted - alpha * total
+
+
+def _segment_softmax_impl(scores: Tensor, ids: np.ndarray) -> Tensor:
+    """The recorded segment-softmax node shared by both modes."""
+    order, starts, counts = segment_runs(ids)
+    perm = slice(None) if order is None else order
+    alpha = sorted_segment_softmax(scores.data[perm], starts, counts)
+    data = np.empty_like(alpha)
+    data[perm] = alpha
+
+    def grad_fn(g: np.ndarray) -> np.ndarray:
+        out = np.empty_like(alpha)
+        out[perm] = sorted_segment_softmax_vjp(alpha, g[perm], starts, counts)
+        return out
+
+    return Tensor._from_op(data, (scores,), (grad_fn,), "segment_softmax")
 
 
 def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:

@@ -218,28 +218,44 @@ class TGAEEncoder(Module):
         """Return hidden vectors for the centres, ``(num_centers, hidden)``.
 
         One TGAT layer is applied per bipartite level, from the outermost
-        (hop ``k``) inward, vectorised over the batch's tables; level
-        nesting guarantees every target also receives its own previous
-        representation through its self-loop edge.  With one table per ego
-        the result matches encoding each ego-graph on its own; the merged
-        layout's shared table is read out at ``center_index``.
+        (hop ``k``) inward; level nesting guarantees every target also
+        receives its own previous representation through its self-loop
+        edge.  Only real rows are encoded: each level's tables are
+        flattened table-major with their padding rows dropped, and its real
+        edges are re-indexed onto the kept rows, so one flat layer call
+        covers every table.  With one table per ego the result matches
+        encoding each ego-graph on its own; the merged layout's shared table
+        is read out at ``center_index``.
         """
         radius = packed.radius
-        # Representations of the outermost level's nodes.
-        current = self._level_input(packed.level_nodes[radius])
+        # Representations of the outermost level's real nodes.
+        current = self._level_input(packed.level_nodes[radius][packed.node_mask[radius]])
         for level in range(radius, 0, -1):
             layer = self.layers[radius - level]
             edges = packed.levels[level - 1]
-            target_feats = self._level_input(packed.level_nodes[level - 1])
+            real = edges.edge_mask
+            target_feats = self._level_input(
+                packed.level_nodes[level - 1][packed.node_mask[level - 1]]
+            )
             current = layer(
                 h_src=current,
                 h_dst=target_feats,
-                src_index=edges.src_index,
-                dst_index=edges.dst_index,
-                delta_t=edges.delta_t,
-                edge_mask=edges.edge_mask,
+                src_index=_real_rows(packed.node_mask[level], edges.src_index)[real],
+                dst_index=_real_rows(packed.node_mask[level - 1], edges.dst_index)[real],
+                delta_t=edges.delta_t[real],
             )
-        hidden = current.reshape(-1, self.config.hidden_dim)
         if packed.batch_size == packed.num_centers:
-            return hidden  # one table per ego: its level 0 is the centre
-        return hidden.take_rows(packed.center_index)
+            return current  # one table per ego: its level 0 is the centre
+        return current.take_rows(_real_rows(packed.node_mask[0], packed.center_index[None])[0])
+
+
+def _real_rows(node_mask: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Positions among a level's real rows of per-table row indices.
+
+    ``node_mask`` is the level's ``(tables, n)`` mask and ``index`` is
+    ``(tables, k)`` rows of each table; the real rows are numbered
+    table-major, the order ``level_nodes[l][node_mask[l]]`` lists them in.
+    """
+    tables, width = node_mask.shape
+    rank = np.cumsum(node_mask.reshape(-1)) - 1
+    return rank[index + np.arange(tables, dtype=np.int64)[:, None] * width]

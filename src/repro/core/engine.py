@@ -44,7 +44,7 @@ import numpy as np
 from ..autograd import no_grad, softmax
 from ..errors import GenerationError
 from ..graph.ego_graph import counter_hash
-from ..graph.temporal_graph import TemporalGraph
+from ..graph.temporal_graph import TemporalGraph, sorted_unique
 # ``spawn_streams`` is no longer called here; the import stays only because
 # the e2e benchmark's tracer resolves ``repro.core.engine:spawn_streams``
 # (ROADMAP item 4 replaces that tracer and deletes this line).
@@ -496,7 +496,7 @@ class GenerationEngine:
             return out
         T = self.graph.num_timestamps
         sampler = EgoGraphSampler(self.graph, self.config)
-        misses = np.unique(keys[need])
+        misses = sorted_unique(keys[need])
         encoded = np.empty((misses.size, out.shape[1]), dtype=out.dtype)
         for start in range(0, misses.size, ENCODE_BLOCK_ROWS):
             block = misses[start : start + ENCODE_BLOCK_ROWS]

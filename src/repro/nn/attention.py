@@ -7,8 +7,10 @@ every edge ``(s, d)`` and attention head ``i`` the unnormalised score is
     e_i = LeakyReLU( a_i^T [ W h_s || W h_d ] )        (Eq. 5 numerator)
 
 scores are normalised with a per-target softmax (Eq. 5 denominator), messages
-``W h_s`` are aggregated by attention-weighted scatter-add (Eq. 4), the heads
-are concatenated and projected by ``W_o`` (Eq. 3).
+``W h_s`` are aggregated by an attention-weighted sum per target (Eq. 4), the
+heads are concatenated and projected by ``W_o`` (Eq. 3).  Because
+``a_i^T [W h_s || W h_d] = a_src . W h_s + a_dst . W h_d``, the target half
+of every score is computed once per target node and gathered per edge.
 
 Temporal information enters through a sinusoidal time encoding of the edge
 time difference, added to the source message before scoring, which lets the
@@ -22,6 +24,8 @@ from typing import Optional
 import numpy as np
 
 from ..autograd import Tensor, checkpoint, concat, is_grad_enabled, row_matmul, scatter_add_rows
+from ..autograd.ops import sorted_segment_softmax, sorted_segment_softmax_vjp
+from ..autograd.tensor import segment_runs
 from ..errors import ConfigError, ShapeError
 from . import init
 from .module import Module, Parameter
@@ -67,8 +71,8 @@ def _time_encode(
 def _cos(x: Tensor) -> Tensor:
     """Differentiable cosine built directly on the raw data/closure API."""
     data = np.cos(x.data)
-    sin = np.sin(x.data)
-    return Tensor._from_op(data, (x,), (lambda g: -g * sin,), "cos")
+    # The sine is taken in the backward, so inference never computes it.
+    return Tensor._from_op(data, (x,), (lambda g: -g * np.sin(x.data),), "cos")
 
 
 def _scatter_head(param_data: np.ndarray, head: int, grad: np.ndarray) -> np.ndarray:
@@ -82,6 +86,37 @@ def _scatter_head(param_data: np.ndarray, head: int, grad: np.ndarray) -> np.nda
     out = np.zeros(param_data.shape, dtype=param_data.dtype)
     np.add.at(out, head, grad)
     return out
+
+
+#: Width of the zero-padded GEMM that computes attention logits.  A row's
+#: dot product with one vector is a one-column product, which NumPy hands
+#: to GEMV, and GEMV's rows depend on their position in the batch; so do
+#: OpenBLAS GEMM rows at some widths (1-3 mod 8 in float64).  At width 16
+#: rows were position-independent for every K up to 128 in both dtypes.
+LOGIT_COLUMNS = 16
+
+
+def _logits(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Each row's dot product with ``a``: column 0 of ``x @ [a | 0 ...]``.
+
+    A row-invariant GEMM (:data:`LOGIT_COLUMNS` wide), so a logit's bits
+    never depend on the other rows in the batch.
+    """
+    cols = np.zeros((a.shape[0], LOGIT_COLUMNS), dtype=a.dtype)
+    cols[:, 0] = a
+    return row_matmul(x, cols)[:, 0]
+
+
+def _logits_vjp(g: np.ndarray, x: np.ndarray, a: np.ndarray):
+    """Gradients of ``x`` and ``a`` from the gradient ``g`` of :func:`_logits`.
+
+    ``a``'s is column 0 of the padded GEMM's weight gradient, as the
+    composed reference computes it; ``x``'s is the outer product, which
+    equals that GEMM's output bit for bit (every other term is ``0 * 0``).
+    """
+    first = np.zeros((g.shape[0], LOGIT_COLUMNS), dtype=g.dtype)
+    first[:, 0] = g
+    return g[:, None] * a, (np.swapaxes(x, -1, -2) @ first)[:, 0]
 
 
 class TemporalGraphAttention(Module):
@@ -197,8 +232,8 @@ class TemporalGraphAttention(Module):
             encoding, one per edge.
         edge_mask:
             Optional boolean array marking *real* edges in the padded
-            layout; ``False`` entries are padding and contribute nothing to
-            any target (their messages are routed to a discarded dummy row).
+            layout; ``False`` entries are padding, dropped before the kernel,
+            so they contribute nothing to any target.
         """
         src_index = np.asarray(src_index, dtype=np.int64)
         dst_index = np.asarray(dst_index, dtype=np.int64)
@@ -225,10 +260,9 @@ class TemporalGraphAttention(Module):
 
         Each batch row is an independent bipartite graph; the whole batch is
         flattened into one block-diagonal graph (per-row index offsets) so
-        the flat gather/scatter kernels compute every row concurrently.
-        Masked (padding) edges are redirected to one extra dummy target row
-        which is sliced away afterwards, so they influence neither the
-        softmax normalisation nor the aggregation of any real target.
+        the flat kernel computes every row concurrently.  Only the real
+        edges are kept: masked (padding) edges are dropped before the
+        kernel, so they cost nothing and reach no target.
         """
         if h_dst.ndim != 3 or src_index.ndim != 2:
             raise ShapeError(
@@ -243,18 +277,12 @@ class TemporalGraphAttention(Module):
         row_offset = np.arange(batch, dtype=np.int64)[:, None]
         src_flat = (src_index + row_offset * n_src).reshape(-1)
         dst_flat = (dst_index + row_offset * n_dst).reshape(-1)
-        num_targets = batch * n_dst
-        if edge_mask is not None:
-            mask_flat = np.asarray(edge_mask, dtype=bool).reshape(-1)
-            dst_flat = np.where(mask_flat, dst_flat, num_targets)
-            # One dummy target row absorbs every padding edge.
-            zero_row = Tensor(np.zeros((1, flat_dst.shape[1]), dtype=flat_dst.data.dtype))
-            flat_dst = concat([flat_dst, zero_row], axis=0)
-            num_targets += 1
         dt_flat = None if delta_t is None else np.asarray(delta_t).reshape(-1)
-        out = self._forward_flat(flat_src, flat_dst, src_flat, dst_flat, dt_flat, num_targets)
         if edge_mask is not None:
-            out = out[: batch * n_dst]
+            real = np.asarray(edge_mask, dtype=bool).reshape(-1)
+            src_flat, dst_flat = src_flat[real], dst_flat[real]
+            dt_flat = None if dt_flat is None else dt_flat[real]
+        out = self._forward_flat(flat_src, flat_dst, src_flat, dst_flat, dt_flat, batch * n_dst)
         return out.reshape(batch, n_dst, self.out_features)
 
     def _head(
@@ -272,67 +300,59 @@ class TemporalGraphAttention(Module):
         attn_dst: Tensor,
         w_time: Optional[Tensor] = None,
     ) -> Tensor:
-        """Fused one-pass kernel for one head: QK -> segment softmax -> sum.
+        """Fused one-pass kernel for one head: logits -> segment softmax -> sum.
 
-        Computes exactly what the composed reference head (the oracle in
-        ``tests/test_nn_attention_fused.py``) builds out of ~15 autograd
-        nodes, but as a *single* graph node with a hand-derived
-        vector-Jacobian product.  Wins:
+        One graph node with a hand-derived vector-Jacobian product; the
+        readable specification is the composed oracle ``_head_reference``
+        in ``tests/test_nn_attention_fused.py``, which it matches bit for
+        bit (output and every gradient).  The work per edge is small:
 
-        * the per-edge intermediates that the composed graph keeps alive for
-          backward (projections, score products, shifted scores, weighted
-          messages) become transient scratch -- only ``msg``, the gathered
-          ``z_dst`` rows, and three ``(edges,)`` softmax vectors survive to
-          the backward closure;
-        * scratch buffers are reused in place (the score/shifted-exp chain
-          runs through two ``(edges,)`` buffers instead of six).
+        * the target half of Eq. 5's score is per node:
+          ``er = (h_dst W_dst) . a_dst`` once per target, gathered as one
+          scalar per edge, so no ``(edges, head_dim)`` target projection is
+          gathered or multiplied.  The source half ``msg . a_src`` stays per
+          edge (the time term makes each edge's message its own);
+        * both dot products are :func:`_logits`, one row-invariant GEMM
+          each rather than a per-row reduction loop;
+        * edges are grouped by target with one stable sort
+          (:func:`~repro.autograd.tensor.segment_runs`; skipped when the
+          caller already sorted, as :meth:`_forward_flat` does), so the
+          segment max, the softmax denominator and the message sum are
+          ``ufunc.reduceat`` over contiguous runs.
 
-        Bit-exactness contract: every forward array expression and every
-        backward accumulation replicates the composed graph's NumPy idioms
-        operation for operation (same per-target update order, via
-        :func:`~repro.autograd.scatter_add_rows`; same
-        ``swapaxes`` matmul transposes, same broadcast-then-reduce shapes,
-        same two-operand gradient-sum order -- IEEE addition of two operands
-        is commutative bitwise), so losses, gradients, and the float64
-        GOLDEN_DENSE fingerprints are unchanged.  Like the reference, every
-        tensor argument receives exactly one gradient contribution per call,
-        which keeps per-head checkpoint units bit-identical too.
+        Edges may come in any order; a target's result depends only on its
+        own edges in their given order.  The backward is the standard
+        segment-softmax VJP (:func:`~repro.autograd.ops.sorted_segment_softmax_vjp`)
+        feeding per-edge and per-target logit gradients.  Every tensor
+        argument receives exactly one gradient contribution per call, which
+        keeps per-head checkpoint units bit-identical to the plain path.
         """
+        if time_feat is None:
+            w_time = None
+        order, starts, counts = segment_runs(dst_index)
+        if order is not None:
+            src_index, dst_index = src_index[order], dst_index[order]
+        targets = dst_index[starts]
         hs, hd = h_src.data, h_dst.data
         ws, wd = w_src.data[head], w_dst.data[head]
         a_s, a_d = attn_src.data[head], attn_dst.data[head]
-        tf = None if time_feat is None else time_feat.data
-        wt = None if w_time is None else w_time.data[head]
 
-        # --- forward: one pass, scratch reused -------------------------
-        z_src = row_matmul(hs, ws)
-        z_dst = row_matmul(hd, wd)
-        z_src_rows, z_dst_rows = z_src.shape[0], z_dst.shape[0]
-        msg = z_src[src_index]
-        if tf is not None:
+        # --- forward -----------------------------------------------------
+        msg = np.take(row_matmul(hs, ws), src_index, axis=0)
+        if time_feat is not None:
+            tf = time_feat.data if order is None else time_feat.data[order]
+            wt = w_time.data[head]
             np.add(msg, row_matmul(tf, wt), out=msg)
-        zd_g = z_dst[dst_index]
-        del z_src, z_dst
-        score = (msg * a_s).sum(axis=-1)
-        np.add(score, (zd_g * a_d).sum(axis=-1), out=score)
+        z_dst = row_matmul(hd, wd)
+        score = _logits(msg, a_s) + _logits(z_dst, a_d)[dst_index]
         scale = np.where(score > 0, 1.0, self.negative_slope).astype(
             score.dtype, copy=False
         )
         np.multiply(score, scale, out=score)
-        # Segment softmax, replicating _segment_softmax_impl expression by
-        # expression (the detached per-segment max shift, the 1e-30 guard).
-        seg_max = np.full((n_dst,), -np.inf, dtype=score.dtype)
-        np.maximum.at(seg_max, dst_index, score)
-        seg_max = np.where(np.isfinite(seg_max), seg_max, 0.0)
-        shifted = score - seg_max[dst_index]
-        exp = np.exp(shifted, out=shifted)
-        denom = scatter_add_rows(dst_index, exp, n_dst, exp.dtype)
-        np.add(denom, np.asarray(1e-30, dtype=exp.dtype), out=denom)
-        denom_g = denom[dst_index]
-        alpha = exp / denom_g
-        weighted = msg * alpha[:, None]
-        out = scatter_add_rows(dst_index, weighted, n_dst, msg.dtype)
-        del weighted, score, denom
+        alpha = sorted_segment_softmax(score, starts, counts)
+        del score
+        out = np.zeros((n_dst, msg.shape[1]), dtype=msg.dtype)
+        out[targets] = np.add.reduceat(msg * alpha[:, None], starts, axis=0)
 
         parents = [h_src, h_dst]
         if time_feat is not None:
@@ -349,36 +369,32 @@ class TemporalGraphAttention(Module):
         def _grads(g: np.ndarray) -> list:
             if "grads" in cache:
                 return cache["grads"]
-            g_w = g[dst_index]
-            # alpha <- weighted-mul; exp <- div + denom paths (2-op sums).
-            g_alpha = (g_w * msg).sum(axis=(1,), keepdims=True).reshape(msg.shape[0])
-            g_exp = g_alpha / denom_g
-            g_denomg = -g_alpha * exp / (denom_g**2)
-            g_denom = scatter_add_rows(dst_index, g_denomg, n_dst, exp.dtype)
-            g_exp = g_exp + g_denom[dst_index]
-            g_score = (g_exp * exp) * scale
-            # Score products: broadcast the per-edge grad over head_dim.
-            g_col = np.expand_dims(g_score, -1)
-            g_msg = g_w * alpha[:, None] + np.broadcast_to(g_col, msg.shape) * a_s
-            g_attn_src_h = (np.broadcast_to(g_col, msg.shape) * msg).sum(axis=0)
-            g_zdg = np.broadcast_to(g_col, zd_g.shape) * a_d
-            g_attn_dst_h = (np.broadcast_to(g_col, zd_g.shape) * zd_g).sum(axis=0)
-            # dst projection chain.
-            g_z_dst = scatter_add_rows(dst_index, g_zdg, z_dst_rows, g.dtype)
+            g_w = np.repeat(g[targets], counts, axis=0)
+            g_alpha = (g_w * msg).sum(axis=(1,), keepdims=True).reshape(-1)
+            g_score = sorted_segment_softmax_vjp(alpha, g_alpha, starts, counts)
+            np.multiply(g_score, scale, out=g_score)
+            # Source half: per edge, into the messages.
+            g_msg, g_as_h = _logits_vjp(g_score, msg, a_s)
+            g_msg += g_w * alpha[:, None]
+            # Target half: per node, through the target projection.
+            g_er = scatter_add_rows(dst_index, g_score, z_dst.shape[0], g.dtype)
+            g_z_dst, g_ad_h = _logits_vjp(g_er, z_dst, a_d)
             g_h_dst = g_z_dst @ np.swapaxes(wd, -1, -2)
             g_wd_h = np.swapaxes(hd, -1, -2) @ g_z_dst
-            # src projection (+ optional time) chain.
-            g_z_src = scatter_add_rows(src_index, g_msg, z_src_rows, g.dtype)
+            g_z_src = scatter_add_rows(src_index, g_msg, hs.shape[0], g.dtype)
             g_h_src = g_z_src @ np.swapaxes(ws, -1, -2)
             g_ws_h = np.swapaxes(hs, -1, -2) @ g_z_src
             grads = [g_h_src, g_h_dst]
-            if tf is not None:
-                grads.append(g_msg @ np.swapaxes(wt, -1, -2))
+            if time_feat is not None:
+                g_tf = g_msg @ np.swapaxes(wt, -1, -2)
+                if order is not None:  # back to the caller's edge order
+                    g_tf = scatter_add_rows(order, g_tf, g_tf.shape[0], g.dtype)
+                grads.append(g_tf)
             grads.append(_scatter_head(w_src.data, head, g_ws_h))
             grads.append(_scatter_head(w_dst.data, head, g_wd_h))
-            grads.append(_scatter_head(attn_src.data, head, g_attn_src_h))
-            grads.append(_scatter_head(attn_dst.data, head, g_attn_dst_h))
-            if wt is not None:
+            grads.append(_scatter_head(attn_src.data, head, g_as_h))
+            grads.append(_scatter_head(attn_dst.data, head, g_ad_h))
+            if w_time is not None:
                 grads.append(
                     _scatter_head(w_time.data, head, np.swapaxes(tf, -1, -2) @ g_msg)
                 )
@@ -411,17 +427,24 @@ class TemporalGraphAttention(Module):
     ) -> Tensor:
         """Shared per-head attention kernel over a flat edge list.
 
-        In checkpoint mode the time encoding and each head become
-        recompute-in-backward units (:func:`repro.autograd.checkpoint`):
-        the O(edges * head_dim) intermediates of at most *one head* exist at
-        any moment of the backward pass, instead of every head of every
-        layer staying alive from forward to backward.
+        The edges, in any order, are stably sorted by target once here, so
+        every head's segment reductions run over contiguous runs without
+        sorting again.  In checkpoint mode the time encoding and each head
+        become recompute-in-backward units
+        (:func:`repro.autograd.checkpoint`): the O(edges * head_dim)
+        intermediates of at most *one head* exist at any moment of the
+        backward pass, instead of every head of every layer staying alive
+        from forward to backward.
         """
         if src_index.shape[0] == 0:
             return (
                 Tensor(np.zeros((n_dst, self.out_features), dtype=self.bias.data.dtype))
                 + self.bias
             )
+        order = np.argsort(dst_index, kind="stable")
+        src_index, dst_index = src_index[order], dst_index[order]
+        if delta_t is not None:
+            delta_t = np.asarray(delta_t)[order]
         params = [self.w_src, self.w_dst, self.attn_src, self.attn_dst]
         use_checkpoint = (
             self.checkpoint

@@ -339,3 +339,20 @@ class TestNoGrad:
             with no_grad():
                 raise ValueError("boom")
         assert is_grad_enabled()
+
+
+class TestGraphFreedByBackward:
+    def test_second_backward_through_same_graph_raises(self):
+        x = tensor([1.0, 2.0], requires_grad=True)
+        out = (x * x).sum()
+        out.backward()
+        with pytest.raises(GradientError):
+            out.backward()
+        assert np.allclose(x.grad, [2.0, 4.0])
+
+    def test_shared_interior_node_raises_instead_of_accumulating(self):
+        x = tensor([3.0], requires_grad=True)
+        shared = x * 2
+        (shared * 1).backward(np.array([1.0]))
+        with pytest.raises(GradientError):
+            (shared * 1).backward(np.array([1.0]))

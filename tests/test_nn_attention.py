@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import tensor
+from repro.autograd import check_gradients, tensor
 from repro.errors import ConfigError, ShapeError
 from repro.nn import TemporalGraphAttention, TimeEncoding
 
@@ -149,3 +149,89 @@ class TestTemporalGraphAttention:
     def test_invalid_heads(self):
         with pytest.raises(ConfigError):
             make_layer(num_heads=0)
+
+
+def _padded_batch(rng, batch, n_src, n_dst, n_edges, real_counts):
+    """Random padded bipartite graphs: row ``b`` has ``real_counts[b]`` real edges."""
+    h_src = rng.standard_normal((batch, n_src, 6))
+    h_dst = rng.standard_normal((batch, n_dst, 6))
+    src = rng.integers(0, n_src, size=(batch, n_edges))
+    dst = rng.integers(0, n_dst, size=(batch, n_edges))
+    delta_t = rng.integers(0, 5, size=(batch, n_edges)).astype(float)
+    mask = np.arange(n_edges) < np.asarray(real_counts)[:, None]
+    return h_src, h_dst, src, dst, delta_t, mask
+
+
+class TestKernelInvariance:
+    """A target's output bits depend only on its own real edges, in order."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_padded_rows_ignore_other_egos_padding_and_masked_edges(self, dtype):
+        layer = make_layer().to_dtype(dtype)
+        rng = np.random.default_rng(12)
+        h_src, h_dst, src, dst, dt, mask = _padded_batch(rng, 1, 5, 3, 7, [7])
+        base = layer(
+            tensor(h_src.astype(dtype)), tensor(h_dst.astype(dtype)), src, dst, dt, mask
+        ).numpy()
+        # Two other egos, wider node/edge padding and masked junk edges.
+        o_src, o_dst, o_s, o_d, o_dt, _ = _padded_batch(rng, 3, 9, 4, 12, [0, 0, 0])
+        o_src[1, :5], o_dst[1, :3] = h_src[0], h_dst[0]
+        o_s[1, :7], o_d[1, :7], o_dt[1, :7] = src[0], dst[0], dt[0]
+        o_mask = np.zeros((3, 12), dtype=bool)
+        o_mask[0, :10] = o_mask[2, :6] = True
+        o_mask[1, :7] = True
+        wide = layer(
+            tensor(o_src.astype(dtype)), tensor(o_dst.astype(dtype)),
+            o_s, o_d, o_dt, o_mask,
+        ).numpy()
+        assert wide[1, :3].tobytes() == base[0].tobytes()
+
+    def test_interleaving_targets_keeps_bytes(self):
+        layer = make_layer()
+        rng = np.random.default_rng(13)
+        h_src = tensor(rng.standard_normal((8, 6)))
+        h_dst = tensor(rng.standard_normal((3, 6)))
+        src = rng.integers(0, 8, size=12)
+        dst = np.repeat([0, 1, 2], 4)
+        dt = rng.integers(0, 6, size=12).astype(float)
+        grouped = layer(h_src, h_dst, src, dst, dt).numpy()
+        # Round-robin over the targets; each target's own edges stay in order.
+        perm = np.arange(12).reshape(3, 4).T.reshape(-1)
+        mixed = layer(h_src, h_dst, src[perm], dst[perm], dt[perm]).numpy()
+        assert mixed.tobytes() == grouped.tobytes()
+
+    def test_target_without_edges_outputs_bias(self):
+        layer = make_layer()
+        rng = np.random.default_rng(14)
+        h_src, h_dst, src, dst, dt, mask = _padded_batch(rng, 2, 4, 3, 5, [5, 0])
+        dst[0] = [0, 0, 1, 0, 1]  # target 2 of ego 0 and all of ego 1 get nothing
+        out = layer(tensor(h_src), tensor(h_dst), src, dst, dt, mask).numpy()
+        assert np.array_equal(out[0, 2], layer.bias.data)
+        assert np.array_equal(out[1], np.broadcast_to(layer.bias.data, (3, 4)))
+
+    def test_empty_edge_list(self):
+        layer = make_layer()
+        rng = np.random.default_rng(15)
+        h_src, h_dst, src, dst, dt, mask = _padded_batch(rng, 2, 4, 3, 5, [0, 0])
+        padded = layer(tensor(h_src), tensor(h_dst), src, dst, dt, mask).numpy()
+        flat = layer(
+            tensor(h_src[0]), tensor(h_dst[0]), np.array([], dtype=int),
+            np.array([], dtype=int), np.array([]),
+        ).numpy()
+        assert padded.shape == (2, 3, 4)
+        assert np.array_equal(padded, np.broadcast_to(layer.bias.data, (2, 3, 4)))
+        assert np.array_equal(flat, np.broadcast_to(layer.bias.data, (3, 4)))
+
+    def test_padded_forward_finite_differences(self):
+        layer = make_layer(rng=np.random.default_rng(16))
+        rng = np.random.default_rng(17)
+        h_src, h_dst, src, dst, dt, mask = _padded_batch(rng, 3, 4, 3, 6, [6, 2, 4])
+        weight = rng.standard_normal((3, 3, 4))
+
+        def fn(hs, hd, *params):
+            out = layer(hs, hd, src, dst, dt, mask)
+            return (out * tensor(weight)).sum()
+
+        inputs = [tensor(h_src, requires_grad=True), tensor(h_dst, requires_grad=True)]
+        inputs += list(layer.parameters())
+        assert check_gradients(fn, inputs, atol=1e-6, rtol=1e-5)

@@ -11,11 +11,18 @@ time encoding -- plus an independent finite-difference check.
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, check_gradients, segment_softmax
+from repro.autograd import Tensor, check_gradients, concat, segment_softmax
 from repro.nn import TemporalGraphAttention
+from repro.nn.attention import LOGIT_COLUMNS
 
 N_SRC, N_DST, N_EDGES = 9, 5, 23
 IN_F, OUT_F, HEADS, TIME_DIM = 6, 8, 3, 4
+
+
+def _logits(x, a):
+    """Row-wise ``x . a`` as column 0 of ``x @ [a | 0 ...]`` (a row-invariant GEMM)."""
+    pad = Tensor(np.zeros((a.shape[0], LOGIT_COLUMNS - 1), dtype=a.data.dtype))
+    return (x @ concat([a.reshape(-1, 1), pad], axis=1))[:, 0]
 
 
 def _head_reference(
@@ -29,19 +36,20 @@ def _head_reference(
     composition's output *and* every input gradient bit for bit, under both
     dtype policies.  The production paths (plain and checkpointed) always
     run the fused kernel.
+
+    Eq. 5's ``a^T [W h_s || W h_d]`` splits into a per-edge source term and
+    a per-target term gathered to each edge.  Edges are taken in stable
+    target order, the order the segment reductions associate in.
     """
-    z_src = h_src @ w_src[head]
-    z_dst = h_dst @ w_dst[head]
-    msg = z_src.take_rows(src_index)
+    order = np.argsort(dst_index, kind="stable")
+    src, dst = src_index[order], dst_index[order]
+    msg = (h_src @ w_src[head]).take_rows(src)
     if time_feat is not None:
-        msg = msg + time_feat @ w_time[head]
-    score = (msg * attn_src[head]).sum(axis=-1) + (
-        z_dst.take_rows(dst_index) * attn_dst[head]
-    ).sum(axis=-1)
-    score = score.leaky_relu(layer.negative_slope)
-    alpha = segment_softmax(score, dst_index, n_dst)
-    weighted = msg * alpha.reshape(-1, 1)
-    return weighted.segment_sum(dst_index, n_dst)
+        msg = msg + time_feat.take_rows(order) @ w_time[head]
+    target_term = _logits(h_dst @ w_dst[head], attn_dst[head])
+    score = _logits(msg, attn_src[head]) + target_term.take_rows(dst)
+    alpha = segment_softmax(score.leaky_relu(layer.negative_slope), dst, n_dst)
+    return (msg * alpha.reshape(-1, 1)).segment_sum(dst, n_dst)
 
 
 def _make_inputs(dtype, with_time, seed=11):
