@@ -18,10 +18,6 @@ from .ops import (
     cross_entropy_with_logits,
     kl_standard_normal,
     log_softmax,
-    logsumexp,
-    mse,
-    segment_mean,
-    segment_softmax,
     softmax,
 )
 from .tensor import (
@@ -56,13 +52,9 @@ __all__ = [
     "scatter_add_rows",
     "softmax",
     "log_softmax",
-    "logsumexp",
-    "segment_softmax",
-    "segment_mean",
     "cross_entropy_with_logits",
     "binary_cross_entropy_with_logits",
     "kl_standard_normal",
-    "mse",
     "check_gradients",
     "numerical_gradient",
 ]

@@ -1,8 +1,9 @@
 """Composite differentiable operations built on the :class:`~repro.autograd.tensor.Tensor` primitives.
 
 These are the numerically-stable building blocks used by the TGAE model and
-the learning-based baselines: softmax families, segment (per-group) softmax
-for graph attention, and the loss terms from Eqs. 6-7 of the paper.
+the learning-based baselines: softmax families, the per-target softmax of
+the attention kernel (Eq. 5) with its vector-Jacobian product, and the loss
+terms from Eqs. 6-7 of the paper.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ShapeError
-from .tensor import Tensor, segment_runs
-from .tensor import checkpoint as _checkpoint
+from .tensor import Tensor
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -29,53 +29,15 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
-def segment_softmax(
-    scores: Tensor,
-    segment_ids: np.ndarray,
-    num_segments: int,
-    checkpoint: bool = False,
-) -> Tensor:
-    """Softmax over groups of rows sharing a segment id.
-
-    This implements the attention normalisation of Eq. 5: each edge score is
-    normalised over all edges pointing at the same target node.  One graph
-    node: the rows are stably sorted by segment (:func:`segment_runs`), the
-    forward is :func:`sorted_segment_softmax` and the backward the standard
-    softmax vector-Jacobian product :func:`sorted_segment_softmax_vjp`.
-
-    Parameters
-    ----------
-    scores:
-        1-D tensor of per-edge scores (or 2-D ``(edges, heads)``).
-    segment_ids:
-        Integer array mapping each row of ``scores`` to its target segment,
-        in ``range(num_segments)``.
-    num_segments:
-        Total number of segments (target nodes).
-    checkpoint:
-        Recompute-in-backward mode (:func:`repro.autograd.checkpoint`).
-        Values and gradients are bit-identical to the plain path; the node
-        keeps only its output alive either way.
-    """
-    ids = np.asarray(segment_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.shape[0] != scores.shape[0]:
-        raise ShapeError("segment_ids must be 1-D and match scores rows")
-    if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
-        raise ShapeError(f"segment_ids must lie in range({num_segments})")
-    if checkpoint:
-        return _checkpoint(lambda s: _segment_softmax_impl(s, ids), scores)
-    return _segment_softmax_impl(scores, ids)
-
-
 def sorted_segment_softmax(
     scores: np.ndarray, starts: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
     """Softmax of each run ``scores[starts[i] : starts[i] + counts[i]]``.
 
-    ``scores`` is sorted by segment (see :func:`segment_runs`); every run is
-    shifted by its own maximum for stability.  Shared by
-    :func:`segment_softmax` and the attention kernel, so both associate the
-    sums identically.
+    ``scores`` is sorted by segment (see
+    :func:`repro.autograd.tensor.segment_runs`); every run is shifted by its
+    own maximum for stability.  This is Eq. 5's normalisation over the edges
+    into one target in the attention kernel.
     """
     shifted = scores - np.repeat(np.maximum.reduceat(scores, starts, axis=0), counts, axis=0)
     exp = np.exp(shifted, out=shifted)
@@ -93,33 +55,6 @@ def sorted_segment_softmax_vjp(
     weighted = alpha * grad
     total = np.repeat(np.add.reduceat(weighted, starts, axis=0), counts, axis=0)
     return weighted - alpha * total
-
-
-def _segment_softmax_impl(scores: Tensor, ids: np.ndarray) -> Tensor:
-    """The recorded segment-softmax node shared by both modes."""
-    order, starts, counts = segment_runs(ids)
-    perm = slice(None) if order is None else order
-    alpha = sorted_segment_softmax(scores.data[perm], starts, counts)
-    data = np.empty_like(alpha)
-    data[perm] = alpha
-
-    def grad_fn(g: np.ndarray) -> np.ndarray:
-        out = np.empty_like(alpha)
-        out[perm] = sorted_segment_softmax_vjp(alpha, g[perm], starts, counts)
-        return out
-
-    return Tensor._from_op(data, (scores,), (grad_fn,), "segment_softmax")
-
-
-def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Average rows of ``values`` within each segment."""
-    ids = np.asarray(segment_ids, dtype=np.int64)
-    totals = values.segment_sum(ids, num_segments)
-    counts = np.zeros(num_segments, dtype=values.data.dtype)
-    np.add.at(counts, ids, 1.0)
-    counts = np.maximum(counts, 1.0)
-    shape = (num_segments,) + (1,) * (values.ndim - 1)
-    return totals / Tensor(counts.reshape(shape))
 
 
 def cross_entropy_with_logits(logits: Tensor, targets: np.ndarray, axis: int = -1) -> Tensor:
@@ -179,18 +114,3 @@ def kl_standard_normal(
     if scale is None:
         return per_row.mean()
     return per_row.sum() * scale
-
-
-def mse(prediction: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant target."""
-    diff = prediction - Tensor(np.asarray(target, dtype=prediction.data.dtype))
-    return (diff * diff).mean()
-
-
-def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Numerically stable log-sum-exp reduction."""
-    m = x.max(axis=axis, keepdims=True).detach()
-    out = (x - m).exp().sum(axis=axis, keepdims=True).log() + m
-    if not keepdims:
-        out = out.reshape(*np.delete(np.array(out.shape), axis))
-    return out

@@ -10,7 +10,6 @@ from .engine import (
     TopKChunkTask,
     TopKScores,
     active_temporal_nodes,
-    sample_rows_without_replacement,
 )
 from .parallel import WorkerPool, run_sharded
 from .generator import TGAEGenerator
@@ -70,7 +69,6 @@ __all__ = [
     "graph_token",
     "weights_token",
     "active_temporal_nodes",
-    "sample_rows_without_replacement",
     "VARIANTS",
     "tgae_full",
     "tgae_g",

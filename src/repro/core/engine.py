@@ -213,18 +213,6 @@ def race_order(
     return _smallest(race, max_k), counts
 
 
-def sample_rows_without_replacement(
-    probs: np.ndarray,
-    counts: np.ndarray,
-    row_keys: np.ndarray,
-    forbid: Optional[np.ndarray] = None,
-    allowed: Optional[np.ndarray] = None,
-) -> List[np.ndarray]:
-    """:func:`race_order` as one array of drawn columns per row."""
-    order, counts = race_order(probs, counts, row_keys, forbid=forbid, allowed=allowed)
-    return [order[i, :c] for i, c in enumerate(counts)]
-
-
 def repeat_columns(
     weights: np.ndarray,
     order: np.ndarray,

@@ -173,7 +173,12 @@ def load_generator(path: PathLike, dtype: Optional[str] = None) -> TGAEGenerator
         return _read_generator(path, dtype)
     except ConfigError:
         raise
-    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, TypeError, ValueError) as exc:
+    except (
+        zipfile.BadZipFile, zlib.error, EOFError, KeyError, TypeError, ValueError,
+        # zipfile's answers to a damaged header: an unknown compression
+        # method or zip version, or an entry flagged as encrypted.
+        NotImplementedError, RuntimeError,
+    ) as exc:
         raise ConfigError(
             f"{path!s} is not a readable TGAE generator archive "
             f"({type(exc).__name__}: {exc})"

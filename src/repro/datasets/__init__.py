@@ -15,7 +15,6 @@ from .scalability import (
     node_scale_sweep,
     timestamp_scale_sweep,
 )
-from .splits import edge_holdout, temporal_split
 from .synthetic import (
     citation_network,
     communication_network,
@@ -26,8 +25,6 @@ from .synthetic import (
 )
 
 __all__ = [
-    "temporal_split",
-    "edge_holdout",
     "DatasetSpec",
     "DATASETS",
     "available_datasets",

@@ -10,12 +10,7 @@ from .ego_graph import (
     sample_ego_tile,
     sample_initial_nodes,
 )
-from .discretize import (
-    discretize_timestamps,
-    edges_per_snapshot,
-    from_continuous,
-    rebin,
-)
+from .discretize import discretize_timestamps, from_continuous
 from .event_stream import (
     EventStream,
     burstiness,
@@ -29,24 +24,14 @@ from .event_stream import (
 from .event_stream import merge as merge_streams
 from .io import load_edge_list, save_edge_list
 from .validation import ValidationReport, validate_generated
-from .neighborhood import first_order_neighbors, temporal_degree, temporal_neighborhood
 from .snapshot import Snapshot, cumulative_snapshots, snapshot_at
-from .transforms import (
-    perturb_edges,
-    relabel_nodes,
-    reverse_time,
-    rewire_degree_preserving,
-    shuffle_timestamps,
-    subsample_nodes,
-)
+from .transforms import rewire_degree_preserving, shuffle_timestamps
 from .temporal_graph import TemporalGraph, merge
 from .walks import sample_temporal_walk, sample_walk_corpus, walks_to_graph
 
 __all__ = [
     "discretize_timestamps",
     "from_continuous",
-    "rebin",
-    "edges_per_snapshot",
     "validate_generated",
     "ValidationReport",
     "TemporalGraph",
@@ -54,9 +39,6 @@ __all__ = [
     "Snapshot",
     "cumulative_snapshots",
     "snapshot_at",
-    "first_order_neighbors",
-    "temporal_neighborhood",
-    "temporal_degree",
     "EgoGraph",
     "EgoTile",
     "sample_ego_graph",
@@ -83,8 +65,4 @@ __all__ = [
     "load_event_stream",
     "shuffle_timestamps",
     "rewire_degree_preserving",
-    "perturb_edges",
-    "reverse_time",
-    "relabel_nodes",
-    "subsample_nodes",
 ]

@@ -3,7 +3,7 @@
 The public temporal-network datasets of Table II carry UNIX timestamps;
 the paper models temporal graphs as series of snapshots (Def. 2), obtained
 by aggregating timestamps into ``T`` bins.  This module provides the two
-standard binning policies plus helpers to inspect the result:
+standard binning policies:
 
 * **equal-width** -- bins of equal time span (calendar-like periods);
 * **equal-frequency** -- bins holding (approximately) equal numbers of
@@ -68,20 +68,3 @@ def from_continuous(
     """Build a :class:`TemporalGraph` from continuously-timestamped edges."""
     bins, _ = discretize_timestamps(raw_times, num_bins, policy=policy)
     return TemporalGraph(num_nodes, src, dst, bins, num_timestamps=num_bins)
-
-
-def edges_per_snapshot(graph: TemporalGraph) -> np.ndarray:
-    """Edge count per timestamp (useful to check binning balance)."""
-    return np.bincount(graph.t, minlength=graph.num_timestamps)
-
-
-def rebin(graph: TemporalGraph, num_bins: int, policy: str = "equal_width") -> TemporalGraph:
-    """Re-discretise an existing temporal graph to a different ``T``.
-
-    The integer timestamps are treated as the continuous times; this is the
-    coarsening operation used to trade temporal resolution for speed.
-    """
-    return from_continuous(
-        graph.num_nodes, graph.src, graph.dst, graph.t.astype(np.float64),
-        num_bins, policy=policy,
-    )

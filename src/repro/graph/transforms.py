@@ -15,18 +15,15 @@ mutate the input):
   when ``preserve_counts=True``);
 * :func:`rewire_degree_preserving` -- per-snapshot directed double-edge
   swaps (keeps in/out degree sequences and timestamps, destroys triadic
-  structure);
-* :func:`perturb_edges` -- replace a fraction of edges with uniformly random
-  ones (controlled noise injection for robustness experiments);
-* :func:`reverse_time` -- reflect timestamps (growth becomes shrinkage);
-* :func:`relabel_nodes` -- apply a node permutation (generators must be
-  equivariant: statistics are invariant under relabeling);
-* :func:`subsample_nodes` -- induced temporal subgraph on a node subset.
+  structure).
+
+Both are the reference models of the motif-significance profile
+(:mod:`repro.metrics.significance`).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -91,98 +88,5 @@ def rewire_degree_preserving(
             dst[i], dst[j] = dst[j], dst[i]
     return TemporalGraph(
         graph.num_nodes, src, dst, graph.t.copy(),
-        num_timestamps=graph.num_timestamps, validate=False,
-    )
-
-
-def perturb_edges(
-    graph: TemporalGraph,
-    fraction: float,
-    seed: Optional[int] = None,
-) -> TemporalGraph:
-    """Replace a uniform ``fraction`` of edges with random non-loop edges.
-
-    The replacement edge keeps its timestamp, so the temporal activity
-    profile is untouched while structure degrades smoothly -- the knob used
-    by robustness experiments ("how fast does metric X respond to noise?").
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise GraphFormatError(f"fraction must be in [0, 1], got {fraction}")
-    rng = np.random.default_rng(seed)
-    src = graph.src.copy()
-    dst = graph.dst.copy()
-    count = int(round(fraction * graph.num_edges))
-    if count and graph.num_nodes >= 2:
-        chosen = rng.choice(graph.num_edges, size=count, replace=False)
-        new_src = rng.integers(0, graph.num_nodes, size=count)
-        new_dst = rng.integers(0, graph.num_nodes, size=count)
-        loops = new_src == new_dst
-        new_dst[loops] = (new_dst[loops] + 1) % graph.num_nodes
-        src[chosen] = new_src
-        dst[chosen] = new_dst
-    return TemporalGraph(
-        graph.num_nodes, src, dst, graph.t.copy(),
-        num_timestamps=graph.num_timestamps, validate=False,
-    )
-
-
-def reverse_time(graph: TemporalGraph) -> TemporalGraph:
-    """Reflect timestamps: ``t -> T - 1 - t`` (growth becomes shrinkage)."""
-    new_t = graph.num_timestamps - 1 - graph.t
-    return TemporalGraph(
-        graph.num_nodes, graph.src.copy(), graph.dst.copy(), new_t,
-        num_timestamps=graph.num_timestamps, validate=False,
-    )
-
-
-def relabel_nodes(
-    graph: TemporalGraph, permutation: Sequence[int]
-) -> TemporalGraph:
-    """Apply a node-id permutation (``new_id = permutation[old_id]``)."""
-    perm = np.asarray(permutation, dtype=np.int64).reshape(-1)
-    if perm.size != graph.num_nodes:
-        raise GraphFormatError(
-            f"permutation must have length {graph.num_nodes}, got {perm.size}"
-        )
-    if not np.array_equal(np.sort(perm), np.arange(graph.num_nodes)):
-        raise GraphFormatError("permutation must be a bijection on node ids")
-    return TemporalGraph(
-        graph.num_nodes, perm[graph.src], perm[graph.dst], graph.t.copy(),
-        num_timestamps=graph.num_timestamps, validate=False,
-    )
-
-
-def subsample_nodes(
-    graph: TemporalGraph, nodes: Sequence[int], relabel: bool = True
-) -> TemporalGraph:
-    """Induced temporal subgraph on ``nodes``.
-
-    Keeps edges whose both endpoints are in ``nodes``.  With ``relabel=True``
-    the kept nodes are compacted to ``0..k-1`` (in the order given);
-    otherwise the original universe size is retained.
-    """
-    node_arr = np.asarray(nodes, dtype=np.int64).reshape(-1)
-    if node_arr.size == 0:
-        raise GraphFormatError("cannot subsample to an empty node set")
-    if node_arr.min() < 0 or node_arr.max() >= graph.num_nodes:
-        raise GraphFormatError(
-            f"node ids must lie in [0, {graph.num_nodes}), "
-            f"found [{node_arr.min()}, {node_arr.max()}]"
-        )
-    if np.unique(node_arr).size != node_arr.size:
-        raise GraphFormatError("node subset contains duplicates")
-    member = np.zeros(graph.num_nodes, dtype=bool)
-    member[node_arr] = True
-    keep = member[graph.src] & member[graph.dst]
-    src, dst, t = graph.src[keep], graph.dst[keep], graph.t[keep]
-    if relabel:
-        mapping = np.full(graph.num_nodes, -1, dtype=np.int64)
-        mapping[node_arr] = np.arange(node_arr.size)
-        return TemporalGraph(
-            node_arr.size, mapping[src], mapping[dst], t,
-            num_timestamps=graph.num_timestamps, validate=False,
-        )
-    return TemporalGraph(
-        graph.num_nodes, src, dst, t,
         num_timestamps=graph.num_timestamps, validate=False,
     )

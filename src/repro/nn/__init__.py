@@ -1,12 +1,11 @@
 """Neural-network layer library built on :mod:`repro.autograd`."""
 
-from .activations import Dropout, LeakyReLU, ReLU, Sigmoid, Tanh
+from .activations import ReLU
 from .attention import TemporalGraphAttention, TimeEncoding
-from .container import ModuleList, Sequential
+from .container import ModuleList
 from .linear import Embedding, Linear, embedding_lookup
 from .mlp import MLP
 from .module import Module, Parameter
-from .norm import LayerNorm
 from .rnn import GRUCell, LSTMCell
 
 __all__ = [
@@ -16,14 +15,8 @@ __all__ = [
     "Embedding",
     "embedding_lookup",
     "MLP",
-    "Sequential",
     "ModuleList",
     "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
-    "Dropout",
-    "LayerNorm",
     "TemporalGraphAttention",
     "TimeEncoding",
     "GRUCell",

@@ -1,10 +1,10 @@
-"""Activation-function modules wrapping the tensor-level primitives."""
+"""The ReLU activation module (the MLP nonlinearity).
+
+The attention kernel applies Eq. 5's LeakyReLU through
+:meth:`repro.autograd.Tensor.leaky_relu` directly, not through a module.
+"""
 
 from __future__ import annotations
-
-from typing import Optional
-
-import numpy as np
 
 from ..autograd import Tensor
 from .module import Module
@@ -14,47 +14,5 @@ class ReLU(Module):
     """Rectified linear unit."""
 
     def forward(self, x: Tensor) -> Tensor:
+        """Apply ``max(x, 0)`` elementwise."""
         return x.relu()
-
-
-class LeakyReLU(Module):
-    """Leaky ReLU; the paper uses a negative slope of 0.2 in Eq. 5."""
-
-    def __init__(self, negative_slope: float = 0.2) -> None:
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)
-
-
-class Tanh(Module):
-    """Hyperbolic tangent."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Dropout(Module):
-    """Inverted dropout; active only in training mode."""
-
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng if rng is not None else np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(x.data.dtype) / keep
-        return x * Tensor(mask)

@@ -51,6 +51,7 @@ class TimeEncoding(Module):
         self.phase = Parameter(np.zeros(dim))
 
     def forward(self, delta_t: np.ndarray) -> Tensor:
+        """Encode time offsets ``delta_t`` as ``(..., dim)`` features."""
         return _time_encode(delta_t, self.frequency, self.phase, self.dim)
 
 

@@ -1,37 +1,10 @@
-"""Module containers: Sequential and ModuleList."""
+"""The module container: :class:`ModuleList`, which MLP and the TGAE encoder use."""
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, List
 
-from ..autograd import Tensor
 from .module import Module
-
-
-class Sequential(Module):
-    """Apply child modules in order, feeding each output to the next."""
-
-    def __init__(self, *layers: Module) -> None:
-        super().__init__()
-        self.layers: List[Module] = list(layers)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self.layers)
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __getitem__(self, index: int) -> Module:
-        return self.layers[index]
-
-    def append(self, module: Module) -> "Sequential":
-        self.layers.append(module)
-        return self
 
 
 class ModuleList(Module):
@@ -42,6 +15,7 @@ class ModuleList(Module):
         self.items: List[Module] = list(modules)
 
     def forward(self, *args, **kwargs):  # pragma: no cover - containers are not called
+        """Raise: a container is not called, its items are."""
         raise NotImplementedError("ModuleList is a container; call its items directly")
 
     def __iter__(self) -> Iterator[Module]:
@@ -54,5 +28,6 @@ class ModuleList(Module):
         return self.items[index]
 
     def append(self, module: Module) -> "ModuleList":
+        """Add ``module`` at the end and return the list."""
         self.items.append(module)
         return self

@@ -1,4 +1,4 @@
-"""Weight initialisation schemes.
+"""Weight initialisation: Glorot uniform, small Gaussian and zeros.
 
 All initialisers take an explicit ``numpy.random.Generator`` so that every
 model in the repro is fully deterministic under a seed -- a requirement for
@@ -16,21 +16,6 @@ def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float
     """Glorot & Bengio (2010) uniform initialisation."""
     fan_in, fan_out = _fans(shape)
     limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot & Bengio (2010) normal initialisation."""
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator, negative_slope: float = 0.0) -> np.ndarray:
-    """He et al. (2015) uniform initialisation for (leaky-)ReLU networks."""
-    fan_in, _ = _fans(shape)
-    gain = np.sqrt(2.0 / (1.0 + negative_slope**2))
-    limit = gain * np.sqrt(3.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
 
 

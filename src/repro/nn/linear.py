@@ -46,6 +46,7 @@ class Linear(Module):
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
+        """Return ``x @ W + b`` over the last dimension of ``x``."""
         if x.shape[-1] != self.in_features:
             raise ShapeError(
                 f"Linear expects last dim {self.in_features}, got {x.shape}"
@@ -98,6 +99,7 @@ class Embedding(Module):
         self.weight = Parameter(init.normal((num_embeddings, embedding_dim), rng, std=0.1))
 
     def forward(self, indices: np.ndarray) -> Tensor:
+        """Return the embedding rows of ``indices`` (any integer shape)."""
         return embedding_lookup(self.weight, indices)
 
     def __repr__(self) -> str:

@@ -46,6 +46,10 @@ class MLP(Module):
         self.activation = ReLU()
 
     def forward(self, x: Tensor) -> Tensor:
+        """Apply the layers in order, with ReLU between them.
+
+        With ``activate_last`` the last layer's output goes through ReLU too.
+        """
         last = len(self.linears) - 1
         for i, layer in enumerate(self.linears):
             x = layer(x)

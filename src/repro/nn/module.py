@@ -147,6 +147,7 @@ class Module:
     # Call protocol
     # ------------------------------------------------------------------
     def forward(self, *args, **kwargs):
+        """Compute the module's output (subclass responsibility)."""
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):

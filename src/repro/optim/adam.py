@@ -40,6 +40,7 @@ class Adam(Optimizer):
         return {"m": self._m, "v": self._v}
 
     def step(self) -> None:
+        """Apply one bias-corrected Adam update to every parameter with a gradient."""
         self.step_count += 1
         beta1, beta2 = self.betas
         bias1 = 1.0 - beta1**self.step_count

@@ -20,7 +20,7 @@ class Optimizer:
     ``(name, parameter)`` pairs (``Adam(model.named_parameters(), ...)``).
     Named construction is what makes :meth:`state_dict` /
     :meth:`load_state_dict` round-trip across processes and checkpoints:
-    per-parameter state (moments, velocities, ...) is keyed by the dotted
+    per-parameter state (Adam's moments) is keyed by the dotted
     parameter name, not by list position, so a reloaded model with the same
     architecture restores the exact slot for every tensor.  Positional
     construction falls back to synthetic ``param.{i}`` names, which are

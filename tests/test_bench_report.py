@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from perturb import perturb_edges
+
 from repro.bench import evaluation_report, render_report, report_headline
 from repro.cli import main
 from repro.datasets import communication_network
-from repro.graph import perturb_edges, save_edge_list, shuffle_timestamps
+from repro.graph import save_edge_list, shuffle_timestamps
 
 
 @pytest.fixture(scope="module")

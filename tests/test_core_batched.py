@@ -10,8 +10,9 @@ never divide by zero or emit a forbidden index.
 import numpy as np
 import pytest
 
+from draw_oracle import sample_rows_without_replacement
+
 from repro.core import EgoGraphSampler, TGAEEncoder, TGAEGenerator, TGAEModel, fast_config
-from repro.core.engine import sample_rows_without_replacement
 from repro.errors import GraphFormatError
 from repro.graph import EgoTile, TemporalGraph, ego_graph_batch, pack_ego_batch
 from repro.graph.ego_graph import counter_hash
@@ -165,21 +166,6 @@ class TestBatchedAttentionMasking:
                 src_index[b][keep], dst_index[b][keep], delta_t=delta_t[b][keep],
             ).numpy()
             np.testing.assert_allclose(batched[b], flat, atol=1e-10)
-
-
-class TestLayerNormMasking:
-    def test_masked_rows_are_zeroed(self):
-        from repro.autograd import Tensor
-        from repro.nn import LayerNorm
-
-        rng = np.random.default_rng(0)
-        norm = LayerNorm(4)
-        x = rng.standard_normal((2, 3, 4))
-        mask = np.array([[True, True, False], [True, False, False]])
-        out = norm(Tensor(x), mask=mask).numpy()
-        unmasked = norm(Tensor(x)).numpy()
-        np.testing.assert_allclose(out[mask], unmasked[mask])
-        assert (out[~mask] == 0).all()
 
 
 def keys(count, word=0):

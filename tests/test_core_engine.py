@@ -29,13 +29,9 @@ import numpy as np
 import pytest
 
 from dense_oracle import dense_score_rows, score_matrix
-from repro.core import (
-    GenerationEngine,
-    TGAEGenerator,
-    active_temporal_nodes,
-    fast_config,
-    sample_rows_without_replacement,
-)
+from draw_oracle import sample_rows_without_replacement
+
+from repro.core import GenerationEngine, TGAEGenerator, active_temporal_nodes, fast_config
 from repro.core.engine import distinct_allowed_mask, fold_duplicate_mass, row_draw_keys
 from repro.datasets import communication_network
 from repro.errors import GenerationError, NotFittedError

@@ -16,7 +16,9 @@ Three contracts under test, matching the PR's headline guarantees:
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, check_gradients, checkpoint, segment_softmax
+from attention_oracle import segment_softmax
+
+from repro.autograd import Tensor, check_gradients, checkpoint
 from repro.core import (
     TGAEGenerator,
     TGAEModel,
@@ -279,7 +281,7 @@ class TestCheckpointPrimitive:
         (plain_out * np.arange(10)).sum().backward()
 
         ckpt_in = Tensor(scores_data, requires_grad=True)
-        ckpt_out = segment_softmax(ckpt_in, ids, 4, checkpoint=True)
+        ckpt_out = checkpoint(lambda s: segment_softmax(s, ids, 4), ckpt_in)
         (ckpt_out * np.arange(10)).sum().backward()
 
         assert np.array_equal(plain_out.data, ckpt_out.data)
@@ -290,7 +292,7 @@ class TestCheckpointPrimitive:
         scores = Tensor(rng.standard_normal(8), requires_grad=True)
         ids = np.array([0, 0, 1, 1, 2, 2, 2, 3])
         assert check_gradients(
-            lambda s: segment_softmax(s, ids, 4, checkpoint=True), [scores]
+            lambda s: checkpoint(lambda u: segment_softmax(u, ids, 4), s), [scores]
         )
 
 

@@ -10,6 +10,8 @@ surface rather than trusting each module's local tests.
 import numpy as np
 import pytest
 
+from perturb import perturb_edges
+
 from repro.baselines import BASELINES, EXTRA_BASELINES
 from repro.core import TGAEGenerator, fast_config
 from repro.core.variants import VARIANTS
@@ -17,7 +19,6 @@ from repro.datasets import available_datasets, load_dataset
 from repro.graph import (
     TemporalGraph,
     from_temporal_graph,
-    perturb_edges,
     rewire_degree_preserving,
     sample_ego_graph,
     shuffle_timestamps,

@@ -1,16 +1,10 @@
-"""Tests for continuous-timestamp binning and re-binning."""
+"""Tests for continuous-timestamp binning."""
 
 import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph import (
-    TemporalGraph,
-    discretize_timestamps,
-    edges_per_snapshot,
-    from_continuous,
-    rebin,
-)
+from repro.graph import discretize_timestamps, from_continuous
 
 
 class TestDiscretize:
@@ -70,21 +64,3 @@ class TestFromContinuous:
         assert g.num_edges == 3
         assert g.t.tolist() == [0, 0, 2]
 
-    def test_edges_per_snapshot(self):
-        g = TemporalGraph(3, [0, 1, 0], [1, 2, 2], [0, 0, 2], num_timestamps=3)
-        assert edges_per_snapshot(g).tolist() == [2, 0, 1]
-
-
-class TestRebin:
-    def test_coarsen(self):
-        g = TemporalGraph(3, [0, 1, 0, 1], [1, 2, 2, 0], [0, 1, 2, 3], num_timestamps=4)
-        coarse = rebin(g, 2)
-        assert coarse.num_timestamps == 2
-        assert coarse.num_edges == 4
-        # First two edges land in bin 0, last two in bin 1.
-        assert coarse.t.tolist() == [0, 0, 1, 1]
-
-    def test_rebin_preserves_edge_order_structure(self):
-        g = TemporalGraph(3, [0, 1], [1, 2], [0, 5], num_timestamps=6)
-        coarse = rebin(g, 3)
-        assert coarse.t[0] < coarse.t[1]

@@ -1,11 +1,8 @@
-"""Tests for temporal neighbourhood queries (Definition 3)."""
+"""Tests for the first-order temporal neighbourhood oracle (Definition 3)."""
 
-from repro.graph import (
-    TemporalGraph,
-    first_order_neighbors,
-    temporal_degree,
-    temporal_neighborhood,
-)
+from ego_oracle import first_order_neighbors
+
+from repro.graph import TemporalGraph
 
 
 def chain_graph():
@@ -47,36 +44,14 @@ class TestFirstOrder:
 
 
 class TestTemporalDegree:
+    """Eq. 2's temporal degree is the size of the first-order neighbourhood."""
+
     def test_matches_first_order_count(self):
         g = chain_graph()
-        assert temporal_degree(g, 1, 1, time_window=1) == 2  # edges 0-1@0 and 1-2@1
+        neigh, _ = first_order_neighbors(g, 1, 1, time_window=1)
+        assert neigh.size == 2  # edges 0-1@0 and 1-2@1
 
     def test_degree_weighted_by_window(self):
         g = chain_graph()
-        assert temporal_degree(g, 0, 0, time_window=0) == 1
-        assert temporal_degree(g, 0, 0, time_window=5) == 2
-
-
-class TestBFSNeighborhood:
-    def test_hop_limit(self):
-        g = chain_graph()
-        one_hop = temporal_neighborhood(g, 0, 0, max_hops=1, time_window=5)
-        assert (1, 0) in one_hop
-        assert all(node != 2 for node, _ in one_hop)
-        two_hop = temporal_neighborhood(g, 0, 0, max_hops=2, time_window=5)
-        assert any(node == 2 for node, _ in two_hop)
-
-    def test_window_enforced_globally(self):
-        g = chain_graph()
-        hood = temporal_neighborhood(g, 0, 0, max_hops=3, time_window=1)
-        # edge 2-3@2 is outside |t - 0| <= 1, so (3, 2) must not appear.
-        assert (3, 2) not in hood
-
-    def test_excludes_center(self):
-        g = chain_graph()
-        hood = temporal_neighborhood(g, 0, 0, max_hops=2, time_window=5)
-        assert (0, 0) not in hood
-
-    def test_empty_for_isolated(self):
-        g = TemporalGraph(3, [0], [1], [0])
-        assert temporal_neighborhood(g, 2, 0, max_hops=2, time_window=5) == set()
+        assert first_order_neighbors(g, 0, 0, time_window=0)[0].size == 1
+        assert first_order_neighbors(g, 0, 0, time_window=5)[0].size == 2

@@ -1,22 +1,19 @@
-"""Tests for temporal graph transformations and null models."""
+"""Tests for the null-model transforms and the ``perturb_edges`` test helper."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from perturb import perturb_edges
 from strategies import SLOW_SETTINGS
 
 from repro.errors import GraphFormatError
 from repro.graph import (
     TemporalGraph,
     cumulative_snapshots,
-    perturb_edges,
-    relabel_nodes,
-    reverse_time,
     rewire_degree_preserving,
     shuffle_timestamps,
-    subsample_nodes,
 )
 from repro.metrics import compute_all_statistics, triangle_count
 
@@ -164,81 +161,6 @@ class TestPerturbEdges:
         assert deviation(0.8) > deviation(0.1)
 
 
-class TestReverseTime:
-    def test_involution(self):
-        g = sample_graph()
-        assert reverse_time(reverse_time(g)) == g
-
-    def test_timestamps_reflected(self):
-        g = TemporalGraph(3, [0, 1, 2], [1, 2, 0], [0, 1, 2])
-        assert reverse_time(g).t.tolist() == [2, 1, 0]
-
-    def test_static_structure_preserved(self):
-        g = sample_graph()
-        rev = reverse_time(g)
-        key = lambda gr: sorted(zip(gr.src.tolist(), gr.dst.tolist()))
-        assert key(rev) == key(g)
-
-
-class TestRelabel:
-    def test_identity_permutation(self):
-        g = sample_graph()
-        assert relabel_nodes(g, np.arange(g.num_nodes)) == g
-
-    def test_statistics_invariant(self):
-        g = sample_graph()
-        rng = np.random.default_rng(5)
-        perm = rng.permutation(g.num_nodes)
-        relabeled = relabel_nodes(g, perm)
-        obs = compute_all_statistics(cumulative_snapshots(g)[-1])
-        got = compute_all_statistics(cumulative_snapshots(relabeled)[-1])
-        for metric in obs:
-            assert got[metric] == pytest.approx(obs[metric]), metric
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(GraphFormatError):
-            relabel_nodes(sample_graph(), [0, 1, 2])
-
-    def test_non_bijection_rejected(self):
-        g = sample_graph()
-        bad = np.zeros(g.num_nodes, dtype=np.int64)
-        with pytest.raises(GraphFormatError):
-            relabel_nodes(g, bad)
-
-
-class TestSubsample:
-    def test_keeps_only_internal_edges(self):
-        g = TemporalGraph(4, [0, 1, 2], [1, 2, 3], [0, 0, 0])
-        sub = subsample_nodes(g, [0, 1, 2])
-        assert sub.num_nodes == 3
-        assert sub.num_edges == 2  # edge 2->3 dropped
-
-    def test_relabel_compacts_ids(self):
-        g = TemporalGraph(10, [7, 8], [8, 9], [0, 1], num_timestamps=2)
-        sub = subsample_nodes(g, [7, 8, 9])
-        assert sub.num_nodes == 3
-        assert sub.src.tolist() == [0, 1]
-        assert sub.dst.tolist() == [1, 2]
-
-    def test_no_relabel_keeps_universe(self):
-        g = TemporalGraph(10, [7, 8], [8, 9], [0, 1], num_timestamps=2)
-        sub = subsample_nodes(g, [7, 8, 9], relabel=False)
-        assert sub.num_nodes == 10
-        assert sub.src.tolist() == [7, 8]
-
-    def test_empty_subset_rejected(self):
-        with pytest.raises(GraphFormatError):
-            subsample_nodes(sample_graph(), [])
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(GraphFormatError):
-            subsample_nodes(sample_graph(), [0, 99])
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(GraphFormatError):
-            subsample_nodes(sample_graph(), [0, 0, 1])
-
-
 # ----------------------------------------------------------------------
 # Property-based tests
 # ----------------------------------------------------------------------
@@ -275,17 +197,3 @@ class TestProperties:
             np.bincount(rewired.dst, minlength=g.num_nodes),
             np.bincount(g.dst, minlength=g.num_nodes),
         )
-
-    @given(temporal_graphs())
-    @SLOW_SETTINGS
-    def test_reverse_time_involution(self, g):
-        assert reverse_time(reverse_time(g)) == g
-
-    @given(temporal_graphs(), st.integers(0, 2**16))
-    @SLOW_SETTINGS
-    def test_relabel_roundtrip(self, g, seed):
-        rng = np.random.default_rng(seed)
-        perm = rng.permutation(g.num_nodes)
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(g.num_nodes)
-        assert relabel_nodes(relabel_nodes(g, perm), inverse) == g

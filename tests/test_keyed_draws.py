@@ -13,14 +13,10 @@ import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
 
+from draw_oracle import sample_rows_without_replacement
+
 from repro.core import TGAEGenerator, fast_config
-from repro.core.engine import (
-    _REPEAT,
-    _keyed_uniforms,
-    race_order,
-    repeat_columns,
-    sample_rows_without_replacement,
-)
+from repro.core.engine import _REPEAT, _keyed_uniforms, race_order, repeat_columns
 from repro.graph import TemporalGraph
 from repro.graph.ego_graph import counter_hash
 

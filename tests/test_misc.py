@@ -1,6 +1,5 @@
 """Coverage for small cross-cutting pieces: errors, base class, helpers."""
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -15,7 +14,6 @@ from repro import (
     TemporalGraph,
     TemporalGraphGenerator,
 )
-from repro.autograd import logsumexp, tensor
 from repro.bench import default_tgae_config
 from repro.datasets import communication_network
 
@@ -34,18 +32,6 @@ class TestErrorHierarchy:
 
     def test_gradient_error_is_runtime_error(self):
         assert issubclass(GradientError, RuntimeError)
-
-
-class TestLogSumExp:
-    def test_matches_numpy(self):
-        x = np.random.default_rng(0).standard_normal((3, 5))
-        out = logsumexp(tensor(x), axis=-1).numpy()
-        expected = np.log(np.exp(x).sum(axis=-1))
-        assert np.allclose(out, expected)
-
-    def test_stable_for_large_values(self):
-        out = logsumexp(tensor(np.array([[1000.0, 1000.0]])), axis=-1).numpy()
-        assert np.allclose(out, 1000.0 + np.log(2.0))
 
 
 class TestGeneratorBase:

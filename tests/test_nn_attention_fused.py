@@ -11,7 +11,9 @@ time encoding -- plus an independent finite-difference check.
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, check_gradients, concat, segment_softmax
+from attention_oracle import segment_softmax
+
+from repro.autograd import Tensor, check_gradients, concat
 from repro.nn import TemporalGraphAttention
 from repro.nn.attention import LOGIT_COLUMNS
 

@@ -1,23 +1,11 @@
-"""Tests for the layer zoo: Linear, Embedding, MLP, LayerNorm, activations, RNN cells."""
+"""Tests for the layers: Linear, Embedding, MLP, ReLU, RNN cells."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import tensor
 from repro.errors import ConfigError
-from repro.nn import (
-    MLP,
-    Embedding,
-    GRUCell,
-    LayerNorm,
-    LeakyReLU,
-    Linear,
-    LSTMCell,
-    ReLU,
-    Sequential,
-    Sigmoid,
-    Tanh,
-)
+from repro.nn import MLP, Embedding, GRUCell, Linear, LSTMCell, ReLU
 
 
 class TestLinear:
@@ -103,46 +91,11 @@ class TestActivationModules:
         "module,fn",
         [
             (ReLU(), lambda x: np.maximum(x, 0)),
-            (Tanh(), np.tanh),
-            (Sigmoid(), lambda x: 1 / (1 + np.exp(-x))),
-            (LeakyReLU(0.2), lambda x: np.where(x > 0, x, 0.2 * x)),
         ],
     )
     def test_matches_numpy(self, module, fn):
         x = np.random.default_rng(0).standard_normal((3, 4))
         assert np.allclose(module(tensor(x)).numpy(), fn(x))
-
-
-class TestLayerNorm:
-    def test_normalises(self):
-        ln = LayerNorm(8)
-        x = tensor(np.random.default_rng(0).standard_normal((4, 8)) * 10 + 3)
-        out = ln(x).numpy()
-        assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-6)
-        assert np.allclose(out.std(axis=-1), 1.0, atol=1e-2)
-
-    def test_affine_params_learnable(self):
-        ln = LayerNorm(4)
-        ln(tensor(np.random.default_rng(1).standard_normal((2, 4)))).sum().backward()
-        assert ln.gamma.grad is not None
-        assert ln.beta.grad is not None
-
-    def test_invalid_dim(self):
-        with pytest.raises(ConfigError):
-            LayerNorm(0)
-
-
-class TestSequential:
-    def test_composition(self):
-        rng = np.random.default_rng(0)
-        seq = Sequential(Linear(3, 4, rng=rng), ReLU(), Linear(4, 2, rng=rng))
-        assert seq(tensor(np.ones((2, 3)))).shape == (2, 2)
-        assert len(seq) == 3
-
-    def test_indexing_and_append(self):
-        seq = Sequential(ReLU())
-        seq.append(Tanh())
-        assert isinstance(seq[1], Tanh)
 
 
 class TestGRUCell:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import MLP, Dropout, Linear, Module, ModuleList, Parameter, Sequential
+from repro.nn import MLP, Linear, Module, ModuleList, Parameter
 
 
 class _Custom(Module):
@@ -42,30 +42,11 @@ class TestParameterDiscovery:
 
 class TestModes:
     def test_train_eval_recursive(self):
-        m = Sequential(Linear(2, 2), Dropout(0.5), Linear(2, 2))
+        m = _Custom()
         m.eval()
         assert all(not mod.training for mod in m.modules())
         m.train()
         assert all(mod.training for mod in m.modules())
-
-    def test_dropout_inactive_in_eval(self):
-        d = Dropout(0.9, rng=np.random.default_rng(0))
-        d.eval()
-        x = np.ones((10, 10))
-        from repro.autograd import tensor
-
-        assert np.allclose(d(tensor(x)).numpy(), x)
-
-    def test_dropout_active_in_train(self):
-        d = Dropout(0.5, rng=np.random.default_rng(0))
-        from repro.autograd import tensor
-
-        out = d(tensor(np.ones((20, 20)))).numpy()
-        assert (out == 0).any()
-
-    def test_dropout_invalid_p(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
 
 
 class TestStateDict:

@@ -1,4 +1,4 @@
-"""Tests for optimizers, schedulers, and gradient clipping."""
+"""Tests for the optimizer base, Adam, and gradient clipping."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.autograd import tensor
 from repro.errors import ConfigError
 from repro.nn.module import Parameter
-from repro.optim import SGD, Adam, ConstantLR, ExponentialDecayLR, StepLR, clip_grad_norm
+from repro.optim import Adam, clip_grad_norm
 
 
 def quadratic_loss(param: Parameter):
@@ -24,41 +24,6 @@ def run_steps(optimizer, param, steps):
     return quadratic_loss(param).item()
 
 
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        param = Parameter(np.zeros(4))
-        final = run_steps(SGD([param], lr=0.1), param, 100)
-        assert final < 1e-6
-        assert np.allclose(param.data, 3.0, atol=1e-3)
-
-    def test_momentum_accelerates(self):
-        p1 = Parameter(np.zeros(4))
-        p2 = Parameter(np.zeros(4))
-        plain = run_steps(SGD([p1], lr=0.01), p1, 30)
-        momentum = run_steps(SGD([p2], lr=0.01, momentum=0.9), p2, 30)
-        assert momentum < plain
-
-    def test_weight_decay_shrinks_solution(self):
-        param = Parameter(np.zeros(2))
-        run_steps(SGD([param], lr=0.1, weight_decay=1.0), param, 200)
-        # Decay pulls the optimum below 3.
-        assert np.all(param.data < 3.0)
-        assert np.all(param.data > 0.0)
-
-    def test_skips_parameters_without_grad(self):
-        param = Parameter(np.ones(2))
-        SGD([param], lr=0.1).step()  # no backward happened
-        assert np.allclose(param.data, 1.0)
-
-    def test_empty_parameters_rejected(self):
-        with pytest.raises(ConfigError):
-            SGD([], lr=0.1)
-
-    def test_negative_lr_rejected(self):
-        with pytest.raises(ConfigError):
-            SGD([Parameter(np.ones(1))], lr=-0.1)
-
-
 class TestAdam:
     def test_converges_on_quadratic(self):
         param = Parameter(np.zeros(4))
@@ -73,6 +38,19 @@ class TestAdam:
         loss.backward()
         opt.step()
         assert abs(abs(param.data[0]) - 0.1) < 1e-3
+
+    def test_skips_parameters_without_grad(self):
+        param = Parameter(np.ones(2))
+        Adam([param], lr=0.1).step()  # no backward happened
+        assert np.allclose(param.data, 1.0)
+
+    def test_empty_parameters_rejected(self):
+        with pytest.raises(ConfigError):
+            Adam([], lr=0.1)
+
+    def test_negative_lr_rejected(self):
+        with pytest.raises(ConfigError):
+            Adam([Parameter(np.ones(1))], lr=-0.1)
 
     def test_invalid_betas(self):
         with pytest.raises(ConfigError):
@@ -121,21 +99,8 @@ class TestOptimizerState:
         assert not np.any(opt.state_dict()["slots"]["m"]["w"] == 99.0)
 
     def test_positional_parameters_get_synthetic_names(self):
-        opt = SGD([Parameter(np.zeros(2)), Parameter(np.zeros(3))], lr=0.1, momentum=0.9)
-        assert set(opt.state_dict()["slots"]["velocity"]) == {"param.0", "param.1"}
-
-    def test_sgd_velocity_roundtrip(self):
-        ref_param = Parameter(np.zeros(4))
-        ref_opt = SGD([("w", ref_param)], lr=0.05, momentum=0.9)
-        run_steps(ref_opt, ref_param, 8)
-
-        param = Parameter(np.zeros(4))
-        opt = SGD([("w", param)], lr=0.05, momentum=0.9)
-        run_steps(opt, param, 4)
-        resumed = SGD([("w", param)], lr=0.05, momentum=0.9)
-        resumed.load_state_dict(opt.state_dict())
-        run_steps(resumed, param, 4)
-        np.testing.assert_array_equal(param.data, ref_param.data)
+        opt = Adam([Parameter(np.zeros(2)), Parameter(np.zeros(3))], lr=0.1)
+        assert set(opt.state_dict()["slots"]["m"]) == {"param.0", "param.1"}
 
     def test_rejects_name_mismatch(self):
         _, opt = self._trained_adam()
@@ -153,9 +118,10 @@ class TestOptimizerState:
 
     def test_rejects_slot_mismatch(self):
         _, opt = self._trained_adam()
-        sgd = SGD([("w", Parameter(np.zeros(3)))], lr=0.1, momentum=0.9)
+        snapshot = opt.state_dict()
+        snapshot["slots"]["velocity"] = snapshot["slots"].pop("v")
         with pytest.raises(ConfigError, match="slots"):
-            sgd.load_state_dict(opt.state_dict())
+            opt.load_state_dict(snapshot)
 
     def test_load_casts_to_live_buffer_dtype(self):
         _, opt = self._trained_adam()
@@ -166,7 +132,7 @@ class TestOptimizerState:
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
-            SGD([("w", Parameter(np.zeros(1))), ("w", Parameter(np.zeros(1)))], lr=0.1)
+            Adam([("w", Parameter(np.zeros(1))), ("w", Parameter(np.zeros(1)))], lr=0.1)
 
 
 class TestClip:
@@ -186,32 +152,3 @@ class TestClip:
     def test_no_grads_is_zero(self):
         assert clip_grad_norm([Parameter(np.zeros(2))], 1.0) == 0.0
 
-
-class TestSchedulers:
-    def _opt(self):
-        return SGD([Parameter(np.zeros(1))], lr=1.0)
-
-    def test_constant(self):
-        sched = ConstantLR(self._opt())
-        for _ in range(5):
-            assert sched.step() == 1.0
-
-    def test_step_lr(self):
-        opt = self._opt()
-        sched = StepLR(opt, step_size=2, gamma=0.5)
-        lrs = [sched.step() for _ in range(4)]
-        assert lrs == [1.0, 0.5, 0.5, 0.25]
-
-    def test_exponential(self):
-        opt = self._opt()
-        sched = ExponentialDecayLR(opt, gamma=0.9)
-        sched.step()
-        assert opt.lr == pytest.approx(0.9)
-        sched.step()
-        assert opt.lr == pytest.approx(0.81)
-
-    def test_invalid_params(self):
-        with pytest.raises(ConfigError):
-            StepLR(self._opt(), step_size=0)
-        with pytest.raises(ConfigError):
-            ExponentialDecayLR(self._opt(), gamma=1.5)
