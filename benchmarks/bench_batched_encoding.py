@@ -8,8 +8,8 @@ grid for two execution strategies over the *same* sampled ego-graphs:
 * **per-node** -- the sequential path: one single-ego ``pack_ego_batch``
   + one encoder forward per ego-graph, exactly what a non-batched
   implementation of Alg. 1/2 does;
-* **batched** -- the padded ego-parallel path: ``pack_ego_batch`` packs a
-  chunk of ego-graphs into padded index tensors + masks and the encoder
+* **batched** -- the ego-parallel path: ``pack_ego_batch`` packs a chunk
+  of ego-graphs into flat per-level node and edge arrays and the encoder
   runs one vectorised forward per chunk.
 
 Both paths produce numerically identical centre representations (asserted

@@ -24,9 +24,9 @@ The batched ego-graph encoding pipeline
 ---------------------------------------
 The hot path of both training and Sec. IV-G generation is encoding one
 k-radius ego-graph per active temporal node.  ``repro.graph.EgoTile.packed``
-lays a tile of ego-graphs out as padded k-bipartite tables (index tensors +
-masks) and ``repro.core.TGAEEncoder`` runs **one** vectorised forward per
-batch.  The packer has two layouts:
+lays a tile of ego-graphs out as flat k-bipartite tables (per level, the
+tables' rows stacked with no padding and one edge list over them) and
+``repro.core.TGAEEncoder`` runs **one** vectorised forward per batch.  The packer has two layouts:
 
 * ``packed()`` gives each ego-graph its own tables -- numerically identical
   to encoding each ego-graph on its own, several times faster, and the

@@ -67,7 +67,7 @@ class TGAEConfig:
         Selects the *training* encoder layout, the ``merge`` parameter of
         :meth:`repro.graph.EgoTile.packed` (``merge=not packed_batches``).
         When ``True`` (default), each ego-graph of a minibatch gets its own
-        padded tables -- one vectorised forward per batch of temporal
+        tables -- one vectorised forward per batch of temporal
         nodes, each ego-graph encoded independently exactly as in the
         per-node path.  When ``False``, all ego-graphs share one table per
         level: the merged k-bipartite layout of Fig. 4 (cross-ego node

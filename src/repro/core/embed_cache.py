@@ -48,7 +48,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..graph.temporal_graph import TemporalGraph
+from ..graph.temporal_graph import TemporalGraph, sorted_unique
 
 _STAT_KEYS = (
     "hit_rows",
@@ -221,34 +221,38 @@ def dirty_temporal_nodes(
     exactly ``s`` with ``|s - s_p| <= time_window``.  The union over all
     ``radius`` levels is a sound superset of the changed rows (append-only
     edits never un-reach a query point).  Encodes are row-invariant, so no
-    other row is affected.  Returns sorted ``u * T + t`` keys.
+    other row is affected.  Each level is array-level: one ``searchsorted``
+    of the frontier's keys on the incidence CSR's ``(node, time)`` keys,
+    then window expansion of the partners found.  Returns sorted
+    ``u * T + t`` keys.
     """
     T = int(graph.num_timestamps)
+    offsets = np.arange(-int(time_window), int(time_window) + 1)
+
+    def windows(nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Sorted unique keys ``(x, s)`` with ``|s - t| <= time_window``."""
+        s = times[:, None] + offsets
+        inside = (s >= 0) & (s < T)
+        return sorted_unique((nodes[:, None] * T + s)[inside])
+
     new_t = np.asarray(new_t, dtype=np.int64)
     nodes = np.concatenate(
         [np.asarray(new_src, dtype=np.int64), np.asarray(new_dst, dtype=np.int64)]
     )
-    times = np.concatenate([new_t, new_t])
-    frontier = set()
-    for x, te in zip(nodes.tolist(), times.tolist()):
-        for s in range(max(te - time_window, 0), min(te + time_window, T - 1) + 1):
-            frontier.add((x, s))
-    dirty = set(frontier)
+    frontier = dirty = windows(nodes, np.concatenate([new_t, new_t]))
+    inc = graph.incidence
     for _ in range(max(int(radius) - 1, 0)):
-        next_frontier = set()
-        for x, s in frontier:
-            partners, event_times = graph.incident_events(int(x))
-            preds = np.unique(partners[event_times == s])
-            for p in preds.tolist():
-                lo, hi = max(s - time_window, 0), min(s + time_window, T - 1)
-                for s_p in range(lo, hi + 1):
-                    key = (p, s_p)
-                    if key not in dirty:
-                        dirty.add(key)
-                        next_frontier.add(key)
-        if not next_frontier:
+        # The events of frontier node x at exactly time s are one slice of
+        # the (node, time)-sorted incidence keys, which encode as x * T + s.
+        lo = inc["keys"].searchsorted(frontier)
+        count = inc["keys"].searchsorted(frontier, side="right") - lo
+        slot = np.arange(frontier.size).repeat(count)
+        events = lo[slot] + np.arange(slot.size) - (count.cumsum() - count)[slot]
+        reached = windows(inc["other"][events], frontier[slot] % T)
+        seen = dirty.searchsorted(reached)
+        seen[seen == dirty.size] = 0
+        frontier = reached[dirty[seen] != reached]
+        if not frontier.size:
             break
-        frontier = next_frontier
-    return np.sort(
-        np.fromiter((x * T + s for x, s in dirty), dtype=np.int64, count=len(dirty))
-    )
+        dirty = np.sort(np.concatenate([dirty, frontier]))
+    return dirty

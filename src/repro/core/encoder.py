@@ -127,8 +127,7 @@ class TGAEEncoder(Module):
         ``X^{(t)}`` of Alg. 1 provides in the original formulation.  When an
         external feature matrix is attached, its projection is added.
 
-        ``temporal_nodes`` may carry leading batch dimensions -- ``(n, 2)``
-        and the padded ``(batch, n, 2)`` layout are both supported.
+        ``temporal_nodes`` is ``(n, 2)``.
         """
         feat_w = self.feature_proj.weight if self.feature_proj is not None else None
         feat_b = self.feature_proj.bias if self.feature_proj is not None else None
@@ -220,42 +219,22 @@ class TGAEEncoder(Module):
         One TGAT layer is applied per bipartite level, from the outermost
         (hop ``k``) inward; level nesting guarantees every target also
         receives its own previous representation through its self-loop
-        edge.  Only real rows are encoded: each level's tables are
-        flattened table-major with their padding rows dropped, and its real
-        edges are re-indexed onto the kept rows, so one flat layer call
-        covers every table.  With one table per ego the result matches
-        encoding each ego-graph on its own; the merged layout's shared table
-        is read out at ``center_index``.
+        edge.  Each level's stacked tables and edges go to one flat layer
+        call.  With one table per ego the result matches encoding each
+        ego-graph on its own; the merged layout's shared table is read out
+        at ``center_rows``.
         """
         radius = packed.radius
-        # Representations of the outermost level's real nodes.
-        current = self._level_input(packed.level_nodes[radius][packed.node_mask[radius]])
+        current = self._level_input(packed.nodes[radius])
         for level in range(radius, 0, -1):
-            layer = self.layers[radius - level]
             edges = packed.levels[level - 1]
-            real = edges.edge_mask
-            target_feats = self._level_input(
-                packed.level_nodes[level - 1][packed.node_mask[level - 1]]
-            )
-            current = layer(
+            current = self.layers[radius - level](
                 h_src=current,
-                h_dst=target_feats,
-                src_index=_real_rows(packed.node_mask[level], edges.src_index)[real],
-                dst_index=_real_rows(packed.node_mask[level - 1], edges.dst_index)[real],
-                delta_t=edges.delta_t[real],
+                h_dst=self._level_input(packed.nodes[level - 1]),
+                src_index=edges.src,
+                dst_index=edges.dst,
+                delta_t=edges.delta_t,
             )
-        if packed.batch_size == packed.num_centers:
+        if packed.tables == packed.num_centers:
             return current  # one table per ego: its level 0 is the centre
-        return current.take_rows(_real_rows(packed.node_mask[0], packed.center_index[None])[0])
-
-
-def _real_rows(node_mask: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Positions among a level's real rows of per-table row indices.
-
-    ``node_mask`` is the level's ``(tables, n)`` mask and ``index`` is
-    ``(tables, k)`` rows of each table; the real rows are numbered
-    table-major, the order ``level_nodes[l][node_mask[l]]`` lists them in.
-    """
-    tables, width = node_mask.shape
-    rank = np.cumsum(node_mask.reshape(-1)) - 1
-    return rank[index + np.arange(tables, dtype=np.int64)[:, None] * width]
+        return current.take_rows(packed.center_rows)

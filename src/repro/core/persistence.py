@@ -22,7 +22,7 @@ import os
 import warnings
 import zipfile
 import zlib
-from typing import Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -166,8 +166,10 @@ def load_generator(path: PathLike, dtype: Optional[str] = None) -> TGAEGenerator
     graph arrays are not 1-D integer arrays or fall outside its recorded
     universe, one whose features do not fit that universe or its dtype
     policy, one with a mistyped config or metadata value (a count that is
-    not an ``int`` is never truncated), or one with a NaN or infinite
-    parameter raises :class:`ConfigError`.
+    not an ``int`` is never truncated), one whose recorded counts or config
+    sizes do not give its stored parameter shapes (checked before the model
+    is built, so a huge recorded size allocates nothing), or one with a NaN
+    or infinite parameter raises :class:`ConfigError`.
     """
     try:
         return _read_generator(path, dtype)
@@ -192,6 +194,53 @@ def _meta_int(value, name: str, path: PathLike) -> int:
             f"checkpoint {path!s} records {name}={value!r}; expected an integer"
         )
     return value
+
+
+def _parameter_shapes(
+    num_nodes: int, num_timestamps: int, config: TGAEConfig, feature_dim: int
+) -> Dict[str, Tuple[int, ...]]:
+    """The parameter shapes of ``TGAEModel(num_nodes, num_timestamps, config)``.
+
+    Worked out without allocating anything, so the loader can check an
+    archive's recorded sizes against its stored parameters before it
+    builds the model.
+    """
+    embed, hidden, latent = config.embed_dim, config.hidden_dim, config.latent_dim
+    heads, time_dim = config.num_heads, config.time_dim
+    head = max(hidden // heads, 1)
+    shapes = {
+        "encoder.node_embedding.weight": (num_nodes, embed),
+        "encoder.time_embedding.weight": (num_timestamps, embed),
+        "encoder.input_proj.weight": (embed, hidden),
+        "encoder.input_proj.bias": (hidden,),
+    }
+    if feature_dim:
+        shapes["encoder.feature_proj.weight"] = (feature_dim, embed)
+        shapes["encoder.feature_proj.bias"] = (embed,)
+    for index in range(config.radius):
+        layer = f"encoder.layers.items.{index}."
+        shapes.update({
+            layer + "w_src": (heads, hidden, head),
+            layer + "w_dst": (heads, hidden, head),
+            layer + "attn_src": (heads, head),
+            layer + "attn_dst": (heads, head),
+            layer + "w_out": (heads * head, hidden),
+            layer + "bias": (hidden,),
+        })
+        if time_dim > 0:
+            shapes.update({
+                layer + "time_encoding.frequency": (time_dim,),
+                layer + "time_encoding.phase": (time_dim,),
+                layer + "w_time": (heads, time_dim, head),
+            })
+    for mlp in ("mlp_mu", "mlp_sigma") if config.probabilistic else ("mlp_mu",):
+        for index, (fan_in, fan_out) in enumerate([(embed, hidden), (hidden, latent)]):
+            shapes[f"decoder.{mlp}.linears.items.{index}.weight"] = (fan_in, fan_out)
+            shapes[f"decoder.{mlp}.linears.items.{index}.bias"] = (fan_out,)
+    shapes["decoder.latent_proj"] = (latent, hidden)
+    shapes["decoder.w_dec"] = (hidden, num_nodes)
+    shapes["decoder.b_dec"] = (num_nodes,)
+    return shapes
 
 
 def _read_generator(path: PathLike, dtype: Optional[str]) -> TGAEGenerator:
@@ -286,10 +335,23 @@ def _read_generator(path: PathLike, dtype: Optional[str]) -> TGAEGenerator:
                 )
             edges.append(array)
         observed = TemporalGraph(num_nodes, *edges, num_timestamps=num_timestamps)
-        model = TGAEModel(
-            num_nodes, num_timestamps, config,
-            feature_dim=features.shape[-1] if features is not None else 0,
-        )
+        feature_dim = features.shape[-1] if features is not None else 0
+        if config.radius > len(state):
+            # Every layer stores parameters; a damaged radius is never enumerated.
+            wrong = ["encoder.layers"]
+        else:
+            expected = _parameter_shapes(num_nodes, num_timestamps, config, feature_dim)
+            wrong = sorted(
+                name for name in set(state) | set(expected)
+                if name not in state or state[name].shape != expected.get(name)
+            )
+        if wrong:
+            raise ConfigError(
+                f"checkpoint {path!s} records sizes (num_nodes={num_nodes}, "
+                f"num_timestamps={num_timestamps} and its config) that its "
+                f"stored parameters {wrong[:3]} do not have"
+            )
+        model = TGAEModel(num_nodes, num_timestamps, config, feature_dim=feature_dim)
         model.load_state_dict(state)
         model.encoder.set_external_features(features)
         model.eval()

@@ -32,33 +32,28 @@ from .ego_graph import EgoGraph, EgoTile
 
 @dataclass
 class PackedLevel:
-    """Padded edge tensors of one bipartite level across a batch of tables.
+    """The edges of one bipartite level, every table's edges in one list.
 
-    All arrays are ``(tables, max_edges)``; ``src_index[b, e]`` points into
-    table ``b``'s padded level-``l`` node table and ``dst_index[b, e]`` into
-    its level-``l-1`` table.  Entries with ``edge_mask[b, e] == False`` are
-    padding and must not contribute messages.
+    ``src[e]`` is a row of the level-``l`` node array and ``dst[e]`` a row
+    of the level-``l-1`` node array; ``delta_t[e]`` is the edge's time
+    offset ``t_dst - t_src``.  All three are ``(E_l,)``; a table's edges
+    are contiguous, in table order.
     """
 
-    src_index: np.ndarray
-    dst_index: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
     delta_t: np.ndarray
-    edge_mask: np.ndarray
-
-    @property
-    def num_edges(self) -> int:
-        """Total number of *real* (unmasked) edges in the level."""
-        return int(self.edge_mask.sum())
 
 
 @dataclass
 class PackedEgoBatch:
-    """A batch of layered ego-graphs in padded k-bipartite form.
+    """A batch of layered ego-graphs in flat k-bipartite form.
 
-    The leading dimension indexes *tables*.  In the default layout each
-    ego-graph is its own table, so encoding the batch is numerically
-    equivalent to encoding each ego-graph on its own, just vectorised over
-    the leading dimension; this is the layout of generation and of default
+    A level's node tables are stacked table-major into one array with no
+    padding, and its edges index those stacked rows, so one TGAT layer call
+    covers every table.  In the default layout each ego-graph is its own
+    table, so encoding the batch is numerically equivalent to encoding each
+    ego-graph on its own; this is the layout of generation and of default
     training.  In the merged layout of Fig. 4 (``packed_batches=False``
     training) there is one table shared by every ego-graph, so a temporal
     node common to several egos is stored once and aggregates the messages
@@ -66,24 +61,24 @@ class PackedEgoBatch:
 
     Attributes
     ----------
-    level_nodes:
-        ``level_nodes[l]`` is ``(tables, n_l, 2)`` of padded
-        ``(node_id, timestamp)`` pairs at hop ``l``; padding rows are zeros.
-    node_mask:
-        ``node_mask[l]`` is ``(tables, n_l)`` with ``True`` on real rows.
+    nodes:
+        ``nodes[l]`` is ``(N_l, 2)``: the ``(node_id, timestamp)`` rows of
+        every table at hop ``l``, table by table.
     levels:
-        ``levels[l-1]`` holds the padded edges from level ``l`` sources to
-        level ``l-1`` targets.
-    center_index:
-        ``(num_centers,)`` row of each centre inside its level-0 table:
-        all zeros with one table per ego (level 0 holds exactly the
-        centre), the centre's row of the shared table when merged.
+        ``levels[l-1]`` holds the edges from level ``l`` sources to level
+        ``l-1`` targets.
+    center_rows:
+        ``(num_centers,)`` row of each centre in ``nodes[0]``: ``arange``
+        with one table per ego (level 0 holds exactly the centres), the
+        centre's row of the shared table when merged.
+    tables:
+        Number of tables: one per ego-graph, or 1 when merged.
     """
 
-    level_nodes: List[np.ndarray]
-    node_mask: List[np.ndarray]
+    nodes: List[np.ndarray]
     levels: List[PackedLevel]
-    center_index: np.ndarray
+    center_rows: np.ndarray
+    tables: int
 
     @property
     def radius(self) -> int:
@@ -91,32 +86,24 @@ class PackedEgoBatch:
         return len(self.levels)
 
     @property
-    def batch_size(self) -> int:
-        """Number of tables (one per ego-graph unless merged)."""
-        return int(self.level_nodes[0].shape[0])
-
-    @property
     def num_centers(self) -> int:
         """Number of ego-graphs (one centre each)."""
-        return int(self.center_index.size)
+        return int(self.center_rows.size)
 
     @property
     def center_nodes(self) -> np.ndarray:
         """``(num_centers, 2)`` centre ``(node_id, timestamp)`` pairs."""
-        if self.batch_size == self.num_centers:  # one table per ego
-            return self.level_nodes[0][np.arange(self.batch_size), self.center_index]
-        return self.level_nodes[0][0, self.center_index]
+        return self.nodes[0][self.center_rows]
 
 
 def pack_ego_batch(ego_graphs: Sequence[EgoGraph]) -> PackedEgoBatch:
-    """Pack ego-graphs into one padded, ego-parallel k-bipartite batch.
+    """Pack ego-graphs into one flat, ego-parallel k-bipartite batch.
 
-    Each ego-graph keeps its own (deduplicated, nested) node tables; tables
-    and edge lists are right-padded to the batch maximum per level so the
-    encoder can run one vectorised forward over the whole batch.  Encoding
-    the result matches encoding each ego-graph individually, which makes
-    this the exact batched counterpart of the per-node hot path.  The
-    packer is :meth:`EgoTile.packed`, the one the tile sampler's batches
-    use.
+    Each ego-graph keeps its own (deduplicated, nested) node tables, stacked
+    per level so the encoder can run one vectorised forward over the whole
+    batch.  Encoding the result matches encoding each ego-graph
+    individually, which makes this the exact batched counterpart of the
+    per-node hot path.  The packer is :meth:`EgoTile.packed`, the one the
+    tile sampler's batches use.
     """
     return EgoTile.from_egos(ego_graphs).packed()

@@ -68,10 +68,12 @@ class EgoGraph:
 
     @property
     def radius(self) -> int:
+        """Ego-graph radius ``k`` (number of layers after the centre)."""
         return len(self.layers) - 1
 
     @property
     def num_nodes(self) -> int:
+        """Number of layer rows over all layers (a node may repeat across layers)."""
         return int(sum(layer.shape[0] for layer in self.layers))
 
     def all_nodes(self) -> np.ndarray:
@@ -166,7 +168,7 @@ class EgoTile:
         ``edges[l-1]`` is ``(E_l, 2)`` of ``(child row in nodes[l], parent
         row in nodes[l-1])``, grouped by ego in ego order.
 
-    Three views: :meth:`packed` (the padded k-bipartite batch, per ego or
+    Three views: :meth:`packed` (the flat k-bipartite batch, per ego or
     merged as in Fig. 4), :meth:`egos` (per-ego :class:`EgoGraph` objects)
     and :meth:`from_egos` (the inverse of :meth:`egos`).
     """
@@ -183,10 +185,12 @@ class EgoTile:
 
     @property
     def radius(self) -> int:
+        """Ego-graph radius ``k`` (number of hops sampled)."""
         return len(self.edges)
 
     @property
     def batch_size(self) -> int:
+        """Number of ego-graphs (one per centre) in the tile."""
         return int(self.nodes[0].shape[0])
 
     @classmethod
@@ -240,19 +244,19 @@ class EgoTile:
         return out
 
     def packed(self, merge: bool = False) -> PackedEgoBatch:
-        """The tile's k-bipartite computation graphs as one padded batch.
+        """The tile's k-bipartite computation graphs as one flat batch.
 
         ``merge=False`` gives each ego its own tables (the ego-parallel
         layout); ``merge=True`` gives every row one owner, so all egos share
-        one table per level and a batch of one (the merged, cross-ego
-        deduplicated layout of Fig. 4).  Per table and level ``l``, the
-        node table is the sorted union of the layer-``l`` rows it owns and
-        its level ``l-1`` table (nesting); level 0 holds the centres.  The
-        edges are the sampled edges in tile order, the first of each ``(src
-        row, dst row)`` pair kept, followed by one zero-offset self edge per
-        level ``l-1`` row.  Tables and edge lists are right-padded to the
-        widest table, with zero padding; ``center_index`` is each centre's
-        row in its level-0 table.
+        one table per level (the merged, cross-ego deduplicated layout of
+        Fig. 4).  Per table and level ``l``, the node table is the sorted
+        union of the layer-``l`` rows it owns and its level ``l-1`` table
+        (nesting); level 0 holds the centres.  A level's tables are stacked
+        in table order with no padding.  Per table, the edges are the
+        sampled edges in tile order, the first of each ``(src row, dst
+        row)`` pair kept, followed by one zero-offset self edge per level
+        ``l-1`` row; the tables' edge lists follow each other in table
+        order.  ``center_rows`` is each centre's row of level 0.
         """
         from . import bipartite
 
@@ -267,7 +271,7 @@ class EgoTile:
         table_range = np.arange((1 if merge else batch) + 1)
         # Tables are kept as sorted ``(owner, node, time)`` keys.
         table_keys = np.zeros(0, dtype=np.int64)
-        level_nodes, node_mask, levels = [], [], []
+        level_nodes, levels = [], []
         for level in range(self.radius + 1):
             layer = self.nodes[level]
             keys = np.concatenate(
@@ -283,57 +287,38 @@ class EgoTile:
             within = table_keys - table_owner * stride
             table_u = within // time_mod
             table_t = within - table_u * time_mod
-            table_off = table_owner.searchsorted(table_range)
-            counts = table_off[1:] - table_off[:-1]
-            mask = np.arange(counts.max()) < counts[:, None]
-            nodes = np.zeros(mask.shape + (2,), dtype=np.int64)
-            nodes[mask] = _pairs(table_u, table_t)  # row-major == owner-major
-            level_nodes.append(nodes)
-            node_mask.append(mask)
+            level_nodes.append(_pairs(table_u, table_t))
             if level == 0:
-                center_index = layer_map - table_off[owners[0]]
+                center_rows = layer_map
             else:
-                # Per table: the sampled edges in tile order, then the
-                # nesting self-loops in level l-1 table order.
                 edges = self.edges[level - 1]
                 sampled_src, sampled_dst = layer_map[edges[:, 0]], row_map[edges[:, 1]]
                 if merge:  # an edge sampled by several egos is stored once
                     first, _ = _first_seen(sampled_src * prev_owner.size + sampled_dst)
                     sampled_src, sampled_dst = sampled_src[first], sampled_dst[first]
+                # Per table: the sampled edges in tile order (already grouped
+                # by table), then the nesting self-loops in level l-1 order.
+                # Table b's edges start after the sampled edges and level
+                # l-1 rows of tables before it.
                 sampled_owner = table_owner[sampled_src]
-                sampled_off = sampled_owner.searchsorted(table_range)
-                sampled_count = sampled_off[1:] - sampled_off[:-1]
-                owner = np.concatenate([sampled_owner, prev_owner])
+                sampled_end = sampled_owner.searchsorted(table_range[1:])
                 prev_rows = np.arange(prev_owner.size)
-                col = np.concatenate([
-                    np.arange(sampled_src.size) - sampled_off[sampled_owner],
-                    sampled_count[prev_owner] + prev_rows - prev_off[prev_owner],
-                ])
-                src = np.concatenate([sampled_src, nest_map])
-                dst = np.concatenate([sampled_dst, prev_rows])
-                edge_counts = sampled_count + (prev_off[1:] - prev_off[:-1])
-                edge_mask = np.arange(edge_counts.max()) < edge_counts[:, None]
-                src_index = np.zeros(edge_mask.shape, dtype=np.int64)
-                dst_index = np.zeros(edge_mask.shape, dtype=np.int64)
-                delta_t = np.zeros(edge_mask.shape, dtype=np.float64)
-                src_index[owner, col] = src - table_off[owner]
-                dst_index[owner, col] = dst - prev_off[owner]
-                delta_t[owner, col] = prev_t[dst] - table_t[src]
-                levels.append(
-                    bipartite.PackedLevel(
-                        src_index=src_index,
-                        dst_index=dst_index,
-                        delta_t=delta_t,
-                        edge_mask=edge_mask,
-                    )
-                )
-            # This level's table parents the next; row_map: nodes[l] row -> table row.
-            prev_owner, prev_off, prev_t, row_map = table_owner, table_off, table_t, layer_map
+                src = np.empty(sampled_src.size + prev_rows.size, dtype=np.int64)
+                dst = np.empty_like(src)
+                at = np.arange(sampled_src.size) + prev_off[sampled_owner]
+                src[at], dst[at] = sampled_src, sampled_dst
+                at = sampled_end[prev_owner] + prev_rows
+                src[at], dst[at] = nest_map, prev_rows
+                delta_t = (prev_t[dst] - table_t[src]).astype(np.float64)
+                levels.append(bipartite.PackedLevel(src=src, dst=dst, delta_t=delta_t))
+            # This level's tables parent the next; row_map: nodes[l] row -> table row.
+            prev_owner, prev_t, row_map = table_owner, table_t, layer_map
+            prev_off = table_owner.searchsorted(table_range)
         return bipartite.PackedEgoBatch(
-            level_nodes=level_nodes,
-            node_mask=node_mask,
+            nodes=level_nodes,
             levels=levels,
-            center_index=center_index,
+            center_rows=center_rows,
+            tables=table_range.size - 1,
         )
 
 

@@ -200,91 +200,99 @@ class TemporalGraphAttention(Module):
         src_index: np.ndarray,
         dst_index: np.ndarray,
         delta_t: Optional[np.ndarray] = None,
-        edge_mask: Optional[np.ndarray] = None,
     ) -> Tensor:
         """Aggregate source messages into target representations.
 
-        Two input layouts are supported:
-
-        * **Flat** (one merged bipartite graph): ``h_src`` is
-          ``(n_src, in_features)``, ``h_dst`` is ``(n_dst, in_features)``
-          and the index arrays are ``(n_edges,)``.
-        * **Batched/padded** (one independent bipartite graph per leading
-          batch row, e.g. a :class:`~repro.graph.bipartite.PackedEgoBatch`
-          level): ``h_src`` is ``(batch, n_src, in_features)``, ``h_dst`` is
-          ``(batch, n_dst, in_features)``, the index arrays (and optional
-          ``delta_t`` / ``edge_mask``) are ``(batch, n_edges)``, and the
-          output is ``(batch, n_dst, out_features)``.
+        The edges, in any order, are stably sorted by target once here, so
+        every head's segment reductions run over contiguous runs without
+        sorting again.  In checkpoint mode the time encoding and each head
+        become recompute-in-backward units
+        (:func:`repro.autograd.checkpoint`): the O(edges * head_dim)
+        intermediates of at most *one head* exist at any moment of the
+        backward pass, instead of every head of every layer staying alive
+        from forward to backward.
 
         Parameters
         ----------
         h_src:
-            Source-node representations.
+            ``(n_src, in_features)`` source-node representations.
         h_dst:
-            Target-node representations (used only for attention scoring;
-            self-information should be provided via a self-loop edge, which
-            the sampler adds).
+            ``(n_dst, in_features)`` target-node representations (used only
+            for attention scoring; self-information should be provided via
+            a self-loop edge, which the sampler adds).
         src_index, dst_index:
-            Parallel integer arrays defining the bipartite edges: edge ``e``
-            flows ``src_index[e] -> dst_index[e]`` (within its batch row in
-            the padded layout).
+            Parallel ``(n_edges,)`` integer arrays defining the bipartite
+            edges: edge ``e`` flows ``src_index[e] -> dst_index[e]``.
+            Several independent bipartite graphs go in one call as one
+            block-diagonal graph (:class:`~repro.graph.PackedEgoBatch`).
         delta_t:
             Optional time differences ``t_dst - t_src`` for the temporal
             encoding, one per edge.
-        edge_mask:
-            Optional boolean array marking *real* edges in the padded
-            layout; ``False`` entries are padding, dropped before the kernel,
-            so they contribute nothing to any target.
+
+        Returns the ``(n_dst, out_features)`` target representations.
         """
         src_index = np.asarray(src_index, dtype=np.int64)
         dst_index = np.asarray(dst_index, dtype=np.int64)
-        if src_index.shape != dst_index.shape:
-            raise ShapeError("src_index and dst_index must have equal length")
-        if h_src.ndim == 3:
-            return self._forward_padded(
-                h_src, h_dst, src_index, dst_index, delta_t, edge_mask
+        if src_index.shape != dst_index.shape or src_index.ndim != 1:
+            raise ShapeError("src_index and dst_index must be 1-D and of equal length")
+        if h_src.ndim != 2 or h_dst.ndim != 2:
+            raise ShapeError("attention expects 2-D h_src and h_dst")
+        n_dst = h_dst.shape[0]
+        if src_index.shape[0] == 0:
+            return (
+                Tensor(np.zeros((n_dst, self.out_features), dtype=self.bias.data.dtype))
+                + self.bias
             )
-        return self._forward_flat(
-            h_src, h_dst, src_index, dst_index, delta_t, h_dst.shape[0]
+        order = np.argsort(dst_index, kind="stable")
+        src_index, dst_index = src_index[order], dst_index[order]
+        if delta_t is not None:
+            delta_t = np.asarray(delta_t)[order]
+        params = [self.w_src, self.w_dst, self.attn_src, self.attn_dst]
+        use_checkpoint = (
+            self.checkpoint
+            and is_grad_enabled()
+            and any(t.requires_grad for t in [h_src, h_dst] + params)
         )
+        time_feat = None
+        if self.time_encoding is not None and delta_t is not None:
+            if use_checkpoint:
+                time_feat = checkpoint(
+                    lambda frequency, phase: _time_encode(
+                        delta_t, frequency, phase, self.time_dim
+                    ),
+                    self.time_encoding.frequency,
+                    self.time_encoding.phase,
+                )
+            else:
+                time_feat = self.time_encoding(delta_t)
+        head_outputs = []
+        for head in range(self.num_heads):
+            if use_checkpoint:
+                if time_feat is not None:
+                    out_h = checkpoint(
+                        lambda hs, hd, tf, ws, wd, a_s, a_d, wt, _h=head: self._head(
+                            _h, src_index, dst_index, n_dst, hs, hd, tf,
+                            ws, wd, a_s, a_d, wt,
+                        ),
+                        h_src, h_dst, time_feat, *params, self.w_time,
+                    )
+                else:
+                    out_h = checkpoint(
+                        lambda hs, hd, ws, wd, a_s, a_d, _h=head: self._head(
+                            _h, src_index, dst_index, n_dst, hs, hd, None,
+                            ws, wd, a_s, a_d,
+                        ),
+                        h_src, h_dst, *params,
+                    )
+            else:
+                out_h = self._head(
+                    head, src_index, dst_index, n_dst, h_src, h_dst, time_feat,
+                    *params, self.w_time,
+                )
+            head_outputs.append(out_h)
+        stacked = concat(head_outputs, axis=1)
+        return stacked @ self.w_out + self.bias
 
-    def _forward_padded(
-        self,
-        h_src: Tensor,
-        h_dst: Tensor,
-        src_index: np.ndarray,
-        dst_index: np.ndarray,
-        delta_t: Optional[np.ndarray],
-        edge_mask: Optional[np.ndarray],
-    ) -> Tensor:
-        """Batched forward over per-ego padded bipartite graphs.
-
-        Each batch row is an independent bipartite graph; the whole batch is
-        flattened into one block-diagonal graph (per-row index offsets) so
-        the flat kernel computes every row concurrently.  Only the real
-        edges are kept: masked (padding) edges are dropped before the
-        kernel, so they cost nothing and reach no target.
-        """
-        if h_dst.ndim != 3 or src_index.ndim != 2:
-            raise ShapeError(
-                "padded attention expects 3-D h_src/h_dst and 2-D index arrays"
-            )
-        batch, n_src = h_src.shape[0], h_src.shape[1]
-        n_dst = h_dst.shape[1]
-        if h_dst.shape[0] != batch or src_index.shape[0] != batch:
-            raise ShapeError("batch dimension mismatch between inputs")
-        flat_src = h_src.reshape(batch * n_src, h_src.shape[2])
-        flat_dst = h_dst.reshape(batch * n_dst, h_dst.shape[2])
-        row_offset = np.arange(batch, dtype=np.int64)[:, None]
-        src_flat = (src_index + row_offset * n_src).reshape(-1)
-        dst_flat = (dst_index + row_offset * n_dst).reshape(-1)
-        dt_flat = None if delta_t is None else np.asarray(delta_t).reshape(-1)
-        if edge_mask is not None:
-            real = np.asarray(edge_mask, dtype=bool).reshape(-1)
-            src_flat, dst_flat = src_flat[real], dst_flat[real]
-            dt_flat = None if dt_flat is None else dt_flat[real]
-        out = self._forward_flat(flat_src, flat_dst, src_flat, dst_flat, dt_flat, batch * n_dst)
-        return out.reshape(batch, n_dst, self.out_features)
 
     def _head(
         self,
@@ -317,7 +325,7 @@ class TemporalGraphAttention(Module):
           each rather than a per-row reduction loop;
         * edges are grouped by target with one stable sort
           (:func:`~repro.autograd.tensor.segment_runs`; skipped when the
-          caller already sorted, as :meth:`_forward_flat` does), so the
+          caller already sorted, as :meth:`forward` does), so the
           segment max, the softmax denominator and the message sum are
           ``ufunc.reduceat`` over contiguous runs.
 
@@ -416,81 +424,6 @@ class TemporalGraphAttention(Module):
             out, tuple(parents), tuple(make_fn(i) for i in range(len(parents))),
             "tga_head",
         )
-
-    def _forward_flat(
-        self,
-        h_src: Tensor,
-        h_dst: Tensor,
-        src_index: np.ndarray,
-        dst_index: np.ndarray,
-        delta_t: Optional[np.ndarray],
-        n_dst: int,
-    ) -> Tensor:
-        """Shared per-head attention kernel over a flat edge list.
-
-        The edges, in any order, are stably sorted by target once here, so
-        every head's segment reductions run over contiguous runs without
-        sorting again.  In checkpoint mode the time encoding and each head
-        become recompute-in-backward units
-        (:func:`repro.autograd.checkpoint`): the O(edges * head_dim)
-        intermediates of at most *one head* exist at any moment of the
-        backward pass, instead of every head of every layer staying alive
-        from forward to backward.
-        """
-        if src_index.shape[0] == 0:
-            return (
-                Tensor(np.zeros((n_dst, self.out_features), dtype=self.bias.data.dtype))
-                + self.bias
-            )
-        order = np.argsort(dst_index, kind="stable")
-        src_index, dst_index = src_index[order], dst_index[order]
-        if delta_t is not None:
-            delta_t = np.asarray(delta_t)[order]
-        params = [self.w_src, self.w_dst, self.attn_src, self.attn_dst]
-        use_checkpoint = (
-            self.checkpoint
-            and is_grad_enabled()
-            and any(t.requires_grad for t in [h_src, h_dst] + params)
-        )
-        time_feat = None
-        if self.time_encoding is not None and delta_t is not None:
-            if use_checkpoint:
-                time_feat = checkpoint(
-                    lambda frequency, phase: _time_encode(
-                        delta_t, frequency, phase, self.time_dim
-                    ),
-                    self.time_encoding.frequency,
-                    self.time_encoding.phase,
-                )
-            else:
-                time_feat = self.time_encoding(delta_t)
-        head_outputs = []
-        for head in range(self.num_heads):
-            if use_checkpoint:
-                if time_feat is not None:
-                    out_h = checkpoint(
-                        lambda hs, hd, tf, ws, wd, a_s, a_d, wt, _h=head: self._head(
-                            _h, src_index, dst_index, n_dst, hs, hd, tf,
-                            ws, wd, a_s, a_d, wt,
-                        ),
-                        h_src, h_dst, time_feat, *params, self.w_time,
-                    )
-                else:
-                    out_h = checkpoint(
-                        lambda hs, hd, ws, wd, a_s, a_d, _h=head: self._head(
-                            _h, src_index, dst_index, n_dst, hs, hd, None,
-                            ws, wd, a_s, a_d,
-                        ),
-                        h_src, h_dst, *params,
-                    )
-            else:
-                out_h = self._head(
-                    head, src_index, dst_index, n_dst, h_src, h_dst, time_feat,
-                    *params, self.w_time,
-                )
-            head_outputs.append(out_h)
-        stacked = concat(head_outputs, axis=1)
-        return stacked @ self.w_out + self.bias
 
     def __repr__(self) -> str:
         return (

@@ -5,7 +5,10 @@ These are the original scalar loops the array-level tile sampler
 (:meth:`repro.graph.ego_graph.EgoTile.packed`) replaced, kept verbatim as
 test oracles: ``oracle_ego_graph`` walks one centre's layers parent by
 parent with ``sample_neighbors`` truncation, and ``oracle_pack_ego_batch``
-packs egos one at a time through ``_pack_single_ego``.  Their truncation
+packs egos one at a time through ``_pack_single_ego`` into the padded
+``(tables, max)`` layout the encoder once ran on; ``drop_padding`` reads
+its real rows and edges back, table-major, as the flat
+:class:`~repro.graph.PackedEgoBatch` the packer now emits.  Their truncation
 draws come from a NumPy ``Generator``, so they agree with the tile sampler
 bit for bit only where no window exceeds the threshold.
 ``counter_ego_graph`` is the same per-row loop with the tile sampler's
@@ -16,6 +19,7 @@ binary search of the node's time-sorted incident events.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -164,14 +168,29 @@ def _pack_single_ego(
     return tables, edge_src, edge_dst
 
 
-def oracle_pack_ego_batch(ego_graphs: Sequence[EgoGraph]) -> PackedEgoBatch:
+@dataclass
+class PaddedEgoBatch:
+    """Ego-graphs in padded k-bipartite form, one table per ego.
+
+    ``level_nodes[l]`` is ``(tables, n_l, 2)`` with ``node_mask[l]`` ``True``
+    on real rows; level ``l``'s edges are ``(tables, e_l)`` arrays of row
+    indices within each table, with ``edge_mask[l-1]`` ``True`` on real
+    edges.  Padding is zero.
+    """
+
+    level_nodes: List[np.ndarray]
+    node_mask: List[np.ndarray]
+    src_index: List[np.ndarray]
+    dst_index: List[np.ndarray]
+    delta_t: List[np.ndarray]
+    edge_mask: List[np.ndarray]
+
+
+def oracle_pack_ego_batch(ego_graphs: Sequence[EgoGraph]) -> PaddedEgoBatch:
     """Pack ego-graphs into one padded, ego-parallel k-bipartite batch.
 
     Each ego-graph keeps its own (deduplicated, nested) node tables; tables
-    and edge lists are right-padded to the batch maximum per level so the
-    encoder can run one vectorised forward over the whole batch.  Encoding
-    the result matches encoding each ego-graph individually, which makes
-    this the exact batched counterpart of the per-node hot path.
+    and edge lists are right-padded to the batch maximum per level.
     """
     if not ego_graphs:
         raise GraphFormatError("cannot pack a batch of zero ego-graphs")
@@ -187,9 +206,8 @@ def oracle_pack_ego_batch(ego_graphs: Sequence[EgoGraph]) -> PackedEgoBatch:
 
     packed = [_pack_single_ego(ego, key_mod) for ego in ego_graphs]
     batch = len(packed)
+    out = PaddedEgoBatch([], [], [], [], [], [])
 
-    level_nodes: List[np.ndarray] = []
-    node_mask: List[np.ndarray] = []
     for level in range(radius + 1):
         width = max(tables[level].shape[0] for tables, _, _ in packed)
         nodes = np.zeros((batch, width, 2), dtype=np.int64)
@@ -198,10 +216,9 @@ def oracle_pack_ego_batch(ego_graphs: Sequence[EgoGraph]) -> PackedEgoBatch:
             rows = tables[level].shape[0]
             nodes[b, :rows] = tables[level]
             mask[b, :rows] = True
-        level_nodes.append(nodes)
-        node_mask.append(mask)
+        out.level_nodes.append(nodes)
+        out.node_mask.append(mask)
 
-    levels: List[PackedLevel] = []
     for level in range(1, radius + 1):
         width = max(src[level - 1].shape[0] for _, src, _ in packed)
         src_index = np.zeros((batch, width), dtype=np.int64)
@@ -212,24 +229,45 @@ def oracle_pack_ego_batch(ego_graphs: Sequence[EgoGraph]) -> PackedEgoBatch:
             src_index[b, :count] = src[level - 1]
             dst_index[b, :count] = dst[level - 1]
             edge_mask[b, :count] = True
-        t_src = np.take_along_axis(level_nodes[level][:, :, 1], src_index, axis=1)
-        t_dst = np.take_along_axis(level_nodes[level - 1][:, :, 1], dst_index, axis=1)
-        delta_t = np.where(edge_mask, (t_dst - t_src).astype(np.float64), 0.0)
-        levels.append(
-            PackedLevel(
-                src_index=src_index,
-                dst_index=dst_index,
-                delta_t=delta_t,
-                edge_mask=edge_mask,
-            )
-        )
-    return PackedEgoBatch(
-        level_nodes=level_nodes,
-        node_mask=node_mask,
-        levels=levels,
-        center_index=np.zeros(batch, dtype=np.int64),
-    )
+        t_src = np.take_along_axis(out.level_nodes[level][:, :, 1], src_index, axis=1)
+        t_dst = np.take_along_axis(out.level_nodes[level - 1][:, :, 1], dst_index, axis=1)
+        out.src_index.append(src_index)
+        out.dst_index.append(dst_index)
+        out.delta_t.append(np.where(edge_mask, (t_dst - t_src).astype(np.float64), 0.0))
+        out.edge_mask.append(edge_mask)
+    return out
 
+
+def _real_rows(node_mask: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Positions among a level's real rows of per-table row indices.
+
+    ``node_mask`` is the level's ``(tables, n)`` mask and ``index`` is
+    ``(tables, k)`` rows of each table; the real rows are numbered
+    table-major, the order ``level_nodes[l][node_mask[l]]`` lists them in.
+    """
+    tables, width = node_mask.shape
+    rank = np.cumsum(node_mask.reshape(-1)) - 1
+    return rank[index + np.arange(tables, dtype=np.int64)[:, None] * width]
+
+
+def drop_padding(padded: PaddedEgoBatch) -> PackedEgoBatch:
+    """The flat batch of ``padded``'s real rows and edges, read row-major."""
+    masks = padded.node_mask
+    levels = [
+        PackedLevel(
+            src=_real_rows(masks[level], padded.src_index[level - 1])[real],
+            dst=_real_rows(masks[level - 1], padded.dst_index[level - 1])[real],
+            delta_t=padded.delta_t[level - 1][real],
+        )
+        for level, real in enumerate(padded.edge_mask, start=1)
+    ]
+    tables = masks[0].shape[0]
+    return PackedEgoBatch(
+        nodes=[nodes[mask] for nodes, mask in zip(padded.level_nodes, masks)],
+        levels=levels,
+        center_rows=_real_rows(masks[0], np.zeros((tables, 1), dtype=np.int64))[:, 0],
+        tables=tables,
+    )
 
 
 def counter_ego_graph(

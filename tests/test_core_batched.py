@@ -1,6 +1,6 @@
 """Batched-vs-sequential equivalence of the ego-graph encoding pipeline.
 
-The padded ego-parallel hot path (``pack_ego_batch`` + one ``TGAEEncoder``
+The flat ego-parallel hot path (``pack_ego_batch`` + one ``TGAEEncoder``
 forward) must be a pure vectorisation: same centre representations as
 encoding each ego-graph on its own, same sampling distribution as the
 per-row generation path, and a guarded degenerate-row fallback that can
@@ -16,7 +16,6 @@ from repro.core import EgoGraphSampler, TGAEEncoder, TGAEGenerator, TGAEModel, f
 from repro.errors import GraphFormatError
 from repro.graph import EgoTile, TemporalGraph, ego_graph_batch, pack_ego_batch
 from repro.graph.ego_graph import counter_hash
-from repro.nn import TemporalGraphAttention
 
 
 def toy_graph(num_nodes=15, num_edges=70, num_timestamps=5, seed=0):
@@ -51,33 +50,42 @@ class TestPackEgoBatch:
         centers, egos = sample_egos(g, config, count=8)
         packed = pack_ego_batch(egos)
         assert packed.radius == config.radius
-        assert packed.batch_size == 8
+        assert packed.tables == 8
         assert packed.num_centers == 8
+        np.testing.assert_array_equal(packed.center_rows, np.arange(8))
         np.testing.assert_array_equal(packed.center_nodes, centers)
         for level in range(config.radius + 1):
-            nodes = packed.level_nodes[level]
-            mask = packed.node_mask[level]
-            assert nodes.shape[:2] == mask.shape
-            # Padding rows are zeroed.
-            assert (nodes[~mask] == 0).all()
-        for level in packed.levels:
-            assert level.src_index.shape == level.dst_index.shape
-            assert level.edge_mask.shape == level.src_index.shape
-            assert level.num_edges == int(level.edge_mask.sum())
-            # Real edges have zero-padded delta_t only where masked.
-            assert (level.delta_t[~level.edge_mask] == 0).all()
+            assert packed.nodes[level].ndim == 2 and packed.nodes[level].shape[1] == 2
+        for level, edges in enumerate(packed.levels, start=1):
+            assert edges.src.shape == edges.dst.shape == edges.delta_t.shape
+            assert edges.src.max() < packed.nodes[level].shape[0]
+            assert edges.dst.max() < packed.nodes[level - 1].shape[0]
+            # Every level-(l-1) row is a target (its self-loop at least).
+            np.testing.assert_array_equal(
+                np.unique(edges.dst), np.arange(packed.nodes[level - 1].shape[0])
+            )
 
     def test_matches_single_ego_bipartite_counts(self):
         g = toy_graph()
         config = fast_config()
         _, egos = sample_egos(g, config, count=6)
         packed = pack_ego_batch(egos)
-        for b, ego in enumerate(egos):
-            merged = EgoTile.from_egos([ego]).packed(merge=True)
-            for level in range(config.radius + 1):
-                assert int(packed.node_mask[level][b].sum()) == merged.level_nodes[level].shape[1]
-            for level in range(config.radius):
-                assert int(packed.levels[level].edge_mask[b].sum()) == merged.levels[level].num_edges
+        alone = [EgoTile.from_egos([ego]).packed(merge=True) for ego in egos]
+        # The per-ego batch is each ego packed alone, stacked table by table.
+        for level in range(config.radius + 1):
+            np.testing.assert_array_equal(
+                packed.nodes[level], np.concatenate([a.nodes[level] for a in alone])
+            )
+        for level in range(1, config.radius + 1):
+            src_off = np.cumsum([0] + [a.nodes[level].shape[0] for a in alone])
+            dst_off = np.cumsum([0] + [a.nodes[level - 1].shape[0] for a in alone])
+            edges = packed.levels[level - 1]
+            np.testing.assert_array_equal(edges.src, np.concatenate(
+                [a.levels[level - 1].src + off for a, off in zip(alone, src_off)]))
+            np.testing.assert_array_equal(edges.dst, np.concatenate(
+                [a.levels[level - 1].dst + off for a, off in zip(alone, dst_off)]))
+            np.testing.assert_array_equal(edges.delta_t, np.concatenate(
+                [a.levels[level - 1].delta_t for a in alone]))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(GraphFormatError):
@@ -133,39 +141,10 @@ class TestBatchedEncodingEquivalence:
         sampler = EgoGraphSampler(g, config, np.random.default_rng(5))
         batch = sampler.next_batch()
         packed, merged = batch.computation_batch(True), batch.computation_batch(False)
-        assert packed.batch_size == packed.num_centers == 5
-        assert merged.batch_size == 1 and merged.num_centers == 5
+        assert packed.tables == packed.num_centers == 5
+        assert merged.tables == 1 and merged.num_centers == 5
         np.testing.assert_array_equal(packed.center_nodes, batch.centers)
         np.testing.assert_array_equal(merged.center_nodes, batch.centers)
-
-
-class TestBatchedAttentionMasking:
-    def test_padding_edges_and_rows_do_not_leak(self):
-        rng = np.random.default_rng(0)
-        layer = TemporalGraphAttention(4, 4, num_heads=2, time_dim=3, rng=rng)
-        # Two independent graphs with different sizes, padded to a batch.
-        h_src = rng.standard_normal((2, 3, 4))
-        h_dst = rng.standard_normal((2, 2, 4))
-        src_index = np.array([[0, 1, 2], [0, 1, 0]])
-        dst_index = np.array([[0, 1, 1], [0, 0, 0]])
-        delta_t = np.array([[1.0, 0.0, 2.0], [1.0, 0.0, 0.0]])
-        # Graph 1 has only two real edges; its third entry is padding that
-        # points at real rows and must not contribute anything.
-        edge_mask = np.array([[True, True, True], [True, True, False]])
-
-        from repro.autograd import Tensor
-
-        batched = layer(
-            Tensor(h_src), Tensor(h_dst), src_index, dst_index,
-            delta_t=delta_t, edge_mask=edge_mask,
-        ).numpy()
-        for b in range(2):
-            keep = edge_mask[b]
-            flat = layer(
-                Tensor(h_src[b]), Tensor(h_dst[b]),
-                src_index[b][keep], dst_index[b][keep], delta_t=delta_t[b][keep],
-            ).numpy()
-            np.testing.assert_allclose(batched[b], flat, atol=1e-10)
 
 
 def keys(count, word=0):

@@ -350,6 +350,58 @@ class TestErrors:
             load_generator(path)
 
 
+class TestRecordedSizes:
+    """Recorded counts and dimensions are checked before the model is sized."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: meta.update(num_nodes=2**40),
+            lambda meta: meta.update(num_timestamps=2**40),
+            lambda meta: meta["config"].update(hidden_dim=2**40),
+            lambda meta: meta["config"].update(embed_dim=2**40),
+            lambda meta: meta["config"].update(latent_dim=2**40),
+            lambda meta: meta["config"].update(num_heads=2**40),
+            lambda meta: meta["config"].update(time_dim=2**40),
+            lambda meta: meta.update(num_nodes=meta["num_nodes"] + 1),
+            lambda meta: meta["config"].update(radius=1000),
+            lambda meta: meta["config"].update(probabilistic=False),
+        ],
+        ids=["huge-nodes", "huge-stamps", "huge-hidden", "huge-embed", "huge-latent",
+             "huge-heads", "huge-time-dim", "one-more-node", "deep-radius",
+             "no-sigma-head"],
+    )
+    def test_size_not_matching_stored_parameters_raises(self, fitted, tmp_path, edit):
+        # A damaged size once sized the model first: 2**40 nodes asked numpy
+        # for 128 TiB and raised its own MemoryError.
+        src = tmp_path / "model.npz"
+        bad = tmp_path / "resized.npz"
+        save_generator(fitted, src)
+        _rewrite_meta(src, bad, edit)
+        with pytest.raises(ConfigError, match="resized.npz"):
+            load_generator(bad)
+
+    @pytest.mark.parametrize(
+        "overrides, feature_dim",
+        [
+            ({}, 0),
+            ({"radius": 1, "time_dim": 0}, 0),
+            ({"radius": 3, "embed_dim": 5, "hidden_dim": 16, "latent_dim": 3,
+              "num_heads": 3}, 4),
+            ({"hidden_dim": 2, "num_heads": 4, "probabilistic": False}, 0),
+        ],
+    )
+    def test_shape_table_matches_model(self, overrides, feature_dim):
+        from repro.core import TGAEModel
+        from repro.core.persistence import _parameter_shapes
+
+        config = fast_config(**overrides)
+        model = TGAEModel(7, 3, config, feature_dim=feature_dim)
+        assert _parameter_shapes(7, 3, config, feature_dim) == {
+            name: param.data.shape for name, param in model.named_parameters()
+        }
+
+
 class TestConfigKeys:
     def test_retired_key_loads_silently(self, fitted, tmp_path):
         # Archives written while TGAEConfig still had ``shm_dispatch`` carry

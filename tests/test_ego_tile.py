@@ -1,32 +1,34 @@
 """The array-level tile sampler against the per-row oracles in ``ego_oracle``.
 
 * **Exact equality** -- with no window over the threshold there are no
-  random draws, and a tile equals the original per-row sampler and packer
-  in every array, shape, dtype and edge order.
+  random draws, and a tile equals the original per-row sampler and the
+  padded per-row packer, padding dropped, in every array, shape, dtype and
+  edge order.
 * **Truncated parents** -- a parent over the threshold takes exactly
   ``threshold`` counter-keyed picks from its window multiset (the per-row
   ``counter_ego_graph`` reference), and the picks are uniform.
 * **Purity** -- an ego-graph depends only on its key: a group sliced from
   a larger tile equals that group sampled alone.
 * **Layouts** -- ``tile.packed(merge=True)`` is the merged layout of
-  Fig. 4 as a short set definition states it, and ``EgoTile.from_egos``
-  inverts ``egos()``.
+  Fig. 4 as a short row-by-row definition builds it, and
+  ``EgoTile.from_egos`` inverts ``egos()``.
 """
 
 import dataclasses
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ego_oracle import counter_ego_graph, oracle_ego_graph, oracle_pack_ego_batch
+from ego_oracle import counter_ego_graph, drop_padding, oracle_ego_graph, oracle_pack_ego_batch
 from strategies import STANDARD_SETTINGS
 
 from repro.core import EgoGraphSampler, fast_config
 from repro.errors import GraphFormatError
-from repro.graph import EgoTile, TemporalGraph, pack_ego_batch, sample_ego_tile
+from repro.graph import (
+    EgoTile, PackedEgoBatch, PackedLevel, TemporalGraph, pack_ego_batch, sample_ego_tile,
+)
 from repro.graph.ego_graph import counter_hash
 
 NO_TRUNCATION = 10**6
@@ -58,54 +60,52 @@ def assert_egos_equal(actual, expected):
 
 
 def assert_packed_equal(actual, expected):
-    pairs = list(zip(actual.level_nodes, expected.level_nodes))
-    pairs += list(zip(actual.node_mask, expected.node_mask))
+    assert actual.tables == expected.tables
+    assert len(actual.levels) == len(expected.levels)
+    pairs = list(zip(actual.nodes, expected.nodes))
     for la, lb in zip(actual.levels, expected.levels):
         pairs += [(getattr(la, f.name), getattr(lb, f.name)) for f in dataclasses.fields(la)]
-    pairs.append((actual.center_index, expected.center_index))
-    assert len(actual.levels) == len(expected.levels)
+    pairs.append((actual.center_rows, expected.center_rows))
     for x, y in pairs:
         assert x.dtype == y.dtype and x.shape == y.shape
         np.testing.assert_array_equal(x, y)
 
 
 def fig4_layout(egos):
-    """The merged k-bipartite graphs of Fig. 4, as sets of ``(node, time)``.
+    """The merged k-bipartite graphs of Fig. 4, built row by row.
 
-    Level 0 is the set of centres and level ``l`` the union of every ego's
-    layer ``l`` with level ``l-1`` (nesting).  The edges into level ``l-1``
-    are the set of sampled ``(child, parent)`` pairs over all egos plus one
-    self edge per level-``l-1`` node, counted as a multiset.
+    Level 0's table is the sorted set of centres and level ``l``'s the
+    sorted union of every ego's layer ``l`` with level ``l-1`` (nesting).
+    The edges into level ``l-1`` are every ego's sampled ``(child,
+    parent)`` pairs in ego and edge order, the first of each pair kept,
+    then one self edge per level-``l-1`` row.
     """
     nodes = [{ego.center for ego in egos}]
-    edges = []
     for level in range(1, egos[0].radius + 1):
         nodes.append(nodes[-1] | {tuple(row) for ego in egos
                                   for row in ego.layers[level].tolist()})
-        sampled = {
-            (tuple(ego.layers[level][child].tolist()),
-             tuple(ego.layers[level - 1][parent].tolist()))
-            for ego in egos for child, parent in ego.edges[level - 1].tolist()
-        }
-        edges.append(Counter(sampled) + Counter((node, node) for node in nodes[level - 1]))
-    return nodes, edges
-
-
-def assert_merged_layout(batch, egos):
-    """``batch`` is one shared table per level laying out ``fig4_layout(egos)``."""
-    nodes, edges = fig4_layout(egos)
-    assert batch.batch_size == 1 and batch.num_centers == len(egos)
-    tables = [level[0] for level in batch.level_nodes]
-    for level, table in enumerate(tables):
-        assert batch.node_mask[level].all()
-        rows = [tuple(row) for row in table.tolist()]
-        assert len(rows) == len(set(rows)) and set(rows) == nodes[level]
-    for level, lev in enumerate(batch.levels, start=1):
-        assert lev.edge_mask.all()
-        src, dst = tables[level][lev.src_index[0]], tables[level - 1][lev.dst_index[0]]
-        assert Counter(zip(map(tuple, src.tolist()), map(tuple, dst.tolist()))) == edges[level - 1]
-        np.testing.assert_array_equal(lev.delta_t[0], dst[:, 1] - src[:, 1])
-    np.testing.assert_array_equal(tables[0][batch.center_index], [ego.center for ego in egos])
+    tables = [sorted(level) for level in nodes]
+    rows = [{node: row for row, node in enumerate(table)} for table in tables]
+    levels = []
+    for level in range(1, len(tables)):
+        pairs = {}  # insertion-ordered: first occurrence kept
+        for ego in egos:
+            for child, parent in ego.edges[level - 1].tolist():
+                pairs.setdefault((rows[level][tuple(ego.layers[level][child].tolist())],
+                                  rows[level - 1][tuple(ego.layers[level - 1][parent].tolist())]))
+        edges = list(pairs) + [(rows[level][node], row)
+                               for row, node in enumerate(tables[level - 1])]
+        src = np.array([s for s, _ in edges], dtype=np.int64)
+        dst = np.array([d for _, d in edges], dtype=np.int64)
+        delta_t = np.array([tables[level - 1][d][1] - tables[level][s][1] for s, d in edges],
+                           dtype=np.float64)
+        levels.append(PackedLevel(src=src, dst=dst, delta_t=delta_t))
+    return PackedEgoBatch(
+        nodes=[np.array(table, dtype=np.int64).reshape(-1, 2) for table in tables],
+        levels=levels,
+        center_rows=np.array([rows[0][ego.center] for ego in egos], dtype=np.int64),
+        tables=1,
+    )
 
 
 class TestExactEquality:
@@ -120,7 +120,7 @@ class TestExactEquality:
             for u, t in centers
         ]
         assert_egos_equal(tile.egos(), oracle)
-        expected = oracle_pack_ego_batch(oracle)
+        expected = drop_padding(oracle_pack_ego_batch(oracle))
         assert_packed_equal(tile.packed(), expected)
         assert_packed_equal(pack_ego_batch(oracle), expected)
 
@@ -136,7 +136,7 @@ class TestTruncatedParents:
             for (u, t), k in zip(centers, keys)
         ]
         assert_egos_equal(tile.egos(), reference)
-        assert_packed_equal(tile.packed(), oracle_pack_ego_batch(reference))
+        assert_packed_equal(tile.packed(), drop_padding(oracle_pack_ego_batch(reference)))
 
     def test_picks_are_uniform_over_the_window(self):
         """threshold=1 keeps exactly the one pick, so layer 1 counts the draws."""
@@ -198,7 +198,7 @@ class TestLayouts:
             counter_ego_graph(graph, (int(u), int(t)), int(k), radius, threshold, window)
             for (u, t), k in zip(centers, keys)
         ]
-        assert_merged_layout(tile.packed(merge=True), reference)
+        assert_packed_equal(tile.packed(merge=True), fig4_layout(reference))
 
     @given(tile_cases(), st.integers(1, 4))
     @STANDARD_SETTINGS
@@ -218,7 +218,7 @@ class TestLayouts:
         batch = sampler.batch_for_centers(sampler.sample_centers(6))
         egos = batch.tile.egos()
         assert_packed_equal(batch.computation_batch(True), pack_ego_batch(egos))
-        assert_merged_layout(batch.computation_batch(False), egos)
+        assert_packed_equal(batch.computation_batch(False), fig4_layout(egos))
         assert_packed_equal(batch.computation_batch(False),
                             EgoTile.from_egos(egos).packed(merge=True))
 

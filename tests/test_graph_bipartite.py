@@ -1,9 +1,9 @@
 """Tests for the merged k-bipartite computation graphs of Fig. 4.
 
 The merged layout is ``EgoTile.packed(merge=True)``: every ego-graph of the
-tile shares one table per level, so it is a packed batch of one table.  The
-helpers below read that table back as plain ``(node, time)`` rows and
-edges, and the tests check the layout's structural invariants on them.
+tile shares one table per level, so it is a packed batch of one table, and
+a level's ``nodes`` and edges are that table's ``(node, time)`` rows and
+edges.  The tests check the layout's structural invariants on them.
 """
 
 import numpy as np
@@ -31,34 +31,29 @@ def sample_batch(num_centers=4, radius=2, seed=0):
 
 
 def table(batch, level):
-    """The real ``(node, time)`` rows of the shared level table."""
-    return batch.level_nodes[level][0][batch.node_mask[level][0]]
+    """The ``(node, time)`` rows of the shared level table."""
+    return batch.nodes[level]
 
 
 def edges(batch, level):
-    """``(src rows, dst rows, delta_t)`` of the real edges into ``level - 1``."""
+    """``(src rows, dst rows, delta_t)`` of the edges into ``level - 1``."""
     lev = batch.levels[level - 1]
-    mask = lev.edge_mask[0]
-    return lev.src_index[0][mask], lev.dst_index[0][mask], lev.delta_t[0][mask]
+    return lev.src, lev.dst, lev.delta_t
 
 
 class TestStructure:
     def test_radius_matches(self):
         _, egos, batch = sample_batch(radius=2)
         assert batch.radius == 2
-        assert len(batch.level_nodes) == 3
-        assert batch.batch_size == 1
+        assert len(batch.nodes) == 3
+        assert batch.tables == 1
         assert batch.num_centers == len(egos)
-        for level in range(batch.radius + 1):
-            assert batch.node_mask[level].all()
-        for lev in batch.levels:
-            assert lev.edge_mask.all()
 
     def test_center_index_roundtrip(self):
         _, egos, batch = sample_batch()
         level0 = table(batch, 0)
         for i, ego in enumerate(egos):
-            node = level0[batch.center_index[i]]
+            node = level0[batch.center_rows[i]]
             assert (int(node[0]), int(node[1])) == ego.center
         np.testing.assert_array_equal(batch.center_nodes, [ego.center for ego in egos])
 
@@ -70,7 +65,7 @@ class TestStructure:
         batch = merged(egos)
         assert table(batch, 0).shape[0] == 2
         assert batch.num_centers == 3
-        assert batch.center_index[0] == batch.center_index[1]
+        assert batch.center_rows[0] == batch.center_rows[1]
 
     def test_levels_are_nested(self):
         """Every level-(l-1) node must also appear in level l (self-loops)."""
@@ -117,14 +112,13 @@ class TestStructure:
         _, egos, _ = sample_batch()
         for ego in egos:
             one, per_ego = merged([ego]), EgoTile.from_egos([ego]).packed()
-            for x, y in zip(one.level_nodes + one.node_mask,
-                            per_ego.level_nodes + per_ego.node_mask):
+            for x, y in zip(one.nodes, per_ego.nodes):
                 np.testing.assert_array_equal(x, y)
             for la, lb in zip(one.levels, per_ego.levels):
-                np.testing.assert_array_equal(la.src_index, lb.src_index)
-                np.testing.assert_array_equal(la.dst_index, lb.dst_index)
+                np.testing.assert_array_equal(la.src, lb.src)
+                np.testing.assert_array_equal(la.dst, lb.dst)
                 np.testing.assert_array_equal(la.delta_t, lb.delta_t)
-            np.testing.assert_array_equal(one.center_index, per_ego.center_index)
+            np.testing.assert_array_equal(one.center_rows, per_ego.center_rows)
 
     def test_empty_batch_raises(self):
         with pytest.raises(GraphFormatError):
@@ -165,6 +159,6 @@ class TestDeduplicationAcrossEgos:
             pairs = list(zip(src.tolist(), dst.tolist()))
             assert len(pairs) == len(set(pairs))
         np.testing.assert_array_equal(
-            [lev.edge_mask.sum() for lev in batch.levels],
-            [lev.edge_mask.sum() for lev in merged(egos[:1]).levels],
+            [lev.src.size for lev in batch.levels],
+            [lev.src.size for lev in merged(egos[:1]).levels],
         )

@@ -10,9 +10,9 @@ escape.
 Archive damage: truncation, byte flips, dropped members, reshaped or
 retyped arrays, and edits to the ``__meta__`` JSON (a key deleted or given a
 value of another type, or the whole member replaced).  Integer values put
-into the metadata stay small: the loader sizes the model from the recorded
-counts and dimensions before it checks the stored parameter shapes, so a
-huge recorded size allocates memory in proportion to it.
+into the metadata range from small to huge: the loader checks every
+recorded count and dimension against the stored parameter shapes before it
+sizes the model, so a huge recorded size allocates nothing.
 
 Edge-list damage: truncation, byte flips and inserted lines of odd tokens,
 read with and without reindexing (the ``fit --input``, ``evaluate`` and
@@ -119,6 +119,7 @@ json_values = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(-3, 40)
+    | st.sampled_from([2**31, 2**40, 2**63 - 1, 2**63, 2**64, 10**30])
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.text(max_size=6)
     | st.sampled_from([[], {}]),

@@ -77,6 +77,12 @@ class TestTemporalGraphAttention:
                 np.array([0, 1]),
             )
 
+    def test_batched_3d_inputs_raise(self):
+        layer = make_layer()
+        with pytest.raises(ShapeError):
+            layer(tensor(np.zeros((1, 2, 6))), tensor(np.zeros((1, 2, 6))),
+                  np.array([[0]]), np.array([[1]]))
+
     def test_isolated_target_gets_bias(self):
         """A target with no incoming edges must receive only the bias."""
         layer = make_layer()
@@ -151,40 +157,52 @@ class TestTemporalGraphAttention:
             make_layer(num_heads=0)
 
 
-def _padded_batch(rng, batch, n_src, n_dst, n_edges, real_counts):
-    """Random padded bipartite graphs: row ``b`` has ``real_counts[b]`` real edges."""
-    h_src = rng.standard_normal((batch, n_src, 6))
-    h_dst = rng.standard_normal((batch, n_dst, 6))
-    src = rng.integers(0, n_src, size=(batch, n_edges))
-    dst = rng.integers(0, n_dst, size=(batch, n_edges))
-    delta_t = rng.integers(0, 5, size=(batch, n_edges)).astype(float)
-    mask = np.arange(n_edges) < np.asarray(real_counts)[:, None]
-    return h_src, h_dst, src, dst, delta_t, mask
+def _flat_graph(rng, n_src, n_dst, n_edges, dtype=np.float64):
+    """A random flat bipartite graph: features, edge lists and time offsets."""
+    return (
+        rng.standard_normal((n_src, 6)).astype(dtype),
+        rng.standard_normal((n_dst, 6)).astype(dtype),
+        rng.integers(0, n_src, size=n_edges),
+        rng.integers(0, n_dst, size=n_edges),
+        rng.integers(0, 5, size=n_edges).astype(float),
+    )
+
+
+def _block_diagonal(rng, graphs):
+    """One flat graph holding ``graphs`` side by side, edges interleaved.
+
+    Each graph's rows are offset past the earlier graphs' rows; the edge
+    lists are merged in a random order that keeps every graph's own edges
+    in their given order.
+    """
+    h_src = np.concatenate([g[0] for g in graphs])
+    h_dst = np.concatenate([g[1] for g in graphs])
+    src_off = np.cumsum([0] + [g[0].shape[0] for g in graphs])
+    dst_off = np.cumsum([0] + [g[1].shape[0] for g in graphs])
+    owner = rng.permutation(np.repeat(np.arange(len(graphs)), [g[2].size for g in graphs]))
+    src = np.empty(owner.size, dtype=np.int64)
+    dst = np.empty(owner.size, dtype=np.int64)
+    dt = np.empty(owner.size)
+    for b, graph in enumerate(graphs):
+        at = owner == b  # positions, in order, of graph b's edges
+        src[at], dst[at], dt[at] = graph[2] + src_off[b], graph[3] + dst_off[b], graph[4]
+    return h_src, h_dst, src, dst, dt, dst_off
 
 
 class TestKernelInvariance:
-    """A target's output bits depend only on its own real edges, in order."""
+    """A target's output bits depend only on its own edges, in order."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_padded_rows_ignore_other_egos_padding_and_masked_edges(self, dtype):
+    def test_rows_ignore_other_egos(self, dtype):
         layer = make_layer().to_dtype(dtype)
         rng = np.random.default_rng(12)
-        h_src, h_dst, src, dst, dt, mask = _padded_batch(rng, 1, 5, 3, 7, [7])
-        base = layer(
-            tensor(h_src.astype(dtype)), tensor(h_dst.astype(dtype)), src, dst, dt, mask
-        ).numpy()
-        # Two other egos, wider node/edge padding and masked junk edges.
-        o_src, o_dst, o_s, o_d, o_dt, _ = _padded_batch(rng, 3, 9, 4, 12, [0, 0, 0])
-        o_src[1, :5], o_dst[1, :3] = h_src[0], h_dst[0]
-        o_s[1, :7], o_d[1, :7], o_dt[1, :7] = src[0], dst[0], dt[0]
-        o_mask = np.zeros((3, 12), dtype=bool)
-        o_mask[0, :10] = o_mask[2, :6] = True
-        o_mask[1, :7] = True
-        wide = layer(
-            tensor(o_src.astype(dtype)), tensor(o_dst.astype(dtype)),
-            o_s, o_d, o_dt, o_mask,
-        ).numpy()
-        assert wide[1, :3].tobytes() == base[0].tobytes()
+        ego = _flat_graph(rng, 5, 3, 7, dtype)
+        base = layer(*map(tensor, ego[:2]), *ego[2:]).numpy()
+        # The ego between two others of other sizes, all edges interleaved.
+        graphs = [_flat_graph(rng, 9, 4, 10, dtype), ego, _flat_graph(rng, 2, 6, 6, dtype)]
+        h_src, h_dst, src, dst, dt, dst_off = _block_diagonal(rng, graphs)
+        block = layer(tensor(h_src), tensor(h_dst), src, dst, dt).numpy()
+        assert block[dst_off[1] : dst_off[2]].tobytes() == base.tobytes()
 
     def test_interleaving_targets_keeps_bytes(self):
         layer = make_layer()
@@ -203,34 +221,32 @@ class TestKernelInvariance:
     def test_target_without_edges_outputs_bias(self):
         layer = make_layer()
         rng = np.random.default_rng(14)
-        h_src, h_dst, src, dst, dt, mask = _padded_batch(rng, 2, 4, 3, 5, [5, 0])
-        dst[0] = [0, 0, 1, 0, 1]  # target 2 of ego 0 and all of ego 1 get nothing
-        out = layer(tensor(h_src), tensor(h_dst), src, dst, dt, mask).numpy()
-        assert np.array_equal(out[0, 2], layer.bias.data)
-        assert np.array_equal(out[1], np.broadcast_to(layer.bias.data, (3, 4)))
+        ego = _flat_graph(rng, 4, 3, 5)
+        ego[3][:] = [0, 0, 1, 0, 1]  # target 2 gets nothing
+        edgeless = _flat_graph(rng, 4, 3, 0)  # nor does any target of this ego
+        h_src, h_dst, src, dst, dt, _ = _block_diagonal(rng, [ego, edgeless])
+        out = layer(tensor(h_src), tensor(h_dst), src, dst, dt).numpy()
+        assert np.array_equal(out[2], layer.bias.data)
+        assert np.array_equal(out[3:], np.broadcast_to(layer.bias.data, (3, 4)))
 
     def test_empty_edge_list(self):
         layer = make_layer()
         rng = np.random.default_rng(15)
-        h_src, h_dst, src, dst, dt, mask = _padded_batch(rng, 2, 4, 3, 5, [0, 0])
-        padded = layer(tensor(h_src), tensor(h_dst), src, dst, dt, mask).numpy()
-        flat = layer(
-            tensor(h_src[0]), tensor(h_dst[0]), np.array([], dtype=int),
-            np.array([], dtype=int), np.array([]),
+        out = layer(
+            tensor(rng.standard_normal((4, 6))), tensor(rng.standard_normal((3, 6))),
+            np.array([], dtype=int), np.array([], dtype=int), np.array([]),
         ).numpy()
-        assert padded.shape == (2, 3, 4)
-        assert np.array_equal(padded, np.broadcast_to(layer.bias.data, (2, 3, 4)))
-        assert np.array_equal(flat, np.broadcast_to(layer.bias.data, (3, 4)))
+        assert np.array_equal(out, np.broadcast_to(layer.bias.data, (3, 4)))
 
-    def test_padded_forward_finite_differences(self):
+    def test_block_forward_finite_differences(self):
         layer = make_layer(rng=np.random.default_rng(16))
         rng = np.random.default_rng(17)
-        h_src, h_dst, src, dst, dt, mask = _padded_batch(rng, 3, 4, 3, 6, [6, 2, 4])
-        weight = rng.standard_normal((3, 3, 4))
+        graphs = [_flat_graph(rng, 4, 3, count) for count in (6, 2, 4)]
+        h_src, h_dst, src, dst, dt, _ = _block_diagonal(rng, graphs)
+        weight = rng.standard_normal((h_dst.shape[0], 4))
 
         def fn(hs, hd, *params):
-            out = layer(hs, hd, src, dst, dt, mask)
-            return (out * tensor(weight)).sum()
+            return (layer(hs, hd, src, dst, dt) * tensor(weight)).sum()
 
         inputs = [tensor(h_src, requires_grad=True), tensor(h_dst, requires_grad=True)]
         inputs += list(layer.parameters())

@@ -78,13 +78,13 @@ def test_bipartite_nesting_invariant(graph, radius):
     centers = sample_initial_nodes(graph, 4, rng)
     egos = ego_graph_batch(graph, centers, radius, threshold=5, time_window=2, rng=rng)
     batch = EgoTile.from_egos(egos).packed(merge=True)
-    tables = [nodes[0] for nodes in batch.level_nodes]  # one shared table, no padding
+    tables = batch.nodes  # one shared table per level
     for level in range(1, batch.radius + 1):
         upper = {tuple(r) for r in tables[level].tolist()}
         lower = {tuple(r) for r in tables[level - 1].tolist()}
         assert lower <= upper
         edges = batch.levels[level - 1]
-        targets = set(edges.dst_index[0].tolist())
+        targets = set(edges.dst.tolist())
         # Every target row receives at least one edge (its self-loop).
         assert targets == set(range(tables[level - 1].shape[0]))
 
