@@ -36,7 +36,7 @@ tables' rows stacked with no padding and one edge list over them) and
   merged k-bipartite graphs of Fig. 4 (cross-ego node deduplication),
   available for *training* via ``TGAEConfig(packed_batches=False)``.
 
-Inference always encodes one table per ego, in fixed 64-row blocks:
+Inference always encodes one table per ego, in fixed 128-row blocks:
 every encoder product is row-invariant (``repro.autograd.row_matmul``), so
 a temporal node's embedding is a pure function of (weights, graph, config,
 node) and the embedding cache can serve it from any earlier call.

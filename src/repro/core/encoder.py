@@ -213,6 +213,21 @@ class TGAEEncoder(Module):
             )
         return self._input_impl(temporal_nodes, *params)
 
+    def _key_table(self, packed: PackedEgoBatch):
+        """The batch's distinct ``(u, t)`` rows and each level's rows in them.
+
+        Returns ``(key_nodes, rows)``: ``key_nodes`` is ``(K, 2)``, sorted,
+        and ``packed.nodes[l][i]`` equals ``key_nodes[rows[l][i]]``.  Only
+        the outermost level is deduplicated: by nesting, every inner table
+        row is also an outermost row of its table, so the inner levels map
+        by ``searchsorted``.
+        """
+        T = self.num_timestamps
+        outer = packed.nodes[-1]
+        distinct, outer_rows = np.unique(outer[:, 0] * T + outer[:, 1], return_inverse=True)
+        rows = [distinct.searchsorted(inner[:, 0] * T + inner[:, 1]) for inner in packed.nodes[:-1]]
+        return np.stack(np.divmod(distinct, T), axis=1), rows + [outer_rows]
+
     def forward(self, packed: PackedEgoBatch) -> Tensor:
         """Return hidden vectors for the centres, ``(num_centers, hidden)``.
 
@@ -223,15 +238,38 @@ class TGAEEncoder(Module):
         call.  With one table per ego the result matches encoding each
         ego-graph on its own; the merged layout's shared table is read out
         at ``center_rows``.
+
+        Without gradient recording (every inference encode) a row's input
+        depends on its ``(u, t)`` alone, so the input pipeline runs once
+        per distinct key of the batch (:meth:`_key_table`) and each level
+        gathers its rows from that key table; the outermost layer takes the
+        key table itself as its sources, so its per-head source
+        projections also run once per key.  Every product is row-invariant
+        (:func:`~repro.autograd.row_matmul`), so the result is byte-equal
+        to the per-row pipeline the gradient path runs.
         """
         radius = packed.radius
-        current = self._level_input(packed.nodes[radius])
+        outer_src = packed.levels[radius - 1].src
+        if is_grad_enabled():
+            current = self._level_input(packed.nodes[radius])
+
+            def level_input(level: int) -> Tensor:
+                return self._level_input(packed.nodes[level])
+
+        else:
+            key_nodes, rows = self._key_table(packed)
+            current = key_input = self._level_input(key_nodes)
+            outer_src = rows[radius][outer_src]
+
+            def level_input(level: int) -> Tensor:
+                return key_input.take_rows(rows[level])
+
         for level in range(radius, 0, -1):
             edges = packed.levels[level - 1]
             current = self.layers[radius - level](
                 h_src=current,
-                h_dst=self._level_input(packed.nodes[level - 1]),
-                src_index=edges.src,
+                h_dst=level_input(level - 1),
+                src_index=outer_src if level == radius else edges.src,
                 dst_index=edges.dst,
                 delta_t=edges.delta_t,
             )

@@ -73,11 +73,15 @@ DRAW_BLOCK_ELEMENTS = 2**18
 
 #: Rows per inference encode block in :meth:`GenerationEngine.warm_rows`.
 #: A peak-memory ceiling, not a determinism contract: every encoder product
-#: is row-invariant, so any block size yields the same bits.  At 64 rows
-#: the e2e ``peak_rss_mb`` stays within 2% of per-group encoding, where
-#: 256-row blocks raised it ~10% on the dense and pooled workloads.  Not
-#: configurable.
-ENCODE_BLOCK_ROWS = 64
+#: is row-invariant, so any block size yields the same bits.  The encoder
+#: runs its per-key stages once per block's distinct keys, so per-row
+#: input and time-feature tensors no longer grow with the block.  Swept
+#: over 64/128/256 rows on the four e2e workloads (6 alternating pairs
+#: each against 64-row blocks of the per-row encoder): 128 rows moved the
+#: median ``peak_rss_mb`` by -0.1% to +2.8% and cut cold ``generate``
+#: 8-24%; 256 rows raised ``peak_rss_mb`` 5-9% on ``dense``, ``train`` and
+#: ``pooled``.  Not configurable.
+ENCODE_BLOCK_ROWS = 128
 
 # Stage words of the keyed draws: draw ``j`` of stage ``s`` for a row with
 # key ``k`` is ``counter_hash(k, s, j)``.
@@ -324,20 +328,29 @@ def active_temporal_nodes(
     ``(rows, 2)`` array of active ``(u, t)`` pairs sorted ascending (the
     same order the dense ``np.nonzero`` scan used to produce), ``degrees``
     the observed out-degree ``d(u, t)`` and ``distinct_counts`` the number
-    of distinct targets ``k(u, t)``.  No ``(n, T)`` scratch array is built.
+    of distinct targets ``k(u, t)``.  No ``(n, T)`` scratch array is built:
+    one sort of the int64 edge keys ``(u * T + t) * n + v`` and run-length
+    counts over it give both.
     """
     if graph.num_edges == 0:
         raise GenerationError("observed graph has no edges to imitate")
-    T = np.int64(graph.num_timestamps)
-    pair_keys = graph.src * T + graph.t
-    uniq_keys, degrees = np.unique(pair_keys, return_counts=True)
-    unique_triples = np.unique(
-        np.stack([graph.src, graph.t, graph.dst], axis=1), axis=0
-    )
-    distinct_keys = unique_triples[:, 0] * T + unique_triples[:, 1]
-    _, distinct_counts = np.unique(distinct_keys, return_counts=True)
+    n, T = int(graph.num_nodes), int(graph.num_timestamps)
+    if n * T * n - 1 > np.iinfo(np.int64).max:  # the largest edge key
+        raise GenerationError(
+            f"{n} nodes x {T} timestamps x {n} targets overflow the int64 edge keys"
+        )
+    edge_keys = np.sort((graph.src * np.int64(T) + graph.t) * np.int64(n) + graph.dst)
+    pair_keys = edge_keys // n
+    new_pair = np.ones(edge_keys.size + 1, dtype=bool)
+    np.not_equal(pair_keys[1:], pair_keys[:-1], out=new_pair[1:-1])
+    pair_starts = np.flatnonzero(new_pair)
+    new_edge = np.empty(edge_keys.size, dtype=bool)
+    new_edge[:1] = True
+    np.not_equal(edge_keys[1:], edge_keys[:-1], out=new_edge[1:])
+    distinct_counts = np.add.reduceat(new_edge, pair_starts[:-1], dtype=np.int64)
+    uniq_keys = pair_keys[pair_starts[:-1]]
     centers = np.stack([uniq_keys // T, uniq_keys % T], axis=1)
-    return centers, degrees.astype(np.int64), distinct_counts.astype(np.int64)
+    return centers, np.diff(pair_starts), distinct_counts
 
 
 def _dispatch_width(workers: int, pool: Optional[WorkerPool]) -> int:

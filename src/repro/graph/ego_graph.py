@@ -110,6 +110,19 @@ def counter_hash(key, *words) -> np.ndarray:
     return h
 
 
+def _pick_hashes(
+    keys: np.ndarray, hop: int, owner: np.ndarray, slot: np.ndarray, threshold: int
+) -> np.ndarray:
+    """``(P, threshold)`` truncation hashes ``counter_hash(keys[owner[i]], hop, slot[i], j)``.
+
+    The same chain folded one word per level of the loop: ``(key, hop)``
+    once per ego, the parent's slot once per parent, pick ``j`` once per
+    draw, so each draw costs one mix instead of three.
+    """
+    per_parent = counter_hash(counter_hash(keys, hop)[owner], slot)
+    return counter_hash(per_parent[:, None], np.arange(threshold))
+
+
 def ego_keys(rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` ego keys: each ego's index hashed into one word drawn from ``rng``."""
     word = rng.integers(np.iinfo(np.uint64).max, dtype=np.uint64, endpoint=True)
@@ -396,13 +409,13 @@ def sample_ego_tile(
         parent = np.arange(parents.shape[0]).repeat(take)
         draw = np.arange(parent.size) - (take.cumsum() - take).repeat(take)
         pos = lo[parent] + draw
-        truncated = count[parent] > threshold
-        if truncated.any():
-            tp = parent[truncated]
-            h = counter_hash(keys[owner[tp]], hop, slot[tp], draw[truncated])
-            pos[truncated] = lo[tp] + (
-                ((h >> _SHIFT32) * count[tp].astype(np.uint64)) >> _SHIFT32
-            ).astype(np.int64)
+        cut = np.flatnonzero(count > threshold)
+        if cut.size:  # each truncated parent's draws are contiguous, in order
+            h = _pick_hashes(keys, hop, owner[cut], slot[cut], threshold)
+            h >>= _SHIFT32
+            h *= count[cut, None].astype(np.uint64)
+            h >>= _SHIFT32
+            pos[count[parent] > threshold] = (lo[cut, None] + h.astype(np.int64)).ravel()
         child_owner = owner[parent]
         child_u, child_t = others[pos], times[pos]
         rows, child_row = _first_seen(child_owner * stride + child_u * T + child_t)

@@ -19,7 +19,7 @@ attention discriminate between neighbours at different temporal distances.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -203,10 +203,13 @@ class TemporalGraphAttention(Module):
     ) -> Tensor:
         """Aggregate source messages into target representations.
 
-        The edges, in any order, are stably sorted by target once here, so
-        every head's segment reductions run over contiguous runs without
-        sorting again.  In checkpoint mode the time encoding and each head
-        become recompute-in-backward units
+        The edges, in any order, are stably sorted by target once here, and
+        every head gets the target runs, so no head sorts or scans them
+        again.  Without gradient recording each distinct time offset is
+        encoded once and every head projects it once, gathering per edge:
+        the encoding is elementwise and the projection row-invariant, so
+        the bits equal the per-edge path's.  In checkpoint mode the time
+        encoding and each head become recompute-in-backward units
         (:func:`repro.autograd.checkpoint`): the O(edges * head_dim)
         intermediates of at most *one head* exist at any moment of the
         backward pass, instead of every head of every layer staying alive
@@ -243,17 +246,19 @@ class TemporalGraphAttention(Module):
                 Tensor(np.zeros((n_dst, self.out_features), dtype=self.bias.data.dtype))
                 + self.bias
             )
-        order = np.argsort(dst_index, kind="stable")
-        src_index, dst_index = src_index[order], dst_index[order]
-        if delta_t is not None:
-            delta_t = np.asarray(delta_t)[order]
+        order, starts, counts = segment_runs(dst_index)
+        if order is not None:
+            src_index, dst_index = src_index[order], dst_index[order]
+            if delta_t is not None:
+                delta_t = np.asarray(delta_t)[order]
+        runs = (starts, counts)
         params = [self.w_src, self.w_dst, self.attn_src, self.attn_dst]
         use_checkpoint = (
             self.checkpoint
             and is_grad_enabled()
             and any(t.requires_grad for t in [h_src, h_dst] + params)
         )
-        time_feat = None
+        time_feat = time_rows = None
         if self.time_encoding is not None and delta_t is not None:
             if use_checkpoint:
                 time_feat = checkpoint(
@@ -263,8 +268,11 @@ class TemporalGraphAttention(Module):
                     self.time_encoding.frequency,
                     self.time_encoding.phase,
                 )
-            else:
+            elif is_grad_enabled():
                 time_feat = self.time_encoding(delta_t)
+            else:  # inference: encode each distinct offset once
+                offsets, time_rows = np.unique(delta_t, return_inverse=True)
+                time_feat = self.time_encoding(offsets)
         head_outputs = []
         for head in range(self.num_heads):
             if use_checkpoint:
@@ -272,7 +280,7 @@ class TemporalGraphAttention(Module):
                     out_h = checkpoint(
                         lambda hs, hd, tf, ws, wd, a_s, a_d, wt, _h=head: self._head(
                             _h, src_index, dst_index, n_dst, hs, hd, tf,
-                            ws, wd, a_s, a_d, wt,
+                            ws, wd, a_s, a_d, wt, runs=runs,
                         ),
                         h_src, h_dst, time_feat, *params, self.w_time,
                     )
@@ -280,14 +288,14 @@ class TemporalGraphAttention(Module):
                     out_h = checkpoint(
                         lambda hs, hd, ws, wd, a_s, a_d, _h=head: self._head(
                             _h, src_index, dst_index, n_dst, hs, hd, None,
-                            ws, wd, a_s, a_d,
+                            ws, wd, a_s, a_d, runs=runs,
                         ),
                         h_src, h_dst, *params,
                     )
             else:
                 out_h = self._head(
                     head, src_index, dst_index, n_dst, h_src, h_dst, time_feat,
-                    *params, self.w_time,
+                    *params, self.w_time, runs=runs, time_rows=time_rows,
                 )
             head_outputs.append(out_h)
         stacked = concat(head_outputs, axis=1)
@@ -308,6 +316,9 @@ class TemporalGraphAttention(Module):
         attn_src: Tensor,
         attn_dst: Tensor,
         w_time: Optional[Tensor] = None,
+        *,
+        runs: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        time_rows: Optional[np.ndarray] = None,
     ) -> Tensor:
         """Fused one-pass kernel for one head: logits -> segment softmax -> sum.
 
@@ -324,10 +335,14 @@ class TemporalGraphAttention(Module):
         * both dot products are :func:`_logits`, one row-invariant GEMM
           each rather than a per-row reduction loop;
         * edges are grouped by target with one stable sort
-          (:func:`~repro.autograd.tensor.segment_runs`; skipped when the
-          caller already sorted, as :meth:`forward` does), so the
-          segment max, the softmax denominator and the message sum are
-          ``ufunc.reduceat`` over contiguous runs.
+          (:func:`~repro.autograd.tensor.segment_runs`), so the segment
+          max, the softmax denominator and the message sum are
+          ``ufunc.reduceat`` over contiguous runs.  :meth:`forward` sorts
+          once and passes every head the ``runs`` (starts, counts) of its
+          target-sorted edges; without them the head sorts for itself;
+        * with ``time_rows`` (inference only, no gradient), ``time_feat``
+          holds one encoding per distinct time offset and edge ``e`` takes
+          row ``time_rows[e]`` of its projection.
 
         Edges may come in any order; a target's result depends only on its
         own edges in their given order.  The backward is the standard
@@ -338,7 +353,10 @@ class TemporalGraphAttention(Module):
         """
         if time_feat is None:
             w_time = None
-        order, starts, counts = segment_runs(dst_index)
+        if runs is None:
+            order, starts, counts = segment_runs(dst_index)
+        else:
+            order, (starts, counts) = None, runs
         if order is not None:
             src_index, dst_index = src_index[order], dst_index[order]
         targets = dst_index[starts]
@@ -349,9 +367,13 @@ class TemporalGraphAttention(Module):
         # --- forward -----------------------------------------------------
         msg = np.take(row_matmul(hs, ws), src_index, axis=0)
         if time_feat is not None:
-            tf = time_feat.data if order is None else time_feat.data[order]
             wt = w_time.data[head]
-            np.add(msg, row_matmul(tf, wt), out=msg)
+            if time_rows is None:
+                tf = time_feat.data if order is None else time_feat.data[order]
+                np.add(msg, row_matmul(tf, wt), out=msg)
+            else:
+                rows = time_rows if order is None else time_rows[order]
+                np.add(msg, np.take(row_matmul(time_feat.data, wt), rows, axis=0), out=msg)
         z_dst = row_matmul(hd, wd)
         score = _logits(msg, a_s) + _logits(z_dst, a_d)[dst_index]
         scale = np.where(score > 0, 1.0, self.negative_slope).astype(

@@ -131,6 +131,41 @@ class TestActiveTemporalNodes:
         with pytest.raises(GenerationError):
             active_temporal_nodes(g)
 
+    @staticmethod
+    def _unique_rows_reference(g):
+        """The former formulation: ``np.unique`` over pair keys and triple rows."""
+        T = np.int64(g.num_timestamps)
+        uniq_keys, degrees = np.unique(g.src * T + g.t, return_counts=True)
+        triples = np.unique(np.stack([g.src, g.t, g.dst], axis=1), axis=0)
+        _, distinct = np.unique(triples[:, 0] * T + triples[:, 1], return_counts=True)
+        centers = np.stack([uniq_keys // T, uniq_keys % T], axis=1)
+        return centers, degrees.astype(np.int64), distinct.astype(np.int64)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            TemporalGraph(3, [1], [2], [0], num_timestamps=2),
+            # Multi-edges: repeated (u, v, t) rows count towards d, not k.
+            TemporalGraph(
+                4, [0, 0, 0, 2, 2, 0, 3], [1, 1, 2, 1, 1, 1, 0], [1, 1, 1, 0, 0, 0, 1],
+                num_timestamps=2,
+            ),
+        ]
+        + [communication_network(20 + 7 * s, 40 + 60 * s, 2 + s, seed=s) for s in range(4)],
+        ids=["one-edge", "multi-edges"] + [f"random-{s}" for s in range(4)],
+    )
+    def test_matches_unique_rows_reference(self, graph):
+        ours = active_temporal_nodes(graph)
+        for got, want in zip(ours, self._unique_rows_reference(graph)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_edge_key_overflow_is_typed(self):
+        n = 2**22  # n * T * n = 2**64 > int64
+        g = TemporalGraph(n, [0], [1], [0], num_timestamps=2**20)
+        with pytest.raises(GenerationError, match="overflow"):
+            active_temporal_nodes(g)
+
 
 class TestDistinctAllowedMask:
     def test_first_occurrence_only(self):

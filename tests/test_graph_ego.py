@@ -12,6 +12,7 @@ from repro.graph import (
     sample_ego_tile,
     sample_initial_nodes,
 )
+from repro.graph.ego_graph import _pick_hashes, counter_hash
 
 
 def star_graph(leaves=10):
@@ -53,6 +54,19 @@ class TestNodeSampling:
     def test_invalid_threshold(self):
         with pytest.raises(ConfigError):
             hub_tile(3, threshold=0)
+
+    @pytest.mark.parametrize("hop", [1, 2, 3])
+    def test_folded_pick_hashes_equal_the_three_word_hash(self, hop):
+        """Folding ``(key, hop)`` per ego and the slot per parent keeps the chain."""
+        rng = np.random.default_rng(hop)
+        keys = rng.integers(0, 2**64, size=9, dtype=np.uint64)
+        owner = np.sort(rng.integers(0, keys.size, size=40))
+        slot = rng.integers(0, 1000, size=owner.size)
+        threshold = 7
+        want = counter_hash(keys[owner][:, None], hop, slot[:, None], np.arange(threshold))
+        got = _pick_hashes(keys, hop, owner, slot, threshold)
+        assert got.dtype == np.uint64
+        assert got.tobytes() == want.tobytes()
 
 
 class TestEgoGraph:
