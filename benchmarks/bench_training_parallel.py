@@ -17,6 +17,12 @@ gap, and records the numbers into ``BENCH_training.json``:
   ``REPRO_BENCH_REQUIRE_SPEEDUP=1`` to force it).
 * ``bench_training_parallel_smoke`` -- the CI gate: workers=2 with
   checkpointing on, bit-identical to the sequential plain-memory run.
+* ``bench_training_train_stages`` -- no gate: where a ``fit`` at the e2e
+  ``train`` workload's size spends its time (sampling + packing, forward,
+  loss, backward, gradient copy, optimiser) and how many minor page faults
+  (``ru_minflt``) a fit, a cold ``generate`` and a warm ``generate`` take.
+  Page faults show allocator effects that per-stage seconds hide (see
+  docs/BENCHMARKS.md).
 * ``bench_dtype_tokens_per_sec`` -- the raw-speed kernel gate: training
   throughput (centre temporal nodes per second, "tokens/sec") under the
   ``float32`` production policy must be at least
@@ -27,16 +33,22 @@ gap, and records the numbers into ``BENCH_training.json``:
   re-baselining rule).
 """
 
+import contextlib
 import dataclasses
 import os
+import resource
 import time
 
 import numpy as np
 
 from _artifacts import write_bench_artifact
-from repro.core import TGAEModel, fast_config, train_tgae
+from repro.autograd import Tensor
+from repro.core import TGAEGenerator, TGAEModel, fast_config, train_tgae
+from repro.core import trainer
 from repro.core.parallel import SharedArrayStore, shared_memory_supported
+from repro.core.sampler import EgoGraphSampler, TrainingBatch
 from repro.datasets import communication_network
+from repro.datasets.synthetic import erdos_renyi_temporal
 
 #: Checkpointing must cut peak traced training memory by at least this much.
 MEMORY_CUT_FLOOR = 0.40
@@ -350,5 +362,121 @@ def bench_training_parallel_smoke():
             "seconds_workers_n": round(par_s, 4),
             "checkpoint_attention": True,
             "bit_identical": True,
+        },
+    )
+
+
+#: Fits timed by ``bench_training_train_stages``; each stage reports its median.
+_STAGE_FITS = 3
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+@contextlib.contextmanager
+def _stage_clock(seconds):
+    """Add the wall-clock of the training stages to ``seconds`` (a dict).
+
+    Wraps the library's stage functions for the duration: a shard's
+    sampling + packing (``batch_for_centers`` and ``computation_batch``),
+    the model forward, the loss, ``Tensor.backward`` and the whole shard
+    (``run_train_shard``, whose remainder is the gradient copy), plus the
+    optimiser (``clip_grad_norm`` and ``Adam.step``) outside the shards.
+    Nested calls count once, in their outermost stage.
+    """
+    active = []
+    targets = [
+        (EgoGraphSampler, "batch_for_centers", "sampling_packing"),
+        (TrainingBatch, "computation_batch", "sampling_packing"),
+        (TGAEModel, "forward", "forward"),
+        (trainer, "tgae_shard_loss", "loss"),
+        (Tensor, "backward", "backward"),
+        (trainer, "run_train_shard", "shard"),
+        (trainer, "clip_grad_norm", "optimiser"),
+        (trainer.Adam, "step", "optimiser"),
+    ]
+
+    def timed(fn, stage):
+        def wrapper(*args, **kwargs):
+            if stage in active:
+                return fn(*args, **kwargs)
+            active.append(stage)
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[stage] = seconds.get(stage, 0.0) + time.perf_counter() - start
+                active.remove(stage)
+
+        return wrapper
+
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in targets]
+    try:
+        for (owner, name, stage), (_, _, fn) in zip(targets, saved):
+            setattr(owner, name, timed(fn, stage))
+        yield seconds
+    finally:
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
+
+
+def bench_training_train_stages():
+    """No gate: per-stage seconds of a fit and minor faults of fit / generate.
+
+    The e2e ``train`` workload's graph and configuration
+    (``erdos_renyi_temporal(96, 1920, 5)``, float32, 256 centres, 6 epochs,
+    one process), fitted :data:`_STAGE_FITS` times on fresh generators.
+    """
+    observed = erdos_renyi_temporal(96, 1920, 5, seed=1)
+    config = fast_config(
+        dtype="float32", embed_cache=True, seed=1, epochs=6, num_initial_nodes=256
+    )
+    fits, faults = [], {"fit": [], "generate_cold": [], "generate_warm": []}
+    for _ in range(_STAGE_FITS):
+        generator = TGAEGenerator(config)
+        start, before = time.perf_counter(), _minor_faults()
+        with _stage_clock({}) as seconds:
+            generator.fit(observed)
+        seconds["fit"] = time.perf_counter() - start
+        faults["fit"].append(_minor_faults() - before)
+        before = _minor_faults()
+        generator.generate(seed=0)
+        faults["generate_cold"].append(_minor_faults() - before)
+        for seed in range(1, 4):
+            before = _minor_faults()
+            generator.generate(seed=seed)
+            faults["generate_warm"].append(_minor_faults() - before)
+        shard = seconds.pop("shard")
+        inner = sum(seconds[k] for k in ("sampling_packing", "forward", "loss", "backward"))
+        seconds["gradient_copy"] = shard - inner
+        fits.append(seconds)
+    stages = {
+        stage: round(float(np.median([fit[stage] for fit in fits])), 5)
+        for stage in fits[0]
+    }
+    minor_faults = {
+        kind: {"median": int(np.median(counts)), "min": min(counts), "max": max(counts)}
+        for kind, counts in faults.items()
+    }
+    print(
+        f"\n=== train stages @ n={observed.num_nodes}, m={observed.num_edges}, "
+        f"T={observed.num_timestamps}, {config.epochs} epochs x "
+        f"{config.num_initial_nodes} centres (median of {_STAGE_FITS} fits) ===\n"
+        + "  ".join(f"{stage} {value * 1e3:.1f} ms" for stage, value in stages.items())
+        + "\nminor faults (median): "
+        + "  ".join(f"{kind} {value['median']}" for kind, value in minor_faults.items())
+    )
+    assert stages["fit"] > 0 and all(value >= 0 for value in stages.values())
+    write_bench_artifact(
+        "BENCH_training.json",
+        "train_stages",
+        {
+            "size": [observed.num_nodes, observed.num_edges, observed.num_timestamps],
+            "epochs": config.epochs,
+            "centres": config.num_initial_nodes,
+            "fits": _STAGE_FITS,
+            "seconds_per_fit": stages,
+            "minor_faults": minor_faults,
         },
     )

@@ -193,14 +193,14 @@ class TGAEEncoder(Module):
         return out @ proj_w + proj_b
 
     def _level_input(self, temporal_nodes: np.ndarray) -> Tensor:
-        """Projected input features of one bipartite level's node table.
+        """Projected input features of ``(u, t)`` rows (the batch's key table).
 
         With ``config.checkpoint_attention`` (and gradients recording), the
         whole pipeline -- two embedding gathers, the optional external
         feature projection, and ``input_proj`` -- becomes one
         recompute-in-backward unit, so only the final ``(rows, hidden)``
-        tensor stays alive per level instead of the ~5 per-row
-        intermediates.  Exact: same full-shape operations either way.
+        tensor stays alive instead of the ~5 per-row intermediates.  Exact:
+        same full-shape operations either way.
         """
         params = self._input_params()
         if (
@@ -239,37 +239,25 @@ class TGAEEncoder(Module):
         ego-graph on its own; the merged layout's shared table is read out
         at ``center_rows``.
 
-        Without gradient recording (every inference encode) a row's input
-        depends on its ``(u, t)`` alone, so the input pipeline runs once
-        per distinct key of the batch (:meth:`_key_table`) and each level
-        gathers its rows from that key table; the outermost layer takes the
-        key table itself as its sources, so its per-head source
-        projections also run once per key.  Every product is row-invariant
-        (:func:`~repro.autograd.row_matmul`), so the result is byte-equal
-        to the per-row pipeline the gradient path runs.
+        A row's input depends on its ``(u, t)`` alone, so the input
+        pipeline runs once per distinct key of the batch
+        (:meth:`_key_table`) and each level gathers its rows from that key
+        table; the outermost layer takes the key table itself as its
+        sources, so its per-head source projections also run once per key.
+        Every product is row-invariant (:func:`~repro.autograd.row_matmul`),
+        so the output is byte-equal to running the pipeline per row; the
+        gradients differ from that only in summation order, as each key's
+        rows are summed first (the backward of ``take_rows``).
         """
         radius = packed.radius
-        outer_src = packed.levels[radius - 1].src
-        if is_grad_enabled():
-            current = self._level_input(packed.nodes[radius])
-
-            def level_input(level: int) -> Tensor:
-                return self._level_input(packed.nodes[level])
-
-        else:
-            key_nodes, rows = self._key_table(packed)
-            current = key_input = self._level_input(key_nodes)
-            outer_src = rows[radius][outer_src]
-
-            def level_input(level: int) -> Tensor:
-                return key_input.take_rows(rows[level])
-
+        key_nodes, rows = self._key_table(packed)
+        current = key_input = self._level_input(key_nodes)
         for level in range(radius, 0, -1):
             edges = packed.levels[level - 1]
             current = self.layers[radius - level](
                 h_src=current,
-                h_dst=level_input(level - 1),
-                src_index=outer_src if level == radius else edges.src,
+                h_dst=key_input.take_rows(rows[level - 1]),
+                src_index=rows[radius][edges.src] if level == radius else edges.src,
                 dst_index=edges.dst,
                 delta_t=edges.delta_t,
             )

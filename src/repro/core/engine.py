@@ -36,6 +36,7 @@ memory model of O(E + n*C) instead of O(T * n^2):
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from ..autograd import no_grad, softmax
 from ..errors import GenerationError
-from ..graph.ego_graph import counter_hash
+from ..graph.ego_graph import _GOLDEN, _mix64, counter_hash
 from ..graph.temporal_graph import TemporalGraph, sorted_unique
 # ``spawn_streams`` is no longer called here; the import stays only because
 # the e2e benchmark's tracer resolves ``repro.core.engine:spawn_streams``
@@ -113,18 +114,65 @@ def shard_rows(total: int, width: int, workers: int, groups: int = 1) -> int:
     return max(1, min(DRAW_BLOCK_ELEMENTS // width, -(-total // per_group)))
 
 
-def _stage_hashes(keys: np.ndarray, stage: int, count: int) -> np.ndarray:
-    """``(rows, count)`` hashes ``counter_hash(keys[i], stage, j)``."""
-    return counter_hash(counter_hash(keys, stage)[:, None], np.arange(count))
+_SCRATCH = threading.local()
 
 
-def _keyed_uniforms(keys: np.ndarray, stage: int, count: int) -> np.ndarray:
-    """``(rows, count)`` float64 uniforms on ``[0, 1)``, draw ``j`` of ``stage`` per row."""
-    h = _stage_hashes(keys, stage, count)
+def _scratch(name: str, shape: Tuple[int, int], dtype) -> np.ndarray:
+    """A reusable uninitialised ``shape`` array of this thread's ``name`` buffer.
+
+    :func:`race_order` runs once per shard on ``(rows, n)`` arrays of up
+    to :data:`DRAW_BLOCK_ELEMENTS` elements.  Allocated fresh, arrays that
+    large sit above glibc's dynamic mmap threshold unless an earlier, larger
+    free has raised it, and are then mapped and page-faulted on every call.
+    Each thread keeps one buffer per name, grown to the largest shard it
+    has seen; a shard wider than the block gets a fresh array.  A buffer is
+    scratch only: nothing that holds one outlives the call.
+    """
+    size = shape[0] * shape[1]
+    if size > DRAW_BLOCK_ELEMENTS:
+        return np.empty(shape, dtype)
+    buffer = getattr(_SCRATCH, name, None)
+    if buffer is None or buffer.size < size:
+        buffer = np.empty(size, dtype)
+        setattr(_SCRATCH, name, buffer)
+    return buffer[:size].reshape(shape)
+
+
+def _stage_hashes(
+    keys: np.ndarray,
+    stage: int,
+    count: int,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``(rows, count)`` hashes ``counter_hash(keys[i], stage, j)``.
+
+    Written into ``out`` (uint64) with ``scratch`` for the mix when given.
+    """
+    h = np.bitwise_xor(
+        counter_hash(keys, stage)[:, None], np.arange(count, dtype=np.uint64), out=out
+    )
+    h += _GOLDEN
+    return _mix64(h, scratch)
+
+
+def _keyed_uniforms(
+    keys: np.ndarray,
+    stage: int,
+    count: int,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``(rows, count)`` float64 uniforms on ``[0, 1)``, draw ``j`` of ``stage`` per row.
+
+    Computed in place: the result is the hash array (``out`` when given)
+    reinterpreted as float64.
+    """
+    h = _stage_hashes(keys, stage, count, out, scratch)
     h >>= _SHIFT11
-    out = h.astype(np.float64)
-    out *= 2.0**-53
-    return out
+    uniforms = h.view(np.float64)
+    np.multiply(h, 2.0**-53, out=uniforms)
+    return uniforms
 
 
 def _keyed_integers(keys: np.ndarray, stage: int, count: int, high) -> np.ndarray:
@@ -193,10 +241,14 @@ def race_order(
     row yields an empty draw rather than dividing by zero or returning the
     forbidden index.
     """
-    p = np.asarray(probs, dtype=np.float64)
+    p = np.asarray(probs)
     if p.ndim != 2:
         raise GenerationError(f"probs must be 2-D, got shape {p.shape}")
     rows, n = p.shape
+    if p.dtype != np.float64:
+        weights = _scratch("weights", p.shape, np.float64)
+        np.copyto(weights, p)
+        p = weights
     usable = np.ones(p.shape, dtype=bool) if allowed is None else np.array(allowed, dtype=bool)
     if forbid is not None:
         usable[np.arange(rows), np.asarray(forbid, dtype=np.int64)] = False
@@ -208,7 +260,11 @@ def race_order(
     max_k = int(counts.max()) if counts.size else 0
     if max_k == 0:
         return np.zeros((rows, 0), dtype=np.int64), counts
-    race = _keyed_uniforms(np.asarray(row_keys, dtype=np.uint64), _RACE, n)
+    race = _keyed_uniforms(
+        np.asarray(row_keys, dtype=np.uint64), _RACE, n,
+        out=_scratch("hashes", p.shape, np.uint64),
+        scratch=_scratch("mix", p.shape, np.uint64),
+    )
     np.negative(race, out=race)
     np.log1p(race, out=race)
     np.negative(race, out=race)
@@ -748,7 +804,10 @@ class GenerationEngine:
             weights = fold_duplicate_mass(cand, np.exp(np.minimum(logits - top, 0)))
             order, sizes = race_order(weights, task.distinct, keys, allowed=allowed)
         else:
-            weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+            # In place: the logits are this call's own array.
+            weights = np.exp(
+                np.subtract(logits, logits.max(axis=1, keepdims=True), out=logits), out=logits
+            )
             order, sizes = race_order(weights, task.distinct, keys, forbid=part[:, 0])
         extra = np.where(sizes > 0, np.maximum(task.degrees - sizes, 0), 0)
         if not sizes.any():

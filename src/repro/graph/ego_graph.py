@@ -30,7 +30,7 @@ hashes the ego's shard index into one word drawn from the shard's RNG.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ if TYPE_CHECKING:
 TemporalNode = Tuple[int, int]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_INT64_MAX = np.iinfo(np.int64).max
 _SHIFT32 = np.uint64(32)
 
 
@@ -81,13 +82,14 @@ class EgoGraph:
         return np.concatenate([layer for layer in self.layers], axis=0)
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
+def _mix64(x: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """SplitMix64 finaliser: a bijective avalanche mix of ``uint64`` words.
 
     Mixes ``x`` in place (callers pass a fresh array) and returns it; one
-    scratch array serves all three shifts.
+    scratch array of ``x``'s shape serves all three shifts (``scratch``,
+    or a fresh one).
     """
-    scratch = x >> np.uint64(30)
+    scratch = np.right_shift(x, np.uint64(30), out=scratch)
     x ^= scratch
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= np.right_shift(x, np.uint64(27), out=scratch)
@@ -152,8 +154,16 @@ def _first_seen(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     key's first occurrence, ascending, and ``index[i]`` is the row of
     ``keys[i]``'s first occurrence within ``rows``.
     """
-    order = keys.argsort(kind="stable")
-    starts = _group_starts(keys[order])
+    size = keys.size
+    if size and keys.min() >= 0 and keys.max() <= (_INT64_MAX - size) // size:
+        # The composite ``key * size + position`` is unique, so any sort of
+        # it is the stable order of the keys, without a stable (timsort) sort.
+        composite = keys.astype(np.int64, copy=False) * size + np.arange(size)
+        sorted_keys, order = np.divmod(np.sort(composite), size)
+    else:  # the composite would overflow int64
+        order = keys.argsort(kind="stable")
+        sorted_keys = keys[order]
+    starts = _group_starts(sorted_keys)
     first = order[starts]  # stable sort: the earliest position of each key
     is_first = np.zeros(keys.size, dtype=bool)
     is_first[first] = True

@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..autograd import Tensor, checkpoint, concat, is_grad_enabled, row_matmul, scatter_add_rows
+from ..autograd import Tensor, checkpoint, concat, row_matmul, scatter_add_rows
 from ..autograd.ops import sorted_segment_softmax, sorted_segment_softmax_vjp
 from ..autograd.tensor import segment_runs
 from ..errors import ConfigError, ShapeError
@@ -52,21 +52,8 @@ class TimeEncoding(Module):
 
     def forward(self, delta_t: np.ndarray) -> Tensor:
         """Encode time offsets ``delta_t`` as ``(..., dim)`` features."""
-        return _time_encode(delta_t, self.frequency, self.phase, self.dim)
-
-
-def _time_encode(
-    delta_t: np.ndarray, frequency: Tensor, phase: Tensor, dim: int
-) -> Tensor:
-    """Functional form of :class:`TimeEncoding` (parameters passed explicitly).
-
-    The attention layer's checkpointed recompute path substitutes leaf
-    copies of ``frequency``/``phase``, so the encoding must be expressible
-    as a pure function of its parameter tensors.
-    """
-    dt = np.asarray(delta_t, dtype=frequency.data.dtype).reshape(-1, 1)
-    angles = Tensor(dt) * frequency.reshape(1, dim) + phase
-    return _cos(angles)
+        dt = np.asarray(delta_t, dtype=self.frequency.data.dtype).reshape(-1, 1)
+        return _cos(Tensor(dt) * self.frequency.reshape(1, self.dim) + self.phase)
 
 
 def _cos(x: Tensor) -> Tensor:
@@ -96,16 +83,31 @@ def _scatter_head(param_data: np.ndarray, head: int, grad: np.ndarray) -> np.nda
 #: rows were position-independent for every K up to 128 in both dtypes.
 LOGIT_COLUMNS = 16
 
+#: Rows per :func:`_logits` GEMM.  The padded product is :data:`LOGIT_COLUMNS`
+#: times the size of the logits it yields: whole, a training batch's
+#: outermost layer (20,000+ edges) made a 1.3 MB float32 transient per head.
+#: Rows are invariant, so the bits do not depend on this size.  Swept on the
+#: e2e ``train`` workload (4 seeds, interleaved): 1,024 and 4,096 rows cut
+#: ``train_centres_per_s`` 6-9% against no chunking, through the allocator
+#: (a fit took ~7,000 more minor page faults); 8,192 rows (512 KiB float32)
+#: read within 2% of it.
+LOGIT_CHUNK_ROWS = 8192
+
 
 def _logits(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Each row's dot product with ``a``: column 0 of ``x @ [a | 0 ...]``.
 
     A row-invariant GEMM (:data:`LOGIT_COLUMNS` wide), so a logit's bits
-    never depend on the other rows in the batch.
+    never depend on the other rows in the batch; it runs in blocks of
+    :data:`LOGIT_CHUNK_ROWS` rows.
     """
     cols = np.zeros((a.shape[0], LOGIT_COLUMNS), dtype=a.dtype)
     cols[:, 0] = a
-    return row_matmul(x, cols)[:, 0]
+    out = np.empty(x.shape[0], dtype=np.result_type(x, cols))
+    for start in range(0, x.shape[0], LOGIT_CHUNK_ROWS):
+        block = slice(start, start + LOGIT_CHUNK_ROWS)
+        out[block] = row_matmul(x[block], cols)[:, 0]
+    return out
 
 
 def _logits_vjp(g: np.ndarray, x: np.ndarray, a: np.ndarray):
@@ -205,11 +207,12 @@ class TemporalGraphAttention(Module):
 
         The edges, in any order, are stably sorted by target once here, and
         every head gets the target runs, so no head sorts or scans them
-        again.  Without gradient recording each distinct time offset is
-        encoded once and every head projects it once, gathering per edge:
-        the encoding is elementwise and the projection row-invariant, so
-        the bits equal the per-edge path's.  In checkpoint mode the time
-        encoding and each head become recompute-in-backward units
+        again.  Each distinct time offset is encoded once and every head
+        projects it once, gathering per edge: the encoding is elementwise
+        and the projection row-invariant, so the forward bits equal a
+        per-edge encoding's, and the backward sums each offset's edge
+        gradients before its projection.  In checkpoint mode each head
+        becomes a recompute-in-backward unit
         (:func:`repro.autograd.checkpoint`): the O(edges * head_dim)
         intermediates of at most *one head* exist at any moment of the
         backward pass, instead of every head of every layer staying alive
@@ -252,52 +255,30 @@ class TemporalGraphAttention(Module):
             if delta_t is not None:
                 delta_t = np.asarray(delta_t)[order]
         runs = (starts, counts)
-        params = [self.w_src, self.w_dst, self.attn_src, self.attn_dst]
-        use_checkpoint = (
-            self.checkpoint
-            and is_grad_enabled()
-            and any(t.requires_grad for t in [h_src, h_dst] + params)
-        )
         time_feat = time_rows = None
+        inputs = [h_src, h_dst, self.w_src, self.w_dst, self.attn_src, self.attn_dst]
         if self.time_encoding is not None and delta_t is not None:
-            if use_checkpoint:
-                time_feat = checkpoint(
-                    lambda frequency, phase: _time_encode(
-                        delta_t, frequency, phase, self.time_dim
-                    ),
-                    self.time_encoding.frequency,
-                    self.time_encoding.phase,
+            # One encoding per distinct offset; edge e reads row time_rows[e].
+            offsets, time_rows = np.unique(delta_t, return_inverse=True)
+            time_feat = self.time_encoding(offsets)
+            inputs[2:2] = [time_feat]
+            inputs.append(self.w_time)
+
+        def head_fn(head: int):
+            def fn(hs, hd, *rest):
+                if time_feat is None:
+                    rest = (None,) + rest
+                return self._head(
+                    head, src_index, dst_index, n_dst, hs, hd, *rest,
+                    runs=runs, time_rows=time_rows,
                 )
-            elif is_grad_enabled():
-                time_feat = self.time_encoding(delta_t)
-            else:  # inference: encode each distinct offset once
-                offsets, time_rows = np.unique(delta_t, return_inverse=True)
-                time_feat = self.time_encoding(offsets)
-        head_outputs = []
-        for head in range(self.num_heads):
-            if use_checkpoint:
-                if time_feat is not None:
-                    out_h = checkpoint(
-                        lambda hs, hd, tf, ws, wd, a_s, a_d, wt, _h=head: self._head(
-                            _h, src_index, dst_index, n_dst, hs, hd, tf,
-                            ws, wd, a_s, a_d, wt, runs=runs,
-                        ),
-                        h_src, h_dst, time_feat, *params, self.w_time,
-                    )
-                else:
-                    out_h = checkpoint(
-                        lambda hs, hd, ws, wd, a_s, a_d, _h=head: self._head(
-                            _h, src_index, dst_index, n_dst, hs, hd, None,
-                            ws, wd, a_s, a_d, runs=runs,
-                        ),
-                        h_src, h_dst, *params,
-                    )
-            else:
-                out_h = self._head(
-                    head, src_index, dst_index, n_dst, h_src, h_dst, time_feat,
-                    *params, self.w_time, runs=runs, time_rows=time_rows,
-                )
-            head_outputs.append(out_h)
+
+            return fn
+
+        head_outputs = [
+            checkpoint(head_fn(head), *inputs) if self.checkpoint else head_fn(head)(*inputs)
+            for head in range(self.num_heads)
+        ]
         stacked = concat(head_outputs, axis=1)
         return stacked @ self.w_out + self.bias
 
@@ -340,9 +321,10 @@ class TemporalGraphAttention(Module):
           ``ufunc.reduceat`` over contiguous runs.  :meth:`forward` sorts
           once and passes every head the ``runs`` (starts, counts) of its
           target-sorted edges; without them the head sorts for itself;
-        * with ``time_rows`` (inference only, no gradient), ``time_feat``
-          holds one encoding per distinct time offset and edge ``e`` takes
-          row ``time_rows[e]`` of its projection.
+        * ``time_feat`` holds one encoding per distinct time offset and
+          edge ``e`` (in the caller's order) takes row ``time_rows[e]`` of
+          its projection; the backward scatters the per-edge message
+          gradient into those rows before it multiplies by ``W_t``.
 
         Edges may come in any order; a target's result depends only on its
         own edges in their given order.  The backward is the standard
@@ -367,13 +349,9 @@ class TemporalGraphAttention(Module):
         # --- forward -----------------------------------------------------
         msg = np.take(row_matmul(hs, ws), src_index, axis=0)
         if time_feat is not None:
-            wt = w_time.data[head]
-            if time_rows is None:
-                tf = time_feat.data if order is None else time_feat.data[order]
-                np.add(msg, row_matmul(tf, wt), out=msg)
-            else:
-                rows = time_rows if order is None else time_rows[order]
-                np.add(msg, np.take(row_matmul(time_feat.data, wt), rows, axis=0), out=msg)
+            tf, wt = time_feat.data, w_time.data[head]
+            rows = time_rows if order is None else time_rows[order]
+            np.add(msg, np.take(row_matmul(tf, wt), rows, axis=0), out=msg)
         z_dst = row_matmul(hd, wd)
         score = _logits(msg, a_s) + _logits(z_dst, a_d)[dst_index]
         scale = np.where(score > 0, 1.0, self.negative_slope).astype(
@@ -417,17 +395,15 @@ class TemporalGraphAttention(Module):
             g_ws_h = np.swapaxes(hs, -1, -2) @ g_z_src
             grads = [g_h_src, g_h_dst]
             if time_feat is not None:
-                g_tf = g_msg @ np.swapaxes(wt, -1, -2)
-                if order is not None:  # back to the caller's edge order
-                    g_tf = scatter_add_rows(order, g_tf, g_tf.shape[0], g.dtype)
-                grads.append(g_tf)
+                g_p = scatter_add_rows(rows, g_msg, tf.shape[0], g.dtype)
+                grads.append(g_p @ np.swapaxes(wt, -1, -2))
             grads.append(_scatter_head(w_src.data, head, g_ws_h))
             grads.append(_scatter_head(w_dst.data, head, g_wd_h))
             grads.append(_scatter_head(attn_src.data, head, g_as_h))
             grads.append(_scatter_head(attn_dst.data, head, g_ad_h))
             if w_time is not None:
                 grads.append(
-                    _scatter_head(w_time.data, head, np.swapaxes(tf, -1, -2) @ g_msg)
+                    _scatter_head(w_time.data, head, np.swapaxes(tf, -1, -2) @ g_p)
                 )
             cache["grads"] = grads
             return grads

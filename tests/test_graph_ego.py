@@ -12,7 +12,7 @@ from repro.graph import (
     sample_ego_tile,
     sample_initial_nodes,
 )
-from repro.graph.ego_graph import _pick_hashes, counter_hash
+from repro.graph.ego_graph import _first_seen, _group_starts, _pick_hashes, counter_hash
 
 
 def star_graph(leaves=10):
@@ -67,6 +67,60 @@ class TestNodeSampling:
         got = _pick_hashes(keys, hop, owner, slot, threshold)
         assert got.dtype == np.uint64
         assert got.tobytes() == want.tobytes()
+
+
+def first_seen_by_argsort(keys):
+    """``_first_seen`` as it was written before the composite sort: a stable argsort."""
+    order = keys.argsort(kind="stable")
+    starts = _group_starts(keys[order])
+    first = order[starts]
+    is_first = np.zeros(keys.size, dtype=bool)
+    is_first[first] = True
+    index = np.empty(keys.size, dtype=np.int64)
+    index[order] = (is_first.cumsum() - 1)[first][starts.cumsum() - 1]
+    return is_first.nonzero()[0], index
+
+
+class TestFirstSeen:
+    """``_first_seen`` sorts ``key * size + position`` unless that overflows int64."""
+
+    @staticmethod
+    def check(keys):
+        rows, index = _first_seen(keys)
+        want_rows, want_index = first_seen_by_argsort(keys)
+        assert rows.dtype == want_rows.dtype and index.dtype == want_index.dtype
+        assert rows.tobytes() == want_rows.tobytes()
+        assert index.tobytes() == want_index.tobytes()
+        np.testing.assert_array_equal(keys[rows][index], keys)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_composite_sort_equals_argsort(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 3000))
+        keys = rng.integers(0, max(2, size // int(rng.integers(1, 8))), size=size)
+        self.check(keys)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_overflowing_composite_keeps_argsort(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(2, 500))
+        # Just past the largest key whose composite fits: the argsort branch.
+        top = (np.iinfo(np.int64).max - size) // size + 1
+        keys = rng.choice(np.array([0, 5, top, top + 7, np.iinfo(np.int64).max]), size=size)
+        keys[0] = top
+        self.check(keys)
+
+    def test_largest_fitting_key_uses_composite(self):
+        size = 64
+        top = (np.iinfo(np.int64).max - size) // size
+        keys = np.tile(np.array([top, 3, top - 1, 3]), size // 4)
+        self.check(keys)
+
+    def test_negative_keys_and_edge_sizes(self):
+        self.check(np.array([-4, 2, -4, 0, 2]))
+        self.check(np.array([7]))
+        rows, index = _first_seen(np.array([], dtype=np.int64))
+        assert rows.size == 0 and index.size == 0
 
 
 class TestEgoGraph:

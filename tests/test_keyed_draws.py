@@ -8,6 +8,8 @@ fixed number: the bounds hold or fail deterministically.
 """
 
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +18,10 @@ from scipy.stats import chi2 as chi2_dist
 from draw_oracle import sample_rows_without_replacement
 
 from repro.core import TGAEGenerator, fast_config
-from repro.core.engine import _REPEAT, _keyed_uniforms, race_order, repeat_columns
+from repro.core import engine
+from repro.core.engine import (
+    _RACE, _REPEAT, DRAW_BLOCK_ELEMENTS, _keyed_uniforms, race_order, repeat_columns,
+)
 from repro.graph import TemporalGraph
 from repro.graph.ego_graph import counter_hash
 
@@ -141,6 +146,91 @@ class TestRace:
                 probs[row : row + 1], np.array([row % 7]), row_keys[row : row + 1]
             )[0]
             assert np.array_equal(alone, together[row])
+
+
+class TestDrawScratch:
+    """``race_order`` works in per-thread buffers that later calls reuse."""
+
+    def test_in_place_uniforms_equal_the_hash_formula(self):
+        row_keys = keys(13, 9)
+        h = counter_hash(counter_hash(row_keys, _RACE)[:, None], np.arange(29))
+        want = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        fresh = _keyed_uniforms(row_keys, _RACE, 29)
+        into = _keyed_uniforms(
+            row_keys, _RACE, 29,
+            out=np.empty((13, 29), dtype=np.uint64),
+            scratch=np.empty((13, 29), dtype=np.uint64),
+        )
+        assert fresh.dtype == into.dtype == np.float64
+        assert fresh.tobytes() == want.tobytes() == into.tobytes()
+
+    @staticmethod
+    def draws(shape, seed, dtype=np.float64):
+        rng = np.random.default_rng(seed)
+        probs = rng.random(shape).astype(dtype)
+        probs[:, ::5] = 0.0
+        counts = rng.integers(0, shape[1], size=shape[0])
+        forbid = rng.integers(0, shape[1], size=shape[0])
+        return race_order(probs, counts, keys(shape[0], seed), forbid=forbid)
+
+    @staticmethod
+    def in_new_thread(fn):
+        box = []
+        thread = threading.Thread(target=lambda: box.append(fn()))
+        thread.start()
+        thread.join()
+        return box[0]
+
+    def test_reused_buffers_equal_fresh_ones(self):
+        shapes = [(300, 50), (7, 11), (300, 50), (2, 1000)]
+        for dtype in (np.float32, np.float64):
+            for seed, shape in enumerate(shapes):
+                got = self.draws(shape, seed, dtype)
+                want = self.in_new_thread(lambda: self.draws(shape, seed, dtype))
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes()
+
+    def test_float32_weights_race_as_their_float64_values(self):
+        rng = np.random.default_rng(3)
+        probs = rng.random((40, 30)).astype(np.float32)
+        counts, row_keys = np.full(40, 4), keys(40, 3)
+        single = race_order(probs, counts, row_keys)
+        double = race_order(probs.astype(np.float64), counts, row_keys)
+        for a, b in zip(single, double):
+            assert a.tobytes() == b.tobytes()
+
+    def test_threads_keep_their_own_buffers(self):
+        """More threads than cores, switching often: every draw stays its own."""
+        shapes = [(200, 40 + 7 * i) for i in range(4)]
+        want = [self.draws(shape, seed) for seed, shape in enumerate(shapes)]
+        wrong = []
+
+        def work(i):
+            for _ in range(20):
+                got = self.draws(shapes[i], i)
+                if any(x.tobytes() != y.tobytes() for x, y in zip(got, want[i])):
+                    wrong.append(i)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(shapes))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_a_shard_wider_than_the_block_is_not_kept(self):
+        def wide():
+            order, _ = self.draws((1, DRAW_BLOCK_ELEMENTS + 3), 5)
+            return order, getattr(engine._SCRATCH, "hashes", None)
+
+        order, kept = self.in_new_thread(wide)
+        assert order.shape == (1, order.shape[1]) and kept is None
 
 
 class TestRepeats:

@@ -13,9 +13,10 @@ import pytest
 
 from attention_oracle import segment_softmax
 
-from repro.autograd import Tensor, check_gradients, concat
+from repro.autograd import Tensor, check_gradients, concat, row_matmul
 from repro.nn import TemporalGraphAttention
-from repro.nn.attention import LOGIT_COLUMNS
+from repro.nn.attention import LOGIT_CHUNK_ROWS, LOGIT_COLUMNS
+from repro.nn.attention import _logits as chunked_logits
 
 N_SRC, N_DST, N_EDGES = 9, 5, 23
 IN_F, OUT_F, HEADS, TIME_DIM = 6, 8, 3, 4
@@ -29,7 +30,7 @@ def _logits(x, a):
 
 def _head_reference(
     layer, head, src_index, dst_index, n_dst, h_src, h_dst, time_feat,
-    w_src, w_dst, attn_src, attn_dst, w_time=None,
+    w_src, w_dst, attn_src, attn_dst, w_time=None, *, time_rows=None,
 ):
     """One head's Eq. 4-5 aggregation composed from autograd primitives.
 
@@ -42,12 +43,14 @@ def _head_reference(
     Eq. 5's ``a^T [W h_s || W h_d]`` splits into a per-edge source term and
     a per-target term gathered to each edge.  Edges are taken in stable
     target order, the order the segment reductions associate in.
+    ``time_feat`` holds one encoding per distinct time offset, and edge
+    ``e`` reads the projection of row ``time_rows[e]``.
     """
     order = np.argsort(dst_index, kind="stable")
     src, dst = src_index[order], dst_index[order]
     msg = (h_src @ w_src[head]).take_rows(src)
     if time_feat is not None:
-        msg = msg + time_feat.take_rows(order) @ w_time[head]
+        msg = msg + (time_feat @ w_time[head]).take_rows(time_rows[order])
     target_term = _logits(h_dst @ w_dst[head], attn_dst[head])
     score = _logits(msg, attn_src[head]) + target_term.take_rows(dst)
     alpha = segment_softmax(score.leaky_relu(layer.negative_slope), dst, n_dst)
@@ -82,16 +85,15 @@ def _run(layer, impl, dtype, with_time):
     layer.zero_grad()
     h_src = Tensor(h_src_a.copy(), requires_grad=True)
     h_dst = Tensor(h_dst_a.copy(), requires_grad=True)
-    time_feat = (
-        layer.time_encoding(delta_t)
-        if with_time and layer.time_encoding is not None
-        else None
-    )
+    time_feat = time_rows = None
+    if with_time and layer.time_encoding is not None:
+        offsets, time_rows = np.unique(delta_t, return_inverse=True)
+        time_feat = layer.time_encoding(offsets)
     outs = [
         impl(
             head, src_index, dst_index, N_DST, h_src, h_dst, time_feat,
             layer.w_src, layer.w_dst, layer.attn_src, layer.attn_dst,
-            layer.w_time,
+            layer.w_time, time_rows=time_rows,
         )
         for head in range(HEADS)
     ]
@@ -116,7 +118,7 @@ def test_fused_head_bitwise_equals_reference(dtype, with_time):
     ).to_dtype(dtype)
     fused_out, fused_grads = _run(layer, layer._head, dtype, with_time)
     ref_out, ref_grads = _run(
-        layer, lambda *args: _head_reference(layer, *args), dtype, with_time
+        layer, lambda *args, **kw: _head_reference(layer, *args, **kw), dtype, with_time
     )
     assert fused_out.dtype == np.dtype(dtype)
     assert np.array_equal(fused_out, ref_out)
@@ -135,11 +137,13 @@ def test_fused_head_finite_differences():
         np.float64, True, seed=5
     )
     h_src_a, h_dst_a = h_src_a[:, :4], h_dst_a[:, :4]
-    time_feat_data = layer.time_encoding(delta_t).data
+    offsets, time_rows = np.unique(delta_t, return_inverse=True)
+    time_feat_data = layer.time_encoding(offsets).data
 
     def fn(hs, hd, tf, ws, wd, a_s, a_d, wt):
         return layer._head(
-            0, src_index, dst_index, N_DST, hs, hd, tf, ws, wd, a_s, a_d, wt
+            0, src_index, dst_index, N_DST, hs, hd, tf, ws, wd, a_s, a_d, wt,
+            time_rows=time_rows,
         )
 
     inputs = [
@@ -178,3 +182,21 @@ def test_checkpointed_layer_matches_plain():
     assert np.array_equal(plain_out, ckpt_out)
     for name in plain_grads:
         assert np.array_equal(plain_grads[name], ckpt_grads[name]), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [4, 8, 16])
+@pytest.mark.parametrize(
+    "rows",
+    [1, LOGIT_CHUNK_ROWS - 1, LOGIT_CHUNK_ROWS, LOGIT_CHUNK_ROWS + 1, 2 * LOGIT_CHUNK_ROWS + 3],
+)
+def test_chunked_logits_equal_one_product(dtype, width, rows):
+    """Row blocks of the logit GEMM give the bytes of one whole-batch product."""
+    rng = np.random.default_rng(rows + width)
+    x = rng.standard_normal((rows, width)).astype(dtype)
+    a = rng.standard_normal(width).astype(dtype)
+    cols = np.zeros((width, LOGIT_COLUMNS), dtype=dtype)
+    cols[:, 0] = a
+    got = chunked_logits(x, a)
+    assert got.dtype == np.dtype(dtype)
+    assert got.tobytes() == row_matmul(x, cols)[:, 0].tobytes()
