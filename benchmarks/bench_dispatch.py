@@ -21,6 +21,12 @@ Two wins are gated against recorded ceilings and logged into
 * ``bench_dispatch_smoke`` -- the cheap CI gate: ``train_tgae(workers=N)``
   through an shm pool is bit-identical to ``workers=1``, and the pool's
   shared segments are unlinked on close.
+* ``bench_append_dispatch`` -- ingest-only appends (``update(epochs=0)`` +
+  ``generate``) on an open process pool swap the graph segment under the
+  running workers: the executor starts exactly once over
+  :data:`APPENDS` appends, each append publishes one graph segment, and
+  every draw is byte-equal to a ``workers=1`` generator's.  The seconds
+  per append are recorded next to the ``workers=1`` time on the same graph.
 
 Baselines were recorded on the reference container (1 core, Linux,
 CPython 3.11); re-baseline by running this file with ``-s`` and copying
@@ -38,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from _artifacts import write_bench_artifact
-from repro.core import TGAEModel, WorkerPool, fast_config, train_tgae
+from repro.core import TGAEGenerator, TGAEModel, WorkerPool, fast_config, train_tgae
 from repro.datasets import communication_network, erdos_renyi_temporal
 from repro.metrics import streaming_evaluate
 
@@ -69,6 +75,9 @@ EVAL_TIME_CEILING = 0.2
 EVAL_SECONDS_CEILING = 0.5
 
 EVAL_TIME_REPEATS = 3
+
+#: Ingest-only appends per ``bench_append_dispatch`` run.
+APPENDS = 6
 
 
 def _train(observed, config, workers=1, pool=None):
@@ -278,5 +287,87 @@ def bench_dispatch_smoke():
             "segments_published": len(segments),
             "segments_leaked": 0,
             "bit_identical": True,
+        },
+    )
+
+
+def _same_bytes(graph_a, graph_b):
+    return all(
+        getattr(graph_a, name).tobytes() == getattr(graph_b, name).tobytes()
+        for name in ("src", "dst", "t")
+    )
+
+
+def bench_append_dispatch():
+    """CI gate: appends on an open pool start the executor once, same bits."""
+    workers = int(os.environ.get("REPRO_BENCH_WORKERS", "2"))
+    # The size and config of the end-to-end ``pooled`` workload.
+    observed = erdos_renyi_temporal(96, 1920, 5, seed=1)
+    config = fast_config(
+        epochs=2, num_initial_nodes=256, dtype="float32", embed_cache=True, seed=1
+    )
+    rng = np.random.default_rng(7)
+    count = observed.num_edges // 20
+    batches = [
+        (
+            rng.integers(0, observed.num_nodes, count),
+            rng.integers(0, observed.num_nodes, count),
+            rng.integers(0, observed.num_timestamps, count),
+        )
+        for _ in range(APPENDS)
+    ]
+    sequential = TGAEGenerator(config).fit(observed)
+    pooled = TGAEGenerator(config)
+    pooled_seconds, sequential_seconds, identical = [], [], True
+    with pooled.worker_pool(workers=workers, backend="process") as pool:
+        pooled.fit(observed)
+        pooled.generate(seed=0)
+        before = pool.health
+        for i, batch in enumerate(batches):
+            start = time.perf_counter()
+            pooled.update(batch, epochs=0)
+            drawn = pooled.generate(seed=1 + i)
+            pooled_seconds.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            sequential.update(batch, epochs=0)
+            expected = sequential.generate(seed=1 + i)
+            sequential_seconds.append(time.perf_counter() - start)
+            identical = identical and _same_bytes(drawn, expected)
+        health = pool.health
+        shm_active = pool.shm_active
+    pooled_s = float(np.median(pooled_seconds))
+    sequential_s = float(np.median(sequential_seconds))
+    publishes = health["publishes"] - before["publishes"]
+    print(
+        f"\n=== append dispatch @ n={observed.num_nodes}, m={observed.num_edges}, "
+        f"{APPENDS} appends of {count} edges, workers={workers} ===\n"
+        f"pooled {pooled_s * 1e3:6.1f} ms/append   workers=1 "
+        f"{sequential_s * 1e3:6.1f} ms/append   executor starts="
+        f"{health['executor_starts']}   publishes over the appends={publishes}"
+    )
+    assert identical, "a pooled draw after an append differs from workers=1"
+    if shm_active:
+        assert health["executor_starts"] == 1, (
+            f"appends restarted the executor: {health['executor_starts']} starts"
+        )
+        assert publishes == APPENDS, f"{publishes} publishes for {APPENDS} appends"
+    write_bench_artifact(
+        "BENCH_dispatch.json",
+        "append_dispatch",
+        {
+            "workers": workers,
+            "num_nodes": observed.num_nodes,
+            "num_edges": observed.num_edges,
+            "appends": APPENDS,
+            "edges_per_append": count,
+            "shm_active": bool(shm_active),
+            "pooled_seconds_per_append": round(pooled_s, 4),
+            "sequential_seconds_per_append": round(sequential_s, 4),
+            "executor_starts": health["executor_starts"],
+            "publishes_over_appends": publishes,
+            "param_updates_over_appends": (
+                health["param_updates"] - before["param_updates"]
+            ),
+            "bit_identical": bool(identical),
         },
     )

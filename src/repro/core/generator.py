@@ -189,10 +189,11 @@ class TGAEGenerator(TemporalGraphGenerator):
         once it returns, so an update that raises leaves the generator as
         it was.  ``epochs=0`` trains nothing and makes no copy.
 
-        The next pooled dispatch after an append republishes the
-        shared-memory graph segment automatically: the structure fingerprint
-        (``_structure_token``) covers the edge arrays, so the stale segment is
-        rebuilt exactly once and then cached again.  The inference
+        The next pooled dispatch after an append publishes a new
+        shared-memory graph segment and swaps it under the running workers:
+        the pool's graph token covers the edge arrays, so this happens
+        exactly once per append, with no executor restart and no worker
+        rebuild (the old segment is unlinked).  The inference
         embedding cache is *not* flushed by an append: only the rows within
         the encoder's ego-radius of a new edge
         (:func:`~repro.core.embed_cache.dirty_temporal_nodes`) are dropped,

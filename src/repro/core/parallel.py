@@ -24,8 +24,9 @@ one place that decides how:
 * ``backend="process"`` (default) runs chunks in worker *processes* -- the
   right choice for the CPU-bound NumPy passes, which the GIL would
   serialise under threads.  Each worker attaches the shared graph and
-  parameter segments once, through a handle payload shipped by the pool
-  initializer; per-task messages carry index arrays, a seed-sequence
+  parameter segments at start-up, through a handle payload shipped by the
+  pool initializer (an append moves it onto a new graph segment, see
+  below); per-task messages carry index arrays, a seed-sequence
   child (training) or a draw word (inference), a parameter version and
   (inference) the chunk's embedding rows.
 * ``backend="thread"`` shares the live engine across a thread pool -- the
@@ -56,11 +57,22 @@ one writer, N readers).  Workers attach the segments once, by name, through
 a ~5 KB :class:`ShmWorkerPayload` of handles; after that, per-epoch and
 per-generate dispatch is **O(1) in model size**: a refreshed model (a new
 epoch, a refit) is shipped by overwriting the parameter segment *in place*
-and bumping a version counter -- no re-pickle, no executor rebuild.  The
-graph/config/shape *structure* token decides when workers must be rebuilt;
-otherwise one rule serves training and inference alike: the parameter
-segment is rewritten iff the weights token moved.  So one pool serves
-``fit`` -> ``generate`` -> ``score_topk`` on one executor.  The pool owns
+and bumping a version counter -- no re-pickle, no executor rebuild.  Three
+tiers of change detection decide what a dispatch costs
+(:func:`_pool_tokens`):
+
+* the *worker* token (config, ``(n, T)`` universe, feature shape,
+  parameter layout) covers what a worker builds at start-up; only its
+  change restarts the executor and republishes both segments;
+* the *graph* token (edge arrays, feature values) moves on an append: the
+  pool publishes a new graph segment, moves every worker onto it with a
+  one-task-per-worker rendezvous and unlinks the old one -- same workers,
+  same models, same parameter segment;
+* the *weights* token: the parameter segment is rewritten in place iff it
+  moved, for training and inference alike.
+
+So one pool serves ``fit`` -> ``generate`` -> ``score_topk`` ->
+``update`` on one executor.  The pool owns
 the segments and unlinks them on :meth:`WorkerPool.close` (and on degrade,
 worker crash, or interpreter exit); teardown is idempotent and safe to run
 from ``atexit``.  A platform without POSIX shared memory has no working
@@ -89,6 +101,7 @@ deterministically in tests through :mod:`repro.faults`.
 from __future__ import annotations
 
 import atexit
+import gc
 import itertools
 import multiprocessing
 import os
@@ -101,7 +114,7 @@ import weakref
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -140,6 +153,11 @@ _RETRYABLE_TASK_ERRORS = (OSError, pickle.PicklingError)
 
 #: Byte alignment of arrays inside a shared segment (cache-line friendly).
 _SHM_ALIGN = 64
+
+#: Seconds a graph swap waits for every worker to arrive at its rendezvous
+#: before rebuilding the executor instead; a worker waits twice as long
+#: for the parent's release, so it never gives up first.
+_RENDEZVOUS_TIMEOUT = 30.0
 
 #: The degradation ladder, fastest rung first.  A persistent pool starts on
 #: the highest rung its configuration allows and only ever moves down.
@@ -231,7 +249,11 @@ class SharedArrayStore:
     can never raise ``BufferError`` out of an ``atexit`` hook.
     """
 
-    __slots__ = ("handle", "_shm", "_spec_by_key", "_owner_pid")
+    __slots__ = ("handle", "_shm", "_spec_by_key", "_owner_pid", "__weakref__")
+
+    #: Every store of this process; a forked pool worker closes its
+    #: inherited copies (:func:`_init_worker_shm`).
+    _live: "weakref.WeakSet[SharedArrayStore]" = weakref.WeakSet()
 
     def __init__(self, arrays: Mapping[str, np.ndarray]) -> None:
         from multiprocessing import shared_memory
@@ -240,6 +262,7 @@ class SharedArrayStore:
         # half-constructed store must be a clean no-op, not an AttributeError.
         self._shm: Optional[Any] = None
         self._owner_pid = os.getpid()
+        SharedArrayStore._live.add(self)
         faults.check("shm-create")
         specs: List[ShmArraySpec] = []
         contiguous: Dict[str, np.ndarray] = {}
@@ -271,8 +294,7 @@ class SharedArrayStore:
         """Overwrite stored arrays in place (single-writer refresh path).
 
         Keys must already exist with matching shape and dtype -- a shape
-        change is a *structure* change and requires a fresh store (and
-        fresh workers).
+        change (an append, a new model layout) requires a fresh store.
         """
         for key, arr in arrays.items():
             spec = self._spec_by_key.get(key)
@@ -378,6 +400,9 @@ class ShmWorkerPayload:
     engine from zero-copy views; afterwards the weights travel as a
     parameter *version* in each task message -- when it advances, the
     worker reloads weights from the (in-place updated) parameter segment.
+    An append moves running workers onto a new ``graph`` segment
+    (:func:`_swap_graph_rendezvous`), and the pool's cached payload names
+    the new segment from then on, so a crash rebuild attaches the live one.
     """
 
     config: TGAEConfig
@@ -410,24 +435,30 @@ def _shm_param_arrays(engine: Any) -> Dict[str, np.ndarray]:
     return {name: param.data for name, param in sorted(engine.model.named_parameters())}
 
 
-def _structure_token(engine: Any) -> str:
-    """Fingerprint of an engine's graph, config and parameter shapes.
+def _pool_tokens(engine: Any) -> Tuple[str, str]:
+    """The ``(worker, graph)`` fingerprints that decide how stale workers are.
 
-    Decides when shipped workers (and thread replicas) are stale.  Weight
-    values are left out on purpose: they travel through the in-place
-    parameter-segment update (or the replica refresh), which is what lets
-    one pool survive a whole training run and serve ``fit`` -> ``generate``
-    -> ``score_topk`` on one executor.  Reads the live arrays in place (no
-    ``state_dict`` copy).
-
-    The token hashes the graph's edge arrays, so appending observed edges
-    (:meth:`TGAEGenerator.update`) changes it and the next pooled dispatch
-    republishes the shared-memory graph segment -- exactly once, after
-    which the new token is cached like any other.
+    The *worker* token covers what a worker builds at start-up: the config
+    but ``epochs`` (only the parent's epoch loop reads it), the ``(n, T)``
+    universe, the external-feature shape and the parameter layout.  The
+    *graph* token hashes the edge arrays and feature values, so an append
+    (:meth:`TGAEGenerator.update`, which keeps the universe fixed) moves
+    only it.  Weight values are in neither: they travel through the
+    in-place parameter-segment update (or the replica refresh), which is
+    what lets one pool survive a whole training run.  Reads the live arrays
+    in place (no ``state_dict`` copy).
     """
-    token = graph_token(engine.graph, engine.config, engine.model.encoder._external_features)
+    graph = engine.graph
+    external = engine.model.encoder._external_features
     shapes = [(name, p.data.shape) for name, p in sorted(engine.model.named_parameters())]
-    return "structure:" + token + repr(shapes)
+    worker = (
+        replace(engine.config, epochs=1),
+        graph.num_nodes,
+        graph.num_timestamps,
+        None if external is None else external.shape,
+        shapes,
+    )
+    return "worker:" + repr(worker), "graph:" + graph_token(graph, None, external)
 
 
 def _engine_from_state(
@@ -459,10 +490,13 @@ def _engine_from_state(
 
 #: Per-process engine rebuilt by :func:`_init_worker_shm`; ``None`` in the parent.
 _WORKER_ENGINE: Optional[Any] = None
-#: Attached shared segments (kept alive for the views' lifetime) + param views.
+#: Attached graph and parameter segments, in that order (kept alive for
+#: the views' lifetime) + param views.
 _WORKER_SHM: List[Any] = []
 _WORKER_PARAM_VIEWS: Optional[Dict[str, np.ndarray]] = None
 _WORKER_PARAM_VERSION: Optional[int] = None
+#: ``(arrived, depart)`` semaphores of the executor's graph-swap rendezvous.
+_WORKER_RENDEZVOUS: Optional[Tuple[Any, Any]] = None
 
 
 def _release_worker_attachments() -> None:
@@ -470,8 +504,6 @@ def _release_worker_attachments() -> None:
     global _WORKER_ENGINE, _WORKER_PARAM_VIEWS
     _WORKER_ENGINE = None
     _WORKER_PARAM_VIEWS = None
-    import gc
-
     gc.collect()
     while _WORKER_SHM:
         shm = _WORKER_SHM.pop()
@@ -481,39 +513,86 @@ def _release_worker_attachments() -> None:
             pass
 
 
-def _init_worker_shm(payload: ShmWorkerPayload) -> None:
-    """Pool initializer: attach the shared segments, rebuild the engine.
-
-    The graph's edge and partner-CSR arrays stay zero-copy views into the
-    shared segment for the worker's whole life; the model weights are
-    *copied* out of the parameter segment (``load_state_dict`` copies), so
-    the parent can overwrite that segment between runs without racing
-    in-flight forwards.
-    """
-    global _WORKER_ENGINE, _WORKER_PARAM_VIEWS, _WORKER_PARAM_VERSION
-    graph_shm, graph_views = attach_shared_arrays(payload.graph)
-    param_shm, param_views = attach_shared_arrays(payload.params)
-    if not _WORKER_SHM:
-        atexit.register(_release_worker_attachments)
-    _WORKER_SHM[:] = [graph_shm, param_shm]
+def _attach_graph(
+    handle: ShmHandle, num_nodes: int, num_timestamps: int
+) -> Tuple[Any, TemporalGraph, Optional[np.ndarray]]:
+    """Attach a graph segment: ``(segment, zero-copy graph, external features)``."""
+    shm, views = attach_shared_arrays(handle)
     graph = TemporalGraph(
-        payload.num_nodes,
-        graph_views["src"],
-        graph_views["dst"],
-        graph_views["t"],
-        num_timestamps=payload.num_timestamps,
+        num_nodes,
+        views["src"],
+        views["dst"],
+        views["t"],
+        num_timestamps=num_timestamps,
         validate=False,
     )
     # Hand the prebuilt partner CSR straight to the graph cache: workers
     # never redo the O(E log E) group-by the parent already did.
-    graph._partner_groups = (
-        graph_views["partner_offsets"], graph_views["partners"]
+    graph._partner_groups = (views["partner_offsets"], views["partners"])
+    return shm, graph, views.get("external_features")
+
+
+def _init_worker_shm(payload: ShmWorkerPayload, rendezvous: Tuple[Any, Any]) -> None:
+    """Pool initializer: attach the shared segments, rebuild the engine.
+
+    The graph's edge and partner-CSR arrays stay zero-copy views into the
+    shared segment until a graph swap moves the worker onto a new one; the
+    model weights are *copied* out of the parameter segment
+    (``load_state_dict`` copies), so the parent can overwrite that segment
+    between runs without racing in-flight forwards.
+    """
+    global _WORKER_ENGINE, _WORKER_PARAM_VIEWS, _WORKER_PARAM_VERSION
+    global _WORKER_RENDEZVOUS
+    # A forked worker inherits the parent's writer mappings of every
+    # segment; closing them leaves only its own attachments, so a swapped
+    # out (unlinked) segment stays mapped nowhere.
+    for store in list(SharedArrayStore._live):
+        store.close()
+    graph_shm, graph, external = _attach_graph(
+        payload.graph, payload.num_nodes, payload.num_timestamps
     )
-    _WORKER_ENGINE = _engine_from_state(
-        payload.config, graph, param_views, graph_views.get("external_features")
-    )
+    param_shm, param_views = attach_shared_arrays(payload.params)
+    if not _WORKER_SHM:
+        atexit.register(_release_worker_attachments)
+    _WORKER_SHM[:] = [graph_shm, param_shm]
+    _WORKER_ENGINE = _engine_from_state(payload.config, graph, param_views, external)
     _WORKER_PARAM_VIEWS = param_views
     _WORKER_PARAM_VERSION = payload.version
+    _WORKER_RENDEZVOUS = rendezvous
+
+
+def _swap_graph_rendezvous(handle: ShmHandle, timeout: float) -> None:
+    """Broadcast task: move this worker onto graph segment ``handle``, then wait.
+
+    The worker builds a new engine around its *existing* model (weights
+    untouched, external features re-set from the new segment), then closes
+    its old mapping: every view of the old segment died with the old
+    engine, so no unlinked segment stays mapped.  Holding each worker until
+    the parent's release -- given once every worker has arrived -- lands
+    the pool's ``workers`` such tasks on ``workers`` distinct processes.
+    """
+    global _WORKER_ENGINE
+    from .engine import GenerationEngine
+
+    arrived, depart = _WORKER_RENDEZVOUS
+    try:
+        old = _WORKER_ENGINE
+        shm, graph, external = _attach_graph(
+            handle, old.graph.num_nodes, old.graph.num_timestamps
+        )
+        if external is not None:
+            old.model.encoder.set_external_features(external)
+        _WORKER_ENGINE = GenerationEngine(old.model, graph, old.config)
+        stale, _WORKER_SHM[0] = _WORKER_SHM[0], shm
+        del old
+        try:
+            stale.close()
+        except BufferError:  # a view kept alive by a reference cycle
+            gc.collect()
+            stale.close()
+    finally:
+        arrived.release()
+        depart.acquire(timeout=timeout)
 
 
 def _run_on(engine: Any, kind: str, task: Any) -> Any:
@@ -606,9 +685,12 @@ class WorkerPool:
     (:class:`SharedArrayStore`): workers attach once, per-task messages
     carry index arrays, a parameter version and (inference) the chunk's
     embedding rows, and weight changes (every training epoch, every refit)
-    are an in-place segment rewrite -- O(1) dispatch in model size.  Only a
-    change of graph, config or parameter shapes republishes, so one pool
-    survives a whole optimisation run.
+    are an in-place segment rewrite -- O(1) dispatch in model size.  An
+    append (:meth:`repro.core.TGAEGenerator.update`) publishes a new graph
+    segment and swaps it under the running workers; only a change of
+    config, ``(n, T)`` universe or parameter shapes restarts the executor,
+    so one pool survives a whole optimisation run and any number of
+    appends.
 
     Usage is either explicit::
 
@@ -676,6 +758,7 @@ class WorkerPool:
         self.closed = False
         #: Dispatch and robustness counters surfaced through :attr:`health`.
         self._health: Dict[str, Any] = {
+            "executor_starts": 0,
             "publishes": 0,
             "param_updates": 0,
             "retries": 0,
@@ -688,19 +771,23 @@ class WorkerPool:
         self._owner_pid = os.getpid()
         self._executor: Optional[ProcessPoolExecutor] = None
         #: Handle payload behind the live process executor, kept so a broken
-        #: executor can be rebuilt against the surviving segments.
+        #: executor can be rebuilt against the surviving segments.  A graph
+        #: swap points it at the new graph segment.
         self._active_payload: Optional[ShmWorkerPayload] = None
-        self._token: Optional[str] = None
+        #: ``(arrived, depart)`` semaphores the live executor's workers share.
+        self._rendezvous: Optional[Tuple[Any, Any]] = None
+        #: ``(worker, graph)`` tokens (:func:`_pool_tokens`) the executor serves.
+        self._tokens: Optional[Tuple[str, str]] = None
         self._thread_executor: Optional[ThreadPoolExecutor] = None
         self._replicas: Optional[List[Any]] = None
-        self._replica_token: Optional[str] = None
+        self._replica_tokens: Optional[Tuple[str, str]] = None
         self._stores: Dict[str, SharedArrayStore] = {}
         self._param_version = 0
         self._param_token: Optional[str] = None
-        #: (weakref-to-engine, token) cache: the structure token is constant
-        #: for an engine's lifetime, so a whole training run hashes the
-        #: graph arrays once instead of once per epoch.
-        self._structure_cache: Optional[tuple] = None
+        #: (weakref-to-engine, tokens) cache: the tokens are constant for an
+        #: engine's lifetime, so a whole training run hashes the graph
+        #: arrays once instead of once per epoch.
+        self._token_cache: Optional[tuple] = None
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -728,9 +815,11 @@ class WorkerPool:
     def health(self) -> Dict[str, Any]:
         """A structured operational report: rung, knobs, dispatch and fault counters.
 
-        ``publishes`` counts graph/parameter segment publishes (one per
-        structure change) and ``param_updates`` in-place parameter-segment
-        rewrites.  ``degrades`` lists every ladder step taken (e.g.
+        ``executor_starts`` counts process-executor starts, crash rebuilds
+        included.  ``publishes`` counts segment publishes: both segments on
+        a worker-token change, the graph segment alone on an append.
+        ``param_updates`` counts in-place parameter-segment rewrites.
+        ``degrades`` lists every ladder step taken (e.g.
         ``"shm->thread"``) in order; ``retries`` / ``timeouts`` /
         ``redispatches`` / ``worker_crashes`` count recovered incidents, and
         ``stragglers_verified`` counts abandoned originals that finished
@@ -800,15 +889,15 @@ class WorkerPool:
                 self._degrade(rung, exc.cause if isinstance(exc, _RungExhausted) else exc)
 
     # ------------------------------------------------------------------
-    def _token_for(self, engine: Any) -> str:
-        """The structure token for ``engine``, cached for the engine's lifetime."""
-        if self._structure_cache is not None:
-            ref, token = self._structure_cache
+    def _tokens_for(self, engine: Any) -> Tuple[str, str]:
+        """:func:`_pool_tokens` of ``engine``, cached for the engine's lifetime."""
+        if self._token_cache is not None:
+            ref, tokens = self._token_cache
             if ref() is engine:
-                return token
-        token = _structure_token(engine)
-        self._structure_cache = (weakref.ref(engine), token)
-        return token
+                return tokens
+        tokens = _pool_tokens(engine)
+        self._token_cache = (weakref.ref(engine), tokens)
+        return tokens
 
     def _run_on_processes(self, engine: Any, kind: str, tasks: List[Any]) -> List[Any]:
         # The whole dispatch holds the lock so a concurrent run() with a
@@ -831,32 +920,95 @@ class WorkerPool:
     def _ensure_shm_executor_locked(self, engine: Any) -> None:
         """Make the shm executor current for ``engine``; caller holds the lock.
 
-        The *structure* token (graph + config + parameter shapes) gates the
-        expensive path -- executor rebuild and segment republish.  Otherwise
-        one rule serves every task kind: the parameter segment is rewritten
-        in place (plus a version bump that rides inside the per-task
-        trampoline arguments) iff the weights token moved -- every training
-        epoch, a refit, never a repeat ``generate``.
+        The *worker* token (config, universe, parameter shapes) gates the
+        expensive path -- executor rebuild and segment republish.  A moved
+        *graph* token (an append) swaps the graph segment under the running
+        workers (:meth:`_swap_graph_locked`).  Then one rule serves every
+        task kind: the parameter segment is rewritten in place (plus a
+        version bump that rides inside the per-task trampoline arguments)
+        iff the weights token moved -- every training epoch, a refit, never
+        a repeat ``generate``.
         """
-        structure = self._token_for(engine)
+        tokens = self._tokens_for(engine)
         state = weights_token(engine.model)
-        if self._executor is None or structure != self._token:
+        if self._executor is None or tokens[0] != self._tokens[0]:
             self._shutdown_process_executor_locked()
             self._release_stores_locked()
             self._start_process_executor_locked(self._publish_engine_locked(engine))
-            self._token = structure
-        elif state != self._param_token:
-            self._update_params_locked(engine)
+        else:
+            if tokens[1] != self._tokens[1]:
+                self._swap_graph_locked(engine)
+            if state != self._param_token:
+                self._update_params_locked(engine)
+        self._tokens = tokens
         self._param_token = state
 
     def _start_process_executor_locked(self, payload: ShmWorkerPayload) -> None:
+        context = _process_context()
         self._active_payload = payload
+        self._rendezvous = (context.Semaphore(0), context.Semaphore(0))
         self._executor = ProcessPoolExecutor(
             max_workers=self.workers,
-            mp_context=_process_context(),
+            mp_context=context,
             initializer=_init_worker_shm,
-            initargs=(payload,),
+            initargs=(payload, self._rendezvous),
         )
+        self._health["executor_starts"] += 1
+
+    def _swap_graph_locked(self, engine: Any) -> None:
+        """Publish ``engine``'s graph as a new segment and move every worker onto it.
+
+        The executor, the workers' models and the parameter segment stay.
+        ``workers`` rendezvous tasks (:func:`_swap_graph_rendezvous`) land
+        one per worker, so every worker closes its old mapping before the
+        old segment is unlinked.  A worker that does not arrive in time
+        (dead, or busy with an abandoned straggler) gets the executor
+        rebuilt instead, on the live segments.
+        """
+        store = SharedArrayStore(_shm_graph_arrays(engine))
+        stale, self._stores["graph"] = self._stores["graph"], store
+        self._active_payload = replace(self._active_payload, graph=store.handle)
+        self._health["publishes"] += 1
+        try:
+            if not self._move_workers_locked(store.handle):
+                self._rebuild_process_executor_locked()
+        finally:
+            stale.close()
+
+    def _move_workers_locked(self, handle: ShmHandle) -> bool:
+        """One :func:`_swap_graph_rendezvous` per worker; whether every worker came.
+
+        The deadline is taken before the first submit and each worker waits
+        twice as long for its release, so no worker gives up while the
+        parent may still release it: no permit outlives the rendezvous.
+        """
+        arrived, depart = self._rendezvous
+        deadline = time.monotonic() + _RENDEZVOUS_TIMEOUT
+        try:
+            futures = [
+                self._executor.submit(
+                    _swap_graph_rendezvous, handle, 2 * _RENDEZVOUS_TIMEOUT
+                )
+                for _ in range(self.workers)
+            ]
+        except BrokenProcessPool:  # a worker died while the pool was idle
+            self._health["worker_crashes"] += 1
+            return False
+        met = 0
+        while met < self.workers and time.monotonic() < deadline:
+            if arrived.acquire(timeout=0.05):
+                met += 1
+            elif any(future.done() for future in futures):
+                # Only a dead worker's task ends before its release.
+                self._health["worker_crashes"] += 1
+                break
+        for _ in range(met):
+            depart.release()
+        if met < self.workers:
+            return False
+        for future in futures:
+            future.result()
+        return True
 
     def _rebuild_process_executor_locked(self) -> None:
         """Replace a broken process executor in place; caller holds the lock.
@@ -1044,10 +1196,10 @@ class WorkerPool:
 
         else:
             with self._lock:
-                token = self._token_for(engine)
-                if self._replicas is None or token != self._replica_token:
+                tokens = self._tokens_for(engine)
+                if self._replicas is None or tokens != self._replica_tokens:
                     self._replicas = _build_train_replicas(engine, self.workers)
-                    self._replica_token = token
+                    self._replica_tokens = tokens
                 else:
                     # Cached replicas must hold the *current* weights: refresh
                     # them from the live model (an exact copy, so the run
@@ -1148,8 +1300,9 @@ class WorkerPool:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-            self._token = None
+            self._tokens = None
         self._active_payload = None
+        self._rendezvous = None
 
     def close(self) -> None:
         """Shut down every executor, replica and shared segment.
@@ -1179,8 +1332,8 @@ class WorkerPool:
                     self._thread_executor = None
                 self._release_stores_locked()
                 self._replicas = None
-                self._replica_token = None
-                self._structure_cache = None
+                self._replica_tokens = None
+                self._token_cache = None
         except Exception:
             # Interpreter shutdown can break executor internals mid-close;
             # still make sure the shared segments are gone.

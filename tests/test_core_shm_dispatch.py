@@ -1,6 +1,6 @@
-"""Shared-memory shard dispatch: the store, bit-identity, and teardown.
+"""Shared-memory shard dispatch: the store, bit-identity, teardown, graph swaps.
 
-Three contracts under test, matching the PR's headline guarantees:
+Four contracts under test:
 
 * :class:`~repro.core.parallel.SharedArrayStore` is a correct one-writer /
   N-reader array segment: aligned layout, zero-copy read-only attachment,
@@ -11,9 +11,16 @@ Three contracts under test, matching the PR's headline guarantees:
 * Segments never outlive their pool: explicit close, trainer teardown, a
   ``KeyboardInterrupt`` mid-epoch, and forked children all leave zero
   leaked segments (a forked child must *not* unlink its parent's).
+* An append swaps the graph segment under the running workers: afterwards
+  each worker maps only the live segments, nothing unlinked, and a crash
+  or a dead worker rebuilds on the live segment (Linux: reads ``/proc``).
 """
 
 import multiprocessing
+import os
+import signal
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -440,3 +447,142 @@ class TestShmTeardown:
             pool.close()
         for name in segments:
             assert not attachable(name)
+
+
+def _append_edges(graph, k, seed):
+    rng = np.random.default_rng(seed)
+    return (
+        rng.integers(0, graph.num_nodes, k),
+        rng.integers(0, graph.num_nodes, k),
+        rng.integers(0, graph.num_timestamps, k),
+    )
+
+
+def _psm_mappings(pid):
+    """``(mapped, deleted)`` shared-segment names in ``/proc/<pid>/maps``."""
+    mapped, deleted = set(), set()
+    with open(f"/proc/{pid}/maps") as maps:
+        for line in maps:
+            if "/psm_" not in line:
+                continue
+            if line.rstrip().endswith("(deleted)"):
+                deleted.add(line.split()[-2].rsplit("/", 1)[-1])
+            else:
+                mapped.add(line.split()[-1].rsplit("/", 1)[-1])
+    return mapped, deleted
+
+
+def _dev_shm_segments():
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="reads /proc/<pid>/maps and /dev/shm",
+)
+class TestGraphSwapHygiene:
+    """An append swaps the graph segment; nothing of the old one survives."""
+
+    def fitted_in_pool(self, observed):
+        config = fast_config(
+            epochs=1, num_initial_nodes=12, candidate_limit=8, seed=5
+        )
+        generator = TGAEGenerator(config)
+        pool = generator.worker_pool(workers=2, backend="process")
+        generator.fit(observed)
+        generator.generate(seed=0)
+        return generator, pool
+
+    def test_appends_leave_no_stale_mapping(self, observed):
+        before = _dev_shm_segments()
+        generator, pool = self.fitted_in_pool(observed)
+        with pool:
+            pids = set(pool._executor._processes)
+            for i in range(6):
+                generator.update(_append_edges(observed, 8, seed=i), epochs=0)
+                generator.generate(seed=i)
+            live = set(pool.shm_segments())
+            assert len(live) == 2  # the graph and the parameter segment
+            assert set(pool._executor._processes) == pids
+            for pid in pids:
+                assert _psm_mappings(pid) == (live, set())
+            assert _dev_shm_segments() - before == live
+        assert _dev_shm_segments() - before == set()
+
+    def test_worker_crash_after_swap_rebuilds_on_live_segment(self, observed):
+        """A crash right after a swap: the rebuilt workers attach the live segment.
+
+        Forked workers inherit fault rules armed before the fork, so the
+        rule is armed first and pinned to shard 2: the pool's 2-shard
+        generate never reaches it, the 3-shard training epoch of
+        ``update(epochs=1)`` -- dispatched right after its graph swap -- does.
+        """
+        from repro import faults
+
+        config = fast_config(
+            epochs=1, num_initial_nodes=12, train_shard_size=4,
+            candidate_limit=8, seed=5,
+        )
+        reference = TGAEGenerator(config).fit(observed)
+        generator = TGAEGenerator(config).fit(observed)
+        edges = _append_edges(observed, 8, seed=1)
+        reference.update(edges, epochs=1)
+        with faults.inject("shard", action="crash", index=2, attempt=0):
+            with generator.worker_pool(workers=2, backend="process") as pool:
+                generator.generate(seed=0)
+                assert pool.health["executor_starts"] == 1
+                generator.update(edges, epochs=1)
+                health = pool.health
+                assert health["publishes"] == 2  # start-up + one swap
+                assert health["worker_crashes"] == 1
+                assert health["executor_starts"] == 2
+                assert health["degrades"] == [] and pool.rung == "shm"
+                # Rebuilt workers map the live segments, nothing unlinked.
+                live = set(pool.shm_segments())
+                for pid in pool._executor._processes:
+                    assert _psm_mappings(pid) == (live, set())
+                assert generator.history.losses == reference.history.losses
+                pooled = generator.generate(seed=2)
+        expected = reference.generate(seed=2)
+        for name in ("src", "dst", "t"):
+            assert getattr(pooled, name).tobytes() == getattr(expected, name).tobytes()
+
+    def test_swap_reaches_workers_without_a_task(self, observed):
+        """The swap rendezvous moves every worker, not only those given work.
+
+        Two training shards on three workers: at least one worker runs no
+        shard after the append, and it still maps the live graph segment
+        and nothing unlinked.
+        """
+        config = fast_config(
+            epochs=1, num_initial_nodes=8, train_shard_size=4,
+            candidate_limit=8, seed=5,
+        )
+        generator = TGAEGenerator(config)
+        with generator.worker_pool(workers=3, backend="process") as pool:
+            generator.fit(observed)
+            for i in range(2):
+                generator.update(_append_edges(observed, 8, seed=i), epochs=1)
+            live = set(pool.shm_segments())
+            assert pool.health["executor_starts"] == 1
+            assert len(pool._executor._processes) == 3
+            for pid in pool._executor._processes:
+                assert _psm_mappings(pid) == (live, set())
+
+    def test_worker_dead_at_swap_rebuilds_in_rung(self, observed):
+        """A worker that died while the pool idled: the swap rebuilds, no degrade."""
+        generator, pool = self.fitted_in_pool(observed)
+        with pool:
+            victim, process = next(iter(pool._executor._processes.items()))
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while process.is_alive() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            generator.update(_append_edges(observed, 8, seed=2), epochs=0)
+            drawn = generator.generate(seed=3)
+            health = pool.health
+            assert health["worker_crashes"] >= 1
+            assert health["executor_starts"] == 2
+            assert health["degrades"] == [] and pool.rung == "shm"
+            assert victim not in pool._executor._processes
+            assert drawn == generator.generate(seed=3, workers=1)

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import TGAEGenerator, fast_config, load_generator, save_generator
 from repro.core.model import TGAEModel
-from repro.core.parallel import WorkerPool, shared_memory_supported
+from repro.core.parallel import shared_memory_supported
 from repro.core.trainer import TrainingState, train_tgae
 from repro.datasets import communication_network
 from repro.errors import ConfigError, GraphFormatError, NotFittedError
@@ -46,6 +46,12 @@ def make_model(graph, config):
         graph.num_nodes, graph.num_timestamps, config,
         rng=np.random.default_rng(config.seed),
     )
+
+
+def assert_same_bytes(graph_a, graph_b):
+    """Two generated graphs are the same edge arrays, in the same order."""
+    for name in ("src", "dst", "t"):
+        assert getattr(graph_a, name).tobytes() == getattr(graph_b, name).tobytes(), name
 
 
 def assert_same_weights(model_a, model_b):
@@ -275,25 +281,70 @@ class TestUpdate:
         not shared_memory_supported(), reason="platform has no POSIX shared memory"
     )
     def test_shm_structure_republished_exactly_once(self, observed):
-        config = make_config(2)
-        gen = TGAEGenerator(config).fit(observed)
-        pool = WorkerPool(2, backend="process")
-        with pool:
-            engine = gen.engine()
-            before_a = engine.generate(np.random.default_rng(1), pool=pool)
-            engine.generate(np.random.default_rng(2), pool=pool)
-            assert pool.health["publishes"] == 1
-            assert before_a == gen.engine().generate(np.random.default_rng(1), workers=1)
+        """fit -> generate -> three ingest-only appends on one executor.
 
+        Each append republishes the graph segment exactly once and swaps it
+        under the running workers: same executor, same worker processes,
+        untouched parameter segment, output byte-equal to ``workers=1``.
+        """
+        gen = TGAEGenerator(make_config(2))
+        with gen.worker_pool(workers=2, backend="process") as pool:
+            gen.fit(observed)
+            assert_same_bytes(gen.generate(seed=1), gen.generate(seed=1, workers=1))
+            pids = set(pool._executor._processes)
+            publishes = pool.health["publishes"]
+            updates = pool.health["param_updates"]
             k = observed.num_edges // 5
-            gen.update(self._new_edges(observed, k), epochs=1)
+            for i in range(3):
+                gen.update(self._new_edges(observed, k, seed=i), epochs=0)
+                generated = gen.generate(seed=2 + i)
+                assert pool.health["publishes"] == publishes + i + 1
+                gen.generate(seed=9)  # a repeat draw publishes nothing
+                assert pool.health["publishes"] == publishes + i + 1
+                assert_same_bytes(generated, gen.generate(seed=2 + i, workers=1))
+                assert generated.num_edges == gen.observed.num_edges
+            health = pool.health
+            assert health["executor_starts"] == 1
+            assert health["param_updates"] == updates
+            assert set(pool._executor._processes) == pids
 
-            # The appended edge arrays change the structure fingerprint, so
-            # the next dispatch republishes the graph segment -- exactly once.
-            engine = gen.engine()
-            after_a = engine.generate(np.random.default_rng(3), pool=pool)
-            assert pool.health["publishes"] == 2
-            engine.generate(np.random.default_rng(4), pool=pool)
-            assert pool.health["publishes"] == 2
-            assert after_a == gen.engine().generate(np.random.default_rng(3), workers=1)
-            assert after_a.num_edges == gen.observed.num_edges
+    @pytest.mark.skipif(
+        not shared_memory_supported(), reason="platform has no POSIX shared memory"
+    )
+    def test_shm_append_with_training_keeps_executor(self, observed):
+        """``update(epochs=1)``: a graph swap plus in-place weight rewrites."""
+        reference = TGAEGenerator(make_config(2)).fit(observed)
+        gen = TGAEGenerator(make_config(2))
+        with gen.worker_pool(workers=2, backend="process") as pool:
+            gen.fit(observed)
+            gen.generate(seed=0)
+            pids = set(pool._executor._processes)
+            publishes = pool.health["publishes"]
+            updates = pool.health["param_updates"]
+            k = observed.num_edges // 5
+            for i in range(2):
+                edges = self._new_edges(observed, k, seed=i)
+                gen.update(edges, epochs=1)
+                reference.update(edges, epochs=1)
+                assert gen.history.losses == reference.history.losses
+                assert_same_bytes(gen.generate(seed=i), reference.generate(seed=i))
+            health = pool.health
+            assert health["executor_starts"] == 1
+            assert health["publishes"] == publishes + 2
+            assert health["param_updates"] >= updates + 2
+            assert set(pool._executor._processes) == pids
+        assert_same_weights(gen.model, reference.model)
+
+    def test_thread_replicas_follow_an_append(self, observed):
+        """Thread rung: replicas rebuilt on the appended graph train like ``workers=1``."""
+        reference = TGAEGenerator(make_config(2)).fit(observed)
+        gen = TGAEGenerator(make_config(2))
+        with gen.worker_pool(workers=2, backend="thread") as pool:
+            gen.fit(observed)
+            edges = self._new_edges(observed, observed.num_edges // 5)
+            gen.update(edges, epochs=1)
+            reference.update(edges, epochs=1)
+            assert all(r.graph is gen.observed for r in pool._replicas)
+            assert gen.history.losses == reference.history.losses
+            assert_same_bytes(gen.generate(seed=3), reference.generate(seed=3))
+        assert_same_weights(gen.model, reference.model)
