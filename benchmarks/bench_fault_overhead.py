@@ -59,9 +59,9 @@ def bench_fault_overhead():
     config = fast_config(epochs=1, num_initial_nodes=16, candidate_limit=8, seed=4)
     engine = TGAEGenerator(config).fit(observed).engine()
     assert not faults.active(), "fault rules must be disarmed for this gate"
-    empty = np.empty(0, dtype=np.int64)
+    empty = np.empty((0, 2), dtype=np.int64)
     tasks = [
-        TopKChunkTask(index=i, node_ids=empty, timestamp=0, k=1, word=i)
+        TopKChunkTask(index=i, centers=empty, k=1, word=i)
         for i in range(SHARDS)
     ]
 

@@ -29,6 +29,14 @@ Three entry points:
   n=5000, m=20000, T=48, dense decoder at float32 (the ``draw_blocks``
   section).  Every size must give the same bits, and the chosen size must
   stay within :data:`BLOCK_SLACK` of the fastest.
+* ``bench_dispatch_floor`` -- why a call under one draw block runs in the
+  caller: warm ``generate`` and ``score_topk`` from ~0.2 to ~6 blocks of
+  work, each timed in the caller (``workers=1``), on an open process pool
+  as the library cuts it, and on that pool forced to cut one shard per
+  worker (the ``dispatch_floor`` section).  Gates structure only: every
+  variant gives the same bits.  Run it with ``OPENBLAS_NUM_THREADS=1``, as
+  the e2e benchmark runs: at default BLAS threads every variant is slower
+  and noisier.
 """
 
 import hashlib
@@ -50,6 +58,9 @@ SMALL = ScalabilityPoint(400, 3, 0.004)
 
 PARALLEL_WORKERS = 4
 SPEEDUP_FLOOR = 1.5
+#: Draw block of the smoke, in scratch elements: the SMALL point's
+#: ``generate`` (~126k elements) then cuts about eight shards.
+SMOKE_DRAW_BLOCK = 2**14
 
 #: ``(name, (n, m, T))`` of the shard-size sweep.
 BLOCK_SIZES = (("ci", (300, 1200, 12)), ("n5000", (5000, 20000, 48)))
@@ -63,6 +74,12 @@ BLOCK_SLACK = 1.3
 #: Timestamps of the swept ``score_topk(10)`` calls.
 TOPK_STAMPS = 8
 BLOCK_REPEATS = 3
+
+#: ``(n, m, T)`` of the dispatch-floor sweep: the e2e ``pooled`` graph and
+#: larger ones of its density, ~0.2 to ~6 draw blocks of warm decode.
+FLOOR_SIZES = ((96, 1920, 5), (192, 3840, 5), (384, 7680, 5), (560, 11200, 5))
+#: Interleaved timed repeats per variant; the medians are recorded.
+FLOOR_REPEATS = 9
 
 
 def _available_cores() -> int:
@@ -143,22 +160,37 @@ def bench_parallel_encoding_speedup(benchmark):
 
 
 def bench_parallel_encoding_smoke():
-    """Small bit-identity smoke at ``REPRO_BENCH_WORKERS`` (default 2)."""
+    """Small bit-identity smoke at ``REPRO_BENCH_WORKERS`` (default 2).
+
+    The SMALL point's ``generate`` decodes about half a draw block, one
+    shard that would run in the caller, so the smoke shrinks the block to
+    :data:`SMOKE_DRAW_BLOCK` and its shards cross the pool.
+    """
     workers = int(os.environ.get("REPRO_BENCH_WORKERS", "2"))
     observed = make_scalability_graph(SMALL)
     config = fast_config(
         epochs=2, num_initial_nodes=32, neighbor_threshold=6, candidate_limit=16,
     )
     generator = TGAEGenerator(config).fit(observed)
-    start = time.perf_counter()
-    sequential = generator.generate(seed=0, workers=1)
-    seq_s = time.perf_counter() - start
-    start = time.perf_counter()
-    parallel = generator.generate(seed=0, workers=workers)
-    par_s = time.perf_counter() - start
+    block = engine_module.DRAW_BLOCK_ELEMENTS
+    engine_module.DRAW_BLOCK_ELEMENTS = SMOKE_DRAW_BLOCK
+    try:
+        start = time.perf_counter()
+        sequential = generator.generate(seed=0, workers=1)
+        seq_s = time.perf_counter() - start
+        with generator.worker_pool(workers=workers) as pool:
+            start = time.perf_counter()
+            parallel = generator.generate(seed=0)
+            par_s = time.perf_counter() - start
+            health = pool.health
+    finally:
+        engine_module.DRAW_BLOCK_ELEMENTS = block
     print(
         f"\nparallel smoke @ n={SMALL.num_nodes}: workers=1 {seq_s:.2f}s, "
-        f"workers={workers} {par_s:.2f}s"
+        f"workers={workers} {par_s:.2f}s on the {health['rung']} rung"
+    )
+    assert health["rung"] == "thread" or health["executor_starts"] == 1, (
+        "the pooled generate never reached the worker processes"
     )
     assert _fingerprint(sequential) == _fingerprint(parallel)
     assert sequential.num_edges == observed.num_edges
@@ -175,6 +207,13 @@ def bench_parallel_encoding_smoke():
     )
 
 
+def _topk_fingerprint(topk) -> str:
+    return hashlib.sha256(
+        np.concatenate([topk.node, topk.timestamp, topk.target]).tobytes()
+        + topk.score.tobytes()
+    ).hexdigest()
+
+
 def _timed_calls(engine, stamps):
     """``((generate s, score_topk s), fingerprint)`` of one warm pair of calls."""
     start = time.perf_counter()
@@ -182,11 +221,7 @@ def _timed_calls(engine, stamps):
     generated = time.perf_counter()
     topk = engine.score_topk(10, timestamps=stamps)
     seconds = (generated - start, time.perf_counter() - generated)
-    fingerprint = _fingerprint(graph) + hashlib.sha256(
-        np.concatenate([topk.node, topk.timestamp, topk.target]).tobytes()
-        + topk.score.tobytes()
-    ).hexdigest()
-    return seconds, fingerprint
+    return seconds, _fingerprint(graph) + _topk_fingerprint(topk)
 
 
 def bench_draw_blocks():
@@ -236,3 +271,77 @@ def bench_draw_blocks():
     finally:
         engine_module.DRAW_BLOCK_ELEMENTS = chosen
     write_bench_artifact("BENCH_parallel.json", "draw_blocks", payload)
+
+
+def _floor_calls(engine):
+    """``{name: (call(pool), elements of work)}`` of the swept warm calls."""
+    rows = engine.active_nodes()[0].shape[0]
+    graph = engine.graph
+    width = engine._decode_width()
+
+    def generate(pool):
+        return _fingerprint(engine.generate(np.random.default_rng(0), pool=pool))
+
+    def score_topk(pool):
+        return _topk_fingerprint(engine.score_topk(8, pool=pool))
+
+    return {
+        "generate": (generate, rows * width),
+        "score_topk": (score_topk, graph.num_nodes * graph.num_timestamps * width),
+    }
+
+
+def bench_dispatch_floor():
+    """In the caller vs on a pool, either side of one draw block: same bits."""
+    workers = int(os.environ.get("REPRO_BENCH_WORKERS", "2"))
+    block = engine_module.DRAW_BLOCK_ELEMENTS
+    payload = {"block_elements": block, "workers": workers, "points": []}
+    print(f"\n=== dispatch floor, workers={workers} (median ms of {FLOOR_REPEATS}) ===")
+    for n, m, T in FLOOR_SIZES:
+        observed = erdos_renyi_temporal(n, m, T, seed=0)
+        generator = TGAEGenerator(
+            fast_config(epochs=1, num_initial_nodes=64, seed=0, dtype="float32")
+        ).fit(observed)
+        engine = generator.engine()
+        calls = _floor_calls(engine)
+        with generator.worker_pool(workers=workers, backend="process") as pool:
+
+            def run(name, variant):
+                call, work = calls[name]
+                if variant == "forced":  # one shard per worker
+                    engine_module.DRAW_BLOCK_ELEMENTS = -(-work // workers)
+                try:
+                    start = time.perf_counter()
+                    fingerprint = call(None if variant == "caller" else pool)
+                    return time.perf_counter() - start, fingerprint
+                finally:
+                    engine_module.DRAW_BLOCK_ELEMENTS = block
+
+            variants = ("caller", "pooled", "forced")
+            for name in calls:  # warm the cache, the executor and its segments
+                for variant in variants:
+                    run(name, variant)
+            seconds = {(name, v): [] for name in calls for v in variants}
+            prints = {name: set() for name in calls}
+            for _ in range(FLOOR_REPEATS):
+                for name in calls:
+                    for variant in variants:
+                        elapsed, fingerprint = run(name, variant)
+                        seconds[name, variant].append(elapsed)
+                        prints[name].add(fingerprint)
+        point = {"num_nodes": n, "num_edges": m, "num_timestamps": T}
+        for name, (_, work) in calls.items():
+            assert len(prints[name]) == 1, f"dispatch changed {name} at n={n}"
+            medians = {v: float(np.median(seconds[name, v])) for v in variants}
+            point[name] = {
+                "blocks": round(work / block, 3),
+                **{f"{v}_ms": round(1e3 * s, 3) for v, s in medians.items()},
+                "bit_identical": True,
+            }
+            print(
+                f"n={n:4d} {name:10s} {work / block:5.2f} blocks   caller "
+                f"{1e3 * medians['caller']:7.2f}   pooled {1e3 * medians['pooled']:7.2f}"
+                f"   forced {1e3 * medians['forced']:7.2f}"
+            )
+        payload["points"].append(point)
+    write_bench_artifact("BENCH_parallel.json", "dispatch_floor", payload)

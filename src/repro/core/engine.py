@@ -61,10 +61,11 @@ from .sampler import EgoGraphSampler
 _PAD_ATTEMPTS = 8
 
 #: Scratch elements per generation / score shard (:func:`shard_rows`): a
-#: shard holds this many elements of its widest intermediate, the
+#: shard holds about this many elements of its widest intermediate, the
 #: ``(rows, n)`` race of the dense decoder or the ``(rows, C, hidden)``
 #: gathered decoder columns of the streaming one, so a shard's scratch stays
-#: a few MiB at any universe size.  Every draw is keyed by its row, so this
+#: a few MiB at any universe size, and a call under one block is one shard
+#: that never leaves the caller.  Every draw is keyed by its row, so this
 #: is a speed and memory choice only: any partition gives the same bits.
 #: Swept over 2^16..2^20 (``draw_blocks`` in ``BENCH_parallel.json``):
 #: 2^18 is within noise of the fastest at the CI size and at n=5000, where
@@ -103,15 +104,19 @@ def row_draw_keys(word, centers: np.ndarray) -> np.ndarray:
     return counter_hash(word, centers[:, 0], centers[:, 1])
 
 
-def shard_rows(total: int, width: int, workers: int, groups: int = 1) -> int:
-    """Rows per shard when ``groups`` groups of ``total`` rows are cut apart.
+def shard_rows(total: int, width: int) -> List[slice]:
+    """Row slices of ``total`` rows cut into shards of about one draw block each.
 
-    :data:`DRAW_BLOCK_ELEMENTS` over the scratch ``width`` of a row, or
-    fewer when that alone would leave some of the ``workers`` without a
-    shard.
+    ``ceil(total * width / DRAW_BLOCK_ELEMENTS)`` shards (at most one per
+    row), the rows split evenly across them: shard sizes differ by at most
+    one row, and no shard holds more than one block plus one row of
+    ``width``-element scratch.  Work that fits in one block is one shard,
+    which :func:`~repro.core.parallel.run_sharded` runs in the caller: a
+    dispatch costs more than the decode it would spread (``dispatch_floor``
+    in ``BENCH_parallel.json``).
     """
-    per_group = -(-workers // max(groups, 1))
-    return max(1, min(DRAW_BLOCK_ELEMENTS // width, -(-total // per_group)))
+    shards = min(total, -(-total * width // DRAW_BLOCK_ELEMENTS))
+    return [slice(i * total // shards, (i + 1) * total // shards) for i in range(shards)]
 
 
 _SCRATCH = threading.local()
@@ -409,11 +414,6 @@ def active_temporal_nodes(
     return centers, np.diff(pair_starts), distinct_counts
 
 
-def _dispatch_width(workers: int, pool: Optional[WorkerPool]) -> int:
-    """The worker count a call's shards will meet (an open pool governs)."""
-    return pool.workers if pool is not None and not pool.closed else workers
-
-
 @dataclass
 class TopKScores:
     """Sparse top-k decoded scores: parallel ``(node, timestamp, target, score)``.
@@ -459,14 +459,14 @@ class GenerateChunkTask:
 class TopKChunkTask:
     """One shard of the :meth:`GenerationEngine.score_topk` fan-out.
 
-    ``word`` keys the rows' candidate draws and ``embeddings`` holds the
-    encoder rows of ``(node_ids, timestamp)``, as in
+    ``centers`` holds the shard's ``(rows, 2)`` centres ``(u, t)``, whose
+    timestamps may differ; ``word`` keys the rows' candidate draws and
+    ``embeddings`` holds the centres' encoder rows, as in
     :class:`GenerateChunkTask`.
     """
 
     index: int
-    node_ids: np.ndarray
-    timestamp: int
+    centers: np.ndarray
     k: int
     word: int
     embeddings: Optional[np.ndarray] = None
@@ -734,19 +734,16 @@ class GenerationEngine:
         embeddings = self.warm_rows(
             centers_all[:, 0] * np.int64(graph.num_timestamps) + centers_all[:, 1]
         )
-        step = shard_rows(
-            centers_all.shape[0], self._decode_width(), _dispatch_width(workers, pool)
-        )
         tasks = [
             GenerateChunkTask(
                 index=i,
-                centers=centers_all[start : start + step],
-                degrees=degrees[start : start + step],
-                distinct=distinct_counts[start : start + step],
+                centers=centers_all[rows],
+                degrees=degrees[rows],
+                distinct=distinct_counts[rows],
                 word=word,
-                embeddings=embeddings[start : start + step],
+                embeddings=embeddings[rows],
             )
-            for i, start in enumerate(range(0, centers_all.shape[0], step))
+            for i, rows in enumerate(shard_rows(centers_all.shape[0], self._decode_width()))
         ]
         results = run_sharded(
             self, "generate", tasks, workers=workers, backend=backend, pool=pool
@@ -844,8 +841,8 @@ class GenerationEngine:
     ) -> TopKScores:
         """Sharded top-``k`` decoded scores as sparse triples.
 
-        Shards centres ``(u, t)`` into per-timestamp blocks of nodes
-        (:func:`shard_rows`), decodes each block once (over
+        Cuts the centres ``(u, t)``, timestamp-major, into shards
+        (:func:`shard_rows`), decodes each shard once (over
         candidate sets in streaming mode, the full universe otherwise) and
         keeps only the ``k`` highest-probability targets per centre -- peak
         memory is O(block * max(C, n)) while the output is O(n * k)
@@ -870,59 +867,40 @@ class GenerationEngine:
         word = seed_sequence(self.config.seed, "tgae", "score-topk").generate_state(
             1, np.uint64
         )[0]
-        step = shard_rows(
-            graph.num_nodes, self._decode_width(), _dispatch_width(workers, pool), len(stamps)
+        n, T = graph.num_nodes, graph.num_timestamps
+        centers = np.stack(
+            [np.tile(np.arange(n), len(stamps)), np.repeat(np.asarray(stamps, dtype=np.int64), n)],
+            axis=1,
         )
-        specs = [
-            (timestamp, np.arange(start, min(start + step, graph.num_nodes)))
-            for timestamp in stamps
-            for start in range(0, graph.num_nodes, step)
-        ]
         self.model.eval()
-        keys = [node_ids * np.int64(graph.num_timestamps) + t for t, node_ids in specs]
-        embeddings = self.warm_rows(np.concatenate(keys)) if keys else None
-        bounds = np.cumsum([0] + [part.size for part in keys])
+        embeddings = self.warm_rows(centers[:, 0] * np.int64(T) + centers[:, 1])
         tasks = [
             TopKChunkTask(
-                index=i, node_ids=node_ids, timestamp=int(timestamp), k=k, word=word,
-                embeddings=embeddings[bounds[i] : bounds[i + 1]],
+                index=i, centers=centers[rows], k=k, word=word, embeddings=embeddings[rows]
             )
-            for i, (timestamp, node_ids) in enumerate(specs)
+            for i, rows in enumerate(shard_rows(centers.shape[0], self._decode_width()))
         ]
         results = run_sharded(
             self, "topk", tasks, workers=workers, backend=backend, pool=pool
         )
-        nodes_out = [nodes for nodes, _, _, _ in results]
-        stamps_out = [stamps_ for _, stamps_, _, _ in results]
-        targets_out = [targets for _, _, targets, _ in results]
-        scores_out = [scores for _, _, _, scores in results]
-        return TopKScores(
-            node=np.concatenate(nodes_out) if nodes_out else np.empty(0, dtype=np.int64),
-            timestamp=(
-                np.concatenate(stamps_out) if stamps_out else np.empty(0, dtype=np.int64)
-            ),
-            target=(
-                np.concatenate(targets_out) if targets_out else np.empty(0, dtype=np.int64)
-            ),
-            score=(
-                np.concatenate(scores_out) if scores_out else np.empty(0, dtype=np.float64)
-            ),
-        )
+        if not results:  # no timestamps asked for
+            empty = np.empty(0, dtype=np.int64)
+            return TopKScores(empty, empty, empty, np.empty(0, dtype=np.float64))
+        return TopKScores(*(np.concatenate(field) for field in zip(*results)))
 
     def topk_chunk(
         self, task: TopKChunkTask
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Top-``k`` triples for one ``(timestamp, node chunk)`` shard.
+        """Top-``k`` triples for one shard of centres ``(u, t)``.
 
         Pure given the task (candidate draws keyed by ``(task.word, u,
         t)``); returns ``(nodes, timestamps, targets, scores)`` arrays.
         """
-        empty = np.array([], dtype=np.int64)
-        node_ids = np.asarray(task.node_ids, dtype=np.int64)
-        if node_ids.size == 0:
+        part = task.centers
+        if part.shape[0] == 0:
+            empty = np.array([], dtype=np.int64)
             return empty, empty, empty, np.array([], dtype=np.float64)
         streaming = self.config.candidate_limit > 0
-        part = np.stack([node_ids, np.full(node_ids.size, task.timestamp)], axis=1)
         with no_grad():
             cand = (
                 self.candidate_batch(part, row_draw_keys(task.word, part))
@@ -946,10 +924,5 @@ class GenerationEngine:
             np.take_along_axis(cand, top, axis=1) if cand is not None else top
         )
         keep = top_scores > 0
-        rows = np.repeat(node_ids, kk).reshape(node_ids.size, kk)
-        return (
-            rows[keep],
-            np.full(int(keep.sum()), task.timestamp, dtype=np.int64),
-            columns[keep],
-            top_scores[keep],
-        )
+        rows = np.nonzero(keep)[0]
+        return part[rows, 0], part[rows, 1], columns[keep], top_scores[keep]

@@ -16,7 +16,11 @@ one place that decides how:
 * An open :class:`WorkerPool` gets the run.  Without one, ``workers=1``
   (or a single task) is a plain in-process loop over the live engine --
   the reference sequential path -- and anything wider runs on an
-  ephemeral pool built from the engine's config for the one call.
+  ephemeral pool built from the engine's config for the one call.  A
+  single task runs in the caller under an open pool too, and inference
+  cuts one task per draw block of work
+  (:func:`~repro.core.engine.shard_rows`), so a small call never
+  dispatches.
   Training opens its pool once per run (:func:`pool_for`) and hands it to
   every epoch's :func:`run_sharded` call.
 * :func:`check_dispatch` is the one validation of a ``(workers,

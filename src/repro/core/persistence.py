@@ -245,7 +245,8 @@ def _parameter_shapes(
 
 def _read_generator(path: PathLike, dtype: Optional[str]) -> TGAEGenerator:
     """The body of :func:`load_generator`, before archive errors are typed."""
-    with np.load(path, allow_pickle=False) as archive:
+    # ``np.load(path)`` leaves its file open when the zip reader rejects it.
+    with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
         if _META_KEY not in archive:
             raise ConfigError(f"{path!s} is not a saved TGAE generator")
         meta = json.loads(bytes(archive[_META_KEY].tobytes()).decode("utf-8"))

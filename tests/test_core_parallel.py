@@ -12,8 +12,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import repro.core.engine as engine_module
+from strategies import STANDARD_SETTINGS
 from repro.core import GenerationEngine, TGAEGenerator, fast_config
+from repro.core.engine import shard_rows
 from repro.core.parallel import _engine_from_state, run_sharded
 from repro.datasets import communication_network
 from repro.errors import ConfigError
@@ -47,43 +52,49 @@ class TestWorkerCountDeterminism:
     """workers=1 and workers=4 produce bit-identical graphs and triples."""
 
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_streaming_generate_bit_identical(self, streaming_fitted, seed):
+    def test_streaming_generate_bit_identical(self, streaming_fitted, seed, crossing):
         sequential = streaming_fitted.generate(seed=seed, workers=1)
         parallel = streaming_fitted.generate(seed=seed, workers=4)
+        assert crossing["shm", "generate"] == 1
         assert fingerprint(sequential) == fingerprint(parallel)
         assert sequential == parallel
 
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_dense_generate_bit_identical(self, dense_fitted, seed):
+    def test_dense_generate_bit_identical(self, dense_fitted, seed, crossing):
         sequential = dense_fitted.generate(seed=seed, workers=1)
         parallel = dense_fitted.generate(seed=seed, workers=4)
+        assert crossing["shm", "generate"] == 1
         assert fingerprint(sequential) == fingerprint(parallel)
 
-    def test_thread_backend_matches_process_and_sequential(self, streaming_fitted):
+    def test_thread_backend_matches_process_and_sequential(self, streaming_fitted, crossing):
         engine = streaming_fitted.engine()
         sequential = engine.generate(np.random.default_rng(5), workers=1)
         threaded = engine.generate(np.random.default_rng(5), workers=3, backend="thread")
         pooled = engine.generate(np.random.default_rng(5), workers=3, backend="process")
+        assert crossing["thread", "generate"] == crossing["shm", "generate"] == 1
         assert fingerprint(sequential) == fingerprint(threaded) == fingerprint(pooled)
 
-    def test_score_topk_triples_bit_identical(self, streaming_fitted):
+    def test_score_topk_triples_bit_identical(self, streaming_fitted, crossing):
         sequential = streaming_fitted.score_topk(3, workers=1)
         parallel = streaming_fitted.score_topk(3, workers=4)
+        assert crossing["shm", "topk"] == 1
         for field in ("node", "timestamp", "target", "score"):
             assert np.array_equal(
                 getattr(sequential, field), getattr(parallel, field)
             ), field
 
-    def test_worker_count_does_not_leak_into_budgets(self, observed, streaming_fitted):
+    def test_worker_count_does_not_leak_into_budgets(self, observed, streaming_fitted, crossing):
         generated = streaming_fitted.generate(seed=1, workers=4)
+        assert crossing["shm", "generate"] == 1
         assert generated.num_edges == observed.num_edges
         assert np.all(generated.src != generated.dst)
 
-    def test_config_level_workers_knob(self, observed):
+    def test_config_level_workers_knob(self, observed, crossing):
         base = fast_config(epochs=2, num_initial_nodes=12, candidate_limit=8)
         seq = TGAEGenerator(base).fit(observed).generate(seed=2)
         par_cfg = dataclasses.replace(base, workers=2, parallel_backend="thread")
         par = TGAEGenerator(par_cfg).fit(observed).generate(seed=2)
+        assert crossing["thread", "generate"] == 1
         assert fingerprint(seq) == fingerprint(par)
 
 
@@ -123,6 +134,40 @@ class TestChunkingGuards:
         )
         src, dst, t = engine.generate_chunk(task)
         assert src.size == dst.size == t.size == 0
+
+
+class TestShardRows:
+    """``shard_rows`` cuts by work: one shard per draw block, sizes even."""
+
+    @given(
+        total=st.integers(0, 5000),
+        width=st.integers(1, 4096),
+        block=st.integers(1, 2**14),
+    )
+    @STANDARD_SETTINGS
+    def test_count_and_sizes(self, total, width, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine_module, "DRAW_BLOCK_ELEMENTS", block)
+            shards = shard_rows(total, width)
+        work = total * width
+        assert len(shards) == min(total, -(-work // block))
+        sizes = [part.stop - part.start for part in shards]
+        assert all(size >= 1 for size in sizes)
+        assert not sizes or max(sizes) - min(sizes) <= 1
+        assert all(size * width <= block + width or size == 1 for size in sizes)
+        # Consecutive, covering every row once.
+        assert [row for part in shards for row in range(total)[part]] == list(range(total))
+
+    def test_one_block_is_one_shard(self):
+        block = engine_module.DRAW_BLOCK_ELEMENTS
+        assert shard_rows(block // 128, 128) == [slice(0, block // 128)]
+        assert len(shard_rows(block // 128 + 1, 128)) == 2
+
+    def test_n5000_dense_generate(self):
+        """19,227 active rows of a 5000-wide race: 367 shards of 52-53 rows."""
+        shards = shard_rows(19227, 5000)
+        assert len(shards) == 367
+        assert {part.stop - part.start for part in shards} == {52, 53}
 
 
 class TestWorkerPayload:

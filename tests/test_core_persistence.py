@@ -1,6 +1,7 @@
 """Tests for TGAE generator save/load round-trips."""
 
 import dataclasses
+import gc
 import json
 import warnings
 
@@ -220,6 +221,17 @@ class TestErrors:
         path.write_bytes(data[: len(data) // 2 if keep == "half" else keep])
         with pytest.raises(ConfigError, match="not a readable"):
             load_generator(path)
+
+    @pytest.mark.parametrize("content", [b"PK\x03\x04garbage", b"not a zip archive"])
+    def test_damaged_archive_leaves_no_file_open(self, tmp_path, content):
+        path = tmp_path / "model.npz"
+        path.write_bytes(content)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ConfigError):
+                load_generator(path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_load_missing_member_raises(self, fitted, tmp_path):
         path = tmp_path / "model.npz"

@@ -202,7 +202,7 @@ class TestShmDispatchBitIdentity:
             assert pool.shm_segments() == ()
         assert_same_run(sequential, threaded)
 
-    def test_generation_through_shm_pool_bit_identical(self, observed):
+    def test_generation_through_shm_pool_bit_identical(self, observed, crossing):
         config = fast_config(
             epochs=2, num_initial_nodes=12, candidate_limit=8, seed=5
         )
@@ -213,10 +213,11 @@ class TestShmDispatchBitIdentity:
             assert pool.shm_active
             first = fitted.generate(seed=1)
             second = fitted.generate(seed=2)
+        assert crossing["shm", "generate"] == 2
         assert first == baseline_a
         assert second == baseline_b
 
-    def test_weight_change_updates_segment_without_republish(self, observed):
+    def test_weight_change_updates_segment_without_republish(self, observed, crossing):
         config = fast_config(
             epochs=1, num_initial_nodes=12, candidate_limit=8, seed=5
         )
@@ -241,8 +242,9 @@ class TestShmDispatchBitIdentity:
             assert pool.health["param_updates"] == 1
             assert pool.shm_segments() == segments
             assert refreshed == baseline
+            assert crossing["shm", "generate"] == 3
 
-    def test_fit_generate_score_topk_share_one_executor(self, observed):
+    def test_fit_generate_score_topk_share_one_executor(self, observed, crossing):
         """Switching from training to inference never rebuilds the workers."""
         config = fast_config(
             epochs=2, num_initial_nodes=12, candidate_limit=8, seed=5,
@@ -258,6 +260,7 @@ class TestShmDispatchBitIdentity:
             assert pool.health["publishes"] == 1
             assert pool._executor is executor
             assert pool.runs >= 3
+        assert crossing["shm", "generate"] == crossing["shm", "topk"] == 1
 
     def test_dispatch_bytes_are_model_size_independent(self, observed):
         """Task messages carry indices + a version, never the weights."""
@@ -279,6 +282,63 @@ class TestShmDispatchBitIdentity:
             seed_seq=seqs[0],
         )
         assert len(pickle.dumps(task)) < 4096
+
+
+class TestSubBlockCallsStayInCaller:
+    """A call whose decode fits in one draw block never wakes the pool.
+
+    At the real block every call on this graph is one shard, so an open
+    2-worker process pool starts no executor and publishes no segment, and
+    the output is byte-equal to ``workers=1``.
+    """
+
+    @pytest.fixture(scope="class")
+    def fitted(self, observed):
+        config = fast_config(
+            epochs=1, num_initial_nodes=12, candidate_limit=8, seed=5
+        )
+        return TGAEGenerator(config).fit(observed)
+
+    @staticmethod
+    def assert_pool_idle(pool):
+        health = pool.health
+        assert health["executor_starts"] == 0
+        assert health["publishes"] == 0
+        assert pool.shm_segments() == ()
+
+    def test_generate(self, fitted):
+        expected = fitted.generate(seed=1, workers=1)
+        with fitted.worker_pool(workers=2, backend="process") as pool:
+            drawn = fitted.generate(seed=1)
+            self.assert_pool_idle(pool)
+        for name in ("src", "dst", "t"):
+            assert getattr(drawn, name).tobytes() == getattr(expected, name).tobytes()
+
+    def test_score_topk_across_stamps(self, fitted, observed):
+        stamps = list(range(observed.num_timestamps))
+        expected = fitted.score_topk(3, timestamps=stamps, workers=1)
+        with fitted.worker_pool(workers=2, backend="process") as pool:
+            scored = fitted.score_topk(3, timestamps=stamps)
+            self.assert_pool_idle(pool)
+        assert len(set(scored.timestamp.tolist())) > 1
+        for name in ("node", "timestamp", "target", "score"):
+            assert getattr(scored, name).tobytes() == getattr(expected, name).tobytes()
+
+    def test_ingest_then_generate(self, observed):
+        config = fast_config(
+            epochs=1, num_initial_nodes=12, candidate_limit=8, seed=5
+        )
+        generator = TGAEGenerator(config).fit(observed)
+        reference = TGAEGenerator(config).fit(observed)
+        edges = _append_edges(observed, 8, seed=4)
+        reference.update(edges, epochs=0)
+        with generator.worker_pool(workers=2, backend="process") as pool:
+            generator.update(edges, epochs=0)
+            drawn = generator.generate(seed=2)
+            self.assert_pool_idle(pool)
+        expected = reference.generate(seed=2, workers=1)
+        for name in ("src", "dst", "t"):
+            assert getattr(drawn, name).tobytes() == getattr(expected, name).tobytes()
 
 
 class TestDtypePolicyShm:
@@ -493,7 +553,7 @@ class TestGraphSwapHygiene:
         generator.generate(seed=0)
         return generator, pool
 
-    def test_appends_leave_no_stale_mapping(self, observed):
+    def test_appends_leave_no_stale_mapping(self, observed, crossing):
         before = _dev_shm_segments()
         generator, pool = self.fitted_in_pool(observed)
         with pool:
@@ -507,16 +567,21 @@ class TestGraphSwapHygiene:
             for pid in pids:
                 assert _psm_mappings(pid) == (live, set())
             assert _dev_shm_segments() - before == live
+        assert crossing["shm", "generate"] == 7
         assert _dev_shm_segments() - before == set()
 
-    def test_worker_crash_after_swap_rebuilds_on_live_segment(self, observed):
+    def test_worker_crash_after_swap_rebuilds_on_live_segment(
+        self, observed, crossing, monkeypatch
+    ):
         """A crash right after a swap: the rebuilt workers attach the live segment.
 
         Forked workers inherit fault rules armed before the fork, so the
         rule is armed first and pinned to shard 2: the pool's 2-shard
-        generate never reaches it, the 3-shard training epoch of
-        ``update(epochs=1)`` -- dispatched right after its graph swap -- does.
+        generate (the draw block is set to half its work) never reaches
+        it, the 3-shard training epoch of ``update(epochs=1)`` --
+        dispatched right after its graph swap -- does.
         """
+        import repro.core.engine as engine_module
         from repro import faults
 
         config = fast_config(
@@ -525,11 +590,15 @@ class TestGraphSwapHygiene:
         )
         reference = TGAEGenerator(config).fit(observed)
         generator = TGAEGenerator(config).fit(observed)
+        engine = generator.engine()
+        work = engine.active_nodes()[0].shape[0] * engine._decode_width()
+        monkeypatch.setattr(engine_module, "DRAW_BLOCK_ELEMENTS", -(-work // 2))
         edges = _append_edges(observed, 8, seed=1)
         reference.update(edges, epochs=1)
         with faults.inject("shard", action="crash", index=2, attempt=0):
             with generator.worker_pool(workers=2, backend="process") as pool:
                 generator.generate(seed=0)
+                assert crossing["shm", "generate"] == 1
                 assert pool.health["executor_starts"] == 1
                 generator.update(edges, epochs=1)
                 health = pool.health
@@ -569,7 +638,7 @@ class TestGraphSwapHygiene:
             for pid in pool._executor._processes:
                 assert _psm_mappings(pid) == (live, set())
 
-    def test_worker_dead_at_swap_rebuilds_in_rung(self, observed):
+    def test_worker_dead_at_swap_rebuilds_in_rung(self, observed, crossing):
         """A worker that died while the pool idled: the swap rebuilds, no degrade."""
         generator, pool = self.fitted_in_pool(observed)
         with pool:
@@ -586,3 +655,4 @@ class TestGraphSwapHygiene:
             assert health["degrades"] == [] and pool.rung == "shm"
             assert victim not in pool._executor._processes
             assert drawn == generator.generate(seed=3, workers=1)
+        assert crossing["shm", "generate"] == 2

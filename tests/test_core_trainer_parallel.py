@@ -85,7 +85,7 @@ class TestShardedTrainingDeterminism:
         history, _ = train_run(observed, workers=2, train_shard_size=16)
         assert len(history.losses) == 3
 
-    def test_generation_after_parallel_training_matches(self, observed):
+    def test_generation_after_parallel_training_matches(self, observed, crossing):
         config = fast_config(
             epochs=2, num_initial_nodes=16, candidate_limit=8,
             train_shard_size=4, seed=5,
@@ -95,6 +95,7 @@ class TestShardedTrainingDeterminism:
 
         par_config = dataclasses.replace(config, workers=3)
         par = TGAEGenerator(par_config).fit(observed).generate(seed=9)
+        assert crossing["shm", "generate"] == 1
         assert seq == par
 
 
@@ -366,7 +367,7 @@ class TestPersistentPool:
         config = fast_config(epochs=2, num_initial_nodes=12, candidate_limit=8)
         return TGAEGenerator(config).fit(observed)
 
-    def test_pool_reused_across_generate_calls(self, fitted):
+    def test_pool_reused_across_generate_calls(self, fitted, crossing):
         baseline_a = fitted.generate(seed=1, workers=1)
         baseline_b = fitted.generate(seed=2, workers=1)
         with fitted.worker_pool(workers=2, backend="thread") as pool:
@@ -376,23 +377,26 @@ class TestPersistentPool:
             assert pool.runs == 2
             assert not pool.closed
         assert pool.closed
+        assert crossing["thread", "generate"] == 2
         assert first == baseline_a
         assert second == baseline_b
 
-    def test_process_pool_reused_and_bit_identical(self, fitted):
+    def test_process_pool_reused_and_bit_identical(self, fitted, crossing):
         baseline = fitted.generate(seed=5, workers=1)
         with WorkerPool(2, backend="process") as pool:
             engine = fitted.engine()
             first = engine.generate(np.random.default_rng(5), pool=pool)
             second = engine.generate(np.random.default_rng(5), pool=pool)
             assert pool.runs == 2
+        assert crossing["shm", "generate"] == 2
         assert first == baseline
         assert second == baseline
 
-    def test_score_topk_through_pool(self, fitted):
+    def test_score_topk_through_pool(self, fitted, crossing):
         sequential = fitted.score_topk(3, workers=1)
         with fitted.worker_pool(workers=2, backend="thread"):
             pooled = fitted.score_topk(3)
+        assert crossing["thread", "topk"] == 1
         for field in ("node", "timestamp", "target", "score"):
             assert np.array_equal(
                 getattr(sequential, field), getattr(pooled, field)

@@ -280,7 +280,7 @@ class TestUpdate:
     @pytest.mark.skipif(
         not shared_memory_supported(), reason="platform has no POSIX shared memory"
     )
-    def test_shm_structure_republished_exactly_once(self, observed):
+    def test_shm_structure_republished_exactly_once(self, observed, crossing):
         """fit -> generate -> three ingest-only appends on one executor.
 
         Each append republishes the graph segment exactly once and swaps it
@@ -307,11 +307,12 @@ class TestUpdate:
             assert health["executor_starts"] == 1
             assert health["param_updates"] == updates
             assert set(pool._executor._processes) == pids
+        assert crossing["shm", "generate"] == 7
 
     @pytest.mark.skipif(
         not shared_memory_supported(), reason="platform has no POSIX shared memory"
     )
-    def test_shm_append_with_training_keeps_executor(self, observed):
+    def test_shm_append_with_training_keeps_executor(self, observed, crossing):
         """``update(epochs=1)``: a graph swap plus in-place weight rewrites."""
         reference = TGAEGenerator(make_config(2)).fit(observed)
         gen = TGAEGenerator(make_config(2))
@@ -333,9 +334,10 @@ class TestUpdate:
             assert health["publishes"] == publishes + 2
             assert health["param_updates"] >= updates + 2
             assert set(pool._executor._processes) == pids
+        assert crossing["shm", "generate"] == 3
         assert_same_weights(gen.model, reference.model)
 
-    def test_thread_replicas_follow_an_append(self, observed):
+    def test_thread_replicas_follow_an_append(self, observed, crossing):
         """Thread rung: replicas rebuilt on the appended graph train like ``workers=1``."""
         reference = TGAEGenerator(make_config(2)).fit(observed)
         gen = TGAEGenerator(make_config(2))
@@ -347,4 +349,5 @@ class TestUpdate:
             assert all(r.graph is gen.observed for r in pool._replicas)
             assert gen.history.losses == reference.history.losses
             assert_same_bytes(gen.generate(seed=3), reference.generate(seed=3))
+        assert crossing["thread", "generate"] == 1
         assert_same_weights(gen.model, reference.model)

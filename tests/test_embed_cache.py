@@ -453,13 +453,14 @@ class TestSharedMemoryCache:
     @pytest.mark.skipif(
         not shared_memory_supported(), reason="platform has no POSIX shared memory"
     )
-    def test_pooled_score_topk_parity(self, observed, fitted_on, fitted_off):
+    def test_pooled_score_topk_parity(self, observed, fitted_on, fitted_off, crossing):
         generator = fit_twin(observed, embed_cache=True, workers=2)
         with generator.worker_pool(workers=2) as pool:
             assert pool.rung == "shm"
             pooled_graph = generator.generate(seed=0, workers=2)
             pooled = generator.score_topk(4, workers=2)
             assert pool.health["degrades"] == []
+        assert crossing["shm", "generate"] == crossing["shm", "topk"] == 1
         sequential = fitted_on.generate(seed=0, workers=1)
         assert graph_fingerprint(pooled_graph) == graph_fingerprint(sequential)
         assert graph_fingerprint(sequential) == graph_fingerprint(
@@ -472,13 +473,15 @@ class TestSharedMemoryCache:
         "backend, embed_cache", [("process", False), ("thread", True), ("thread", False)]
     )
     def test_pooled_equals_sequential_per_backend(
-        self, observed, fitted_off, backend, embed_cache
+        self, observed, fitted_off, backend, embed_cache, crossing
     ):
         generator = fit_twin(observed, embed_cache=embed_cache)
         with generator.worker_pool(workers=2, backend=backend) as pool:
             pooled_graph = generator.generate(seed=1)
             pooled = generator.score_topk(3)
             assert pool.runs >= 2 and pool.health["degrades"] == []
+        rung = "shm" if backend == "process" else "thread"
+        assert crossing[rung, "generate"] == crossing[rung, "topk"] == 1
         assert graph_fingerprint(pooled_graph) == graph_fingerprint(
             fitted_off.generate(seed=1, workers=1)
         )

@@ -45,6 +45,7 @@ from repro.core import (
     load_generator,
     train_tgae,
 )
+from repro.core.engine import shard_rows
 from repro.core.parallel import LADDER, SharedArrayStore, shared_memory_supported
 from repro.datasets import communication_network, load_dataset
 from repro.errors import (
@@ -866,6 +867,9 @@ class NemesisMachine(RuleBasedStateMachine):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradeWarning)
             self.generator.fit(_TINY_GRAPH)
+        engine = self.generator.engine()
+        rows = engine.active_nodes()[0].shape[0]
+        assert len(shard_rows(rows, engine._decode_width())) > 1  # generates cross
 
     # -- fault arming ---------------------------------------------------
     @rule(
@@ -946,4 +950,6 @@ class NemesisMachine(RuleBasedStateMachine):
 NemesisMachine.TestCase.settings = hyp_settings(
     STATE_MACHINE_SETTINGS, stateful_step_count=8,
 )
-TestNemesisMachine = NemesisMachine.TestCase
+# ``crossing`` cuts the machine's generates into several shards, so they
+# run (and meet their faults) on the pool's rung instead of in the caller.
+TestNemesisMachine = pytest.mark.usefixtures("crossing")(NemesisMachine.TestCase)

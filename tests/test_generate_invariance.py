@@ -101,16 +101,14 @@ def merged_topk(engine, parts, mode, pools):
         1, np.uint64
     )[0]
     embeddings = engine.warm_rows(np.arange(n * T))
-    tasks = []
-    for part in parts:
-        for timestamp in np.unique(part % T):
-            keys = part[part % T == timestamp]
-            tasks.append(
-                TopKChunkTask(
-                    index=len(tasks), node_ids=keys // T, timestamp=int(timestamp), k=K,
-                    word=word, embeddings=embeddings[keys],
-                )
-            )
+    # One task per part, its rows' timestamps mixed as they fall.
+    tasks = [
+        TopKChunkTask(
+            index=i, centers=np.stack([part // T, part % T], axis=1), k=K, word=word,
+            embeddings=embeddings[part],
+        )
+        for i, part in enumerate(parts)
+    ]
     results = dispatch(engine, "topk", tasks, mode, pools)
     fields = [np.concatenate([r[i] for r in results]) for i in range(4)]
     order = np.argsort(fields[1] * n + fields[0], kind="stable")
